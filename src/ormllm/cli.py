@@ -204,9 +204,21 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _eval_config(run: RunConfig, tasks: tuple[str, ...]) -> EvalConfig:
+    """The run's eval settings, built (and so validated) before any data is
+    read or any model trained."""
+    return EvalConfig(
+        tasks=tasks,
+        max_new_qa=int(run["eval.max_new_qa"]),
+        max_new_sgg=int(run["eval.max_new_sgg"]),
+        mode=str(run["eval.mode"]),
+        beam_k=int(run["eval.beam_k"]),
+        threads=int(run["threads"]),
+    )
+
+
 def _eval_model(run: RunConfig, bundle, ckpt: str, variant: str | None,
-                split: str, tasks: tuple[str, ...], report_path: str | None,
-                threads: int) -> None:
+                split: str, ecfg: EvalConfig, report_path: str | None) -> None:
     loaded = load_checkpoint(ckpt)
     resolved_variant = variant or infer_variant(set(loaded.names()))
     mcfg = ModelConfig(variant=resolved_variant, spatial=run.spatial(),
@@ -223,17 +235,9 @@ def _eval_model(run: RunConfig, bundle, ckpt: str, variant: str | None,
     _load_into(model, ckpt)
     model.check_vocab(len(bundle.vocab))
     samples = bundle.part_samples(split)
-    ecfg = EvalConfig(
-        tasks=tasks,
-        max_new_qa=int(run["eval.max_new_qa"]),
-        max_new_sgg=int(run["eval.max_new_sgg"]),
-        mode=str(run["eval.mode"]),
-        beam_k=int(run["eval.beam_k"]),
-        threads=threads,
-    )
     echo = _echo_comment_lines(run, [
         f"variant = {resolved_variant}", f"split = {split}",
-        f"tasks = {','.join(tasks)}", f"checkpoint = {os.path.basename(ckpt)}",
+        f"tasks = {','.join(ecfg.tasks)}", f"checkpoint = {os.path.basename(ckpt)}",
     ])
     report = evaluate(model, bundle.vocab, samples, ecfg, config_echo=echo)
     text = report.to_text()
@@ -251,10 +255,11 @@ def cmd_eval(args) -> int:
         if t not in ("qa", "sgg"):
             print(f"eval: unknown task {t!r}", file=sys.stderr)
             return EXIT_USAGE
+    ecfg = _eval_config(run, tasks)
     bundle = read_dataset(args.data)
     _sync_with_dataset(run, bundle)
-    _eval_model(run, bundle, args.ckpt, args.variant, args.split, tasks,
-                args.report, int(run["threads"]))
+    _eval_model(run, bundle, args.ckpt, args.variant, args.split, ecfg,
+                args.report)
     return EXIT_OK
 
 
@@ -265,6 +270,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     run = RunConfig.resolve(args.config, {"seed": args.seed})
+    ecfg = _eval_config(run, ("qa", "sgg"))
     bundle = read_dataset(args.data)
     _sync_with_dataset(run, bundle)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -273,8 +279,8 @@ def cmd_ablate(args) -> int:
     report_path = os.path.join(args.out_dir, f"{args.variant}.report")
     _train_one_stage(run, bundle, 2, args.variant, args.stage1_ckpt,
                      ckpt_out, loss_log)
-    _eval_model(run, bundle, ckpt_out, args.variant, args.split,
-                ("qa", "sgg"), report_path, int(run["threads"]))
+    _eval_model(run, bundle, ckpt_out, args.variant, args.split, ecfg,
+                report_path)
     return EXIT_OK
 
 

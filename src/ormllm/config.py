@@ -114,7 +114,12 @@ class RunConfig:
             values[key] = value
         env_threads = os.environ.get("ORMLLM_THREADS")
         if env_threads and (overrides or {}).get("threads") is None:
-            values["threads"] = int(env_threads)
+            try:
+                values["threads"] = int(env_threads)
+            except ValueError:
+                raise ConfigurationError(
+                    f"ORMLLM_THREADS must be an integer, got {env_threads!r}"
+                ) from None
         return cls(values=values)
 
     def __getitem__(self, key: str):

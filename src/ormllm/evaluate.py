@@ -1,10 +1,13 @@
 """Held-out evaluation: decode answers per task prompt and score them.
 
 Each sample's modality tokens are computed once and shared by all of its
-prompts. Decoding is greedy by default so identical inputs yield identical
-reports. With threads > 1, samples are processed in a pool and aggregated
-in index order, which leaves every score unchanged because per-sample
-evaluation is pure.
+prompts, and so are the LM keys and values of that modality prefix: the
+slot layout gives every prompt of a sample the same prefix rows at the same
+positions, so each decode runs the LM only on its prompt, BOS and the
+tokens it generates. Decoding is greedy by default so identical inputs
+yield identical reports. With threads > 1, samples are processed in a pool
+and aggregated in index order, which leaves every score unchanged because
+per-sample evaluation is pure.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import numpy as np
 
 from . import tensor as T
 from . import vocab as V
+from .errors import ConfigurationError
+from .fusion import decode_answer, prefix_cache
 from .metrics import (
     MetricReport,
     cider,
@@ -40,6 +45,19 @@ class EvalConfig:
     beam_k: int = 1
     threads: int = 1
 
+    def __post_init__(self):
+        if self.mode not in ("greedy", "beam"):
+            raise ConfigurationError(
+                f"eval.mode must be 'greedy' or 'beam', got {self.mode!r}"
+            )
+        if self.beam_k < 1:
+            raise ConfigurationError(f"eval.beam_k must be >= 1, got {self.beam_k}")
+        if self.threads < 1:
+            raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
+        for name in ("max_new_qa", "max_new_sgg"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"eval.{name} must be >= 0")
+
 
 @dataclass
 class SampleResult:
@@ -51,26 +69,28 @@ def evaluate_sample(model: Model, vocab: Vocabulary, sample: Sample,
                     cfg: EvalConfig) -> SampleResult:
     with T.no_grad():
         bundle = model.modality_tokens(sample)
+        past = None
+
+        def decode(prompt_ids, max_new: int) -> list[int]:
+            nonlocal past
+            prefix = model.assemble(sample, prompt_ids, bundle=bundle)
+            if past is None:
+                past = prefix_cache(prefix, prefix.segment_start("prompt"),
+                                    model.params, model.cfg.fusion)
+            return decode_answer(prefix, model.params, model.cfg.fusion,
+                                 mode=cfg.mode, beam_k=cfg.beam_k,
+                                 max_new=max_new, past=past)
+
         qa_items = []
         if "qa" in cfg.tasks:
             for question, answers in sample.qa:
-                prefix = model.assemble(sample, qa_prompt_ids(vocab, question),
-                                        bundle=bundle)
-                out = _decode(model, prefix, cfg, cfg.max_new_qa)
+                out = decode(qa_prompt_ids(vocab, question), cfg.max_new_qa)
                 qa_items.append((vocab.decode(out), list(answers)))
         sgg_pair = None
         if "sgg" in cfg.tasks:
-            prefix = model.assemble(sample, [V.SGG_TASK], bundle=bundle)
-            out = _decode(model, prefix, cfg, cfg.max_new_sgg)
+            out = decode([V.SGG_TASK], cfg.max_new_sgg)
             sgg_pair = (parse_triples(vocab.decode(out)), set(sample.triples))
     return SampleResult(qa_items=qa_items, sgg_pair=sgg_pair)
-
-
-def _decode(model: Model, prefix, cfg: EvalConfig, max_new: int):
-    from .fusion import decode_answer
-
-    return decode_answer(prefix, model.params, model.cfg.fusion,
-                         mode=cfg.mode, beam_k=cfg.beam_k, max_new=max_new)
 
 
 def evaluate(model: Model, vocab: Vocabulary, samples: list[Sample],

@@ -25,6 +25,7 @@ from .errors import (
 from .nn import (
     EVAL_CTX,
     ExecContext,
+    KVCache,
     ModelParams,
     attention_block_forward,
     init_attention_block,
@@ -294,17 +295,28 @@ def build_input_sequence(img_toks, seg_toks, pc_toks, prompt_ids,
 
 
 def lm_hidden(tokens: Tensor, params: ModelParams, cfg: FusionConfig,
-              ctx: ExecContext = EVAL_CTX, positions=None) -> Tensor:
+              ctx: ExecContext = EVAL_CTX, positions=None,
+              cache: KVCache | None = None) -> Tensor:
     """Causal transformer over an embedded sequence [S, d] or batch
     [B, S, d]; returns the final hidden states after the last norm.
     Positional rows follow `positions` when given (slot layout), otherwise
-    sequence order."""
+    sequence order.
+
+    With a cache (inference only), `tokens` are the rows that follow the
+    cache.length rows it holds, `positions` are theirs (sequence order
+    continues from cache.length when omitted), and the cache is extended
+    by them."""
     S = tokens.shape[-2]
-    if S > cfg.max_seq_len:
-        raise SequenceLengthError(f"sequence length {S} exceeds {cfg.max_seq_len}")
-    if positions is None:
+    past = 0 if cache is None else cache.length
+    if past + S > cfg.max_seq_len:
+        raise SequenceLengthError(
+            f"sequence length {past + S} exceeds {cfg.max_seq_len}"
+        )
+    if positions is None and cache is None:
         pos = T.slice_(params["fusion.pos_embed"], (slice(0, S), slice(None)))
     else:
+        if positions is None:
+            positions = np.arange(past, past + S)
         positions = np.asarray(positions, dtype=np.int64)
         if positions.max(initial=0) >= cfg.max_seq_len or positions.min(initial=0) < 0:
             raise SequenceLengthError("positional slot outside the embedding table")
@@ -312,14 +324,17 @@ def lm_hidden(tokens: Tensor, params: ModelParams, cfg: FusionConfig,
     h = tokens + pos
     for i in range(cfg.lm_layers):
         h = attention_block_forward(h, params, f"lm.blocks.{i}", cfg.lm_heads,
-                                    causal=True, ctx=ctx)
+                                    causal=True, ctx=ctx, cache=cache)
+    if cache is not None:
+        cache.length += S
     return layer_norm(h, params, "lm.ln_f")
 
 
 def lm_forward(seq: TokenSequence | Tensor, params: ModelParams, cfg: FusionConfig,
                ctx: ExecContext = EVAL_CTX, return_hidden: bool = False,
-               positions=None):
-    """Per-position logits over the vocabulary for a token sequence."""
+               positions=None, cache: KVCache | None = None):
+    """Per-position logits over the vocabulary for a token sequence; with a
+    cache, for the new rows only (see lm_hidden)."""
     if isinstance(seq, TokenSequence):
         tokens = seq.tokens
         if positions is None:
@@ -328,9 +343,23 @@ def lm_forward(seq: TokenSequence | Tensor, params: ModelParams, cfg: FusionConf
         tokens = seq
     if tokens.shape[-2] == 0:
         raise ContractError("cannot run the LM on an empty sequence")
-    hidden = lm_hidden(tokens, params, cfg, ctx, positions)
+    hidden = lm_hidden(tokens, params, cfg, ctx, positions, cache)
     logits = linear(hidden, params, "lm.out")
     return (logits, hidden) if return_hidden else logits
+
+
+def prefix_cache(seq: TokenSequence, rows: int, params: ModelParams,
+                 cfg: FusionConfig) -> KVCache:
+    """K/V cache of the first `rows` rows of `seq`, for decode_answer's
+    `past`. Sequences that share those rows (same tokens, same positions)
+    can all start from it."""
+    cache = KVCache()
+    if rows:
+        positions = None if seq.positions is None else seq.positions[:rows]
+        with T.no_grad():
+            lm_hidden(T.slice_(seq.tokens, slice(0, rows)), params, cfg,
+                      positions=positions, cache=cache)
+    return cache
 
 
 def answer_loss(logits: Tensor, target_ids, answer_mask) -> Tensor:
@@ -353,66 +382,73 @@ def answer_loss(logits: Tensor, target_ids, answer_mask) -> Tensor:
 
 def decode_answer(seq_prefix: TokenSequence, params: ModelParams, cfg: FusionConfig,
                   mode: str = "greedy", beam_k: int = 1,
-                  max_new: int = 16) -> list[int]:
+                  max_new: int = 16, past: KVCache | None = None) -> list[int]:
     """Autoregressive decoding from an assembled prefix.
 
     Appends BOS, then either greedy argmax or beam search ranked by summed
     log probability with ties broken toward the smaller token id. Stops at
     EOS or after max_new tokens; the returned ids exclude BOS and EOS.
+
+    The LM runs once on the prefix rows plus BOS, filling a K/V cache, and
+    then on one row per step: the token chosen last. `past`, if given, must
+    hold the keys and values of exactly the first past.length rows of
+    seq_prefix at their positions (see prefix_cache); only the rows after
+    them are run. It is not modified. A beam copies its cache when it
+    branches. Each step runs lm_forward once per unfinished beam, so a
+    greedy decode makes one call per generated token, EOS included.
     """
     if mode not in ("greedy", "beam"):
         raise ContractError(f"unknown decode mode {mode!r}")
     if mode == "beam" and beam_k < 1:
         raise ContractError("beam search requires k >= 1")
+    if past is not None and not 0 <= past.length <= len(seq_prefix):
+        raise ContractError(
+            f"past covers {past.length} rows of a {len(seq_prefix)}-row prefix"
+        )
     if max_new == 0:
         return []
     k = 1 if mode == "greedy" else beam_k
     with T.no_grad():
         wte = params["lm.wte"].data
-        prefix = np.concatenate([seq_prefix.tokens.data, wte[V.BOS][None]], axis=0)
+        start = 0 if past is None else past.length
+        rows = np.concatenate([seq_prefix.tokens.data[start:], wte[V.BOS][None]],
+                              axis=0)
         if seq_prefix.positions is not None:
-            base_pos = np.concatenate([seq_prefix.positions,
-                                       [seq_prefix.next_position()]])
+            pos = np.concatenate([seq_prefix.positions,
+                                  [seq_prefix.next_position()]])
         else:
-            base_pos = np.arange(len(prefix), dtype=np.int64)
+            pos = np.arange(len(seq_prefix) + 1, dtype=np.int64)
+        bos_pos = int(pos[-1])
 
-        def step_logprobs(token_rows: np.ndarray) -> np.ndarray:
-            pos = np.concatenate([
-                base_pos,
-                np.arange(base_pos[-1] + 1,
-                          base_pos[-1] + 1 + (len(token_rows) - len(base_pos)),
-                          dtype=np.int64),
-            ])
-            logits = lm_forward(Tensor(token_rows), params, cfg,
-                                positions=pos).data[-1]
-            shifted = logits - logits.max()
-            return shifted - np.log(np.exp(shifted).sum())
-
-        beams = [(0.0, (), prefix, False)]  # (score, ids, rows, finished)
+        # (score, ids, cache, rows still to run, their positions, finished)
+        beams = [(0.0, (), KVCache() if past is None else past, rows, pos[start:],
+                  False)]
         for _ in range(max_new):
             candidates = []
-            for score, ids, rows, finished in beams:
+            for beam in beams:
+                score, ids, cache, rows, pos, finished = beam
                 if finished:
-                    candidates.append((score, ids, rows, True))
+                    candidates.append(beam)
                     continue
-                logp = step_logprobs(rows)
+                cache = cache.copy()
+                logits = lm_forward(Tensor(rows), params, cfg, positions=pos,
+                                    cache=cache).data[-1]
+                shifted = logits - logits.max()
+                logp = shifted - np.log(np.exp(shifted).sum())
                 order = np.lexsort((np.arange(len(logp)), -logp))[:k]
                 for tok in order:
                     tok = int(tok)
                     new_ids = ids + (tok,)
-                    if tok == V.EOS:
-                        candidates.append((score + logp[tok], new_ids, rows, True))
-                    else:
-                        new_rows = np.concatenate([rows, wte[tok][None]], axis=0)
-                        if base_pos[-1] + 1 + len(new_rows) - len(base_pos) > cfg.max_seq_len:
-                            candidates.append((score + logp[tok], new_ids, rows, True))
-                        else:
-                            candidates.append((score + logp[tok], new_ids, new_rows, False))
+                    # A token whose slot lies outside the embedding table
+                    # ends the beam without being run.
+                    next_pos = bos_pos + len(new_ids)
+                    done = tok == V.EOS or next_pos >= cfg.max_seq_len
+                    candidates.append((score + logp[tok], new_ids, cache,
+                                       wte[tok][None], np.array([next_pos]), done))
             # Rank by score; on ties the lexicographically smaller id tuple wins.
             candidates.sort(key=lambda c: (-c[0], c[1]))
             beams = candidates[:k]
-            if all(b[3] for b in beams):
+            if all(b[5] for b in beams):
                 break
-        best = beams[0]
-        ids = list(best[1])
+        ids = list(beams[0][1])
     return ids[:-1] if ids and ids[-1] == V.EOS else ids

@@ -31,7 +31,7 @@ from .fusion import (
     project_seg_tokens,
     slot_layout,
 )
-from .geometry import DepthMap, reconstruct_point_cloud
+from .geometry import DepthMap, PointCloud, reconstruct_point_cloud
 from .nn import EVAL_CTX, ExecContext, ModelParams, mlp_forward
 from .scenegen import CLASS_COLORS, Sample
 from .spatial import (
@@ -59,8 +59,6 @@ def subsample_cloud(cloud, max_points: int):
     if n <= max_points:
         return cloud
     stride = int(np.ceil(n / max_points))
-    from .geometry import PointCloud
-
     return PointCloud(points=cloud.points[::stride],
                       source_pixels=cloud.source_pixels[::stride])
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, ContractError, DimensionError
 from .tensor import Tensor
 
 
@@ -137,18 +137,62 @@ def init_attention_block(params: ModelParams, prefix: str, d: int, mlp_ratio: in
     init_mlp(params, f"{prefix}.mlp", d, mlp_ratio * d, d, rng)
 
 
-def _causal_mask(n: int) -> np.ndarray:
-    m = np.zeros((n, n))
-    m[np.triu_indices(n, k=1)] = -np.inf
+class KVCache:
+    """Attention keys and values of the rows a stack of blocks has already
+    run, one (k, v) pair of [B, heads, length, dh] arrays per block prefix,
+    for inference-only incremental decoding. `length` counts the rows held.
+
+    Entries are replaced, never mutated in place, so copy() (a shallow dict
+    copy) gives an independent branch, e.g. one per beam.
+    """
+
+    def __init__(self):
+        self.kv: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.length = 0
+
+    def copy(self) -> "KVCache":
+        out = KVCache()
+        out.kv = dict(self.kv)
+        out.length = self.length
+        return out
+
+    def extend(self, prefix: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor, int]:
+        """Appends one block's new keys/values [B, heads, n, dh] to the held
+        ones; returns all keys, all values and the number of rows held
+        before."""
+        if T.grad_enabled():
+            raise ContractError("the K/V cache is inference-only; run under no_grad")
+        past = 0
+        if prefix in self.kv:
+            past_k, past_v = self.kv[prefix]
+            past = past_k.shape[2]
+            k = T.constant(np.concatenate([past_k, k.data], axis=2))
+            v = T.constant(np.concatenate([past_v, v.data], axis=2))
+        self.kv[prefix] = (k.data, v.data)
+        return k, v, past
+
+
+def _causal_mask(n: int, past: int = 0) -> np.ndarray:
+    """Additive mask for n new rows after `past` earlier ones: new row i
+    sees columns <= past + i."""
+    m = np.zeros((n, past + n))
+    m[np.triu_indices(n, k=past + 1, m=past + n)] = -np.inf
     return m
 
 
 def attention_block_forward(x: Tensor, params: ModelParams, prefix: str, heads: int,
-                            causal: bool, ctx: ExecContext = EVAL_CTX) -> Tensor:
+                            causal: bool, ctx: ExecContext = EVAL_CTX,
+                            cache: KVCache | None = None) -> Tensor:
     """Pre-norm multi-head self-attention plus MLP, both with residuals.
 
     Accepts [n, d] or [B, n, d]. With causal=True, position i attends only
     to positions <= i.
+
+    With a cache, x holds only the new rows: q/k/v are computed for them,
+    k/v are appended to the cache's entry for this block, and new row i
+    attends to every cached row and to new rows <= i. The cache is
+    inference-only: passing one while graph recording is on raises
+    ContractError. Without a cache the block sees the whole sequence.
     """
     squeeze = x.ndim == 2
     if squeeze:
@@ -167,9 +211,12 @@ def attention_block_forward(x: Tensor, params: ModelParams, prefix: str, heads: 
     # [B, n, d] -> [B, heads, n, dh]
     split = lambda t: T.transpose(T.reshape(t, (B, n, heads, dh)), (0, 2, 1, 3))
     q, k, v = split(q), split(k), split(v)
+    past = 0
+    if cache is not None:
+        k, v, past = cache.extend(prefix, k, v)
     scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
     if causal and n > 1:
-        scores = scores + T.constant(_causal_mask(n)[None, None])
+        scores = scores + T.constant(_causal_mask(n, past)[None, None])
     probs = T.softmax(scores, axis=-1)
     probs = ctx.drop(probs)
     attn = T.matmul(probs, v)

@@ -28,7 +28,8 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _state = threading.local()
 
 
-def _grad_enabled() -> bool:
+def grad_enabled() -> bool:
+    """Whether ops on tracked tensors currently record graph nodes."""
     return getattr(_state, "grad_enabled", True)
 
 
@@ -36,7 +37,7 @@ class no_grad:
     """Context manager disabling graph recording (inference mode)."""
 
     def __enter__(self):
-        self._saved = _grad_enabled()
+        self._saved = grad_enabled()
         _state.grad_enabled = False
         return self
 
@@ -148,7 +149,7 @@ def _tracked(t: Tensor) -> bool:
 
 def _make(out_data, inputs, backward_fn) -> Tensor:
     out = Tensor(out_data)
-    if _grad_enabled() and any(_tracked(t) for t in inputs):
+    if grad_enabled() and any(_tracked(t) for t in inputs):
         out.requires_grad = True
         out.node = Node(tuple(inputs), backward_fn, out_data.shape)
     return out

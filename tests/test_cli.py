@@ -197,6 +197,39 @@ def test_eval_threads_equivalence(workspace, trained, tmp_path):
     assert pick(r1) == pick(r4)
 
 
+@pytest.mark.parametrize("line", ["eval.mode = sample", "eval.beam_k = 0",
+                                  "threads = 0", "eval.max_new_qa = -3"])
+def test_eval_bad_settings_usage_error(workspace, trained, tmp_path, capsys, line):
+    root, cfg, data = workspace
+    out, s1, s2, _ = trained
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(open(cfg).read() + line + "\n")
+    assert main(["eval", "--ckpt", s2, "--data", data, "--config", str(bad)]) == 2
+    assert line.split(" =")[0] in capsys.readouterr().err
+    # ablate rejects them before it trains anything.
+    abl = tmp_path / "abl"
+    assert main(["ablate", "--variant", "full", "--data", data, "--config", str(bad),
+                 "--stage1-ckpt", s1, "--out-dir", str(abl)]) == 2
+    assert not abl.exists()
+
+
+def test_eval_threads_flag_zero_usage_error(workspace, trained):
+    root, cfg, data = workspace
+    out, s1, s2, _ = trained
+    assert main(["eval", "--ckpt", s2, "--data", data, "--config", cfg,
+                 "--threads", "0"]) == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+def test_eval_bad_threads_env_usage_error(workspace, trained, monkeypatch, capsys,
+                                          value):
+    root, cfg, data = workspace
+    out, s1, s2, _ = trained
+    monkeypatch.setenv("ORMLLM_THREADS", value)
+    assert main(["eval", "--ckpt", s2, "--data", data, "--config", cfg]) == 2
+    assert "threads" in capsys.readouterr().err.lower()
+
+
 def test_ablate_full_matches_train_plus_eval(workspace, trained, tmp_path):
     root, cfg, data = workspace
     out, s1, s2, _ = trained

@@ -10,6 +10,7 @@ from ormllm.errors import (
     EmptyDomainError,
     SequenceLengthError,
 )
+import ormllm.fusion as fusion
 from ormllm.fusion import (
     FusionConfig,
     TokenSequence,
@@ -19,9 +20,11 @@ from ormllm.fusion import (
     decode_answer,
     lm_forward,
     pooled_image_feature,
+    prefix_cache,
     project_image_tokens,
     project_pc_tokens,
     project_seg_tokens,
+    slot_layout,
 )
 from ormllm.gradcheck import finite_diff_grad_check
 from ormllm.nn import ModelParams
@@ -177,6 +180,23 @@ def test_lm_causality_bitwise():
     assert not np.array_equal(l1[j:], l2[j:])
 
 
+def test_lm_cached_chunks_match_full_forward():
+    params = make_params()
+    img, seg, pc = seq_parts(params)
+    seq = build_input_sequence(img, seg, pc, [1, 4, 5, 6, 7], params, FCFG)
+    full = lm_forward(seq.tokens, params, FCFG).data
+    cache = fusion.KVCache()
+    with T.no_grad():
+        # Positions omitted: sequence order continues from cache.length.
+        parts = [lm_forward(seq.tokens[a:b], params, FCFG, cache=cache).data
+                 for a, b in ((0, 20), (20, 21), (21, 25))]
+    assert cache.length == len(seq)
+    np.testing.assert_allclose(np.concatenate(parts), full, rtol=0, atol=1e-12)
+    with T.no_grad(), pytest.raises(SequenceLengthError):
+        lm_forward(Tensor(np.zeros((FCFG.max_seq_len - 24, 16))), params, FCFG,
+                   cache=cache)
+
+
 def test_answer_loss_uniform_logits_is_log_vocab():
     S, Vn = 6, 50
     logits = T.constant(np.zeros((S, Vn)))
@@ -282,6 +302,154 @@ def test_beam_respects_k_validation():
     params, seq = decode_setup(16)
     with pytest.raises(ContractError):
         decode_answer(seq, params, FCFG, mode="beam", beam_k=0)
+
+
+def recompute_decode(seq_prefix, params, cfg, mode="greedy", beam_k=1, max_new=16,
+                     forward=lm_forward):
+    """Reference decoder: re-runs the LM over the whole prefix for every new
+    token, with no K/V cache."""
+    if max_new == 0:
+        return []
+    k = 1 if mode == "greedy" else beam_k
+    with T.no_grad():
+        wte = params["lm.wte"].data
+        prefix = np.concatenate([seq_prefix.tokens.data, wte[V.BOS][None]], axis=0)
+        if seq_prefix.positions is not None:
+            base_pos = np.concatenate([seq_prefix.positions,
+                                       [seq_prefix.next_position()]])
+        else:
+            base_pos = np.arange(len(prefix), dtype=np.int64)
+
+        def step_logprobs(token_rows):
+            pos = np.concatenate([
+                base_pos,
+                np.arange(base_pos[-1] + 1,
+                          base_pos[-1] + 1 + (len(token_rows) - len(base_pos)),
+                          dtype=np.int64),
+            ])
+            logits = forward(Tensor(token_rows), params, cfg, positions=pos).data[-1]
+            shifted = logits - logits.max()
+            return shifted - np.log(np.exp(shifted).sum())
+
+        beams = [(0.0, (), prefix, False)]
+        for _ in range(max_new):
+            candidates = []
+            for score, ids, rows, finished in beams:
+                if finished:
+                    candidates.append((score, ids, rows, True))
+                    continue
+                logp = step_logprobs(rows)
+                order = np.lexsort((np.arange(len(logp)), -logp))[:k]
+                for tok in order:
+                    tok = int(tok)
+                    new_ids = ids + (tok,)
+                    if tok == V.EOS:
+                        candidates.append((score + logp[tok], new_ids, rows, True))
+                    else:
+                        new_rows = np.concatenate([rows, wte[tok][None]], axis=0)
+                        if base_pos[-1] + 1 + len(new_rows) - len(base_pos) > cfg.max_seq_len:
+                            candidates.append((score + logp[tok], new_ids, rows, True))
+                        else:
+                            candidates.append((score + logp[tok], new_ids, new_rows, False))
+            candidates.sort(key=lambda c: (-c[0], c[1]))
+            beams = candidates[:k]
+            if all(b[3] for b in beams):
+                break
+        ids = list(beams[0][1])
+    return ids[:-1] if ids and ids[-1] == V.EOS else ids
+
+
+def decode_fixture(kind, seed, prompt_len=2, eos_bias=0.0):
+    """Random-parameter prefixes: slot-layout (gapped) positions, sequence
+    positions, or no positions at all."""
+    params = make_params(seed=seed)
+    params["lm.out.b"].data[V.EOS] += eos_bias
+    img, seg, pc = seq_parts(params, seed=seed)
+    prompt = [int(t) for t in np.random.default_rng(seed).integers(4, 20, prompt_len)]
+    layout = slot_layout(16, SCFG.seg_classes, FCFG.pc_tokens) if kind == "slots" else None
+    seq = build_input_sequence(img, seg, pc, prompt, params, FCFG, layout=layout,
+                               seg_class_ids=[1, 2, 3])
+    if kind == "none":
+        seq = TokenSequence(tokens=seq.tokens, tags=seq.tags)
+    return params, seq
+
+
+def recording(calls, forward):
+    """`forward` that also appends (rows run, last-row logits) per call."""
+    def wrapped(seq, *args, **kwargs):
+        out = forward(seq, *args, **kwargs)
+        calls.append((seq.shape[0], out.data[-1].copy()))
+        return out
+    return wrapped
+
+
+DECODE_CASES = [
+    # (positions, seed, prompt length, EOS logit bias, max_new); the -50
+    # bias keeps EOS away so that the max_seq_len cut-off ends the decode.
+    ("slots", 21, 2, 0.0, 10),
+    ("slots", 22, 2, -50.0, 20),      # slot 63 is the last: cut-off after 13
+    ("sequence", 23, 3, 0.0, 10),
+    ("sequence", 24, 35, -50.0, 20),  # 55 rows + BOS: cut-off after 8
+    ("none", 25, 4, 0.0, 10),
+    ("none", 26, 35, -50.0, 12),      # as above, without positions
+]
+
+
+@pytest.mark.parametrize("mode,beam_k", [("greedy", 1), ("beam", 1), ("beam", 3)])
+@pytest.mark.parametrize("kind,seed,prompt_len,eos_bias,max_new", DECODE_CASES)
+@pytest.mark.parametrize("shared_past", [False, True])
+def test_cached_decode_matches_recompute_oracle(monkeypatch, mode, beam_k, kind,
+                                                seed, prompt_len, eos_bias, max_new,
+                                                shared_past):
+    params, seq = decode_fixture(kind, seed, prompt_len, eos_bias)
+    want_calls, calls = [], []
+    want = recompute_decode(seq, params, FCFG, mode, beam_k, max_new,
+                            forward=recording(want_calls, lm_forward))
+    past = prefix_cache(seq, seq.segment_start("prompt"), params, FCFG) \
+        if shared_past else None
+    monkeypatch.setattr(fusion, "lm_forward", recording(calls, lm_forward))
+    got = decode_answer(seq, params, FCFG, mode=mode, beam_k=beam_k,
+                        max_new=max_new, past=past)
+    assert got == want
+    assert len(calls) == len(want_calls)
+    for (_, a), (_, b) in zip(calls, want_calls):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+    # Prefill of the rows past does not hold plus BOS, then one row per call.
+    skipped = past.length if shared_past else 0
+    assert [n for n, _ in calls] == [len(seq) - skipped + 1] + [1] * (len(calls) - 1)
+    if eos_bias < 0 and mode == "greedy":
+        assert len(got) < max_new  # the length cut-off ended the decode
+
+
+def test_greedy_decode_runs_lm_once_per_generated_token(monkeypatch):
+    params, seq = decode_fixture("slots", 27)
+    calls = []
+    monkeypatch.setattr(fusion, "lm_forward", recording(calls, lm_forward))
+    out = decode_answer(seq, params, FCFG, max_new=10)
+    ended_at_eos = len(out) < 10
+    assert len(calls) == len(out) + ended_at_eos
+
+
+def test_decode_leaves_shared_past_unchanged():
+    params, seq = decode_fixture("slots", 28)
+    past = prefix_cache(seq, seq.segment_start("prompt"), params, FCFG)
+    held = dict(past.kv)
+    length = past.length
+    first = decode_answer(seq, params, FCFG, mode="beam", beam_k=3, max_new=6,
+                          past=past)
+    assert past.length == length
+    assert all(past.kv[name] is held[name] for name in held) and len(past.kv) == len(held)
+    assert decode_answer(seq, params, FCFG, mode="beam", beam_k=3, max_new=6,
+                         past=past) == first
+
+
+def test_decode_rejects_past_longer_than_prefix():
+    params, seq = decode_fixture("slots", 29)
+    longer = build_input_sequence(*seq_parts(params, seed=29), [5, 6, 7, 8], params,
+                                  FCFG)
+    past = prefix_cache(longer, len(longer), params, FCFG)
+    with pytest.raises(ContractError):
+        decode_answer(seq, params, FCFG, past=past)
 
 
 def test_pooled_feature_shape():

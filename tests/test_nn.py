@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from ormllm import tensor as T
-from ormllm.errors import ConfigurationError, DimensionError
+from ormllm.errors import ConfigurationError, ContractError, DimensionError
 from ormllm.nn import (
     ExecContext,
+    KVCache,
     ModelParams,
     attention_block_forward,
     init_attention_block,
@@ -145,3 +146,52 @@ def test_dropout_only_in_training_mode():
     assert not np.allclose(eval_out.data, train_out.data)
     eval_again = attention_block_forward(x, params, "blk", heads=2, causal=False)
     np.testing.assert_array_equal(eval_out.data, eval_again.data)
+
+
+@pytest.mark.parametrize("chunks", [[30, 1, 1, 1, 1, 1], [1] * 6, [6], [2, 3, 1]])
+def test_cached_chunks_equal_one_causal_forward(chunks):
+    params = make_block()
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(sum(chunks), 8))
+    full = attention_block_forward(Tensor(x), params, "blk", heads=2, causal=True)
+    cache = KVCache()
+    outs, start = [], 0
+    with T.no_grad():
+        for n in chunks:
+            outs.append(attention_block_forward(
+                Tensor(x[start:start + n]), params, "blk", heads=2, causal=True,
+                cache=cache,
+            ).data)
+            start += n
+    np.testing.assert_allclose(np.concatenate(outs), full.data, rtol=0, atol=1e-12)
+    k, v = cache.kv["blk"]
+    assert k.shape == v.shape == (1, 2, sum(chunks), 4)
+
+
+def test_cache_copy_branches_independently():
+    params = make_block()
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(5, 8))
+    cache = KVCache()
+    with T.no_grad():
+        attention_block_forward(Tensor(x[:3]), params, "blk", heads=2, causal=True,
+                                cache=cache)
+        branch = cache.copy()
+        a = attention_block_forward(Tensor(x[3:4]), params, "blk", heads=2,
+                                    causal=True, cache=branch)
+        b = attention_block_forward(Tensor(x[4:5]), params, "blk", heads=2,
+                                    causal=True, cache=cache)
+    assert cache.kv["blk"][0].shape[2] == branch.kv["blk"][0].shape[2] == 4
+    full_a = attention_block_forward(Tensor(x[:4]), params, "blk", heads=2, causal=True)
+    full_b = attention_block_forward(Tensor(np.concatenate([x[:3], x[4:5]])), params,
+                                     "blk", heads=2, causal=True)
+    np.testing.assert_allclose(a.data, full_a.data[3:], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b.data, full_b.data[3:], rtol=0, atol=1e-12)
+
+
+def test_cache_under_grad_recording_is_a_contract_error():
+    params = make_block()
+    x = Tensor(np.random.default_rng(10).normal(size=(3, 8)))
+    with pytest.raises(ContractError, match="inference-only"):
+        attention_block_forward(x, params, "blk", heads=2, causal=True,
+                                cache=KVCache())
