@@ -37,7 +37,7 @@ from .errors import (
 from .evaluate import EvalConfig, evaluate
 from .fusion import FusionConfig, answer_loss, lm_forward
 from .gradcheck import finite_diff_grad_check
-from .model import Model, ModelConfig, build_model_params, infer_variant
+from .model import Model, ModelConfig, build_model_params
 from .nn import ModelParams
 from .scenegen import build_dataset, read_dataset, write_dataset
 from .spatial import SpatialBlockConfig, depth_forward, depth_loss, seg_loss
@@ -49,6 +49,7 @@ from .training import (
     stage2_loss,
     train_stage,
 )
+from .variants import VARIANTS, infer_variant
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -429,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--variant", default="full")
+    p.add_argument("--variant", choices=tuple(VARIANTS), default="full")
     p.add_argument("--ckpt-in", default=None, dest="ckpt_in")
     p.add_argument("--ckpt-out", required=True, dest="ckpt_out")
     p.add_argument("--ckpt-best", default=None, dest="ckpt_best")
@@ -442,16 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--tasks", default="qa,sgg")
     p.add_argument("--report", default=None)
-    p.add_argument("--variant", default=None)
+    p.add_argument("--variant", choices=tuple(VARIANTS), default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="train and evaluate one fusion variant")
-    p.add_argument("--variant", required=True,
-                   choices=("full", "no-pc", "no-seg", "no-depth",
-                            "no-depth-seg", "no-fusion", "stacked"))
+    p.add_argument("--variant", choices=tuple(VARIANTS), required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--stage1-ckpt", required=True, dest="stage1_ckpt")
     p.add_argument("--out-dir", required=True, dest="out_dir")

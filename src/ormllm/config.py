@@ -76,6 +76,17 @@ def _parse_value(raw: str):
     return raw
 
 
+def _check_type(key: str, value) -> None:
+    """A value must have its default's type; an int also serves a float
+    key, but a bool serves only a bool key."""
+    want = type(DEFAULTS[key])
+    allowed = (int, float) if want is float else (want,)
+    if isinstance(value, bool) != (want is bool) or not isinstance(value, allowed):
+        raise ConfigurationError(
+            f"config key {key!r} needs a {want.__name__} value, got {value!r}"
+        )
+
+
 def load_config_file(path: str) -> dict[str, object]:
     values: dict[str, object] = {}
     with open(path, encoding="utf-8") as fh:
@@ -112,6 +123,8 @@ class RunConfig:
             if key not in DEFAULTS:
                 raise ConfigurationError(f"unknown config key {key!r}")
             values[key] = value
+        for key, value in values.items():
+            _check_type(key, value)
         env_threads = os.environ.get("ORMLLM_THREADS")
         if env_threads and (overrides or {}).get("threads") is None:
             try:

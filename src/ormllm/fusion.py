@@ -36,24 +36,9 @@ from .nn import (
     linear,
     mlp_forward,
 )
-from .spatial import RegionFeatureSet, SpatialBlockConfig, patchify
+from .spatial import SpatialBlockConfig, patchify
 from .tensor import Tensor
-
-VARIANTS = ("full", "no-pc", "no-seg", "no-depth", "no-depth-seg", "no-fusion",
-            "stacked")
-
-# Which [image, seg, pc] segments each variant assembles. The no-pc variant
-# fills the pc slot with depth-patch tokens; stacked fills seg/pc slots with
-# the recolored-seg and depth views run through the shared image tower.
-SEGMENTS = {
-    "full": (True, True, True),
-    "no-pc": (True, True, True),
-    "no-seg": (True, False, True),
-    "no-depth": (True, True, False),
-    "no-depth-seg": (True, False, False),
-    "no-fusion": (True, False, False),
-    "stacked": (True, True, True),
-}
+from .variants import variant_spec
 
 
 @dataclass
@@ -137,22 +122,23 @@ def slot_layout(n_image_tokens: int, seg_classes: int, pc_tokens: int) -> SlotLa
 def build_fusion_params(params: ModelParams, cfg: FusionConfig,
                         scfg: SpatialBlockConfig, rng: np.random.Generator,
                         variant: str = "full") -> None:
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"unknown variant {variant!r}")
+    spec = variant_spec(variant)
     d = cfg.d_token
     patch_dim = cfg.image_patch * cfg.image_patch * 3
-    if variant == "no-fusion":
+    if spec.image == "early":
         # Early fusion: seg recolor overlaid on RGB plus depth as channel 4.
         init_linear(params, "proj.early_embed", cfg.image_patch**2 * 4, d, rng)
     else:
         init_linear(params, "proj.img_embed", patch_dim, d, rng)
-    if variant == "no-pc":
+    if spec.pc == "depth_patches":
         init_linear(params, "proj.depth_embed", cfg.image_patch**2, d, rng)
     init_mlp(params, "proj.img_head", d, d, d, rng)
-    if SEGMENTS[variant][1] and variant != "stacked":
+    if spec.seg == "regions":
         init_mlp(params, "proj.seg_head", scfg.encoder_dim, d, d, rng)
+        # Read by nothing (every predicted map has a region) but kept, so the
+        # parameter stream and the checkpoint layout stay as they are.
         params.add("proj.seg_null", rng.normal(0.0, 0.02, (1, d)))
-    if variant in ("full", "no-seg"):
+    if spec.pc == "points":
         init_mlp(params, "proj.pc_head", scfg.pc_feature_dim, d, cfg.pc_tokens * d, rng)
         params.add("proj.pc_null", rng.normal(0.0, 0.02, (cfg.pc_tokens, d)))
     init_linear(params, "proj.pool", d, d, rng)
@@ -184,24 +170,19 @@ def project_image_tokens(image, params: ModelParams, cfg: FusionConfig,
     return T.reshape(tokens, tokens.shape[1:]) if squeeze else tokens
 
 
-def project_seg_tokens(regions: RegionFeatureSet | None, params: ModelParams,
-                       ctx: ExecContext = EVAL_CTX) -> Tensor:
-    """One token per region; an empty region set yields the learned null
-    token so the segment never vanishes silently."""
-    if regions is None or len(regions) == 0:
-        return params["proj.seg_null"]
-    stacked = T.stack([f for _, f in regions.regions], axis=0)
-    return mlp_forward(stacked, params, "proj.seg_head", ctx)
-
-
-def project_pc_tokens(feat: Tensor | None, params: ModelParams, cfg: FusionConfig,
-                      ctx: ExecContext = EVAL_CTX) -> Tensor:
-    """Maps the global point feature to pc_tokens tokens; null input yields
-    the learned null token (a parameter distinct from the seg null)."""
-    if feat is None:
-        return params["proj.pc_null"]
-    out = mlp_forward(T.reshape(feat, (1, feat.shape[-1])), params, "proj.pc_head", ctx)
-    return T.reshape(out, (cfg.pc_tokens, cfg.d_token))
+def project_pc_tokens(feats: list[Tensor | None], params: ModelParams,
+                      cfg: FusionConfig, ctx: ExecContext = EVAL_CTX) -> list[Tensor]:
+    """Maps each global point feature to pc_tokens tokens, running the head
+    once over the stacked features; a None feature (empty cloud) yields the
+    learned null tokens (a parameter distinct from the seg null)."""
+    present = [f for f in feats if f is not None]
+    tokens = []
+    if present:
+        out = mlp_forward(T.stack(present, axis=0), params, "proj.pc_head", ctx)
+        tokens = [T.reshape(T.slice_(out, i), (cfg.pc_tokens, cfg.d_token))
+                  for i in range(len(present))]
+    tokens = iter(tokens)
+    return [params["proj.pc_null"] if f is None else next(tokens) for f in feats]
 
 
 def pooled_image_feature(img_tokens: Tensor, params: ModelParams) -> Tensor:
@@ -229,23 +210,17 @@ def build_input_sequence(img_toks, seg_toks, pc_toks, prompt_ids,
                          layout: SlotLayout | None = None,
                          seg_class_ids=None) -> TokenSequence:
     """Concatenates modality segments with embedded prompt (and optional
-    answer) ids in the fixed order. Variant flags drop segments; the caller
-    supplies substituted content (depth-as-image tokens in the pc slot for
-    no-pc, tower views for stacked). With a layout, every token also gets a
-    fixed positional slot; without one, positions default to sequence order.
+    answer) ids in the fixed order. The variant's row says which of the seg
+    and pc slots are filled (the image slot always is); the caller supplies
+    their content. With a layout, every token also gets a fixed positional
+    slot; without one, positions default to sequence order.
     """
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"unknown variant {variant!r}")
-    use_img, use_seg, use_pc = SEGMENTS[variant]
-    parts: list[Tensor] = []
-    tags: list[str] = []
-    positions: list[int] = []
-    if use_img:
-        parts.append(img_toks)
-        tags += ["image"] * img_toks.shape[0]
-        base = layout.img_base if layout else 0
-        positions += list(range(base, base + img_toks.shape[0]))
-    if use_seg:
+    spec = variant_spec(variant)
+    parts: list[Tensor] = [img_toks]
+    tags: list[str] = ["image"] * img_toks.shape[0]
+    base = layout.img_base if layout else 0
+    positions: list[int] = list(range(base, base + img_toks.shape[0]))
+    if spec.seg is not None:
         if seg_toks is None:
             raise ContractError(f"variant {variant!r} requires seg tokens")
         parts.append(seg_toks)
@@ -261,7 +236,7 @@ def build_input_sequence(img_toks, seg_toks, pc_toks, prompt_ids,
         else:
             positions += list(range(len(positions),
                                     len(positions) + seg_toks.shape[0]))
-    if use_pc:
+    if spec.pc is not None:
         if pc_toks is None:
             raise ContractError(f"variant {variant!r} requires pc-slot tokens")
         parts.append(pc_toks)

@@ -18,17 +18,14 @@ from . import tensor as T
 from . import vocab as V
 from .errors import CompatibilityError, ConfigurationError
 from .fusion import (
-    SEGMENTS,
-    VARIANTS,
     FusionConfig,
     TokenSequence,
     build_fusion_params,
     build_input_sequence,
-    lm_forward,
+    lm_forward,  # unused here; perfbench's tracer test patches this binding
     pooled_image_feature,
     project_image_tokens,
     project_pc_tokens,
-    project_seg_tokens,
     slot_layout,
 )
 from .geometry import DepthMap, PointCloud, reconstruct_point_cloud
@@ -38,7 +35,6 @@ from .spatial import (
     SpatialBlockConfig,
     build_spatial_params,
     depth_head_forward,
-    downsample_map,
     encode_point_cloud,
     encoder_forward,
     logits_to_map,
@@ -47,6 +43,7 @@ from .spatial import (
     tokens_to_grid,
 )
 from .tensor import Tensor
+from .variants import variant_spec
 
 DEPTH_SCALE = 10.0  # meters mapped to roughly [0, 1] for image-style inputs
 MAX_ENCODED_POINTS = 256  # point encoder input cap (deterministic stride)
@@ -62,17 +59,6 @@ def subsample_cloud(cloud, max_points: int):
     return PointCloud(points=cloud.points[::stride],
                       source_pixels=cloud.source_pixels[::stride])
 
-# Spatial sub-networks each variant needs: (depth, seg, region, pc).
-SPATIAL_NEEDS = {
-    "full": (True, True, True, True),
-    "no-pc": (True, True, True, False),
-    "no-seg": (True, False, False, True),
-    "no-depth": (False, True, True, False),
-    "no-depth-seg": (False, False, False, False),
-    "no-fusion": (True, True, False, False),
-    "stacked": (True, True, False, False),
-}
-
 
 @dataclass
 class ModelConfig:
@@ -81,8 +67,7 @@ class ModelConfig:
     fusion: FusionConfig = field(default_factory=FusionConfig)
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigurationError(f"unknown variant {self.variant!r}")
+        variant_spec(self.variant)
         if self.spatial.image_size % self.fusion.image_patch != 0:
             raise ConfigurationError("image_size must be divisible by image_patch")
 
@@ -90,31 +75,13 @@ class ModelConfig:
 def build_model_params(cfg: ModelConfig, seed: int) -> ModelParams:
     params = ModelParams()
     rng = np.random.default_rng(np.random.SeedSequence([0x90DE1, seed]))
-    depth, seg, region, pc = SPATIAL_NEEDS[cfg.variant]
-    if depth or seg:
-        build_spatial_params(params, cfg.spatial, rng, depth=depth, seg=seg,
-                             region=region, pc=pc)
+    spec = variant_spec(cfg.variant)
+    if spec.spatial:
+        build_spatial_params(params, cfg.spatial, rng, depth=spec.needs_depth,
+                             seg=spec.needs_seg, region=spec.seg == "regions",
+                             pc=spec.pc == "points")
     build_fusion_params(params, cfg.fusion, cfg.spatial, rng, cfg.variant)
     return params
-
-
-def infer_variant(names: set[str]) -> str:
-    """Recover the ablation variant from the parameter name set."""
-    if "proj.early_embed.w" in names:
-        return "no-fusion"
-    if "proj.depth_embed.w" in names:
-        return "no-pc"
-    if "spatial.encoder.embed.w" not in names:
-        return "no-depth-seg"
-    has_depth = "spatial.depth.stage0.conv.w" in names
-    has_seg = "spatial.seg.pixel.fc1.w" in names
-    if not has_depth:
-        return "no-depth"
-    if not has_seg:
-        return "no-seg"
-    if "proj.seg_head.fc1.w" not in names:
-        return "stacked"
-    return "full"
 
 
 @dataclass
@@ -167,124 +134,73 @@ class Model:
 
     def modality_tokens_batch(self, samples: list[Sample],
                               ctx: ExecContext = EVAL_CTX) -> list[ModalityBundle]:
-        """Modality tokens for several samples with one batched pass through
-        the heavy encoder/decoder stacks; only the per-sample region and
-        point-cloud heads run as loops."""
-        variant = self.cfg.variant
+        """Modality tokens for several samples, slot by slot as the variant's
+        row says. The encoder and the depth and seg heads run once over the
+        batch, and so does every projection head; only the masked means of
+        region pooling and the point-cloud encoding loop over samples."""
+        spec = variant_spec(self.cfg.variant)
         fcfg = self.cfg.fusion
         B = len(samples)
         rgb = np.stack([np.asarray(s.rgb, dtype=np.float64) for s in samples])
 
-        def split_rows(batched: Tensor) -> list[Tensor]:
+        def per_sample(batched: Tensor) -> list[Tensor]:
             return [T.slice_(batched, b) for b in range(B)]
 
-        if variant == "no-depth-seg":
-            img = split_rows(project_image_tokens(rgb, self.params, fcfg, ctx))
-            return [ModalityBundle(img_toks=img[b], seg_toks=None, pc_toks=None)
-                    for b in range(B)]
+        def tower(image, embed: str = "proj.img_embed") -> list[Tensor]:
+            return per_sample(project_image_tokens(image, self.params, fcfg, ctx,
+                                                   embed=embed))
 
-        cell_tokens, grid = self.spatial_grid(rgb, ctx)
         depth = maps = None
-        needs_depth, needs_seg, needs_region, needs_pc = SPATIAL_NEEDS[variant]
-        if needs_depth:
-            depth = self.predict_depth(grid, ctx)
-        if needs_seg:
-            _, maps = self.predict_seg(grid, ctx)
+        if spec.spatial:
+            cell_tokens, grid = self.spatial_grid(rgb, ctx)
+            if spec.needs_depth:
+                depth = self.predict_depth(grid, ctx)
+            if spec.needs_seg:
+                _, maps = self.predict_seg(grid, ctx)
 
-        if variant == "no-fusion":
-            # Early fusion: recolored predicted classes over RGB, predicted
-            # depth as a fourth channel, one shared tower.
-            overlay = 0.5 * rgb + 0.5 * np.stack(
-                [CLASS_COLORS[m.ids - 1] for m in maps]
-            )
-            composite = np.concatenate(
-                [overlay, depth.data[..., None] / DEPTH_SCALE], axis=-1
-            )
-            img = split_rows(project_image_tokens(composite, self.params, fcfg,
-                                                  ctx, embed="proj.early_embed"))
-            return [ModalityBundle(img_toks=img[b], seg_toks=None, pc_toks=None,
-                                   pred_depth=depth.data[b], pred_seg=maps[b].ids)
-                    for b in range(B)]
+        if spec.image == "early":
+            # Recolored predicted classes over RGB, predicted depth as a
+            # fourth channel, one shared tower.
+            overlay = 0.5 * rgb + 0.5 * np.stack([CLASS_COLORS[m.ids - 1] for m in maps])
+            img = tower(np.concatenate([overlay, depth.data[..., None] / DEPTH_SCALE],
+                                       axis=-1), embed="proj.early_embed")
+        else:
+            img = tower(rgb)
 
-        img = split_rows(project_image_tokens(rgb, self.params, fcfg, ctx))
+        seg = [None] * B
+        seg_ids: list[list[int] | None] = [None] * B
+        if spec.seg == "regions":
+            feats, seg_ids = region_pool(maps, cell_tokens, self.params,
+                                         self.cfg.spatial, ctx)
+            toks = mlp_forward(feats, self.params, "proj.seg_head", ctx)
+            bounds = np.cumsum([0] + [len(ids) for ids in seg_ids])
+            seg = [T.slice_(toks, (slice(bounds[b], bounds[b + 1]), slice(None)))
+                   for b in range(B)]
+        elif spec.seg == "view":
+            seg = tower(np.stack([CLASS_COLORS[m.ids - 1] for m in maps]))
 
-        if variant == "stacked":
-            # Parallel views through the shared tower, concatenated late:
-            # recolored segmentation in the seg slot, depth in the pc slot.
-            seg_view = np.stack([CLASS_COLORS[m.ids - 1] for m in maps])
-            depth_view = np.repeat(depth.data[..., None] / DEPTH_SCALE, 3, axis=-1)
-            seg_t = split_rows(project_image_tokens(seg_view, self.params, fcfg, ctx))
-            pc_t = split_rows(project_image_tokens(depth_view, self.params, fcfg, ctx))
-            return [ModalityBundle(img_toks=img[b], seg_toks=seg_t[b],
-                                   pc_toks=pc_t[b], pred_depth=depth.data[b],
-                                   pred_seg=maps[b].ids)
-                    for b in range(B)]
-
-        depth_tokens = None
-        if variant == "no-pc":
-            # Depth map treated as an extra 2D image input in the pc slot.
-            dview = depth.data[..., None] / DEPTH_SCALE
-            depth_tokens = split_rows(project_image_tokens(
-                T.constant(dview), self.params, fcfg, ctx, embed="proj.depth_embed"
-            ))
-
-        # Per-sample masked means and point features are cheap gathers; the
-        # projection MLPs run once over the concatenated batch and the
-        # results are split back, which matches the per-sample path exactly.
-        seg_tok_list = [None] * B
-        seg_ids_list: list[list[int] | None] = [None] * B
-        if needs_seg:
-            pooled, counts = [], []
-            for b in range(B):
-                cells = T.slice_(cell_tokens, b)
-                small = downsample_map(maps[b].ids, self.cfg.spatial.grid_size)
-                flat = small.reshape(-1)
-                ids = [int(k) for k in sorted(np.unique(flat))]
-                for k in ids:
-                    cell_idx = np.flatnonzero(flat == k)
-                    pooled.append(T.mean(T.gather_rows(cells, cell_idx), axis=0))
-                counts.append(len(ids))
-                seg_ids_list[b] = ids
-            feats = mlp_forward(T.stack(pooled, axis=0), self.params,
-                                "spatial.region.phi", ctx)
-            feats = mlp_forward(feats, self.params, "proj.seg_head", ctx)
-            offset = 0
-            for b in range(B):
-                seg_tok_list[b] = T.slice_(
-                    feats, (slice(offset, offset + counts[b]), slice(None))
-                )
-                offset += counts[b]
-
-        pc_tok_list = [None] * B
-        if variant == "no-pc":
-            pc_tok_list = depth_tokens
-        elif needs_pc:
+        pc = [None] * B
+        if spec.pc == "points":
             point_feats = []
-            for b in range(B):
+            for b, s in enumerate(samples):
                 cloud = reconstruct_point_cloud(DepthMap(depth.data[b].copy()),
-                                                samples[b].K, samples[b].pose)
+                                                s.K, s.pose)
                 cloud = subsample_cloud(cloud, MAX_ENCODED_POINTS)
-                feat = encode_point_cloud(cloud, self.params, ctx) \
-                    if len(cloud) else None
-                point_feats.append(feat)
-            if all(f is not None for f in point_feats):
-                stacked = mlp_forward(T.stack(point_feats, axis=0), self.params,
-                                      "proj.pc_head", ctx)
-                pc_tok_list = [
-                    T.reshape(T.slice_(stacked, b),
-                              (fcfg.pc_tokens, fcfg.d_token))
-                    for b in range(B)
-                ]
-            else:
-                pc_tok_list = [project_pc_tokens(f, self.params, fcfg, ctx)
-                               for f in point_feats]
+                point_feats.append(encode_point_cloud(cloud, self.params, ctx)
+                                   if len(cloud) else None)
+            pc = project_pc_tokens(point_feats, self.params, fcfg, ctx)
+        elif spec.pc == "depth_patches":
+            pc = tower(T.constant(depth.data[..., None] / DEPTH_SCALE),
+                       embed="proj.depth_embed")
+        elif spec.pc == "view":
+            pc = tower(np.repeat(depth.data[..., None] / DEPTH_SCALE, 3, axis=-1))
 
         return [
             ModalityBundle(
-                img_toks=img[b], seg_toks=seg_tok_list[b], pc_toks=pc_tok_list[b],
+                img_toks=img[b], seg_toks=seg[b], pc_toks=pc[b],
                 pred_depth=None if depth is None else depth.data[b],
                 pred_seg=None if maps is None else maps[b].ids,
-                seg_class_ids=seg_ids_list[b],
+                seg_class_ids=seg_ids[b],
             )
             for b in range(B)
         ]

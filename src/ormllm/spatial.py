@@ -107,19 +107,6 @@ class PanopticMap:
         return self.ids.shape[1]
 
 
-@dataclass
-class RegionFeatureSet:
-    """Per-class pooled features, ascending by class id."""
-
-    regions: list[tuple[int, Tensor]]
-
-    def class_ids(self) -> list[int]:
-        return [k for k, _ in self.regions]
-
-    def __len__(self) -> int:
-        return len(self.regions)
-
-
 def build_spatial_params(params: ModelParams, cfg: SpatialBlockConfig,
                          rng: np.random.Generator, *, depth: bool = True,
                          seg: bool = True, region: bool | None = None,
@@ -158,13 +145,13 @@ def patchify(image: Tensor, patch: int) -> Tensor:
     return T.reshape(x, (B, g * g, patch * patch * ch))
 
 
-def _ensure_batched(image) -> tuple[Tensor, bool]:
+def _ensure_batched(image) -> Tensor:
     t = T.as_tensor(image)
     if t.ndim == 3:
-        return T.reshape(t, (1,) + t.shape), True
+        return T.reshape(t, (1,) + t.shape)
     if t.ndim != 4:
         raise DimensionError(f"expected [H,W,3] or [B,H,W,3] image, got {t.shape}")
-    return t, False
+    return t
 
 
 def encoder_forward(image, params: ModelParams, cfg: SpatialBlockConfig,
@@ -173,7 +160,7 @@ def encoder_forward(image, params: ModelParams, cfg: SpatialBlockConfig,
 
     Returns cell features [B, n_cells, C] in raster cell order.
     """
-    x, _ = _ensure_batched(image)
+    x = _ensure_batched(image)
     if x.shape[1] != cfg.image_size or x.shape[2] != cfg.image_size or x.shape[3] != 3:
         raise DimensionError(
             f"encoder expects [{cfg.image_size},{cfg.image_size},3] images, "
@@ -221,12 +208,11 @@ def depth_head_forward(grid: Tensor, params: ModelParams, cfg: SpatialBlockConfi
 
 def depth_forward(image, params: ModelParams, cfg: SpatialBlockConfig,
                   ctx: ExecContext = EVAL_CTX) -> Tensor:
-    """Full depth path (encoder plus decoder). Output is [H, W] for a single
-    image, [B, H, W] for a batch; every value is strictly positive."""
-    x, squeeze = _ensure_batched(image)
-    grid = tokens_to_grid(encoder_forward(x, params, cfg, ctx), cfg)
-    depth = depth_head_forward(grid, params, cfg, ctx)
-    return T.reshape(depth, depth.shape[1:]) if squeeze else depth
+    """Encoder plus depth decoder: strictly positive depth, [H, W] for a
+    single image and [B, H, W] for a batch."""
+    grid = tokens_to_grid(encoder_forward(image, params, cfg, ctx), cfg)
+    return T.reshape(depth_head_forward(grid, params, cfg, ctx),
+                     T.as_tensor(image).shape[:-1])
 
 
 def seg_head_forward(grid: Tensor, params: ModelParams, cfg: SpatialBlockConfig,
@@ -245,20 +231,6 @@ def logits_to_map(logits_data: np.ndarray, num_classes: int) -> PanopticMap:
     """Argmax over the class axis of one [K, H, W] slice; ties resolve to the
     smaller class id (argmax returns the first maximum)."""
     return PanopticMap(ids=logits_data.argmax(axis=0) + 1, num_classes=num_classes)
-
-
-def seg_forward(image, params: ModelParams, cfg: SpatialBlockConfig,
-                ctx: ExecContext = EVAL_CTX):
-    """Returns (logits, maps): [K,H,W] and one PanopticMap for a single image,
-    [B,K,H,W] and a list of maps for a batch."""
-    x, squeeze = _ensure_batched(image)
-    grid = tokens_to_grid(encoder_forward(x, params, cfg, ctx), cfg)
-    logits = seg_head_forward(grid, params, cfg, ctx)
-    maps = [logits_to_map(logits.data[b], cfg.seg_classes)
-            for b in range(logits.shape[0])]
-    if squeeze:
-        return T.reshape(logits, logits.shape[1:]), maps[0]
-    return logits, maps
 
 
 def depth_loss(pred, gt, cfg: SpatialBlockConfig) -> Tensor:
@@ -356,24 +328,33 @@ def downsample_map(map_ids: np.ndarray, grid: int) -> np.ndarray:
     return map_ids[sy // 2 :: sy, sx // 2 :: sx][:grid, :grid]
 
 
-def region_pool(pmap: PanopticMap, cell_features: Tensor, params: ModelParams,
-                cfg: SpatialBlockConfig, ctx: ExecContext = EVAL_CTX) -> RegionFeatureSet:
-    """Masked mean over encoder cells per class present in the downsampled
-    map, encoded by a small MLP. Classes that vanish at encoder resolution
-    are skipped. cell_features is [n_cells, C] in raster cell order."""
-    if cell_features.ndim != 2 or cell_features.shape[0] != cfg.n_cells:
+def region_pool(maps: list[PanopticMap], cell_tokens: Tensor,
+                params: ModelParams, cfg: SpatialBlockConfig,
+                ctx: ExecContext = EVAL_CTX) -> tuple[Tensor, list[list[int]]]:
+    """Region features for a batch: for each sample, a masked mean over its
+    encoder cells per class present in its downsampled map (classes that
+    vanish at encoder resolution are skipped), then one pass of a small MLP
+    over all of them. cell_tokens is [B, n_cells, C] in raster cell order.
+
+    Returns the features [R, C], sample by sample and within a sample in
+    ascending class id, and each sample's class ids."""
+    if (cell_tokens.ndim != 3 or cell_tokens.shape[0] != len(maps)
+            or cell_tokens.shape[1] != cfg.n_cells):
         raise DimensionError(
-            f"region_pool expects [{cfg.n_cells}, C] cell features, "
-            f"got {cell_features.shape}"
+            f"region_pool expects [{len(maps)}, {cfg.n_cells}, C] cell features, "
+            f"got {cell_tokens.shape}"
         )
-    small = downsample_map(pmap.ids, cfg.grid_size).reshape(-1)
-    regions: list[tuple[int, Tensor]] = []
-    for k in sorted(np.unique(small)):
-        cells = np.flatnonzero(small == k)
-        pooled = T.mean(T.gather_rows(cell_features, cells), axis=0)
-        f_r = mlp_forward(T.reshape(pooled, (1, -1)), params, "spatial.region.phi", ctx)
-        regions.append((int(k), T.reshape(f_r, (f_r.shape[-1],))))
-    return RegionFeatureSet(regions=regions)
+    pooled, class_ids = [], []
+    for b, pmap in enumerate(maps):
+        cells = T.slice_(cell_tokens, b)
+        small = downsample_map(pmap.ids, cfg.grid_size).reshape(-1)
+        ids = [int(k) for k in sorted(np.unique(small))]
+        for k in ids:
+            pooled.append(T.mean(T.gather_rows(cells, np.flatnonzero(small == k)),
+                                 axis=0))
+        class_ids.append(ids)
+    feats = mlp_forward(T.stack(pooled, axis=0), params, "spatial.region.phi", ctx)
+    return feats, class_ids
 
 
 def encode_point_cloud(cloud, params: ModelParams,

@@ -21,11 +21,12 @@ from . import vocab as V
 from .errors import ConfigurationError, ContractError, NumericError
 from .fusion import answer_loss, lm_forward
 from .metrics import normalize
-from .model import SPATIAL_NEEDS, Model
+from .model import Model
 from .nn import ExecContext, ModelParams
 from .scenegen import Sample, triples_to_text
 from .spatial import depth_loss, seg_loss
 from .tensor import Tensor
+from .variants import variant_spec
 from .vocab import Vocabulary
 
 
@@ -365,15 +366,15 @@ def _batch_stage2(model: Model, data: TrainData, records: list[TrainRecord],
 
 def _vfm_batch_loss(model: Model, samples: list[Sample],
                     ctx: ExecContext) -> Tensor:
-    needs_depth, needs_seg, _, _ = SPATIAL_NEEDS[model.cfg.variant]
+    spec = variant_spec(model.cfg.variant)
     rgb = np.stack([s.rgb for s in samples])
     _, grid = model.spatial_grid(rgb, ctx)
     parts = []
-    if needs_depth:
+    if spec.needs_depth:
         gt_depth = np.stack([s.depth for s in samples])
         parts.append(depth_loss(model.predict_depth(grid, ctx), gt_depth,
                                 model.cfg.spatial))
-    if needs_seg:
+    if spec.needs_seg:
         gt_seg = np.stack([s.seg for s in samples])
         logits, _ = model.predict_seg(grid, ctx)
         parts.append(seg_loss(logits, gt_seg, model.cfg.spatial))
@@ -468,8 +469,7 @@ def train_stage(data: TrainData, model: Model, cfg: TrainConfig,
     # while the now-pretrained spatial nets move only at the slower
     # pretrained-vision rate (large fusion-phase steps through the shared
     # encoder would otherwise destroy the fresh depth/seg decoders).
-    needs_depth, needs_seg, _, _ = SPATIAL_NEEDS[model.cfg.variant]
-    if cfg.vfm_epochs > 0 and (needs_depth or needs_seg):
+    if cfg.vfm_epochs > 0 and variant_spec(model.cfg.variant).spatial:
         sample_idx = sorted({rec.sample_index for rec in data.records})
         vfm_items = [data.samples[i] for i in sample_idx]
 

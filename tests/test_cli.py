@@ -282,3 +282,28 @@ def test_eval_variant_inferred_from_checkpoint(workspace, trained, tmp_path):
     assert main(["eval", "--ckpt", os.path.join(abl, "no-depth.ckpt"),
                  "--data", data, "--config", cfg, "--report", rp]) == 0
     assert "variant = no-depth" in open(rp).read()
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--stage", "1", "--ckpt-out", "never.ckpt"],
+    ["eval", "--ckpt", "missing.ckpt"],
+])
+def test_unknown_variant_usage_before_reading(tmp_path, capsys, command):
+    # The data path does not exist: argparse must reject the variant (exit 2
+    # as SystemExit) before anything tries to read it.
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--variant", "bogus", "--data", str(tmp_path / "missing")])
+    assert exc.value.code == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "true"])
+def test_config_value_of_wrong_type_usage_error(workspace, tmp_path, capsys, value):
+    root, cfg, data = workspace
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(open(cfg).read() + f"spatial.encoder_dim = {value}\n")
+    out = tmp_path / "s1.ckpt"
+    assert main(["train", "--stage", "1", "--data", data, "--config", str(bad),
+                 "--ckpt-out", str(out)]) == 2
+    assert "spatial.encoder_dim" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,0 +1,32 @@
+import pytest
+
+from ormllm.config import RunConfig
+from ormllm.errors import ConfigurationError
+
+
+def write(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def test_int_serves_a_float_key_unchanged(tmp_path):
+    run = RunConfig.resolve(write(tmp_path, "train.dropout = 0\ntrain.lr_lm = 1\n"))
+    assert run["train.lr_lm"] == 1 and "train.lr_lm = 1" in run.echo_lines()
+    assert run.train(1).lr_lm == 1.0 and run.train(1).dropout == 0.0
+
+
+@pytest.mark.parametrize("line", [
+    "threads = 1.5", "fusion.d_token = 64.9", "spatial.encoder_dim = abc",
+    "seed = true", "train.dropout = false", "train.lr_lm = abc",
+    "eval.mode = 3",
+])
+def test_value_of_wrong_type_is_configuration_error(tmp_path, line):
+    key = line.split(" =")[0]
+    with pytest.raises(ConfigurationError, match=key):
+        RunConfig.resolve(write(tmp_path, line + "\n"))
+
+
+def test_override_of_wrong_type_is_configuration_error():
+    with pytest.raises(ConfigurationError, match="seed"):
+        RunConfig.resolve(overrides={"seed": True})

@@ -23,12 +23,16 @@ from ormllm.fusion import (
     prefix_cache,
     project_image_tokens,
     project_pc_tokens,
-    project_seg_tokens,
     slot_layout,
 )
 from ormllm.gradcheck import finite_diff_grad_check
-from ormllm.nn import ModelParams
-from ormllm.spatial import RegionFeatureSet, SpatialBlockConfig
+from ormllm.nn import ModelParams, mlp_forward
+from ormllm.spatial import (
+    PanopticMap,
+    SpatialBlockConfig,
+    build_spatial_params,
+    region_pool,
+)
 from ormllm.tensor import Tensor
 from ormllm.vocab import Vocabulary
 
@@ -84,46 +88,66 @@ def test_indivisible_patch_error():
         project_image_tokens(np.zeros((30, 30, 3)), params, FCFG)
 
 
-def test_seg_tokens_one_per_region_and_null():
+def seg_tokens(params, maps, cells):
+    """Region pooling plus the seg projection head, as the full variant runs
+    them: one batch in, one token per (sample, region) out."""
+    feats, ids = region_pool(maps, T.constant(cells), params, SCFG)
+    return mlp_forward(feats, params, "proj.seg_head"), ids
+
+
+def test_seg_tokens_one_per_region():
     params = make_params()
-    feats = [Tensor(np.random.default_rng(i).normal(size=16)) for i in range(3)]
-    regions = RegionFeatureSet(regions=[(1, feats[0]), (2, feats[1]), (3, feats[2])])
-    toks = project_seg_tokens(regions, params)
-    assert toks.shape == (3, 16)
-    null = project_seg_tokens(None, params)
-    assert null.shape == (1, 16)
-    np.testing.assert_array_equal(null.data, params["proj.seg_null"].data)
-    empty = project_seg_tokens(RegionFeatureSet(regions=[]), params)
-    np.testing.assert_array_equal(empty.data, null.data)
+    build_spatial_params(params, SCFG, np.random.default_rng(1))
+    rng = np.random.default_rng(4)
+    three = np.ones((32, 32), dtype=int)
+    three[:, 16:] = 2
+    three[16:, :16] = 3
+    one = np.full((32, 32), 2)
+    for maps in ([three], [three, one], [one, three, three]):
+        cells = rng.normal(size=(len(maps), SCFG.n_cells, 16))
+        toks, ids = seg_tokens(params, [PanopticMap(m, 3) for m in maps], cells)
+        assert [len(i) for i in ids] == [len(np.unique(m)) for m in maps]
+        assert toks.shape == (sum(len(i) for i in ids), 16)
 
 
 def test_identical_region_features_give_identical_tokens():
     params = make_params()
-    f = Tensor(np.random.default_rng(5).normal(size=16))
-    toks = project_seg_tokens(RegionFeatureSet(regions=[(1, f), (2, f)]), params)
-    np.testing.assert_array_equal(toks.data[0], toks.data[1])
+    build_spatial_params(params, SCFG, np.random.default_rng(1))
+    ids = np.ones((32, 32), dtype=int)
+    ids[:, 16:] = 2
+    f = np.random.default_rng(5).normal(size=16)
+    for B in (1, 3):
+        cells = np.random.default_rng(6).normal(size=(B, SCFG.n_cells, 16))
+        cells[0] = f  # every cell of sample 0, so both its regions pool to f
+        toks, _ = seg_tokens(params, [PanopticMap(ids, 3)] * B, cells)
+        np.testing.assert_array_equal(toks.data[0], toks.data[1])
 
 
 def test_pc_tokens_default_single_and_null_distinct():
     params = make_params()
-    feat = Tensor(np.random.default_rng(6).normal(size=8))
-    toks = project_pc_tokens(feat, params, FCFG)
+    rng = np.random.default_rng(6)
+    feat, other = Tensor(rng.normal(size=8)), Tensor(rng.normal(size=8))
+    (toks,) = project_pc_tokens([feat], params, FCFG)
     assert toks.shape == (1, 16)
-    null = project_pc_tokens(None, params, FCFG)
-    np.testing.assert_array_equal(null.data, params["proj.pc_null"].data)
-    assert not np.array_equal(null.data, params["proj.seg_null"].data)
-    toks2 = project_pc_tokens(Tensor(feat.data.copy()), params, FCFG)
+    head = lambda f: mlp_forward(T.stack([f], axis=0), params, "proj.pc_head").data
+    np.testing.assert_array_equal(toks.data, head(feat))
+    batch = project_pc_tokens([feat, None, other, None], params, FCFG)
+    assert [t.shape for t in batch] == [(1, 16)] * 4
+    np.testing.assert_allclose(batch[0].data, toks.data, atol=1e-12)
+    np.testing.assert_allclose(batch[2].data, head(other), atol=1e-12)
+    for null in (batch[1], batch[3], project_pc_tokens([None], params, FCFG)[0]):
+        np.testing.assert_array_equal(null.data, params["proj.pc_null"].data)
+        assert not np.array_equal(null.data, params["proj.seg_null"].data)
+    (toks2,) = project_pc_tokens([Tensor(feat.data.copy())], params, FCFG)
     np.testing.assert_array_equal(toks.data, toks2.data)
 
 
 def seq_parts(params, seed=7, n_regions=3):
     rng = np.random.default_rng(seed)
     img = project_image_tokens(rng.uniform(0, 1, (32, 32, 3)), params, FCFG)
-    regions = RegionFeatureSet(
-        regions=[(k + 1, Tensor(rng.normal(size=16))) for k in range(n_regions)]
-    )
-    seg = project_seg_tokens(regions, params)
-    pc = project_pc_tokens(Tensor(rng.normal(size=8)), params, FCFG)
+    seg = mlp_forward(Tensor(rng.normal(size=(n_regions, 16))), params,
+                      "proj.seg_head")
+    (pc,) = project_pc_tokens([Tensor(rng.normal(size=8))], params, FCFG)
     return img, seg, pc
 
 

@@ -4,17 +4,17 @@ import pytest
 from ormllm import tensor as T
 from ormllm import vocab as V
 from ormllm.errors import CompatibilityError, ConfigurationError
-from ormllm.fusion import FusionConfig, VARIANTS
+from ormllm.fusion import FusionConfig
 from ormllm.model import (
     Model,
     ModelConfig,
     build_model_params,
-    infer_variant,
     subsample_cloud,
 )
 from ormllm.geometry import PointCloud
 from ormllm.scenegen import build_dataset
 from ormllm.spatial import SpatialBlockConfig
+from ormllm.variants import VARIANTS, infer_variant
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,15 @@ def test_infer_variant_round_trip(bundle, variant):
     assert infer_variant(set(params.names())) == variant
 
 
+@pytest.mark.parametrize("names", [
+    set(), {"lm.wte"}, {"proj.img_embed.w", "proj.early_embed.w"},
+    {"proj.img_embed.w", "spatial.pc.fc1.w", "proj.pc_head.fc1.w"},
+])
+def test_infer_variant_no_match_is_compatibility_error(names):
+    with pytest.raises(CompatibilityError):
+        infer_variant(names)
+
+
 def test_surviving_segment_order_is_stable(bundle):
     # Ablations drop segments; survivors keep the canonical relative order.
     order = ("image", "seg", "pc", "prompt")
@@ -81,17 +90,23 @@ def test_surviving_segment_order_is_stable(bundle):
 
 
 def test_batched_bundles_match_single(bundle):
-    model = Model.build(model_cfg("full", len(bundle.vocab)), seed=2)
     samples = bundle.samples[:3]
-    batched = model.modality_tokens_batch(samples)
-    for i, s in enumerate(samples):
-        single = model.modality_tokens_batch([s])[0]
-        np.testing.assert_allclose(batched[i].img_toks.data, single.img_toks.data,
-                                   atol=1e-10)
-        np.testing.assert_allclose(batched[i].seg_toks.data, single.seg_toks.data,
-                                   atol=1e-10)
-        np.testing.assert_allclose(batched[i].pc_toks.data, single.pc_toks.data,
-                                   atol=1e-10)
+    for variant in VARIANTS:
+        model = Model.build(model_cfg(variant, len(bundle.vocab)), seed=2)
+        batched = model.modality_tokens_batch(samples)
+        for i, s in enumerate(samples):
+            single = model.modality_tokens_batch([s])[0]
+            for name in ("img_toks", "seg_toks", "pc_toks", "pred_depth",
+                         "pred_seg"):
+                a, b = getattr(batched[i], name), getattr(single, name)
+                assert (a is None) == (b is None), (variant, name)
+                if a is not None:
+                    np.testing.assert_allclose(getattr(a, "data", a),
+                                               getattr(b, "data", b), atol=1e-10,
+                                               err_msg=f"{variant} {name}")
+            assert batched[i].seg_class_ids == single.seg_class_ids, variant
+            if single.seg_class_ids is not None:  # one token per region
+                assert single.seg_toks.shape[0] == len(single.seg_class_ids)
 
 
 def test_modality_tokens_deterministic(bundle):

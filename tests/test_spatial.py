@@ -21,9 +21,11 @@ from ormllm.spatial import (
     downsample_map,
     encode_point_cloud,
     encoder_forward,
+    logits_to_map,
     region_pool,
-    seg_forward,
+    seg_head_forward,
     seg_loss,
+    tokens_to_grid,
 )
 
 TINY = SpatialBlockConfig(
@@ -151,9 +153,11 @@ def test_depth_loss_gradcheck_through_network():
 
 def test_seg_logits_shape_and_argmax_map():
     params = tiny_params()
-    logits, pmap = seg_forward(random_image(6), params, TINY)
-    assert logits.shape == (3, 8, 8)
-    np.testing.assert_array_equal(pmap.ids, logits.data.argmax(axis=0) + 1)
+    grid = tokens_to_grid(encoder_forward(random_image(6), params, TINY), TINY)
+    logits = seg_head_forward(grid, params, TINY)
+    assert logits.shape == (1, 3, 8, 8)
+    pmap = logits_to_map(logits.data[0], 3)
+    np.testing.assert_array_equal(pmap.ids, logits.data[0].argmax(axis=0) + 1)
     assert pmap.ids.min() >= 1 and pmap.ids.max() <= 3
 
 
@@ -256,18 +260,33 @@ def test_seg_loss_gradcheck_through_network():
 # --- region pooling ----------------------------------------------------------
 
 
+def pool(params, maps, feats):
+    """region_pool over a batch given as per-sample id maps and [16, 8]
+    cell features; returns each sample's class ids and feature rows."""
+    out, ids = region_pool([PanopticMap(m, 3) for m in maps],
+                           T.constant(np.stack(feats)), params, TINY)
+    bounds = np.cumsum([0] + [len(i) for i in ids])
+    return ids, [out.data[bounds[b]:bounds[b + 1]] for b in range(len(maps))]
+
+
 def test_region_pool_single_class_is_global_mean():
-    params = tiny_params()
-    feats = T.constant(np.random.default_rng(11).normal(size=(16, 8)))
-    pmap = PanopticMap(np.ones((8, 8), dtype=int), 3)
-    out = region_pool(pmap, feats, params, TINY)
-    assert len(out) == 1 and out.class_ids() == [1]
-    # Same pooled input as feeding the global mean through the MLP directly.
     from ormllm.nn import mlp_forward
 
-    direct = mlp_forward(T.reshape(T.mean(feats, axis=0), (1, 8)), params,
-                         "spatial.region.phi")
-    np.testing.assert_allclose(out.regions[0][1].data, direct.data[0], atol=1e-12)
+    params = tiny_params()
+    rng = np.random.default_rng(11)
+    feats = rng.normal(size=(16, 8))
+    other = rng.normal(size=(16, 8))
+    ones, halves = np.ones((8, 8), dtype=int), np.ones((8, 8), dtype=int)
+    halves[:, 4:] = 2
+    # Same pooled input as feeding the global mean through the MLP directly.
+    direct = mlp_forward(T.constant(feats.mean(axis=0)[None]), params,
+                         "spatial.region.phi").data[0]
+    for maps, cells, at in (([ones], [feats], 0),
+                            ([halves, ones], [other, feats], 1),
+                            ([ones, halves, ones], [feats, other, other], 0)):
+        ids, rows = pool(params, maps, cells)
+        assert ids[at] == [1] and rows[at].shape == (1, 8)
+        np.testing.assert_allclose(rows[at][0], direct, atol=1e-12)
 
 
 def test_region_pool_three_classes_sorted():
@@ -275,25 +294,32 @@ def test_region_pool_three_classes_sorted():
     ids = np.ones((8, 8), dtype=int)
     ids[:, 4:] = 3
     ids[4:, :4] = 2
-    pmap = PanopticMap(ids, 3)
-    feats = T.constant(np.random.default_rng(12).normal(size=(16, 8)))
-    out = region_pool(pmap, feats, params, TINY)
-    assert out.class_ids() == [1, 2, 3]
+    two = np.full((8, 8), 3)
+    two[2:6, 2:6] = 1
+    rng = np.random.default_rng(12)
+    feats = [rng.normal(size=(16, 8)) for _ in range(3)]
+    got, rows = pool(params, [ids], feats[:1])
+    assert got == [[1, 2, 3]] and rows[0].shape == (3, 8)
+    got, rows = pool(params, [two, ids, two], feats)
+    assert got == [[1, 3], [1, 2, 3], [1, 3]]
+    assert [r.shape[0] for r in rows] == [2, 3, 2]
 
 
 def test_region_pool_mean_is_order_invariant():
     params = tiny_params()
     rng = np.random.default_rng(13)
     feats = rng.normal(size=(16, 8))
+    other = rng.normal(size=(16, 8))
     ids = np.ones((8, 8), dtype=int)
     ids[0:2, 0:4] = 2  # covers downsampled cells 0 and 1
-    pmap = PanopticMap(ids, 3)
-    out1 = region_pool(pmap, T.constant(feats), params, TINY)
     # Swap the features of the two class-2 cells; the mean must not change.
     swapped = feats.copy()
     swapped[[0, 1]] = swapped[[1, 0]]
-    out2 = region_pool(pmap, T.constant(swapped), params, TINY)
-    np.testing.assert_array_equal(out1.regions[1][1].data, out2.regions[1][1].data)
+    for before, after in (([feats], [swapped]),
+                          ([other, feats], [other, swapped])):
+        _, rows1 = pool(params, [ids] * len(before), before)
+        _, rows2 = pool(params, [ids] * len(after), after)
+        np.testing.assert_array_equal(rows1[-1][1], rows2[-1][1])
 
 
 def test_downsample_map_nearest():
