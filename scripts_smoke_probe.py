@@ -2,8 +2,11 @@
 
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "src"))
 
 from ormllm.config import RunConfig
 from ormllm.evaluate import EvalConfig, evaluate

@@ -139,11 +139,13 @@ def _write_loss_log(path: str, rows, echo: list[str]) -> None:
             fh.write(row.format() + "\n")
 
 
-def _train_one_stage(run: RunConfig, bundle, stage: int, variant: str,
+def _train_one_stage(run: RunConfig, bundle, cfg: TrainConfig, variant: str,
                      ckpt_in: str | None, ckpt_out: str, loss_log: str | None,
                      ckpt_best: str | None = None) -> None:
+    """Trains one stage; `cfg` comes from run.train(stage), built (and so
+    validated) before the dataset was read. `ckpt_best` is stage 2 only."""
     train_samples = bundle.part_samples("train")
-    cfg = run.train(stage)
+    stage = cfg.stage
     mcfg = ModelConfig(
         variant="no-depth-seg" if stage == 1 else variant,
         spatial=run.spatial(),
@@ -165,7 +167,7 @@ def _train_one_stage(run: RunConfig, bundle, stage: int, variant: str,
 
     best = {"em": -1.0}
     on_epoch = None
-    if ckpt_best and stage == 2:
+    if ckpt_best:
         val_samples = bundle.part_samples("val")[:32]
 
         def on_epoch(epoch):
@@ -193,9 +195,14 @@ def cmd_train(args) -> int:
     if args.stage == 2 and not args.ckpt_in:
         print("train: --stage 2 requires --ckpt-in from stage 1", file=sys.stderr)
         return EXIT_CONTRACT
+    if args.stage == 1 and args.ckpt_best:
+        print("train: --ckpt-best selects by validation EM, which needs "
+              "--stage 2", file=sys.stderr)
+        return EXIT_CONTRACT
+    cfg = run.train(args.stage)
     bundle = read_dataset(args.data)
     _sync_with_dataset(run, bundle)
-    _train_one_stage(run, bundle, args.stage, args.variant, args.ckpt_in,
+    _train_one_stage(run, bundle, cfg, args.variant, args.ckpt_in,
                      args.ckpt_out, args.loss_log, args.ckpt_best)
     return EXIT_OK
 
@@ -272,13 +279,14 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     run = RunConfig.resolve(args.config, {"seed": args.seed})
     ecfg = _eval_config(run, ("qa", "sgg"))
+    cfg = run.train(2)
     bundle = read_dataset(args.data)
     _sync_with_dataset(run, bundle)
     os.makedirs(args.out_dir, exist_ok=True)
     ckpt_out = os.path.join(args.out_dir, f"{args.variant}.ckpt")
     loss_log = os.path.join(args.out_dir, f"{args.variant}.losslog")
     report_path = os.path.join(args.out_dir, f"{args.variant}.report")
-    _train_one_stage(run, bundle, 2, args.variant, args.stage1_ckpt,
+    _train_one_stage(run, bundle, cfg, args.variant, args.stage1_ckpt,
                      ckpt_out, loss_log)
     _eval_model(run, bundle, ckpt_out, args.variant, args.split, ecfg,
                 report_path)

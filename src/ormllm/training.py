@@ -8,6 +8,10 @@ decoders to rendered ground truth (the stand-in for fine-tuning pretrained
 perception backbones before fusion training), then optimizes
 lm_loss + lambda_clip * InfoNCE. All shuffling and dropout derive from the
 config seed, so loss logs are bit-reproducible.
+
+In both stages the LM runs once per task group of a batch (QA, SGG), each
+group padded only to its own longest record, and the per-record losses are
+put back in batch order before they are averaged.
 """
 
 from __future__ import annotations
@@ -63,6 +67,20 @@ class TrainConfig:
             raise ConfigurationError("invalid lambda_clip, batch_size or epochs")
         if self.schedule != "cosine":
             raise ConfigurationError(f"unknown schedule {self.schedule!r}")
+        # A keep-probability of 1 - dropout must lie in (0, 1], and Adam's
+        # moment decays in [0, 1): beta = 1 never forgets, and its bias
+        # correction divides by zero.
+        for name in ("dropout", "adam_beta1", "adam_beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ConfigurationError(f"train.{name} must be in [0, 1), got {value}")
+        if self.adam_eps <= 0:
+            raise ConfigurationError(f"adam_eps must be positive, got {self.adam_eps}")
+        for name in ("warmup_steps", "weight_decay", "vfm_epochs", "qa_per_sample",
+                     "max_records", "sgg_max_triples"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigurationError(f"train.{name} must be >= 0, got {value}")
 
 
 @dataclass
@@ -283,7 +301,9 @@ def _pad_stack(seqs: list[Tensor],
                positions: list[np.ndarray]) -> tuple[Tensor, np.ndarray]:
     """Stack variable-length [S_i, d] sequences into [B, S_max, d] with zero
     rows at the tail; causal attention keeps real positions unaffected.
-    Positional slots are padded with 0 (the pad rows never enter a loss)."""
+    Positional slots are padded with 0 (the pad rows never enter a loss).
+    Training stacks one task group at a time (see _lm_by_task), so S_max is
+    the longest record of that group, not of the whole batch."""
     s_max = max(s.shape[0] for s in seqs)
     padded, pos_rows = [], []
     for s, pos in zip(seqs, positions):
@@ -296,8 +316,36 @@ def _pad_stack(seqs: list[Tensor],
     return T.stack(padded, axis=0), np.stack(pos_rows)
 
 
+def _lm_by_task(model: Model, records: list[TrainRecord], seqs: list[Tensor],
+                positions: list[np.ndarray], ctx: ExecContext,
+                return_hidden: bool = False):
+    """Runs the LM once per task present in the batch, each call padded to
+    the longest record of its own task: QA records are short and SGG records
+    long, so one call over the whole batch would pad every QA record to the
+    SGG length. Groups run in order of first appearance; a one-task batch
+    makes exactly one call over the whole batch.
+
+    Returns, in batch order, each record's [S_i, V] logits and, with
+    return_hidden, its [S_i, d] hidden rows (otherwise None per record)."""
+    logits: list[Tensor | None] = [None] * len(records)
+    hidden: list[Tensor | None] = [None] * len(records)
+    for task in dict.fromkeys(rec.task for rec in records):
+        group = [i for i, rec in enumerate(records) if rec.task == task]
+        tokens, pos = _pad_stack([seqs[i] for i in group],
+                                 [positions[i] for i in group])
+        out = lm_forward(tokens, model.params, model.cfg.fusion, ctx,
+                         return_hidden=return_hidden, positions=pos)
+        group_logits, group_hidden = out if return_hidden else (out, None)
+        for j, i in enumerate(group):
+            rows = (j, slice(0, seqs[i].shape[0]))
+            logits[i] = T.slice_(group_logits, rows)
+            if return_hidden:
+                hidden[i] = T.slice_(group_hidden, rows)
+    return logits, hidden
+
+
 def _answer_targets(prompt_len: int, answer_ids: list[int],
-                    n_modality: int) -> tuple[np.ndarray, np.ndarray, int]:
+                    n_modality: int) -> tuple[np.ndarray, np.ndarray]:
     """Targets and mask for a sequence [modality, prompt, BOS, answer..., EOS].
     Positions BOS..last-answer-token predict answer tokens then EOS."""
     k = len(answer_ids)
@@ -310,7 +358,7 @@ def _answer_targets(prompt_len: int, answer_ids: list[int],
         mask[bos_pos + i] = True
     targets[bos_pos + k] = V.EOS
     mask[bos_pos + k] = True
-    return targets, mask, total
+    return targets, mask
 
 
 def _batch_stage1(model: Model, records: list[TrainRecord],
@@ -319,18 +367,12 @@ def _batch_stage1(model: Model, records: list[TrainRecord],
     for rec in records:
         answer_seg = [V.BOS] + rec.answer_ids + [V.EOS]
         seq = model.text_sequence(rec.prompt_ids, answer_seg)
-        targets, mask, total = _answer_targets(len(rec.prompt_ids),
-                                               rec.answer_ids, 0)
         seqs.append(seq.tokens)
         poss.append(seq.positions)
-        metas.append((targets, mask, total))
-    tokens, positions = _pad_stack(seqs, poss)
-    logits = lm_forward(tokens, model.params, model.cfg.fusion, ctx,
-                        positions=positions)
-    losses = []
-    for b, (targets, mask, total) in enumerate(metas):
-        rec_logits = T.slice_(logits, (b, slice(0, total)))
-        losses.append(answer_loss(rec_logits, targets, mask))
+        metas.append(_answer_targets(len(rec.prompt_ids), rec.answer_ids, 0))
+    logits, _ = _lm_by_task(model, records, seqs, poss, ctx)
+    losses = [answer_loss(rec_logits, targets, mask)
+              for rec_logits, (targets, mask) in zip(logits, metas)]
     return T.mean(T.stack(losses, axis=0))
 
 
@@ -343,21 +385,18 @@ def _batch_stage2(model: Model, data: TrainData, records: list[TrainRecord],
         answer_seg = [V.BOS] + rec.answer_ids + [V.EOS]
         seq = model.assemble(sample, rec.prompt_ids, answer_seg, ctx, bundle)
         n_modality = seq.segment_start("prompt")
-        targets, mask, total = _answer_targets(len(rec.prompt_ids),
-                                               rec.answer_ids, n_modality)
         seqs.append(seq.tokens)
         poss.append(seq.positions)
-        metas.append((targets, mask, total))
+        metas.append(_answer_targets(len(rec.prompt_ids), rec.answer_ids,
+                                     n_modality))
         v_feats.append(model.contrastive_features(bundle))
         prompt_starts.append(n_modality)
-    tokens, positions = _pad_stack(seqs, poss)
-    logits, hidden = lm_forward(tokens, model.params, model.cfg.fusion,
-                                ctx, return_hidden=True, positions=positions)
-    losses, t_feats = [], []
-    for b, (targets, mask, total) in enumerate(metas):
-        rec_logits = T.slice_(logits, (b, slice(0, total)))
-        losses.append(answer_loss(rec_logits, targets, mask))
-        t_feats.append(T.slice_(hidden, (b, prompt_starts[b])))
+    logits, hidden = _lm_by_task(model, records, seqs, poss, ctx,
+                                 return_hidden=True)
+    losses = [answer_loss(rec_logits, targets, mask)
+              for rec_logits, (targets, mask) in zip(logits, metas)]
+    t_feats = [T.slice_(rec_hidden, start)
+               for rec_hidden, start in zip(hidden, prompt_starts)]
     lm = T.mean(T.stack(losses, axis=0))
     contrast = contrastive_loss(T.stack(v_feats, axis=0),
                                 T.stack(t_feats, axis=0), cfg.tau)

@@ -307,3 +307,38 @@ def test_config_value_of_wrong_type_usage_error(workspace, tmp_path, capsys, val
                  "--ckpt-out", str(out)]) == 2
     assert "spatial.encoder_dim" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line", [
+    "train.dropout = 1.5", "train.dropout = -0.5", "train.dropout = 1.0",
+    "train.warmup_steps = -5", "train.adam_beta1 = 1.0", "train.adam_beta2 = 1.5",
+    "train.weight_decay = -0.01", "train.vfm_epochs = -1",
+    "train.qa_per_sample = -1", "train.max_records = -1",
+    "train.sgg_max_triples = -1",
+])
+def test_train_bad_settings_usage_error(workspace, trained, tmp_path, capsys, line):
+    root, cfg, data = workspace
+    out, s1, _, _ = trained
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(open(cfg).read() + line + "\n")
+    key = line.split(" =")[0]
+    ckpt = tmp_path / "s1.ckpt"
+    assert main(["train", "--stage", "1", "--data", data, "--config", str(bad),
+                 "--ckpt-out", str(ckpt)]) == 2
+    assert key in capsys.readouterr().err
+    assert not ckpt.exists()
+    # ablate rejects them before it reads data or trains anything.
+    abl = tmp_path / "abl"
+    assert main(["ablate", "--variant", "full", "--data", data, "--config", str(bad),
+                 "--stage1-ckpt", s1, "--out-dir", str(abl)]) == 2
+    assert key in capsys.readouterr().err
+    assert not abl.exists()
+
+
+def test_stage1_ckpt_best_contract_error(tmp_path, capsys):
+    # The data path does not exist: the flag must be rejected before it is read.
+    best, out = tmp_path / "best.ckpt", tmp_path / "s1.ckpt"
+    assert main(["train", "--stage", "1", "--data", str(tmp_path / "missing"),
+                 "--ckpt-out", str(out), "--ckpt-best", str(best)]) == 3
+    assert "--ckpt-best" in capsys.readouterr().err
+    assert not best.exists() and not out.exists()

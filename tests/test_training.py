@@ -2,18 +2,23 @@ import numpy as np
 import pytest
 
 from ormllm import tensor as T
+from ormllm import training
 from ormllm import vocab as V
 from ormllm.errors import ConfigurationError, ContractError, NumericError
-from ormllm.fusion import FusionConfig
+from ormllm.fusion import FusionConfig, answer_loss, lm_forward
 from ormllm.gradcheck import finite_diff_grad_check
 from ormllm.model import Model, ModelConfig
-from ormllm.nn import ModelParams
+from ormllm.nn import EVAL_CTX, ExecContext, ModelParams
 from ormllm.scenegen import build_dataset
 from ormllm.spatial import SpatialBlockConfig
 from ormllm.tensor import Tensor
 from ormllm.training import (
     AdamWState,
     TrainConfig,
+    _answer_targets,
+    _batch_stage1,
+    _batch_stage2,
+    _pad_stack,
     apply_stage_mask,
     contrastive_loss,
     lr_at_step,
@@ -321,3 +326,181 @@ def test_stage2_records_contain_sgg(tiny_data):
     assert tasks == {"qa", "sgg"}
     per_sample = sum(1 for r in data.records if r.sample_index == 0)
     assert per_sample == 3  # 2 qa + 1 sgg
+
+
+# ---------------------------------------------------------------------------
+# per-task LM calls against the one padded call over the whole batch
+# ---------------------------------------------------------------------------
+
+
+def padded_batch_stage1(model, records, ctx):
+    """Oracle: the whole batch in one lm_forward, padded to its longest
+    record, as stage-1 batches ran before the LM ran once per task."""
+    seqs, poss, metas = [], [], []
+    for rec in records:
+        seq = model.text_sequence(rec.prompt_ids, [V.BOS] + rec.answer_ids + [V.EOS])
+        seqs.append(seq.tokens)
+        poss.append(seq.positions)
+        metas.append(_answer_targets(len(rec.prompt_ids), rec.answer_ids, 0))
+    tokens, positions = _pad_stack(seqs, poss)
+    logits = lm_forward(tokens, model.params, model.cfg.fusion, ctx,
+                        positions=positions)
+    losses = [answer_loss(T.slice_(logits, (b, slice(0, len(targets)))), targets, mask)
+              for b, (targets, mask) in enumerate(metas)]
+    return T.mean(T.stack(losses, axis=0))
+
+
+def padded_batch_stage2(model, data, records, cfg, ctx):
+    """Oracle: stage 2 with one padded lm_forward over the whole batch."""
+    batch_samples = [data.samples[rec.sample_index] for rec in records]
+    bundles = model.modality_tokens_batch(batch_samples, ctx)
+    seqs, poss, metas, v_feats, starts = [], [], [], [], []
+    for rec, sample, bundle in zip(records, batch_samples, bundles):
+        seq = model.assemble(sample, rec.prompt_ids,
+                             [V.BOS] + rec.answer_ids + [V.EOS], ctx, bundle)
+        start = seq.segment_start("prompt")
+        seqs.append(seq.tokens)
+        poss.append(seq.positions)
+        metas.append(_answer_targets(len(rec.prompt_ids), rec.answer_ids, start))
+        v_feats.append(model.contrastive_features(bundle))
+        starts.append(start)
+    tokens, positions = _pad_stack(seqs, poss)
+    logits, hidden = lm_forward(tokens, model.params, model.cfg.fusion, ctx,
+                                return_hidden=True, positions=positions)
+    losses = [answer_loss(T.slice_(logits, (b, slice(0, len(targets)))), targets, mask)
+              for b, (targets, mask) in enumerate(metas)]
+    t_feats = [T.slice_(hidden, (b, start)) for b, start in enumerate(starts)]
+    lm = T.mean(T.stack(losses, axis=0))
+    contrast = contrastive_loss(T.stack(v_feats, axis=0),
+                                T.stack(t_feats, axis=0), cfg.tau)
+    return lm, contrast
+
+
+def loss_and_grads(model, make_losses):
+    """Runs make_losses(), backpropagates their sum with the stage-2 weight
+    on the second part, and returns the loss values and every gradient."""
+    model.params.zero_grads()
+    losses = make_losses()
+    total = losses[0] if len(losses) == 1 else stage2_loss(losses[0], losses[1], 0.1)
+    T.backward(total, model.params.tensors())
+    grads = {n: model.params[n].grad.copy() for n in model.params.names()}
+    return [l.data.copy() for l in losses], grads
+
+
+def interleaved(records, pattern):
+    """Records picked in the task order of `pattern`, each record once."""
+    pools = {task: [r for r in records if r.task == task] for task in set(pattern)}
+    return [pools[task].pop(0) for task in pattern]
+
+
+TRAIN_CTX = ExecContext(train=True, dropout=0.0)
+MIXED = ("sgg", "qa", "qa", "sgg", "qa")
+
+
+def assert_matches(got, want, exact):
+    (got_losses, got_grads), (want_losses, want_grads) = got, want
+    for g, w in zip(got_losses, want_losses):
+        if exact:
+            assert g.tobytes() == w.tobytes()
+        else:
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+    assert got_grads.keys() == want_grads.keys()
+    for name in got_grads:
+        if exact:
+            assert got_grads[name].tobytes() == want_grads[name].tobytes(), name
+        else:
+            np.testing.assert_allclose(got_grads[name], want_grads[name],
+                                       rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("pattern,exact", [(MIXED, False), (("qa",) * 5, True)])
+def test_stage1_batch_matches_one_padded_call(tiny_data, pattern, exact):
+    model = tiny_model(tiny_data)
+    data = make_stage1_records(tiny_data.samples, tiny_data.vocab)
+    batch = interleaved(data.records, pattern)
+    got = loss_and_grads(model, lambda: [_batch_stage1(model, batch, TRAIN_CTX)])
+    want = loss_and_grads(model, lambda: [padded_batch_stage1(model, batch, TRAIN_CTX)])
+    assert_matches(got, want, exact)
+
+
+@pytest.mark.parametrize("pattern,exact", [(MIXED, False), (("qa",) * 5, True)])
+def test_stage2_batch_matches_one_padded_call(tiny_data, pattern, exact):
+    model = tiny_model(tiny_data)
+    data = make_stage2_records(tiny_data.samples, tiny_data.vocab,
+                               qa_per_sample=2, seed=3)
+    batch = interleaved(data.records, pattern)
+    cfg = TrainConfig(stage=2)
+    got = loss_and_grads(
+        model, lambda: list(_batch_stage2(model, data, batch, cfg, TRAIN_CTX)))
+    want = loss_and_grads(
+        model, lambda: list(padded_batch_stage2(model, data, batch, cfg, TRAIN_CTX)))
+    assert_matches(got, want, exact)
+
+
+def test_pad_stack_tail_padding_leaves_real_rows_unchanged(tiny_data):
+    model = tiny_model(tiny_data)
+    data = make_stage1_records(tiny_data.samples, tiny_data.vocab)
+    short, long_ = interleaved(data.records, ("qa", "sgg"))
+    seqs = [model.text_sequence(r.prompt_ids, [V.BOS] + r.answer_ids + [V.EOS])
+            for r in (short, long_)]
+    assert seqs[0].tokens.shape[0] < seqs[1].tokens.shape[0]
+    tokens, positions = _pad_stack([s.tokens for s in seqs],
+                                   [s.positions for s in seqs])
+    padded = lm_forward(tokens, model.params, model.cfg.fusion, EVAL_CTX,
+                        positions=positions).data
+    for b, seq in enumerate(seqs):
+        alone = lm_forward(seq, model.params, model.cfg.fusion, EVAL_CTX).data
+        np.testing.assert_allclose(padded[b, : alone.shape[0]], alone,
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.fixture
+def lm_calls(monkeypatch):
+    """Records the [B, S] row grid of every lm_forward call training makes."""
+    calls = []
+
+    def counting(tokens, *args, **kwargs):
+        calls.append(tokens.shape[:2])
+        return lm_forward(tokens, *args, **kwargs)
+
+    monkeypatch.setattr(training, "lm_forward", counting)
+    return calls
+
+
+@pytest.mark.parametrize("pattern", [MIXED, ("qa",) * 4, ("sgg",) * 2])
+def test_stage1_one_lm_call_per_task_and_rows(tiny_data, lm_calls, pattern):
+    model = tiny_model(tiny_data)
+    data = make_stage1_records(tiny_data.samples, tiny_data.vocab)
+    batch = interleaved(data.records, pattern)
+    with T.no_grad():
+        _batch_stage1(model, batch, EVAL_CTX)
+    lengths = {}
+    for rec in batch:
+        length = len(rec.prompt_ids) + len(rec.answer_ids) + 2  # + BOS, EOS
+        lengths.setdefault(rec.task, []).append(length)
+    assert len(lm_calls) == len(lengths)
+    assert sum(b * s for b, s in lm_calls) == \
+        sum(len(ls) * max(ls) for ls in lengths.values())
+
+
+@pytest.mark.parametrize("pattern", [MIXED, ("qa",) * 3])
+def test_stage2_one_lm_call_per_task(tiny_data, lm_calls, pattern):
+    model = tiny_model(tiny_data)
+    data = make_stage2_records(tiny_data.samples, tiny_data.vocab,
+                               qa_per_sample=2, seed=3)
+    batch = interleaved(data.records, pattern)
+    with T.no_grad():
+        _batch_stage2(model, data, batch, TrainConfig(stage=2), EVAL_CTX)
+    assert sorted(b for b, _ in lm_calls) == sorted(
+        pattern.count(task) for task in set(pattern))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dropout", 1.5), ("dropout", 1.0), ("dropout", -0.5),
+    ("adam_beta1", 1.0), ("adam_beta2", -0.1), ("adam_eps", 0.0),
+    ("warmup_steps", -5), ("weight_decay", -0.01), ("vfm_epochs", -1),
+    ("qa_per_sample", -1), ("max_records", -1), ("sgg_max_triples", -2),
+])
+def test_train_config_rejects_out_of_range(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        TrainConfig(**{field: value})
