@@ -1,0 +1,142 @@
+"""Interleaved parent/change runs of the repo benchmark, written to a BENCH file.
+
+    python3 bench_pairs.py --parent DIR --change DIR --workload lm_pretrain \\
+        --seeds 301-310 --seconds 20 --trace-seeds 104,104,104 --out BENCH_6.json
+
+DIR is the root of a checkout. Each pair runs `perfbench/run.py` once in each
+checkout on one seed, with the same settings, and alternates which side runs
+first. For every end-to-end metric that BENCHMARK.json lists, the summary
+gives each side's median and quartiles, how many pairs the change won (ties
+count for neither side) and the relative change of the medians. With
+--trace-seeds, traced runs follow, also in alternating pairs, one pair per
+listed seed; each side's per-layer metrics are recorded run by run and as
+medians. The workload's entry is merged into --out, so one file can hold
+every workload of a change.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent
+SIDES = ("parent", "change")
+
+
+def parse_seeds(text: str) -> list[int]:
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += list(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float,
+             trace: bool) -> dict:
+    """One benchmark run; returns its result object plus the run's
+    description lines (`info`)."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"{checkout}: no output (exit {proc.returncode}): "
+                           f"{proc.stderr.strip()[-500:]}")
+    result = json.loads(lines[-1])
+    result["info"] = [json.loads(l[2:]) for l in lines[:-1] if l.startswith("# ")]
+    return result
+
+
+def values(result: dict) -> dict[str, float]:
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def run_pairs(checkouts: dict[str, str], workload: str, seeds: list[int],
+              seconds: float, trace: bool) -> tuple[list[dict], dict]:
+    """One pair per seed, alternating which side runs first. Returns the
+    pairs and the description of the last run (sizes, versions, threads)."""
+    pairs, info = [], {}
+    for i, seed in enumerate(seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            result = run_once(checkouts[side], workload, seed, seconds, trace)
+            info = result["info"][0]
+            pair[side] = values(result)
+            pair[f"{side}_outcome"] = {k: result[k] for k in ("correct", "attempted", "failed")}
+            print(f"{workload} seed {seed} {side} trace {int(trace)}: "
+                  f"{json.dumps(pair[side])}", flush=True)
+        pairs.append(pair)
+    return pairs, info
+
+
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    out = {}
+    for metric in end_to_end:
+        name, higher = metric["name"], metric["better"] == "higher"
+        side = {s: np.array([p[s][name] for p in pairs]) for s in SIDES}
+        diff = side["change"] - side["parent"]
+        wins = int(((diff > 0) if higher else (diff < 0)).sum())
+        med = {s: float(np.median(v)) for s, v in side.items()}
+        out[name] = {
+            **{s: {"median": med[s],
+                   "q1": float(np.percentile(v, 25)),
+                   "q3": float(np.percentile(v, 75))} for s, v in side.items()},
+            "change_wins": wins,
+            "pairs": len(pairs),
+            "median_change_rel": (med["change"] - med["parent"]) / med["parent"]
+            if med["parent"] else None,
+            "better": metric["better"],
+            "bound": metric["bound"],
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, help="e.g. 301-310 or 1,4,9")
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--trace-seeds", help="seeds of traced pairs, e.g. 104,104,104")
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent, "change": args.change}
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    seeds = parse_seeds(args.seeds)
+    pairs, info = run_pairs(checkouts, args.workload, seeds, args.seconds, False)
+    entry = {
+        "command": f"python3 perfbench/run.py --workload {args.workload} "
+                   f"--seed N --seconds {args.seconds:g} --trace 0",
+        "seeds": seeds,
+        "sizes": info["sizes"],
+        "nproc": info["nproc"],
+        "blas_threads": info["blas_threads"],
+        "versions": {k: info[k] for k in ("python", "numpy", "scipy", "blas")},
+        "summary": summarize(pairs, end_to_end),
+        "pairs": pairs,
+    }
+    if args.trace_seeds:
+        traced, _ = run_pairs(checkouts, args.workload, parse_seeds(args.trace_seeds),
+                              args.seconds, True)
+        entry["traced"] = {
+            "median": {side: {name: float(np.median([p[side][name] for p in traced]))
+                              for name in traced[0][side]} for side in SIDES},
+            "pairs": traced,
+        }
+    out = Path(args.out)
+    bench = json.loads(out.read_text()) if out.exists() else {}
+    bench.setdefault("workloads", {})[args.workload] = entry
+    out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -339,20 +339,31 @@ def prefix_cache(seq: TokenSequence, rows: int, params: ModelParams,
 
 def answer_loss(logits: Tensor, target_ids, answer_mask) -> Tensor:
     """Mean negative log-likelihood of the target ids at masked positions.
-    The mask must select answer-prediction positions only."""
+    The mask must select answer-prediction positions only.
+
+    [S, V] logits with [S] targets and mask give a scalar. [B, S, V] logits
+    with [B, S] targets and masks (a padded group of records, each with a
+    non-empty mask) give the [B] per-record mean NLLs as one node; each
+    record's value and gradient are those of the [S, V] call on its rows."""
     target_ids = np.asarray(target_ids, dtype=np.int64)
     mask = np.asarray(answer_mask, dtype=bool)
-    if logits.ndim != 2:
-        raise ContractError(f"answer_loss expects [S, V] logits, got {logits.shape}")
-    S, Vn = logits.shape
-    if target_ids.shape != (S,) or mask.shape != (S,):
-        raise ContractError("target_ids and answer_mask must both have length S")
-    positions = np.flatnonzero(mask)
-    if positions.size == 0:
-        raise EmptyDomainError("answer_loss: empty answer mask")
-    logp = T.log_softmax(logits, axis=-1)
-    flat = positions * Vn + target_ids[positions]
-    return -T.mean(T.take_flat(logp, flat))
+    if logits.ndim not in (2, 3):
+        raise ContractError(
+            f"answer_loss expects [S, V] or [B, S, V] logits, got {logits.shape}")
+    if target_ids.shape != logits.shape[:-1] or mask.shape != logits.shape[:-1]:
+        raise ContractError(
+            f"target_ids {target_ids.shape} and answer_mask {mask.shape} must "
+            f"both have the logits' leading shape {logits.shape[:-1]}")
+    if logits.ndim == 2:
+        positions = np.flatnonzero(mask)
+        if positions.size == 0:
+            raise EmptyDomainError("answer_loss: empty answer mask")
+        logp = T.log_softmax(logits, axis=-1)
+        flat = positions * logits.shape[1] + target_ids[positions]
+        return -T.mean(T.take_flat(logp, flat))
+    if not mask.any(axis=1).all():
+        raise EmptyDomainError("answer_loss: a record has an empty answer mask")
+    return T.masked_nll(logits, target_ids, mask)
 
 
 def decode_answer(seq_prefix: TokenSequence, params: ModelParams, cfg: FusionConfig,

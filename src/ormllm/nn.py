@@ -95,10 +95,8 @@ def linear(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
         raise DimensionError(
             f"linear {prefix!r}: input width {x.shape[-1]} != weight rows {w.shape[0]}"
         )
-    out = T.matmul(x, w)
-    if f"{prefix}.b" in params:
-        out = out + params[f"{prefix}.b"]
-    return out
+    bias = params[f"{prefix}.b"] if f"{prefix}.b" in params else None
+    return T.affine(x, w, bias)
 
 
 def init_mlp(params: ModelParams, prefix: str, d_in: int, d_hidden: int, d_out: int,
@@ -156,7 +154,8 @@ class KVCache:
         out.length = self.length
         return out
 
-    def extend(self, prefix: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor, int]:
+    def extend(self, prefix: str, k: np.ndarray,
+               v: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """Appends one block's new keys/values [B, heads, n, dh] to the held
         ones; returns all keys, all values and the number of rows held
         before."""
@@ -166,18 +165,16 @@ class KVCache:
         if prefix in self.kv:
             past_k, past_v = self.kv[prefix]
             past = past_k.shape[2]
-            k = T.constant(np.concatenate([past_k, k.data], axis=2))
-            v = T.constant(np.concatenate([past_v, v.data], axis=2))
-        self.kv[prefix] = (k.data, v.data)
+            k = np.concatenate([past_k, k], axis=2)
+            v = np.concatenate([past_v, v], axis=2)
+        self.kv[prefix] = (k, v)
         return k, v, past
 
 
 def _causal_mask(n: int, past: int = 0) -> np.ndarray:
     """Additive mask for n new rows after `past` earlier ones: new row i
     sees columns <= past + i."""
-    m = np.zeros((n, past + n))
-    m[np.triu_indices(n, k=past + 1, m=past + n)] = -np.inf
-    return m
+    return np.triu(np.full((n, past + n), -np.inf), k=past + 1)
 
 
 def attention_block_forward(x: Tensor, params: ModelParams, prefix: str, heads: int,
@@ -186,7 +183,9 @@ def attention_block_forward(x: Tensor, params: ModelParams, prefix: str, heads: 
     """Pre-norm multi-head self-attention plus MLP, both with residuals.
 
     Accepts [n, d] or [B, n, d]. With causal=True, position i attends only
-    to positions <= i.
+    to positions <= i. The attention core (head split, scaled scores, mask,
+    softmax, dropout, P·V, head merge) is one tape node, T.attention_core;
+    every projection is one T.affine node.
 
     With a cache, x holds only the new rows: q/k/v are computed for them,
     k/v are appended to the cache's entry for this block, and new row i
@@ -202,25 +201,18 @@ def attention_block_forward(x: Tensor, params: ModelParams, prefix: str, heads: 
     B, n, d = x.shape
     if d % heads != 0:
         raise ConfigurationError(f"model width {d} not divisible by {heads} heads")
-    dh = d // heads
 
     h = layer_norm(x, params, f"{prefix}.ln1")
     q = linear(h, params, f"{prefix}.attn.wq")
     k = linear(h, params, f"{prefix}.attn.wk")
     v = linear(h, params, f"{prefix}.attn.wv")
-    # [B, n, d] -> [B, heads, n, dh]
-    split = lambda t: T.transpose(T.reshape(t, (B, n, heads, dh)), (0, 2, 1, 3))
-    q, k, v = split(q), split(k), split(v)
     past = 0
     if cache is not None:
-        k, v, past = cache.extend(prefix, k, v)
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-    if causal and n > 1:
-        scores = scores + T.constant(_causal_mask(n, past)[None, None])
-    probs = T.softmax(scores, axis=-1)
-    probs = ctx.drop(probs)
-    attn = T.matmul(probs, v)
-    attn = T.reshape(T.transpose(attn, (0, 2, 1, 3)), (B, n, d))
+        k, v, past = cache.extend(prefix, T.split_heads(k.data, heads),
+                                  T.split_heads(v.data, heads))
+    mask = _causal_mask(n, past)[None, None] if causal and n > 1 else None
+    attn = T.attention_core(q, k, v, heads, mask,
+                            ctx.dropout if ctx.train else 0.0, ctx.rng)
     x = x + linear(attn, params, f"{prefix}.attn.wo")
     x = x + mlp_forward(layer_norm(x, params, f"{prefix}.ln2"), params,
                         f"{prefix}.mlp", ctx)

@@ -414,6 +414,36 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), bw)
 
 
+def affine(x, w, b=None) -> Tensor:
+    """x @ w (+ b) as one node, for x [..., d_in], w [d_in, d_out] and an
+    optional bias [d_out].
+
+    The forward is the same numpy product and sum as matmul + add, so its
+    bytes match theirs. The backward flattens the leading dims of x into
+    rows: the weight gradient is one 2-d GEMM and the bias gradient one row
+    sum, not a batched product that _unbroadcast then sums."""
+    x, w = as_tensor(x), as_tensor(w)
+    if x.ndim < 2 or w.ndim != 2:
+        raise DimensionError(f"affine expects [..., d_in] @ [d_in, d_out], "
+                             f"got {x.shape} @ {w.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise DimensionError(f"affine inner dims differ: {x.shape} @ {w.shape}")
+    inputs = (x, w)
+    out = x.data @ w.data
+    if b is not None:
+        b = as_tensor(b)
+        inputs += (b,)
+        out = out + b.data
+
+    def bw(g):
+        g2 = g.reshape(-1, w.shape[1])
+        gx = (g2 @ w.data.T).reshape(x.shape)
+        gw = x.data.reshape(-1, w.shape[0]).T @ g2
+        return (gx, gw) if b is None else (gx, gw, g2.sum(axis=0))
+
+    return _make(out, inputs, bw)
+
+
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
@@ -486,6 +516,31 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
     def bw(g):
         return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
+
+    return _make(out, (a,), bw)
+
+
+def masked_nll(logits, target_ids: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Per-record mean negative log-likelihood as one node: [B, S, V]
+    logits, [B, S] target ids and a [B, S] boolean mask with at least one
+    position per record give [B].
+
+    Record b's value and gradient have the bytes of
+    -mean(take_flat(log_softmax(logits[b]), ...)) over its masked rows: the
+    same numpy arithmetic, row by row, and a zero gradient on unmasked rows.
+    """
+    a = as_tensor(logits)
+    rows = [np.flatnonzero(m) for m in mask]
+    picks = [target_ids[b, r] for b, r in enumerate(rows)]
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    out = np.array([-logp[b, r, t].mean() for b, (r, t) in enumerate(zip(rows, picks))])
+
+    def bw(g):
+        gl = np.zeros_like(a.data)
+        for b, (r, t) in enumerate(zip(rows, picks)):
+            gl[b, r, t] = np.asarray(-g[b]) / r.size
+        return (gl - np.exp(logp) * gl.sum(axis=-1, keepdims=True),)
 
     return _make(out, (a,), bw)
 
@@ -688,17 +743,92 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     return _make(out, (x, gain, bias), bw)
 
 
+def _dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
+    keep = 1.0 - p
+    return (rng.random(shape) < keep).astype(np.float64) / keep
+
+
 def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; call only in training mode with p > 0."""
     x = as_tensor(x)
-    keep = 1.0 - p
-    mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
+    mask = _dropout_mask(x.shape, p, rng)
     out = x.data * mask
 
     def bw(g):
         return (g * mask,)
 
     return _make(out, (x,), bw)
+
+
+def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """[B, n, d] -> a contiguous [B, heads, n, d // heads] copy."""
+    B, n, d = x.shape
+    return x.reshape(B, n, heads, d // heads).transpose(0, 2, 1, 3).copy()
+
+
+def attention_core(q, k, v, heads: int, mask=None, dropout_p: float = 0.0,
+                   rng: np.random.Generator | None = None) -> Tensor:
+    """Multi-head softmax(q kᵀ / √dh + mask) · v as one node.
+
+    q is [B, n, d]. k and v are [B, m, d], or already split into heads as
+    [B, heads, m, dh] (the rows a KVCache holds). `mask` is an additive
+    array that broadcasts to [B, heads, n, m], or None. With dropout_p > 0
+    the probabilities get inverted dropout from `rng`. Returns [B, n, d]
+    with the heads merged back.
+
+    The forward runs the numpy operations of the composed ops (head split
+    with contiguous copies, contiguous kᵀ, scale, mask, stable softmax,
+    dropout drawn after it in the probabilities' shape, P·V, head merge) in
+    their order, so its bytes and the dropout rng stream match theirs. The
+    backward is the standard hand-written one (Dao et al., FlashAttention,
+    arXiv 2205.14135): with O = P·V, the softmax correction term
+    rowsum(dP ∘ P) equals rowsum(dO ∘ O), with or without dropout.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 3 or k.ndim not in (3, 4) or v.shape != k.shape:
+        raise DimensionError(f"attention_core shapes: q {q.shape}, k {k.shape}, "
+                             f"v {v.shape}")
+    B, n, d = q.shape
+    if d % heads != 0:
+        raise DimensionError(f"attention_core: width {d} not divisible by {heads} heads")
+    dh = d // heads
+    split_kv = k.ndim == 3
+    qh = split_heads(q.data, heads)
+    kh = split_heads(k.data, heads) if split_kv else k.data
+    vh = split_heads(v.data, heads) if split_kv else v.data
+    if kh.shape[:2] != (B, heads) or kh.shape[3] != dh:
+        raise DimensionError(f"attention_core: k {k.shape} does not match q {q.shape} "
+                             f"with {heads} heads")
+    scale = 1.0 / np.sqrt(dh)
+    scores = (qh @ kh.transpose(0, 1, 3, 2).copy()) * scale
+    if mask is not None:
+        scores = scores + mask
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    drop = _dropout_mask(probs.shape, dropout_p, rng) if dropout_p > 0.0 else None
+    kept = probs if drop is None else probs * drop
+    attn = kept @ vh
+    out = attn.transpose(0, 2, 1, 3).copy().reshape(B, n, d)
+
+    def merge(t):
+        return t.transpose(0, 2, 1, 3).reshape(B, t.shape[2], d)
+
+    def bw(g):
+        ga = split_heads(g, heads)
+        gv = np.swapaxes(kept, -1, -2) @ ga
+        gp = ga @ np.swapaxes(vh, -1, -2)
+        if drop is not None:
+            gp = gp * drop
+        rowdot = (ga * attn).sum(axis=-1, keepdims=True)
+        gs = probs * (gp - rowdot) * scale
+        gq = gs @ kh
+        gk = np.swapaxes(gs, -1, -2) @ qh
+        if split_kv:
+            return merge(gq), merge(gk), merge(gv)
+        return merge(gq), gk, gv
+
+    return _make(out, (q, k, v), bw)
 
 
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:

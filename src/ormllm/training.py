@@ -10,8 +10,9 @@ lm_loss + lambda_clip * InfoNCE. All shuffling and dropout derive from the
 config seed, so loss logs are bit-reproducible.
 
 In both stages the LM runs once per task group of a batch (QA, SGG), each
-group padded only to its own longest record, and the per-record losses are
-put back in batch order before they are averaged.
+group padded only to its own longest record. Each group's answer loss is one
+answer_loss node that gives its records' losses; they are put back in batch
+order before they are averaged.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     weight_decay: float = 0.01
-    dropout: float = 0.1
+    dropout: float = 0.0
     lambda_clip: float = 0.1
     tau: float = 0.07
     seed: int = 0
@@ -316,32 +317,56 @@ def _pad_stack(seqs: list[Tensor],
     return T.stack(padded, axis=0), np.stack(pos_rows)
 
 
+def _in_batch_order(parts: list[Tensor], order: list[int]) -> Tensor:
+    """Joins per-group results along axis 0 and puts their rows back in
+    batch order; `order` lists the batch index of each joined row."""
+    joined = parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
+    if order == sorted(order):
+        return joined
+    where = np.argsort(order)
+    if joined.ndim == 1:
+        return T.take_flat(joined, where)
+    return T.gather_rows(joined, where)
+
+
 def _lm_by_task(model: Model, records: list[TrainRecord], seqs: list[Tensor],
-                positions: list[np.ndarray], ctx: ExecContext,
-                return_hidden: bool = False):
+                positions: list[np.ndarray],
+                metas: list[tuple[np.ndarray, np.ndarray]], ctx: ExecContext,
+                text_rows: list[int] | None = None):
     """Runs the LM once per task present in the batch, each call padded to
     the longest record of its own task: QA records are short and SGG records
     long, so one call over the whole batch would pad every QA record to the
     SGG length. Groups run in order of first appearance; a one-task batch
     makes exactly one call over the whole batch.
 
-    Returns, in batch order, each record's [S_i, V] logits and, with
-    return_hidden, its [S_i, d] hidden rows (otherwise None per record)."""
-    logits: list[Tensor | None] = [None] * len(records)
-    hidden: list[Tensor | None] = [None] * len(records)
+    Each group's answer loss is one answer_loss call on its padded logits,
+    with each record's targets and mask (from `metas`) padded alike.
+    Returns the [B] per-record losses in batch order and, with `text_rows`
+    (one row index per record), the [B, d] hidden rows at those indices,
+    also in batch order; otherwise None."""
+    order, losses, feats = [], [], []
     for task in dict.fromkeys(rec.task for rec in records):
         group = [i for i, rec in enumerate(records) if rec.task == task]
         tokens, pos = _pad_stack([seqs[i] for i in group],
                                  [positions[i] for i in group])
         out = lm_forward(tokens, model.params, model.cfg.fusion, ctx,
-                         return_hidden=return_hidden, positions=pos)
-        group_logits, group_hidden = out if return_hidden else (out, None)
+                         return_hidden=text_rows is not None, positions=pos)
+        logits, hidden = out if text_rows is not None else (out, None)
+        G, S = tokens.shape[:2]
+        targets = np.zeros((G, S), dtype=np.int64)
+        mask = np.zeros((G, S), dtype=bool)
         for j, i in enumerate(group):
-            rows = (j, slice(0, seqs[i].shape[0]))
-            logits[i] = T.slice_(group_logits, rows)
-            if return_hidden:
-                hidden[i] = T.slice_(group_hidden, rows)
-    return logits, hidden
+            rec_targets, rec_mask = metas[i]
+            targets[j, : len(rec_targets)] = rec_targets
+            mask[j, : len(rec_mask)] = rec_mask
+        losses.append(answer_loss(logits, targets, mask))
+        if text_rows is not None:
+            d = hidden.shape[2]
+            rows = np.array([j * S + text_rows[i] for j, i in enumerate(group)])
+            feats.append(T.take_flat(hidden, rows[:, None] * d + np.arange(d)))
+        order += group
+    return (_in_batch_order(losses, order),
+            _in_batch_order(feats, order) if feats else None)
 
 
 def _answer_targets(prompt_len: int, answer_ids: list[int],
@@ -370,10 +395,8 @@ def _batch_stage1(model: Model, records: list[TrainRecord],
         seqs.append(seq.tokens)
         poss.append(seq.positions)
         metas.append(_answer_targets(len(rec.prompt_ids), rec.answer_ids, 0))
-    logits, _ = _lm_by_task(model, records, seqs, poss, ctx)
-    losses = [answer_loss(rec_logits, targets, mask)
-              for rec_logits, (targets, mask) in zip(logits, metas)]
-    return T.mean(T.stack(losses, axis=0))
+    losses, _ = _lm_by_task(model, records, seqs, poss, metas, ctx)
+    return T.mean(losses)
 
 
 def _batch_stage2(model: Model, data: TrainData, records: list[TrainRecord],
@@ -391,16 +414,10 @@ def _batch_stage2(model: Model, data: TrainData, records: list[TrainRecord],
                                      n_modality))
         v_feats.append(model.contrastive_features(bundle))
         prompt_starts.append(n_modality)
-    logits, hidden = _lm_by_task(model, records, seqs, poss, ctx,
-                                 return_hidden=True)
-    losses = [answer_loss(rec_logits, targets, mask)
-              for rec_logits, (targets, mask) in zip(logits, metas)]
-    t_feats = [T.slice_(rec_hidden, start)
-               for rec_hidden, start in zip(hidden, prompt_starts)]
-    lm = T.mean(T.stack(losses, axis=0))
-    contrast = contrastive_loss(T.stack(v_feats, axis=0),
-                                T.stack(t_feats, axis=0), cfg.tau)
-    return lm, contrast
+    losses, t_feats = _lm_by_task(model, records, seqs, poss, metas, ctx,
+                                  text_rows=prompt_starts)
+    contrast = contrastive_loss(T.stack(v_feats, axis=0), t_feats, cfg.tau)
+    return T.mean(losses), contrast
 
 
 def _vfm_batch_loss(model: Model, samples: list[Sample],

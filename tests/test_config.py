@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import pytest
 
-from ormllm.config import RunConfig
+from ormllm.config import DEFAULTS, RunConfig
 from ormllm.errors import ConfigurationError
+from ormllm.training import TrainConfig
 
 
 def write(tmp_path, text):
@@ -30,3 +33,12 @@ def test_value_of_wrong_type_is_configuration_error(tmp_path, line):
 def test_override_of_wrong_type_is_configuration_error():
     with pytest.raises(ConfigurationError, match="seed"):
         RunConfig.resolve(overrides={"seed": True})
+
+
+def test_train_config_defaults_equal_config_keys():
+    # One default per setting: a Python caller that builds TrainConfig()
+    # trains as `ormllm train` does with no config file.
+    shared = [f.name for f in fields(TrainConfig) if f"train.{f.name}" in DEFAULTS]
+    assert "dropout" in shared
+    cfg = TrainConfig()
+    assert {n: getattr(cfg, n) for n in shared} == {n: DEFAULTS[f"train.{n}"] for n in shared}

@@ -5,13 +5,17 @@ import pytest
 
 from ormllm import tensor as T
 from ormllm.errors import ConfigurationError, ContractError, DimensionError
+from ormllm.gradcheck import finite_diff_grad_check
 from ormllm.nn import (
+    EVAL_CTX,
     ExecContext,
     KVCache,
     ModelParams,
+    _causal_mask,
     attention_block_forward,
     init_attention_block,
     init_mlp,
+    layer_norm,
     mlp_forward,
 )
 from ormllm.tensor import Tensor
@@ -195,3 +199,165 @@ def test_cache_under_grad_recording_is_a_contract_error():
     with pytest.raises(ContractError, match="inference-only"):
         attention_block_forward(x, params, "blk", heads=2, causal=True,
                                 cache=KVCache())
+
+
+# ---------------------------------------------------------------------------
+# the one-node attention core against the block composed of tape primitives
+# ---------------------------------------------------------------------------
+
+
+def composed_linear(x, params, prefix):
+    out = T.matmul(x, params[f"{prefix}.w"])
+    if f"{prefix}.b" in params:
+        out = out + params[f"{prefix}.b"]
+    return out
+
+
+def composed_mlp(x, params, prefix, ctx):
+    h = T.gelu(composed_linear(x, params, f"{prefix}.fc1"))
+    return ctx.drop(composed_linear(h, params, f"{prefix}.fc2"))
+
+
+def composed_block(x, params, prefix, heads, causal, ctx=EVAL_CTX, cache=None):
+    """Oracle: the attention block as it was built from tape primitives
+    before its core became one node (head split, kᵀ, QKᵀ, scale, mask,
+    softmax, dropout, P·V and head merge each a node; linear = matmul + add)."""
+    squeeze = x.ndim == 2
+    if squeeze:
+        x = T.reshape(x, (1,) + x.shape)
+    B, n, d = x.shape
+    dh = d // heads
+    h = layer_norm(x, params, f"{prefix}.ln1")
+    q, k, v = (composed_linear(h, params, f"{prefix}.attn.{w}") for w in ("wq", "wk", "wv"))
+    split = lambda t: T.transpose(T.reshape(t, (B, n, heads, dh)), (0, 2, 1, 3))
+    q, k, v = split(q), split(k), split(v)
+    past = 0
+    if cache is not None:
+        k, v, past = cache.extend(prefix, k.data, v.data)
+        k, v = T.constant(k), T.constant(v)
+    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
+    if causal and n > 1:
+        scores = scores + T.constant(_causal_mask(n, past)[None, None])
+    probs = ctx.drop(T.softmax(scores, axis=-1))
+    attn = T.matmul(probs, v)
+    attn = T.reshape(T.transpose(attn, (0, 2, 1, 3)), (B, n, d))
+    x = x + composed_linear(attn, params, f"{prefix}.attn.wo")
+    x = x + composed_mlp(layer_norm(x, params, f"{prefix}.ln2"), params,
+                         f"{prefix}.mlp", ctx)
+    return T.reshape(x, (n, d)) if squeeze else x
+
+
+FORWARD_CASES = [  # (input shape, causal)
+    ((6, 8), True),
+    ((6, 8), False),
+    ((3, 7, 8), True),
+    ((3, 7, 8), False),
+    ((1, 1, 8), True),
+]
+
+
+@pytest.mark.parametrize("shape,causal", FORWARD_CASES)
+def test_attention_node_forward_bytes_match_composed(shape, causal):
+    params = make_block()
+    x = Tensor(np.random.default_rng(11).normal(size=shape))
+    got = attention_block_forward(x, params, "blk", heads=2, causal=causal)
+    want = composed_block(x, params, "blk", heads=2, causal=causal)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("chunks", [[5, 1, 1], [2, 3, 1], [1, 1, 1, 1]])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_attention_node_cached_chunks_bytes_match_composed(chunks, batch):
+    params = make_block()
+    x = np.random.default_rng(12).normal(size=(batch, sum(chunks), 8))
+    got_cache, want_cache = KVCache(), KVCache()
+    start = 0
+    with T.no_grad():
+        for n in chunks:
+            rows = Tensor(x[:, start:start + n])
+            got = attention_block_forward(rows, params, "blk", heads=2, causal=True,
+                                          cache=got_cache)
+            want = composed_block(rows, params, "blk", heads=2, causal=True,
+                                  cache=want_cache)
+            assert got.data.tobytes() == want.data.tobytes(), start
+            start += n
+    for a, b in zip(got_cache.kv["blk"], want_cache.kv["blk"]):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("causal", [True, False])
+def test_attention_node_dropout_bytes_and_rng_stream_match_composed(causal):
+    params = make_block()
+    x = Tensor(np.random.default_rng(13).normal(size=(2, 5, 8)))
+    got_ctx = ExecContext(train=True, dropout=0.5, rng=np.random.default_rng(14))
+    want_ctx = ExecContext(train=True, dropout=0.5, rng=np.random.default_rng(14))
+    got = attention_block_forward(x, params, "blk", heads=2, causal=causal, ctx=got_ctx)
+    want = composed_block(x, params, "blk", heads=2, causal=causal, ctx=want_ctx)
+    assert got.data.tobytes() == want.data.tobytes()
+    assert got_ctx.rng.random() == want_ctx.rng.random()
+
+
+def block_grads(forward, params, x0, w, ctx_seed=None):
+    x = Tensor(x0, requires_grad=True)
+    ctx = EVAL_CTX
+    if ctx_seed is not None:
+        ctx = ExecContext(train=True, dropout=0.5, rng=np.random.default_rng(ctx_seed))
+    params.zero_grads()
+    T.backward(T.sum_(forward(x, ctx) * T.constant(w)), params.tensors())
+    return x.grad, {name: params[name].grad.copy() for name in params.names()}
+
+
+@pytest.mark.parametrize("shape,causal,dropout_seed", [
+    ((6, 8), True, None),
+    ((3, 7, 8), True, None),
+    ((3, 7, 8), False, None),
+    ((2, 5, 8), True, 15),
+])
+def test_attention_node_gradients_match_composed(shape, causal, dropout_seed):
+    params = make_block()
+    rng = np.random.default_rng(16)
+    x0, w = rng.normal(size=shape), rng.normal(size=shape)
+    got = block_grads(lambda x, ctx: attention_block_forward(
+        x, params, "blk", heads=2, causal=causal, ctx=ctx), params, x0, w, dropout_seed)
+    want = block_grads(lambda x, ctx: composed_block(
+        x, params, "blk", heads=2, causal=causal, ctx=ctx), params, x0, w, dropout_seed)
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    assert got[1].keys() == want[1].keys()
+    for name in got[1]:
+        np.testing.assert_allclose(got[1][name], want[1][name], rtol=0, atol=1e-12,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("mask", [None, "causal"])
+def test_attention_core_gradcheck(mask):
+    # q, k and v as parameters of the node itself, so every input's
+    # gradient is checked, not only the block weights behind them.
+    params = ModelParams()
+    rng = np.random.default_rng(17)
+    for name in ("q", "k", "v"):
+        params.add(name, rng.normal(size=(2, 4, 6)))
+    w = rng.normal(size=(2, 4, 6))
+    additive = _causal_mask(4)[None, None] if mask else None
+    f = lambda: T.sum_(T.attention_core(params["q"], params["k"], params["v"], 3,
+                                        additive) * T.constant(w))
+    reports = finite_diff_grad_check(f, params, tol=1e-6)
+    assert all(r.passed for r in reports), [(r.name, r.max_rel_error) for r in reports]
+
+
+def test_attention_core_is_one_node_per_block():
+    params = make_block()
+    x = Tensor(np.random.default_rng(18).normal(size=(2, 5, 8)), requires_grad=True)
+    y = attention_block_forward(x, params, "blk", heads=2, causal=True)
+    kinds = [node.backward_fn.__qualname__.split(".")[0]
+             for node in T.ComputationTape(y).nodes]
+    assert kinds.count("attention_core") == 1
+    assert not {"softmax", "transpose", "matmul"} & set(kinds)
+
+
+@pytest.mark.parametrize("n,past", [(1, 0), (5, 0), (3, 4), (1, 7)])
+def test_causal_mask_blocks_exactly_the_later_columns(n, past):
+    m = _causal_mask(n, past)
+    assert m.shape == (n, past + n)
+    rows, cols = np.indices(m.shape)
+    assert (m[cols > past + rows] == -np.inf).all()
+    assert (m[cols <= past + rows] == 0.0).all()

@@ -10,6 +10,7 @@ import pytest
 
 from ormllm import tensor as T
 from ormllm.errors import ContractError, DimensionError
+from ormllm.nn import ModelParams, init_linear, linear
 from ormllm.tensor import Tensor
 
 
@@ -110,6 +111,53 @@ def test_matmul_grads_batched():
 def test_matmul_shape_error():
     with pytest.raises(DimensionError):
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+
+
+def affine_and_composed(x_shape, bias, d_out=5, seed=3):
+    """Output and gradients of T.affine and of matmul + add on one input."""
+    rng = np.random.default_rng(seed)
+    x0, w0, b0 = (rng.normal(size=x_shape), rng.normal(size=(x_shape[-1], d_out)),
+                  rng.normal(size=d_out))
+    weights = rng.normal(size=x_shape[:-1] + (d_out,))
+    results = []
+    for fused in (True, False):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
+        if fused:
+            out = T.affine(x, w, b if bias else None)
+        else:
+            out = T.matmul(x, w) + b if bias else T.matmul(x, w)
+        T.backward(T.sum_(out * T.constant(weights)))
+        results.append((out.data, x.grad, w.grad, b.grad if bias else None))
+    return results
+
+
+@pytest.mark.parametrize("x_shape", [(6, 4), (1, 4), (3, 7, 4), (2, 1, 4)])
+@pytest.mark.parametrize("bias", [True, False])
+def test_affine_matches_matmul_add(x_shape, bias):
+    (out, *grads), (want_out, *want_grads) = affine_and_composed(x_shape, bias)
+    assert out.shape == want_out.shape and out.tobytes() == want_out.tobytes()
+    for g, want in zip(grads, want_grads):
+        if want is None:
+            assert g is None
+        else:
+            np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
+
+
+def test_affine_is_one_node_and_checks_shapes():
+    x = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+    out = T.affine(x, Tensor(np.ones((4, 5))), Tensor(np.ones(5)))
+    assert len(T.ComputationTape(out).nodes) == 1
+    with pytest.raises(DimensionError):
+        T.affine(x, Tensor(np.ones((3, 5))))
+    with pytest.raises(DimensionError):
+        T.affine(Tensor(np.ones(4)), Tensor(np.ones((4, 5))))
+
+
+def test_linear_dimension_error_names_prefix():
+    params = ModelParams()
+    init_linear(params, "head.proj", 4, 2, np.random.default_rng(0))
+    with pytest.raises(DimensionError, match="head.proj"):
+        linear(Tensor(np.zeros((3, 5))), params, "head.proj")
 
 
 def test_reductions_and_reshape_grads():

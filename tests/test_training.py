@@ -4,7 +4,12 @@ import pytest
 from ormllm import tensor as T
 from ormllm import training
 from ormllm import vocab as V
-from ormllm.errors import ConfigurationError, ContractError, NumericError
+from ormllm.errors import (
+    ConfigurationError,
+    ContractError,
+    EmptyDomainError,
+    NumericError,
+)
 from ormllm.fusion import FusionConfig, answer_loss, lm_forward
 from ormllm.gradcheck import finite_diff_grad_check
 from ormllm.model import Model, ModelConfig
@@ -467,8 +472,22 @@ def lm_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def loss_calls(monkeypatch):
+    """Records the logits shape of every answer_loss call training makes."""
+    calls = []
+
+    def counting(logits, *args, **kwargs):
+        calls.append(logits.shape)
+        return answer_loss(logits, *args, **kwargs)
+
+    monkeypatch.setattr(training, "answer_loss", counting)
+    return calls
+
+
 @pytest.mark.parametrize("pattern", [MIXED, ("qa",) * 4, ("sgg",) * 2])
-def test_stage1_one_lm_call_per_task_and_rows(tiny_data, lm_calls, pattern):
+def test_stage1_one_lm_call_per_task_and_rows(tiny_data, lm_calls, loss_calls,
+                                              pattern):
     model = tiny_model(tiny_data)
     data = make_stage1_records(tiny_data.samples, tiny_data.vocab)
     batch = interleaved(data.records, pattern)
@@ -481,10 +500,12 @@ def test_stage1_one_lm_call_per_task_and_rows(tiny_data, lm_calls, pattern):
     assert len(lm_calls) == len(lengths)
     assert sum(b * s for b, s in lm_calls) == \
         sum(len(ls) * max(ls) for ls in lengths.values())
+    # One answer loss per task group, over that group's padded logits.
+    assert [shape[:2] for shape in loss_calls] == lm_calls
 
 
 @pytest.mark.parametrize("pattern", [MIXED, ("qa",) * 3])
-def test_stage2_one_lm_call_per_task(tiny_data, lm_calls, pattern):
+def test_stage2_one_lm_call_per_task(tiny_data, lm_calls, loss_calls, pattern):
     model = tiny_model(tiny_data)
     data = make_stage2_records(tiny_data.samples, tiny_data.vocab,
                                qa_per_sample=2, seed=3)
@@ -493,6 +514,56 @@ def test_stage2_one_lm_call_per_task(tiny_data, lm_calls, pattern):
         _batch_stage2(model, data, batch, TrainConfig(stage=2), EVAL_CTX)
     assert sorted(b for b, _ in lm_calls) == sorted(
         pattern.count(task) for task in set(pattern))
+    assert len(loss_calls) == len(set(pattern))
+    assert [shape[:2] for shape in loss_calls] == lm_calls
+
+
+def padded_answer_case(seed=20, lengths=(5, 9, 7), vocab=11):
+    """Per-record [S_b, V] logits, targets and masks, and the same records
+    zero-padded to one [B, S_max] grid."""
+    rng = np.random.default_rng(seed)
+    s_max = max(lengths)
+    logits = rng.normal(size=(len(lengths), s_max, vocab)) * 3.0
+    targets = np.zeros((len(lengths), s_max), dtype=np.int64)
+    mask = np.zeros((len(lengths), s_max), dtype=bool)
+    for b, n in enumerate(lengths):
+        targets[b, :n] = rng.integers(0, vocab, size=n)
+        mask[b, n // 2 : n] = True
+    return logits, targets, mask, lengths
+
+
+def test_batched_answer_loss_equals_stacked_2d_calls_bytes():
+    logits, targets, mask, lengths = padded_answer_case()
+    grads, values = [], []
+    for batched in (True, False):
+        x = Tensor(logits.copy(), requires_grad=True)
+        if batched:
+            per_record = answer_loss(x, targets, mask)
+        else:
+            per_record = T.stack([
+                answer_loss(T.slice_(x, (b, slice(0, n))), targets[b, :n], mask[b, :n])
+                for b, n in enumerate(lengths)], axis=0)
+        loss = T.mean(per_record)
+        T.backward(loss)
+        values.append((per_record.data.tobytes(), loss.data.tobytes()))
+        grads.append(x.grad)
+    assert values[0] == values[1]
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_batched_answer_loss_rejects_mismatched_shapes():
+    logits, targets, mask, _ = padded_answer_case()
+    x = Tensor(logits)
+    with pytest.raises(ContractError, match="target_ids"):
+        answer_loss(x, targets[:, :-1], mask)
+    with pytest.raises(ContractError, match="answer_mask"):
+        answer_loss(x, targets, mask[:2])
+    with pytest.raises(ContractError):
+        answer_loss(x, targets[0], mask[0])
+    empty = mask.copy()
+    empty[1] = False
+    with pytest.raises(EmptyDomainError):
+        answer_loss(x, targets, empty)
 
 
 @pytest.mark.parametrize("field,value", [
