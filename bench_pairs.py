@@ -12,6 +12,10 @@ count for neither side) and the relative change of the medians. With
 listed seed; each side's per-layer metrics are recorded run by run and as
 medians. The workload's entry is merged into --out, so one file can hold
 every workload of a change.
+
+The entry records each checkout's `git rev-parse HEAD` and whether its tree
+was dirty, and counts each side's runs that reported `correct: false`; the
+script exits 1 when there are any, since their metrics entered the medians.
 """
 
 from __future__ import annotations
@@ -34,6 +38,20 @@ def parse_seeds(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds += list(range(int(lo), int(hi or lo) + 1))
     return seeds
+
+
+def checkout_state(checkout: str) -> dict:
+    """The commit a checkout is at and whether its tree differs from it;
+    head is None when the directory is not a git checkout."""
+    def git(*args):
+        return subprocess.run(["git", "-C", checkout, *args], capture_output=True,
+                              text=True)
+
+    head = git("rev-parse", "HEAD")
+    if head.returncode != 0:
+        return {"head": None, "dirty": None}
+    return {"head": head.stdout.strip(),
+            "dirty": bool(git("status", "--porcelain").stdout.strip())}
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float,
@@ -97,6 +115,11 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def incorrect_runs(pairs: list[dict]) -> dict[str, int]:
+    """How many of each side's runs reported `correct: false`."""
+    return {s: sum(not p[f"{s}_outcome"]["correct"] for p in pairs) for s in SIDES}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
@@ -113,6 +136,7 @@ def main(argv=None) -> int:
     seeds = parse_seeds(args.seeds)
     pairs, info = run_pairs(checkouts, args.workload, seeds, args.seconds, False)
     entry = {
+        "checkouts": {side: checkout_state(path) for side, path in checkouts.items()},
         "command": f"python3 perfbench/run.py --workload {args.workload} "
                    f"--seed N --seconds {args.seconds:g} --trace 0",
         "seeds": seeds,
@@ -121,20 +145,27 @@ def main(argv=None) -> int:
         "blas_threads": info["blas_threads"],
         "versions": {k: info[k] for k in ("python", "numpy", "scipy", "blas")},
         "summary": summarize(pairs, end_to_end),
+        "incorrect_runs": incorrect_runs(pairs),
         "pairs": pairs,
     }
+    traced = []
     if args.trace_seeds:
         traced, _ = run_pairs(checkouts, args.workload, parse_seeds(args.trace_seeds),
                               args.seconds, True)
         entry["traced"] = {
             "median": {side: {name: float(np.median([p[side][name] for p in traced]))
                               for name in traced[0][side]} for side in SIDES},
+            "incorrect_runs": incorrect_runs(traced),
             "pairs": traced,
         }
     out = Path(args.out)
     bench = json.loads(out.read_text()) if out.exists() else {}
     bench.setdefault("workloads", {})[args.workload] = entry
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    bad = incorrect_runs(pairs + traced)
+    if any(bad.values()):
+        print(f"{args.workload}: runs with correct: false: {bad}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -97,6 +97,9 @@ def cmd_gen_data(args) -> int:
         print(f"gen-data: {args.out} exists (use --force to overwrite)",
               file=sys.stderr)
         return EXIT_USAGE
+    # The image size must fit a model built from this config; the vocabulary
+    # size is not known yet and plays no part in that check.
+    ModelConfig(spatial=run.spatial(), fusion=run.fusion(0))
     bundle = build_dataset(int(run["seed"]), int(run["data.scenes"]),
                            int(run["data.views"]), int(run["data.image_size"]))
     write_dataset(bundle, args.out, extra_meta=_echo_comment_lines(run))

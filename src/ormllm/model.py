@@ -137,7 +137,10 @@ class Model:
         """Modality tokens for several samples, slot by slot as the variant's
         row says. The encoder and the depth and seg heads run once over the
         batch, and so does every projection head; only the masked means of
-        region pooling and the point-cloud encoding loop over samples."""
+        region pooling and the point-cloud encoding loop over samples. The
+        depth and seg heads run without recording: their outputs enter the
+        tokens only as data, and they train through the supervision losses
+        of the VFM phase."""
         spec = variant_spec(self.cfg.variant)
         fcfg = self.cfg.fusion
         B = len(samples)
@@ -153,10 +156,13 @@ class Model:
         depth = maps = None
         if spec.spatial:
             cell_tokens, grid = self.spatial_grid(rgb, ctx)
-            if spec.needs_depth:
-                depth = self.predict_depth(grid, ctx)
-            if spec.needs_seg:
-                _, maps = self.predict_seg(grid, ctx)
+            # The head outputs leave the graph as data, so recording them
+            # would only keep their tapes alive.
+            with T.no_grad():
+                if spec.needs_depth:
+                    depth = self.predict_depth(grid, ctx)
+                if spec.needs_seg:
+                    _, maps = self.predict_seg(grid, ctx)
 
         if spec.image == "early":
             # Recolored predicted classes over RGB, predicted depth as a

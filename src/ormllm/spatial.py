@@ -6,6 +6,11 @@ segmentation decoder producing per-pixel class logits, and region pooling
 over the predicted class map. A separate shared-MLP point encoder turns a
 back-projected cloud into one permutation-invariant global feature.
 
+Both decoders apply their 1x1 (per-pixel affine) maps to the encoder grid
+before upsampling, not after: each row of the bilinear upsampling operator
+sums to 1, so the two orders agree up to rounding, and the grid has
+4**depth_decoder_stages times fewer pixels than the output.
+
 Images are [H, W, 3] (or [B, H, W, 3]) float64 in [0, 1]. Class ids are
 1-based; id 1 doubles as the background for pixels with no geometry.
 """
@@ -192,15 +197,22 @@ def conv1x1(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
 
 def depth_head_forward(grid: Tensor, params: ModelParams, cfg: SpatialBlockConfig,
                        ctx: ExecContext = EVAL_CTX) -> Tensor:
-    """Upsampling decoder over encoder features; returns depth [B, H, W] > 0."""
+    """Upsampling decoder over encoder features; returns depth [B, H, W] > 0.
+
+    Stage s adds a 1x1 skip map of the encoder grid, upsampled s + 1 times.
+    The map runs at grid resolution, before the upsampling, because a
+    per-pixel affine map commutes with bilinear_up2 (its interpolation
+    weights sum to 1): the result is that of upsampling first, up to
+    rounding, at 1/4**(s+1) of the 1x1 cost."""
     g = grid
-    skip_src = grid
     for s in range(cfg.depth_decoder_stages):
-        skip_src = T.bilinear_up2(skip_src)
+        skip = conv1x1(grid, params, f"spatial.depth.stage{s}.skip")
+        for _ in range(s + 1):
+            skip = T.bilinear_up2(skip)
         g = T.conv3x3(T.bilinear_up2(g),
                       params[f"spatial.depth.stage{s}.conv.w"],
                       params[f"spatial.depth.stage{s}.conv.b"])
-        g = T.gelu(g + conv1x1(skip_src, params, f"spatial.depth.stage{s}.skip"))
+        g = T.gelu(g + skip)
     out = conv1x1(g, params, "spatial.depth.head")
     B, _, H, W = out.shape
     return T.softplus(T.reshape(out, (B, H, W)))
@@ -217,13 +229,18 @@ def depth_forward(image, params: ModelParams, cfg: SpatialBlockConfig,
 
 def seg_head_forward(grid: Tensor, params: ModelParams, cfg: SpatialBlockConfig,
                      ctx: ExecContext = EVAL_CTX) -> Tensor:
-    """Per-pixel class logits [B, K, H, W] from encoder features."""
-    g = grid
+    """Per-pixel class logits [B, K, H, W] from encoder features.
+
+    The per-pixel MLP "spatial.seg.pixel" splits around the upsampling: fc1
+    is affine, so it commutes with bilinear_up2 and runs on the encoder
+    grid; gelu, fc2 and the dropout run at full resolution. The logits are
+    those of the MLP over upsampled features, up to rounding."""
+    g = conv1x1(grid, params, "spatial.seg.pixel.fc1")
     for _ in range(cfg.depth_decoder_stages):
         g = T.bilinear_up2(g)
     B, C, H, W = g.shape
-    flat = T.reshape(T.transpose(g, (0, 2, 3, 1)), (B, H * W, C))
-    logits = mlp_forward(flat, params, "spatial.seg.pixel", ctx)
+    flat = T.gelu(T.reshape(T.transpose(g, (0, 2, 3, 1)), (B, H * W, C)))
+    logits = ctx.drop(linear(flat, params, "spatial.seg.pixel.fc2"))
     return T.transpose(T.reshape(logits, (B, H, W, cfg.seg_classes)), (0, 3, 1, 2))
 
 

@@ -1,0 +1,80 @@
+"""The pure parts of bench_pairs.py: seed lists and the pair summary."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+           {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+
+def pair(parent, change, correct=(True, True)):
+    keys = ("ops_per_s", "peak_rss_mb")
+    return {"parent": dict(zip(keys, parent)), "change": dict(zip(keys, change)),
+            "parent_outcome": {"correct": correct[0]},
+            "change_outcome": {"correct": correct[1]}}
+
+
+@pytest.mark.parametrize("text,seeds", [
+    ("7", [7]),
+    ("301-304", [301, 302, 303, 304]),
+    ("1,4,9", [1, 4, 9]),
+    ("104,104,104", [104, 104, 104]),
+    ("1-3,10,12-13", [1, 2, 3, 10, 12, 13]),
+])
+def test_parse_seeds(text, seeds):
+    assert bench_pairs.parse_seeds(text) == seeds
+
+
+def test_summarize_wins_ties_and_lower_is_better():
+    pairs = [pair((4.0, 200.0), (5.0, 190.0)),   # change wins both
+             pair((4.0, 200.0), (4.0, 200.0)),   # ties count for neither side
+             pair((5.0, 180.0), (4.5, 210.0)),   # parent wins both
+             pair((4.0, 220.0), (6.0, 230.0))]   # ops won, rss lost
+    out = bench_pairs.summarize(pairs, METRICS)
+    ops, rss = out["ops_per_s"], out["peak_rss_mb"]
+    assert ops["change_wins"] == 2 and rss["change_wins"] == 1
+    assert ops["pairs"] == rss["pairs"] == 4
+    assert ops["parent"]["median"] == 4.0 and ops["change"]["median"] == 4.75
+    assert ops["median_change_rel"] == pytest.approx(0.1875)
+    assert rss["parent"]["median"] == 200.0 and rss["change"]["median"] == 205.0
+    assert rss["median_change_rel"] == pytest.approx(0.025)
+    assert (ops["parent"]["q1"], ops["parent"]["q3"]) == (4.0, 4.25)
+    assert (ops["better"], ops["bound"]) == ("higher", 0.25)
+    assert (rss["better"], rss["bound"]) == ("lower", 0.1)
+
+
+def test_incorrect_runs_counted_per_side():
+    pairs = [pair((4.0, 200.0), (5.0, 190.0)),
+             pair((4.0, 200.0), (5.0, 190.0), correct=(True, False)),
+             pair((4.0, 200.0), (5.0, 190.0), correct=(False, False))]
+    assert bench_pairs.incorrect_runs(pairs) == {"parent": 1, "change": 2}
+    assert bench_pairs.incorrect_runs(pairs[:1]) == {"parent": 0, "change": 0}
+
+
+def test_main_records_checkouts_and_fails_on_incorrect_runs(tmp_path, monkeypatch):
+    names = [m["name"] for m in bench_pairs.json.loads(
+        (bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def fake_run_once(checkout, workload, seed, seconds, trace):
+        return {"correct": not (checkout.endswith("change") and seed == 2),
+                "attempted": 3, "failed": 0,
+                "metrics": {name: {"value": 1.0} for name in names},
+                "info": [{"sizes": {}, "nproc": 2, "blas_threads": 1,
+                          "python": "3", "numpy": "2", "scipy": "1", "blas": "x"}]}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "bench.json"
+    args = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "w", "--out", str(out)]
+    assert bench_pairs.main(args + ["--seeds", "1"]) == 0
+    assert bench_pairs.main(args + ["--seeds", "1-2"]) == 1
+    entry = bench_pairs.json.loads(out.read_text())["workloads"]["w"]
+    assert entry["incorrect_runs"] == {"parent": 0, "change": 1}
+    assert entry["checkouts"]["parent"] == {"head": None, "dirty": None}

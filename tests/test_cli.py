@@ -68,6 +68,16 @@ def test_gen_data_zero_scenes_usage_error(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("size", [30, 12])
+def test_gen_data_image_size_no_model_takes_usage_error(tmp_path, size):
+    # 30 is not a multiple of the encoder patch (4); 12 is, but not of the
+    # default image patch (8).
+    out = tmp_path / "x"
+    assert main(["gen-data", "--seed", "1", "--scenes", "1", "--views", "1",
+                 "--image-size", str(size), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_split_counts(workspace):
     root, cfg, data = workspace
     split = open(os.path.join(data, "split")).read().splitlines()

@@ -109,6 +109,52 @@ def test_batched_bundles_match_single(bundle):
                 assert single.seg_toks.shape[0] == len(single.seg_class_ids)
 
 
+def test_heads_run_off_the_tape(bundle, monkeypatch):
+    """Under grad, modality_tokens_batch records no decoder node, and the
+    encoder's gradients through the region and point tokens are the bytes
+    they are when the heads do record."""
+    samples = bundle.samples[:3]
+    model = Model.build(model_cfg("full", len(bundle.vocab)), seed=6)
+    recorded = []
+
+    def spy(op):
+        def wrapped(*args, **kwargs):
+            out = op(*args, **kwargs)
+            recorded.append(out.node is not None)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(T, "conv3x3", spy(T.conv3x3))
+    monkeypatch.setattr(T, "bilinear_up2", spy(T.bilinear_up2))
+
+    def encoder_grads():
+        model.params.zero_grads()
+        bundles = model.modality_tokens_batch(samples)
+        loss = T.sum_(T.concat([T.sum_(b.seg_toks * b.seg_toks, axis=0)
+                                for b in bundles] +
+                               [T.sum_(b.pc_toks, axis=0) for b in bundles], axis=0))
+        T.backward(loss)
+        return {n: t.grad.tobytes() for n, t in model.params.items()
+                if n.startswith("spatial.encoder") and t.grad is not None}
+
+    off_tape = encoder_grads()
+    assert recorded and not any(recorded)
+    assert off_tape  # the region tokens do reach the encoder
+
+    class recording:  # stands in for no_grad: the heads record again
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    recorded.clear()
+    monkeypatch.setattr(T, "no_grad", recording)
+    on_tape = encoder_grads()
+    assert recorded and all(recorded)
+    assert on_tape == off_tape
+
+
 def test_modality_tokens_deterministic(bundle):
     model = Model.build(model_cfg("full", len(bundle.vocab)), seed=4)
     s = bundle.samples[1]

@@ -11,12 +11,14 @@ from ormllm.errors import (
 )
 from ormllm.gradcheck import finite_diff_grad_check
 from ormllm.geometry import PointCloud
-from ormllm.nn import ModelParams
+from ormllm.nn import ExecContext, ModelParams, mlp_forward
 from ormllm.spatial import (
     PanopticMap,
     SpatialBlockConfig,
     build_spatial_params,
+    conv1x1,
     depth_forward,
+    depth_head_forward,
     depth_loss,
     downsample_map,
     encode_point_cloud,
@@ -27,6 +29,7 @@ from ormllm.spatial import (
     seg_loss,
     tokens_to_grid,
 )
+from ormllm.tensor import Tensor
 
 TINY = SpatialBlockConfig(
     image_size=8, encoder_blocks=1, encoder_dim=8, encoder_heads=2,
@@ -146,6 +149,96 @@ def test_depth_loss_gradcheck_through_network():
                                      names=[n for n in params.names() if "pc" not in n and "seg" not in n and "region" not in n])
     bad = [(r.name, r.max_rel_error) for r in reports if not r.passed]
     assert not bad, bad
+
+
+# --- decoder oracles: 1x1 maps after upsampling -----------------------------
+
+TWO_STAGE = SpatialBlockConfig(
+    image_size=16, encoder_blocks=1, encoder_dim=8, encoder_heads=2,
+    encoder_patch=4, depth_decoder_stages=2, seg_classes=5,
+    pc_hidden=6, pc_feature_dim=5,
+)
+
+
+def upsample_first_depth(grid, params, cfg):
+    """The depth decoder with every 1x1 skip map applied after upsampling."""
+    g, skip_src = grid, grid
+    for s in range(cfg.depth_decoder_stages):
+        skip_src = T.bilinear_up2(skip_src)
+        g = T.conv3x3(T.bilinear_up2(g), params[f"spatial.depth.stage{s}.conv.w"],
+                      params[f"spatial.depth.stage{s}.conv.b"])
+        g = T.gelu(g + conv1x1(skip_src, params, f"spatial.depth.stage{s}.skip"))
+    out = conv1x1(g, params, "spatial.depth.head")
+    B, _, H, W = out.shape
+    return T.softplus(T.reshape(out, (B, H, W)))
+
+
+def upsample_first_seg(grid, params, cfg, ctx):
+    """The seg head as the per-pixel MLP over upsampled features."""
+    g = grid
+    for _ in range(cfg.depth_decoder_stages):
+        g = T.bilinear_up2(g)
+    B, C, H, W = g.shape
+    flat = T.reshape(T.transpose(g, (0, 2, 3, 1)), (B, H * W, C))
+    logits = mlp_forward(flat, params, "spatial.seg.pixel", ctx)
+    return T.transpose(T.reshape(logits, (B, H, W, cfg.seg_classes)), (0, 3, 1, 2))
+
+
+def two_stage_grid(seed):
+    params = ModelParams()
+    build_spatial_params(params, TWO_STAGE, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for name in params.names():  # nonzero biases, so they are tested too
+        if name.endswith(".b"):
+            params[name].data = rng.normal(size=params[name].shape)
+    grid = Tensor(rng.normal(size=(2, 8, 4, 4)), requires_grad=True)
+    return params, grid
+
+
+def run_head(head, params, grid, weights):
+    params.zero_grads()
+    grid.grad = None
+    out = head()
+    T.backward(T.sum_(out * T.constant(weights)))
+    grads = [grid.grad.copy()] + [t.grad.copy() for t in params.tensors()
+                                  if t.grad is not None]
+    return out.data, grads
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= rel * scale, np.abs(got - want).max() / scale
+
+
+def test_depth_head_matches_upsample_first_composition():
+    params, grid = two_stage_grid(20)
+    weights = np.random.default_rng(3).normal(size=(2, 16, 16))
+    got = run_head(lambda: depth_head_forward(grid, params, TWO_STAGE), params, grid,
+                   weights)
+    want = run_head(lambda: upsample_first_depth(grid, params, TWO_STAGE), params,
+                    grid, weights)
+    assert_rel_close(got[0], want[0])
+    assert len(got[1]) == len(want[1])
+    for a, b in zip(got[1], want[1]):
+        assert_rel_close(a, b)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_seg_head_matches_upsample_first_composition(dropout):
+    params, grid = two_stage_grid(21)
+    weights = np.random.default_rng(4).normal(size=(2, 5, 16, 16))
+
+    def ctx():  # the same rng stream for both heads
+        return ExecContext(train=True, dropout=dropout, rng=np.random.default_rng(9))
+
+    got = run_head(lambda: seg_head_forward(grid, params, TWO_STAGE, ctx()), params,
+                   grid, weights)
+    want = run_head(lambda: upsample_first_seg(grid, params, TWO_STAGE, ctx()),
+                    params, grid, weights)
+    assert_rel_close(got[0], want[0])
+    assert len(got[1]) == len(want[1])
+    for a, b in zip(got[1], want[1]):
+        assert_rel_close(a, b)
 
 
 # --- segmentation ------------------------------------------------------------

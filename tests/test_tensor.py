@@ -10,6 +10,7 @@ import pytest
 
 from ormllm import tensor as T
 from ormllm.errors import ContractError, DimensionError
+from ormllm.gradcheck import finite_diff_grad_check
 from ormllm.nn import ModelParams, init_linear, linear
 from ormllm.tensor import Tensor
 
@@ -288,6 +289,117 @@ def test_bilinear_up2_matches_manual_and_grads():
         return float((m * w).sum())
 
     np.testing.assert_allclose(t.grad, numeric_grad(ref, x.copy()), rtol=1e-6, atol=1e-9)
+
+
+def conv3x3_tensordot(x, w, b, g):
+    """The nine-tensordot convolution that conv3x3 replaced: forward output
+    and the gradients of x, w and b for the output adjoint g."""
+    B, C, H, W = x.shape
+    O = w.shape[0]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    acc = np.zeros((B, H, W, O))
+    for di in range(3):
+        for dj in range(3):
+            patch = xp[:, :, di : di + H, dj : dj + W]
+            acc += np.tensordot(patch, w[:, :, di, dj], axes=([1], [1]))
+    out = acc.transpose(0, 3, 1, 2) + b[None, :, None, None]
+    gw = np.zeros_like(w)
+    gx_pad = np.zeros_like(xp)
+    for di in range(3):
+        for dj in range(3):
+            patch = xp[:, :, di : di + H, dj : dj + W]
+            gw[:, :, di, dj] = np.tensordot(g, patch, axes=([0, 2, 3], [0, 2, 3]))
+            gx_pad[:, :, di : di + H, dj : dj + W] += np.tensordot(
+                g, w[:, :, di, dj], axes=([1], [0])
+            ).transpose(0, 3, 1, 2)
+    return out, gx_pad[:, :, 1 : 1 + H, 1 : 1 + W], gw, g.sum(axis=(0, 2, 3))
+
+
+def assert_rel_close(got, want, rel):
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= rel * scale, np.abs(got - want).max() / scale
+
+
+@pytest.mark.parametrize("B,C,O,H,W", [(1, 3, 5, 6, 4), (3, 4, 2, 5, 7),
+                                       (3, 16, 8, 8, 16)])
+def test_conv3x3_matches_tensordot_oracle(B, C, O, H, W):
+    rng = np.random.default_rng(B * 100 + C)
+    x, w, b = rng.normal(size=(B, C, H, W)), rng.normal(size=(O, C, 3, 3)), rng.normal(size=O)
+    g = rng.normal(size=(B, O, H, W))
+    tx, tw, tb = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+    out = T.conv3x3(tx, tw, tb)
+    T.backward(T.sum_(out * T.constant(g)))
+    want = conv3x3_tensordot(x, w, b, g)
+    for got, ref in zip((out.data, tx.grad, tw.grad, tb.grad), want):
+        assert got.shape == ref.shape
+        assert_rel_close(got, ref, 1e-12)
+
+
+def test_conv3x3_finite_diff_grad_check():
+    rng = np.random.default_rng(12)
+    params = ModelParams()
+    params.add("x", rng.normal(size=(2, 3, 5, 4)))
+    params.add("w", rng.normal(size=(4, 3, 3, 3)))
+    params.add("b", rng.normal(size=(4,)))
+    mix = T.constant(rng.normal(size=(2, 4, 5, 4)))
+
+    def loss():
+        out = T.conv3x3(params["x"], params["w"], params["b"])
+        return T.sum_(T.tanh(out) * mix)
+
+    reports = finite_diff_grad_check(loss, params)
+    assert [r.name for r in reports] == ["x", "w", "b"]
+    assert all(r.passed for r in reports), reports
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 2, 2), (3, 8, 4, 4), (8, 64, 8, 8),
+                                   (2, 8, 3, 5), (3, 1, 16, 8), (1, 64, 16, 32)])
+def test_bilinear_up2_bytes_match_einsum_form(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=shape)
+    rh, rw = T._up2_matrix(shape[2]), T._up2_matrix(shape[3])
+    want = np.einsum("ih,bchw->bciw", rh, x, optimize=True)
+    want = np.einsum("jw,bciw->bcij", rw, want, optimize=True)
+    g = rng.normal(size=want.shape)
+    want_g = np.einsum("jw,bcij->bciw", rw, g, optimize=True)
+    want_g = np.einsum("ih,bciw->bchw", rh, want_g, optimize=True)
+    t = Tensor(x, requires_grad=True)
+    up = T.bilinear_up2(t)
+    T.backward(T.sum_(up * T.constant(g)))
+    assert up.data.tobytes() == want.tobytes()
+    assert t.grad.tobytes() == want_g.tobytes()
+
+
+def test_up2_matrix_rows_are_convex_quarter_weights():
+    # The property that lets per-pixel affine maps move before upsampling.
+    for n in (1, 2, 3, 8, 16):
+        m = T._up2_matrix(n)
+        assert np.array_equal(m.sum(axis=1), np.ones(2 * n))
+        assert set(np.unique(m)) <= {0.0, 0.25, 0.75, 1.0}
+
+
+def test_gelu_matches_erfc_form_over_range():
+    from scipy.special import erfc
+
+    x = np.linspace(-8.0, 8.0, 40001)
+    want = 0.5 * erfc(-x / np.sqrt(2.0)) * x
+    got = T.gelu(Tensor(x)).data
+    nz = want != 0.0
+    assert np.all(got[~nz] == 0.0)
+    assert np.max(np.abs(got[nz] - want[nz]) / np.abs(want[nz])) < 1e-13
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 64), (8, 12, 64), (3, 190, 64)])
+def test_layer_norm_bytes_match_mean_form(shape):
+    rng = np.random.default_rng(shape[1])
+    x = rng.normal(size=shape) * 3.0 + 0.5
+    g = rng.normal(size=shape[-1:])
+    b = rng.normal(size=shape[-1:])
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    want = g * (xc * (1.0 / np.sqrt(var + 1e-6))) + b
+    assert T.layer_norm(Tensor(x), Tensor(g), Tensor(b)).data.tobytes() == want.tobytes()
 
 
 def test_layer_norm_grads():
