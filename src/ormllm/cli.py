@@ -34,7 +34,7 @@ from .errors import (
     OrmllmError,
     SequenceLengthError,
 )
-from .evaluate import EvalConfig, evaluate
+from .evaluate import TASKS, EvalConfig, evaluate
 from .fusion import FusionConfig, answer_loss, lm_forward
 from .gradcheck import finite_diff_grad_check
 from .model import Model, ModelConfig, build_model_params
@@ -87,12 +87,11 @@ def cmd_gen_data(args) -> int:
         "data.views": args.views,
         "data.image_size": args.image_size,
     })
-    if args.scenes is not None and args.scenes < 1:
-        print("gen-data: --scenes must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.views is not None and args.views < 1:
-        print("gen-data: --views must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+    # From a flag or from the config file alike.
+    for key in ("data.scenes", "data.views"):
+        if run[key] < 1:
+            print(f"gen-data: {key} must be >= 1, got {run[key]}", file=sys.stderr)
+            return EXIT_USAGE
     if os.path.exists(args.out) and not args.force:
         print(f"gen-data: {args.out} exists (use --force to overwrite)",
               file=sys.stderr)
@@ -262,10 +261,6 @@ def cmd_eval(args) -> int:
     run = RunConfig.resolve(args.config, {"seed": args.seed,
                                           "threads": args.threads})
     tasks = tuple(t.strip() for t in args.tasks.split(",") if t.strip())
-    for t in tasks:
-        if t not in ("qa", "sgg"):
-            print(f"eval: unknown task {t!r}", file=sys.stderr)
-            return EXIT_USAGE
     ecfg = _eval_config(run, tasks)
     bundle = read_dataset(args.data)
     _sync_with_dataset(run, bundle)
@@ -281,7 +276,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     run = RunConfig.resolve(args.config, {"seed": args.seed})
-    ecfg = _eval_config(run, ("qa", "sgg"))
+    ecfg = _eval_config(run, TASKS)
     cfg = run.train(2)
     bundle = read_dataset(args.data)
     _sync_with_dataset(run, bundle)

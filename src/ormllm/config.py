@@ -50,7 +50,6 @@ DEFAULTS: dict[str, object] = {
     "train.adam_beta1": 0.9,
     "train.adam_beta2": 0.999,
     "train.weight_decay": 0.01,
-    "train.dropout": 0.0,
     "train.lambda_clip": 0.1,
     "train.tau": 0.07,
     "train.vfm_epochs": 3,
@@ -186,7 +185,6 @@ class RunConfig:
             adam_beta1=float(v["train.adam_beta1"]),
             adam_beta2=float(v["train.adam_beta2"]),
             weight_decay=float(v["train.weight_decay"]),
-            dropout=float(v["train.dropout"]),
             lambda_clip=float(v["train.lambda_clip"]),
             tau=float(v["train.tau"]),
             seed=int(v["seed"]),

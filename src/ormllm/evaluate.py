@@ -36,9 +36,12 @@ from .training import qa_prompt_ids
 from .vocab import Vocabulary
 
 
+TASKS = ("qa", "sgg")
+
+
 @dataclass
 class EvalConfig:
-    tasks: tuple[str, ...] = ("qa", "sgg")
+    tasks: tuple[str, ...] = TASKS
     max_new_qa: int = 8
     max_new_sgg: int = 150
     mode: str = "greedy"
@@ -46,6 +49,11 @@ class EvalConfig:
     threads: int = 1
 
     def __post_init__(self):
+        if not self.tasks:
+            raise ConfigurationError(f"eval: no task given; name one of {TASKS}")
+        for task in self.tasks:
+            if task not in TASKS:
+                raise ConfigurationError(f"eval: unknown task {task!r}")
         if self.mode not in ("greedy", "beam"):
             raise ConfigurationError(
                 f"eval.mode must be 'greedy' or 'beam', got {self.mode!r}"

@@ -23,8 +23,6 @@ from .errors import (
     SequenceLengthError,
 )
 from .nn import (
-    EVAL_CTX,
-    ExecContext,
     KVCache,
     ModelParams,
     attention_block_forward,
@@ -83,10 +81,6 @@ class TokenSequence:
     def segment_start(self, tag: str) -> int:
         return self.tags.index(tag)
 
-    def segment_slice(self, tag: str) -> slice:
-        idx = [i for i, t in enumerate(self.tags) if t == tag]
-        return slice(idx[0], idx[-1] + 1) if idx else slice(0, 0)
-
     def next_position(self) -> int:
         if self.positions is None:
             return len(self.tags)
@@ -105,7 +99,6 @@ class SlotLayout:
     seg_base: int
     pc_base: int
     prompt_base: int
-    seg_by_class: bool = True
 
 
 def slot_layout(n_image_tokens: int, seg_classes: int, pc_tokens: int) -> SlotLayout:
@@ -153,7 +146,6 @@ def build_fusion_params(params: ModelParams, cfg: FusionConfig,
 
 
 def project_image_tokens(image, params: ModelParams, cfg: FusionConfig,
-                         ctx: ExecContext = EVAL_CTX,
                          embed: str = "proj.img_embed") -> Tensor:
     """Patch flattening, learned linear patch embedding, then the two-layer
     projection head. Strictly per patch: no cross-patch mixing."""
@@ -166,19 +158,19 @@ def project_image_tokens(image, params: ModelParams, cfg: FusionConfig,
             f"image sides {img.shape[1:3]} not divisible by patch {cfg.image_patch}"
         )
     tokens = linear(patchify(img, cfg.image_patch), params, embed)
-    tokens = mlp_forward(tokens, params, "proj.img_head", ctx)
+    tokens = mlp_forward(tokens, params, "proj.img_head")
     return T.reshape(tokens, tokens.shape[1:]) if squeeze else tokens
 
 
 def project_pc_tokens(feats: list[Tensor | None], params: ModelParams,
-                      cfg: FusionConfig, ctx: ExecContext = EVAL_CTX) -> list[Tensor]:
+                      cfg: FusionConfig) -> list[Tensor]:
     """Maps each global point feature to pc_tokens tokens, running the head
     once over the stacked features; a None feature (empty cloud) yields the
     learned null tokens (a parameter distinct from the seg null)."""
     present = [f for f in feats if f is not None]
     tokens = []
     if present:
-        out = mlp_forward(T.stack(present, axis=0), params, "proj.pc_head", ctx)
+        out = mlp_forward(T.stack(present, axis=0), params, "proj.pc_head")
         tokens = [T.reshape(T.slice_(out, i), (cfg.pc_tokens, cfg.d_token))
                   for i in range(len(present))]
     tokens = iter(tokens)
@@ -226,7 +218,7 @@ def build_input_sequence(img_toks, seg_toks, pc_toks, prompt_ids,
         parts.append(seg_toks)
         tags += ["seg"] * seg_toks.shape[0]
         if layout:
-            if layout.seg_by_class and seg_class_ids is not None:
+            if seg_class_ids is not None:
                 if len(seg_class_ids) != seg_toks.shape[0]:
                     raise ContractError("seg_class_ids length mismatch")
                 positions += [layout.seg_base + int(k) - 1 for k in seg_class_ids]
@@ -270,8 +262,7 @@ def build_input_sequence(img_toks, seg_toks, pc_toks, prompt_ids,
 
 
 def lm_hidden(tokens: Tensor, params: ModelParams, cfg: FusionConfig,
-              ctx: ExecContext = EVAL_CTX, positions=None,
-              cache: KVCache | None = None) -> Tensor:
+              positions=None, cache: KVCache | None = None) -> Tensor:
     """Causal transformer over an embedded sequence [S, d] or batch
     [B, S, d]; returns the final hidden states after the last norm.
     Positional rows follow `positions` when given (slot layout), otherwise
@@ -299,15 +290,15 @@ def lm_hidden(tokens: Tensor, params: ModelParams, cfg: FusionConfig,
     h = tokens + pos
     for i in range(cfg.lm_layers):
         h = attention_block_forward(h, params, f"lm.blocks.{i}", cfg.lm_heads,
-                                    causal=True, ctx=ctx, cache=cache)
+                                    causal=True, cache=cache)
     if cache is not None:
         cache.length += S
     return layer_norm(h, params, "lm.ln_f")
 
 
 def lm_forward(seq: TokenSequence | Tensor, params: ModelParams, cfg: FusionConfig,
-               ctx: ExecContext = EVAL_CTX, return_hidden: bool = False,
-               positions=None, cache: KVCache | None = None):
+               return_hidden: bool = False, positions=None,
+               cache: KVCache | None = None):
     """Per-position logits over the vocabulary for a token sequence; with a
     cache, for the new rows only (see lm_hidden)."""
     if isinstance(seq, TokenSequence):
@@ -318,7 +309,7 @@ def lm_forward(seq: TokenSequence | Tensor, params: ModelParams, cfg: FusionConf
         tokens = seq
     if tokens.shape[-2] == 0:
         raise ContractError("cannot run the LM on an empty sequence")
-    hidden = lm_hidden(tokens, params, cfg, ctx, positions, cache)
+    hidden = lm_hidden(tokens, params, cfg, positions, cache)
     logits = linear(hidden, params, "lm.out")
     return (logits, hidden) if return_hidden else logits
 

@@ -29,7 +29,7 @@ from .fusion import (
     slot_layout,
 )
 from .geometry import DepthMap, PointCloud, reconstruct_point_cloud
-from .nn import EVAL_CTX, ExecContext, ModelParams, mlp_forward
+from .nn import ModelParams, mlp_forward
 from .scenegen import CLASS_COLORS, Sample
 from .spatial import (
     SpatialBlockConfig,
@@ -112,28 +112,26 @@ class Model:
 
     # -- spatial inference -------------------------------------------------
 
-    def spatial_grid(self, rgb, ctx: ExecContext = EVAL_CTX):
+    def spatial_grid(self, rgb):
         tokens = encoder_forward(rgb[None] if rgb.ndim == 3 else rgb,
-                                 self.params, self.cfg.spatial, ctx)
+                                 self.params, self.cfg.spatial)
         return tokens, tokens_to_grid(tokens, self.cfg.spatial)
 
-    def predict_depth(self, grid, ctx: ExecContext = EVAL_CTX) -> Tensor:
-        return depth_head_forward(grid, self.params, self.cfg.spatial, ctx)
+    def predict_depth(self, grid) -> Tensor:
+        return depth_head_forward(grid, self.params, self.cfg.spatial)
 
-    def predict_seg(self, grid, ctx: ExecContext = EVAL_CTX):
-        logits = seg_head_forward(grid, self.params, self.cfg.spatial, ctx)
+    def predict_seg(self, grid):
+        logits = seg_head_forward(grid, self.params, self.cfg.spatial)
         maps = [logits_to_map(logits.data[b], self.cfg.spatial.seg_classes)
                 for b in range(logits.shape[0])]
         return logits, maps
 
     # -- per-variant token assembly -----------------------------------------
 
-    def modality_tokens(self, sample: Sample,
-                        ctx: ExecContext = EVAL_CTX) -> ModalityBundle:
-        return self.modality_tokens_batch([sample], ctx)[0]
+    def modality_tokens(self, sample: Sample) -> ModalityBundle:
+        return self.modality_tokens_batch([sample])[0]
 
-    def modality_tokens_batch(self, samples: list[Sample],
-                              ctx: ExecContext = EVAL_CTX) -> list[ModalityBundle]:
+    def modality_tokens_batch(self, samples: list[Sample]) -> list[ModalityBundle]:
         """Modality tokens for several samples, slot by slot as the variant's
         row says. The encoder and the depth and seg heads run once over the
         batch, and so does every projection head; only the masked means of
@@ -150,19 +148,19 @@ class Model:
             return [T.slice_(batched, b) for b in range(B)]
 
         def tower(image, embed: str = "proj.img_embed") -> list[Tensor]:
-            return per_sample(project_image_tokens(image, self.params, fcfg, ctx,
+            return per_sample(project_image_tokens(image, self.params, fcfg,
                                                    embed=embed))
 
         depth = maps = None
         if spec.spatial:
-            cell_tokens, grid = self.spatial_grid(rgb, ctx)
+            cell_tokens, grid = self.spatial_grid(rgb)
             # The head outputs leave the graph as data, so recording them
             # would only keep their tapes alive.
             with T.no_grad():
                 if spec.needs_depth:
-                    depth = self.predict_depth(grid, ctx)
+                    depth = self.predict_depth(grid)
                 if spec.needs_seg:
-                    _, maps = self.predict_seg(grid, ctx)
+                    _, maps = self.predict_seg(grid)
 
         if spec.image == "early":
             # Recolored predicted classes over RGB, predicted depth as a
@@ -177,8 +175,8 @@ class Model:
         seg_ids: list[list[int] | None] = [None] * B
         if spec.seg == "regions":
             feats, seg_ids = region_pool(maps, cell_tokens, self.params,
-                                         self.cfg.spatial, ctx)
-            toks = mlp_forward(feats, self.params, "proj.seg_head", ctx)
+                                         self.cfg.spatial)
+            toks = mlp_forward(feats, self.params, "proj.seg_head")
             bounds = np.cumsum([0] + [len(ids) for ids in seg_ids])
             seg = [T.slice_(toks, (slice(bounds[b], bounds[b + 1]), slice(None)))
                    for b in range(B)]
@@ -192,9 +190,9 @@ class Model:
                 cloud = reconstruct_point_cloud(DepthMap(depth.data[b].copy()),
                                                 s.K, s.pose)
                 cloud = subsample_cloud(cloud, MAX_ENCODED_POINTS)
-                point_feats.append(encode_point_cloud(cloud, self.params, ctx)
+                point_feats.append(encode_point_cloud(cloud, self.params)
                                    if len(cloud) else None)
-            pc = project_pc_tokens(point_feats, self.params, fcfg, ctx)
+            pc = project_pc_tokens(point_feats, self.params, fcfg)
         elif spec.pc == "depth_patches":
             pc = tower(T.constant(depth.data[..., None] / DEPTH_SCALE),
                        embed="proj.depth_embed")
@@ -214,10 +212,9 @@ class Model:
     # -- sequence assembly ---------------------------------------------------
 
     def assemble(self, sample: Sample, prompt_ids, answer_ids=None,
-                 ctx: ExecContext = EVAL_CTX,
                  bundle: ModalityBundle | None = None) -> TokenSequence:
         if bundle is None:
-            bundle = self.modality_tokens(sample, ctx)
+            bundle = self.modality_tokens(sample)
         return build_input_sequence(
             bundle.img_toks, bundle.seg_toks, bundle.pc_toks, prompt_ids,
             self.params, self.cfg.fusion, self.cfg.variant, answer_ids,

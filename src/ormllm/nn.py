@@ -8,8 +8,6 @@ path segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import tensor as T
@@ -60,27 +58,6 @@ class ModelParams:
     def copy_values(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self._tensors.items()}
 
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for k, v in values.items():
-            self._tensors[k].data = np.array(v, dtype=np.float64)
-
-
-@dataclass
-class ExecContext:
-    """Per-forward execution switches: dropout is active only in training."""
-
-    train: bool = False
-    dropout: float = 0.0
-    rng: np.random.Generator | None = None
-
-    def drop(self, x: Tensor) -> Tensor:
-        if self.train and self.dropout > 0.0:
-            return T.dropout(x, self.dropout, self.rng)
-        return x
-
-
-EVAL_CTX = ExecContext()
-
 
 def init_linear(params: ModelParams, prefix: str, d_in: int, d_out: int,
                 rng: np.random.Generator, bias: bool = True) -> None:
@@ -105,12 +82,10 @@ def init_mlp(params: ModelParams, prefix: str, d_in: int, d_hidden: int, d_out: 
     init_linear(params, f"{prefix}.fc2", d_hidden, d_out, rng)
 
 
-def mlp_forward(x: Tensor, params: ModelParams, prefix: str,
-                ctx: ExecContext = EVAL_CTX) -> Tensor:
+def mlp_forward(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
     """Two linear layers with an exact-CDF gelu between them."""
     h = T.gelu(linear(x, params, f"{prefix}.fc1"))
-    out = linear(h, params, f"{prefix}.fc2")
-    return ctx.drop(out)
+    return linear(h, params, f"{prefix}.fc2")
 
 
 def init_layer_norm(params: ModelParams, prefix: str, d: int) -> None:
@@ -178,13 +153,12 @@ def _causal_mask(n: int, past: int = 0) -> np.ndarray:
 
 
 def attention_block_forward(x: Tensor, params: ModelParams, prefix: str, heads: int,
-                            causal: bool, ctx: ExecContext = EVAL_CTX,
-                            cache: KVCache | None = None) -> Tensor:
+                            causal: bool, cache: KVCache | None = None) -> Tensor:
     """Pre-norm multi-head self-attention plus MLP, both with residuals.
 
     Accepts [n, d] or [B, n, d]. With causal=True, position i attends only
     to positions <= i. The attention core (head split, scaled scores, mask,
-    softmax, dropout, P·V, head merge) is one tape node, T.attention_core;
+    softmax, P·V, head merge) is one tape node, T.attention_core;
     every projection is one T.affine node.
 
     With a cache, x holds only the new rows: q/k/v are computed for them,
@@ -211,11 +185,10 @@ def attention_block_forward(x: Tensor, params: ModelParams, prefix: str, heads: 
         k, v, past = cache.extend(prefix, T.split_heads(k.data, heads),
                                   T.split_heads(v.data, heads))
     mask = _causal_mask(n, past)[None, None] if causal and n > 1 else None
-    attn = T.attention_core(q, k, v, heads, mask,
-                            ctx.dropout if ctx.train else 0.0, ctx.rng)
+    attn = T.attention_core(q, k, v, heads, mask)
     x = x + linear(attn, params, f"{prefix}.attn.wo")
     x = x + mlp_forward(layer_norm(x, params, f"{prefix}.ln2"), params,
-                        f"{prefix}.mlp", ctx)
+                        f"{prefix}.mlp")
     if squeeze:
         x = T.reshape(x, (n, d))
     return x

@@ -31,8 +31,6 @@ from .errors import (
 )
 from .geometry import DepthMap
 from .nn import (
-    EVAL_CTX,
-    ExecContext,
     ModelParams,
     attention_block_forward,
     init_attention_block,
@@ -159,8 +157,7 @@ def _ensure_batched(image) -> Tensor:
     return t
 
 
-def encoder_forward(image, params: ModelParams, cfg: SpatialBlockConfig,
-                    ctx: ExecContext = EVAL_CTX) -> Tensor:
+def encoder_forward(image, params: ModelParams, cfg: SpatialBlockConfig) -> Tensor:
     """Shared encoder: patch embedding plus attention blocks.
 
     Returns cell features [B, n_cells, C] in raster cell order.
@@ -176,7 +173,7 @@ def encoder_forward(image, params: ModelParams, cfg: SpatialBlockConfig,
     for i in range(cfg.encoder_blocks):
         tokens = attention_block_forward(
             tokens, params, f"spatial.encoder.blocks.{i}", cfg.encoder_heads,
-            causal=False, ctx=ctx,
+            causal=False,
         )
     return tokens
 
@@ -195,8 +192,8 @@ def conv1x1(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
     return T.transpose(T.reshape(out, (B, H, W, out.shape[-1])), (0, 3, 1, 2))
 
 
-def depth_head_forward(grid: Tensor, params: ModelParams, cfg: SpatialBlockConfig,
-                       ctx: ExecContext = EVAL_CTX) -> Tensor:
+def depth_head_forward(grid: Tensor, params: ModelParams,
+                       cfg: SpatialBlockConfig) -> Tensor:
     """Upsampling decoder over encoder features; returns depth [B, H, W] > 0.
 
     Stage s adds a 1x1 skip map of the encoder grid, upsampled s + 1 times.
@@ -218,29 +215,28 @@ def depth_head_forward(grid: Tensor, params: ModelParams, cfg: SpatialBlockConfi
     return T.softplus(T.reshape(out, (B, H, W)))
 
 
-def depth_forward(image, params: ModelParams, cfg: SpatialBlockConfig,
-                  ctx: ExecContext = EVAL_CTX) -> Tensor:
+def depth_forward(image, params: ModelParams, cfg: SpatialBlockConfig) -> Tensor:
     """Encoder plus depth decoder: strictly positive depth, [H, W] for a
     single image and [B, H, W] for a batch."""
-    grid = tokens_to_grid(encoder_forward(image, params, cfg, ctx), cfg)
-    return T.reshape(depth_head_forward(grid, params, cfg, ctx),
+    grid = tokens_to_grid(encoder_forward(image, params, cfg), cfg)
+    return T.reshape(depth_head_forward(grid, params, cfg),
                      T.as_tensor(image).shape[:-1])
 
 
-def seg_head_forward(grid: Tensor, params: ModelParams, cfg: SpatialBlockConfig,
-                     ctx: ExecContext = EVAL_CTX) -> Tensor:
+def seg_head_forward(grid: Tensor, params: ModelParams,
+                     cfg: SpatialBlockConfig) -> Tensor:
     """Per-pixel class logits [B, K, H, W] from encoder features.
 
     The per-pixel MLP "spatial.seg.pixel" splits around the upsampling: fc1
     is affine, so it commutes with bilinear_up2 and runs on the encoder
-    grid; gelu, fc2 and the dropout run at full resolution. The logits are
+    grid; gelu and fc2 run at full resolution. The logits are
     those of the MLP over upsampled features, up to rounding."""
     g = conv1x1(grid, params, "spatial.seg.pixel.fc1")
     for _ in range(cfg.depth_decoder_stages):
         g = T.bilinear_up2(g)
     B, C, H, W = g.shape
     flat = T.gelu(T.reshape(T.transpose(g, (0, 2, 3, 1)), (B, H * W, C)))
-    logits = ctx.drop(linear(flat, params, "spatial.seg.pixel.fc2"))
+    logits = linear(flat, params, "spatial.seg.pixel.fc2")
     return T.transpose(T.reshape(logits, (B, H, W, cfg.seg_classes)), (0, 3, 1, 2))
 
 
@@ -346,8 +342,8 @@ def downsample_map(map_ids: np.ndarray, grid: int) -> np.ndarray:
 
 
 def region_pool(maps: list[PanopticMap], cell_tokens: Tensor,
-                params: ModelParams, cfg: SpatialBlockConfig,
-                ctx: ExecContext = EVAL_CTX) -> tuple[Tensor, list[list[int]]]:
+                params: ModelParams,
+                cfg: SpatialBlockConfig) -> tuple[Tensor, list[list[int]]]:
     """Region features for a batch: for each sample, a masked mean over its
     encoder cells per class present in its downsampled map (classes that
     vanish at encoder resolution are skipped), then one pass of a small MLP
@@ -370,17 +366,16 @@ def region_pool(maps: list[PanopticMap], cell_tokens: Tensor,
             pooled.append(T.mean(T.gather_rows(cells, np.flatnonzero(small == k)),
                                  axis=0))
         class_ids.append(ids)
-    feats = mlp_forward(T.stack(pooled, axis=0), params, "spatial.region.phi", ctx)
+    feats = mlp_forward(T.stack(pooled, axis=0), params, "spatial.region.phi")
     return feats, class_ids
 
 
-def encode_point_cloud(cloud, params: ModelParams,
-                       ctx: ExecContext = EVAL_CTX) -> Tensor:
+def encode_point_cloud(cloud, params: ModelParams) -> Tensor:
     """Shared per-point MLP followed by a coordinate-wise max over points.
     Exactly permutation and duplication invariant. The cloud enters as plain
     coordinates: gradients flow into the encoder weights only."""
     points = cloud.points if hasattr(cloud, "points") else np.asarray(cloud)
     if len(points) == 0:
         raise EmptyInputError("cannot encode an empty point cloud")
-    per_point = mlp_forward(T.constant(points), params, "spatial.pc", ctx)
+    per_point = mlp_forward(T.constant(points), params, "spatial.pc")
     return T.max_reduce(per_point, axis=0)

@@ -89,9 +89,6 @@ class Tensor:
             raise ContractError(f"item expects a size-1 tensor, got shape {self.shape}")
         return self.data.item()
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{tag})"
@@ -246,11 +243,6 @@ def backward(loss: Tensor, params=None) -> None:
         for t in params:
             if t.requires_grad and t.grad is None:
                 t.grad = np.zeros_like(t.data)
-
-
-def zero_grads(params) -> None:
-    for t in params:
-        t.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -764,46 +756,26 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     return _make(out, (x, gain, bias), bw)
 
 
-def _dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
-    keep = 1.0 - p
-    return (rng.random(shape) < keep).astype(np.float64) / keep
-
-
-def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; call only in training mode with p > 0."""
-    x = as_tensor(x)
-    mask = _dropout_mask(x.shape, p, rng)
-    out = x.data * mask
-
-    def bw(g):
-        return (g * mask,)
-
-    return _make(out, (x,), bw)
-
-
 def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     """[B, n, d] -> a contiguous [B, heads, n, d // heads] copy."""
     B, n, d = x.shape
     return x.reshape(B, n, heads, d // heads).transpose(0, 2, 1, 3).copy()
 
 
-def attention_core(q, k, v, heads: int, mask=None, dropout_p: float = 0.0,
-                   rng: np.random.Generator | None = None) -> Tensor:
+def attention_core(q, k, v, heads: int, mask=None) -> Tensor:
     """Multi-head softmax(q kᵀ / √dh + mask) · v as one node.
 
     q is [B, n, d]. k and v are [B, m, d], or already split into heads as
     [B, heads, m, dh] (the rows a KVCache holds). `mask` is an additive
-    array that broadcasts to [B, heads, n, m], or None. With dropout_p > 0
-    the probabilities get inverted dropout from `rng`. Returns [B, n, d]
+    array that broadcasts to [B, heads, n, m], or None. Returns [B, n, d]
     with the heads merged back.
 
     The forward runs the numpy operations of the composed ops (head split
     with contiguous copies, contiguous kᵀ, scale, mask, stable softmax,
-    dropout drawn after it in the probabilities' shape, P·V, head merge) in
-    their order, so its bytes and the dropout rng stream match theirs. The
+    P·V, head merge) in their order, so its bytes match theirs. The
     backward is the standard hand-written one (Dao et al., FlashAttention,
     arXiv 2205.14135): with O = P·V, the softmax correction term
-    rowsum(dP ∘ P) equals rowsum(dO ∘ O), with or without dropout.
+    rowsum(dP ∘ P) equals rowsum(dO ∘ O).
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 3 or k.ndim not in (3, 4) or v.shape != k.shape:
@@ -827,9 +799,7 @@ def attention_core(q, k, v, heads: int, mask=None, dropout_p: float = 0.0,
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     probs = e / e.sum(axis=-1, keepdims=True)
-    drop = _dropout_mask(probs.shape, dropout_p, rng) if dropout_p > 0.0 else None
-    kept = probs if drop is None else probs * drop
-    attn = kept @ vh
+    attn = probs @ vh
     out = attn.transpose(0, 2, 1, 3).copy().reshape(B, n, d)
 
     def merge(t):
@@ -837,10 +807,8 @@ def attention_core(q, k, v, heads: int, mask=None, dropout_p: float = 0.0,
 
     def bw(g):
         ga = split_heads(g, heads)
-        gv = np.swapaxes(kept, -1, -2) @ ga
+        gv = np.swapaxes(probs, -1, -2) @ ga
         gp = ga @ np.swapaxes(vh, -1, -2)
-        if drop is not None:
-            gp = gp * drop
         rowdot = (ga * attn).sum(axis=-1, keepdims=True)
         gs = probs * (gp - rowdot) * scale
         gq = gs @ kh

@@ -6,8 +6,8 @@ freezes them and trains everything else on full multimodal records; it
 opens with a supervision phase that fits the depth and segmentation
 decoders to rendered ground truth (the stand-in for fine-tuning pretrained
 perception backbones before fusion training), then optimizes
-lm_loss + lambda_clip * InfoNCE. All shuffling and dropout derive from the
-config seed, so loss logs are bit-reproducible.
+lm_loss + lambda_clip * InfoNCE. All shuffling derives from the config
+seed, so loss logs are bit-reproducible.
 
 In both stages the LM runs once per task group of a batch (QA, SGG), each
 group padded only to its own longest record. Each group's answer loss is one
@@ -27,7 +27,7 @@ from .errors import ConfigurationError, ContractError, NumericError
 from .fusion import answer_loss, lm_forward
 from .metrics import normalize
 from .model import Model
-from .nn import ExecContext, ModelParams
+from .nn import ModelParams
 from .scenegen import Sample, triples_to_text
 from .spatial import depth_loss, seg_loss
 from .tensor import Tensor
@@ -49,7 +49,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     weight_decay: float = 0.01
-    dropout: float = 0.0
     lambda_clip: float = 0.1
     tau: float = 0.07
     seed: int = 0
@@ -68,10 +67,9 @@ class TrainConfig:
             raise ConfigurationError("invalid lambda_clip, batch_size or epochs")
         if self.schedule != "cosine":
             raise ConfigurationError(f"unknown schedule {self.schedule!r}")
-        # A keep-probability of 1 - dropout must lie in (0, 1], and Adam's
-        # moment decays in [0, 1): beta = 1 never forgets, and its bias
-        # correction divides by zero.
-        for name in ("dropout", "adam_beta1", "adam_beta2"):
+        # Adam's moment decays lie in [0, 1): beta = 1 never forgets, and its
+        # bias correction divides by zero.
+        for name in ("adam_beta1", "adam_beta2"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ConfigurationError(f"train.{name} must be in [0, 1), got {value}")
@@ -331,7 +329,7 @@ def _in_batch_order(parts: list[Tensor], order: list[int]) -> Tensor:
 
 def _lm_by_task(model: Model, records: list[TrainRecord], seqs: list[Tensor],
                 positions: list[np.ndarray],
-                metas: list[tuple[np.ndarray, np.ndarray]], ctx: ExecContext,
+                metas: list[tuple[np.ndarray, np.ndarray]],
                 text_rows: list[int] | None = None):
     """Runs the LM once per task present in the batch, each call padded to
     the longest record of its own task: QA records are short and SGG records
@@ -349,7 +347,7 @@ def _lm_by_task(model: Model, records: list[TrainRecord], seqs: list[Tensor],
         group = [i for i, rec in enumerate(records) if rec.task == task]
         tokens, pos = _pad_stack([seqs[i] for i in group],
                                  [positions[i] for i in group])
-        out = lm_forward(tokens, model.params, model.cfg.fusion, ctx,
+        out = lm_forward(tokens, model.params, model.cfg.fusion,
                          return_hidden=text_rows is not None, positions=pos)
         logits, hidden = out if text_rows is not None else (out, None)
         G, S = tokens.shape[:2]
@@ -386,8 +384,7 @@ def _answer_targets(prompt_len: int, answer_ids: list[int],
     return targets, mask
 
 
-def _batch_stage1(model: Model, records: list[TrainRecord],
-                  ctx: ExecContext) -> Tensor:
+def _batch_stage1(model: Model, records: list[TrainRecord]) -> Tensor:
     seqs, poss, metas = [], [], []
     for rec in records:
         answer_seg = [V.BOS] + rec.answer_ids + [V.EOS]
@@ -395,18 +392,18 @@ def _batch_stage1(model: Model, records: list[TrainRecord],
         seqs.append(seq.tokens)
         poss.append(seq.positions)
         metas.append(_answer_targets(len(rec.prompt_ids), rec.answer_ids, 0))
-    losses, _ = _lm_by_task(model, records, seqs, poss, metas, ctx)
+    losses, _ = _lm_by_task(model, records, seqs, poss, metas)
     return T.mean(losses)
 
 
 def _batch_stage2(model: Model, data: TrainData, records: list[TrainRecord],
-                  cfg: TrainConfig, ctx: ExecContext) -> tuple[Tensor, Tensor]:
+                  cfg: TrainConfig) -> tuple[Tensor, Tensor]:
     batch_samples = [data.samples[rec.sample_index] for rec in records]
-    bundles = model.modality_tokens_batch(batch_samples, ctx)
+    bundles = model.modality_tokens_batch(batch_samples)
     seqs, poss, metas, v_feats, prompt_starts = [], [], [], [], []
     for rec, sample, bundle in zip(records, batch_samples, bundles):
         answer_seg = [V.BOS] + rec.answer_ids + [V.EOS]
-        seq = model.assemble(sample, rec.prompt_ids, answer_seg, ctx, bundle)
+        seq = model.assemble(sample, rec.prompt_ids, answer_seg, bundle=bundle)
         n_modality = seq.segment_start("prompt")
         seqs.append(seq.tokens)
         poss.append(seq.positions)
@@ -414,25 +411,24 @@ def _batch_stage2(model: Model, data: TrainData, records: list[TrainRecord],
                                      n_modality))
         v_feats.append(model.contrastive_features(bundle))
         prompt_starts.append(n_modality)
-    losses, t_feats = _lm_by_task(model, records, seqs, poss, metas, ctx,
+    losses, t_feats = _lm_by_task(model, records, seqs, poss, metas,
                                   text_rows=prompt_starts)
     contrast = contrastive_loss(T.stack(v_feats, axis=0), t_feats, cfg.tau)
     return T.mean(losses), contrast
 
 
-def _vfm_batch_loss(model: Model, samples: list[Sample],
-                    ctx: ExecContext) -> Tensor:
+def _vfm_batch_loss(model: Model, samples: list[Sample]) -> Tensor:
     spec = variant_spec(model.cfg.variant)
     rgb = np.stack([s.rgb for s in samples])
-    _, grid = model.spatial_grid(rgb, ctx)
+    _, grid = model.spatial_grid(rgb)
     parts = []
     if spec.needs_depth:
         gt_depth = np.stack([s.depth for s in samples])
-        parts.append(depth_loss(model.predict_depth(grid, ctx), gt_depth,
+        parts.append(depth_loss(model.predict_depth(grid), gt_depth,
                                 model.cfg.spatial))
     if spec.needs_seg:
         gt_seg = np.stack([s.seg for s in samples])
-        logits, _ = model.predict_seg(grid, ctx)
+        logits, _ = model.predict_seg(grid)
         parts.append(seg_loss(logits, gt_seg, model.cfg.spatial))
     total = parts[0]
     for p in parts[1:]:
@@ -444,9 +440,9 @@ def train_stage(data: TrainData, model: Model, cfg: TrainConfig,
                 log=None, on_epoch=None) -> TrainResult:
     """Runs one training stage to completion.
 
-    Batch order, dropout and record subsampling are all functions of
-    cfg.seed. `log` receives one LossRow per batch; `on_epoch` is called
-    with the epoch index after each main-phase epoch."""
+    Batch order and record subsampling are functions of cfg.seed. `log`
+    receives one LossRow per batch; `on_epoch` is called with the epoch
+    index after each main-phase epoch."""
     if data.stage != cfg.stage:
         raise ContractError(
             f"dataset built for stage {data.stage}, config wants {cfg.stage}"
@@ -462,8 +458,6 @@ def train_stage(data: TrainData, model: Model, cfg: TrainConfig,
 
     apply_stage_mask(model.params, cfg.stage)
     rng_order = np.random.default_rng(np.random.SeedSequence([0x0D0E5, cfg.seed]))
-    drop_rng = np.random.default_rng(np.random.SeedSequence([0xD0D0, cfg.seed]))
-    ctx = ExecContext(train=True, dropout=cfg.dropout, rng=drop_rng)
     state = AdamWState()
     step = 0
 
@@ -512,7 +506,7 @@ def train_stage(data: TrainData, model: Model, cfg: TrainConfig,
 
     if cfg.stage == 1:
         def loss1(batch):
-            lm = _batch_stage1(model, batch, ctx)
+            lm = _batch_stage1(model, batch)
             return lm.item(), 0.0, lm
 
         result.epoch_means = run_batches(
@@ -530,7 +524,7 @@ def train_stage(data: TrainData, model: Model, cfg: TrainConfig,
         vfm_items = [data.samples[i] for i in sample_idx]
 
         def loss_vfm(batch):
-            total = _vfm_batch_loss(model, batch, ctx)
+            total = _vfm_batch_loss(model, batch)
             return 0.0, 0.0, total
 
         result.vfm_epoch_means = run_batches(
@@ -545,7 +539,7 @@ def train_stage(data: TrainData, model: Model, cfg: TrainConfig,
         return cfg.lr_vision
 
     def loss2(batch):
-        lm, contrast = _batch_stage2(model, data, batch, cfg, ctx)
+        lm, contrast = _batch_stage2(model, data, batch, cfg)
         total = stage2_loss(lm, contrast, cfg.lambda_clip)
         return lm.item(), contrast.item(), total
 

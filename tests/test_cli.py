@@ -63,9 +63,19 @@ def test_gen_data_force_and_determinism(workspace, tmp_path):
                            shallow=False), name
 
 
-def test_gen_data_zero_scenes_usage_error(tmp_path):
-    assert main(["gen-data", "--seed", "1", "--scenes", "0", "--views", "1",
-                 "--out", str(tmp_path / "x")]) == 2
+@pytest.mark.parametrize("flags,config_line,key", [
+    (["--scenes", "0", "--views", "1"], "", "data.scenes"),
+    ([], "data.scenes = 0\n", "data.scenes"),
+    ([], "data.views = 0\n", "data.views"),
+], ids=["flag", "config-scenes", "config-views"])
+def test_gen_data_zero_scenes_usage_error(tmp_path, capsys, flags, config_line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_line)
+    out = tmp_path / "x"
+    assert main(["gen-data", "--seed", "1", *flags, "--out", str(out),
+                 "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("size", [30, 12])
@@ -174,11 +184,12 @@ def test_eval_task_filter(workspace, trained, tmp_path):
     assert "sgg_p\t" in text2 and "rouge_l\t" not in text2
 
 
-def test_eval_unknown_task_usage(workspace, trained):
+@pytest.mark.parametrize("tasks", ["qa,bogus", ","])
+def test_eval_unknown_task_usage(workspace, trained, tasks):
     root, cfg, data = workspace
     out, s1, s2, _ = trained
     assert main(["eval", "--ckpt", s2, "--data", data, "--config", cfg,
-                 "--tasks", "qa,bogus"]) == 2
+                 "--tasks", tasks]) == 2
 
 
 def test_eval_vocab_mismatch_exit5(workspace, trained, tmp_path):
@@ -320,7 +331,6 @@ def test_config_value_of_wrong_type_usage_error(workspace, tmp_path, capsys, val
 
 
 @pytest.mark.parametrize("line", [
-    "train.dropout = 1.5", "train.dropout = -0.5", "train.dropout = 1.0",
     "train.warmup_steps = -5", "train.adam_beta1 = 1.0", "train.adam_beta2 = 1.5",
     "train.weight_decay = -0.01", "train.vfm_epochs = -1",
     "train.qa_per_sample = -1", "train.max_records = -1",

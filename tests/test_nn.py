@@ -7,8 +7,6 @@ from ormllm import tensor as T
 from ormllm.errors import ConfigurationError, ContractError, DimensionError
 from ormllm.gradcheck import finite_diff_grad_check
 from ormllm.nn import (
-    EVAL_CTX,
-    ExecContext,
     KVCache,
     ModelParams,
     _causal_mask,
@@ -141,17 +139,6 @@ def test_attention_backward_matches_finite_differences():
             assert abs(gflat[c] - num) / max(abs(gflat[c]), abs(num), 1e-8) < 1e-5
 
 
-def test_dropout_only_in_training_mode():
-    params = make_block()
-    x = Tensor(np.random.default_rng(7).normal(size=(4, 8)))
-    eval_out = attention_block_forward(x, params, "blk", heads=2, causal=False)
-    ctx = ExecContext(train=True, dropout=0.5, rng=np.random.default_rng(0))
-    train_out = attention_block_forward(x, params, "blk", heads=2, causal=False, ctx=ctx)
-    assert not np.allclose(eval_out.data, train_out.data)
-    eval_again = attention_block_forward(x, params, "blk", heads=2, causal=False)
-    np.testing.assert_array_equal(eval_out.data, eval_again.data)
-
-
 @pytest.mark.parametrize("chunks", [[30, 1, 1, 1, 1, 1], [1] * 6, [6], [2, 3, 1]])
 def test_cached_chunks_equal_one_causal_forward(chunks):
     params = make_block()
@@ -213,15 +200,15 @@ def composed_linear(x, params, prefix):
     return out
 
 
-def composed_mlp(x, params, prefix, ctx):
+def composed_mlp(x, params, prefix):
     h = T.gelu(composed_linear(x, params, f"{prefix}.fc1"))
-    return ctx.drop(composed_linear(h, params, f"{prefix}.fc2"))
+    return composed_linear(h, params, f"{prefix}.fc2")
 
 
-def composed_block(x, params, prefix, heads, causal, ctx=EVAL_CTX, cache=None):
+def composed_block(x, params, prefix, heads, causal, cache=None):
     """Oracle: the attention block as it was built from tape primitives
     before its core became one node (head split, kᵀ, QKᵀ, scale, mask,
-    softmax, dropout, P·V and head merge each a node; linear = matmul + add)."""
+    softmax, P·V and head merge each a node; linear = matmul + add)."""
     squeeze = x.ndim == 2
     if squeeze:
         x = T.reshape(x, (1,) + x.shape)
@@ -238,12 +225,12 @@ def composed_block(x, params, prefix, heads, causal, ctx=EVAL_CTX, cache=None):
     scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
     if causal and n > 1:
         scores = scores + T.constant(_causal_mask(n, past)[None, None])
-    probs = ctx.drop(T.softmax(scores, axis=-1))
+    probs = T.softmax(scores, axis=-1)
     attn = T.matmul(probs, v)
     attn = T.reshape(T.transpose(attn, (0, 2, 1, 3)), (B, n, d))
     x = x + composed_linear(attn, params, f"{prefix}.attn.wo")
     x = x + composed_mlp(layer_norm(x, params, f"{prefix}.ln2"), params,
-                         f"{prefix}.mlp", ctx)
+                         f"{prefix}.mlp")
     return T.reshape(x, (n, d)) if squeeze else x
 
 
@@ -285,42 +272,27 @@ def test_attention_node_cached_chunks_bytes_match_composed(chunks, batch):
         assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("causal", [True, False])
-def test_attention_node_dropout_bytes_and_rng_stream_match_composed(causal):
-    params = make_block()
-    x = Tensor(np.random.default_rng(13).normal(size=(2, 5, 8)))
-    got_ctx = ExecContext(train=True, dropout=0.5, rng=np.random.default_rng(14))
-    want_ctx = ExecContext(train=True, dropout=0.5, rng=np.random.default_rng(14))
-    got = attention_block_forward(x, params, "blk", heads=2, causal=causal, ctx=got_ctx)
-    want = composed_block(x, params, "blk", heads=2, causal=causal, ctx=want_ctx)
-    assert got.data.tobytes() == want.data.tobytes()
-    assert got_ctx.rng.random() == want_ctx.rng.random()
-
-
-def block_grads(forward, params, x0, w, ctx_seed=None):
+def block_grads(forward, params, x0, w):
     x = Tensor(x0, requires_grad=True)
-    ctx = EVAL_CTX
-    if ctx_seed is not None:
-        ctx = ExecContext(train=True, dropout=0.5, rng=np.random.default_rng(ctx_seed))
     params.zero_grads()
-    T.backward(T.sum_(forward(x, ctx) * T.constant(w)), params.tensors())
+    T.backward(T.sum_(forward(x) * T.constant(w)), params.tensors())
     return x.grad, {name: params[name].grad.copy() for name in params.names()}
 
 
-@pytest.mark.parametrize("shape,causal,dropout_seed", [
-    ((6, 8), True, None),
-    ((3, 7, 8), True, None),
-    ((3, 7, 8), False, None),
-    ((2, 5, 8), True, 15),
+@pytest.mark.parametrize("shape,causal", [
+    ((6, 8), True),
+    ((3, 7, 8), True),
+    ((3, 7, 8), False),
+    ((2, 5, 8), True),
 ])
-def test_attention_node_gradients_match_composed(shape, causal, dropout_seed):
+def test_attention_node_gradients_match_composed(shape, causal):
     params = make_block()
     rng = np.random.default_rng(16)
     x0, w = rng.normal(size=shape), rng.normal(size=shape)
-    got = block_grads(lambda x, ctx: attention_block_forward(
-        x, params, "blk", heads=2, causal=causal, ctx=ctx), params, x0, w, dropout_seed)
-    want = block_grads(lambda x, ctx: composed_block(
-        x, params, "blk", heads=2, causal=causal, ctx=ctx), params, x0, w, dropout_seed)
+    got = block_grads(lambda x: attention_block_forward(
+        x, params, "blk", heads=2, causal=causal), params, x0, w)
+    want = block_grads(lambda x: composed_block(
+        x, params, "blk", heads=2, causal=causal), params, x0, w)
     np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
     assert got[1].keys() == want[1].keys()
     for name in got[1]:

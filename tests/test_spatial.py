@@ -11,7 +11,7 @@ from ormllm.errors import (
 )
 from ormllm.gradcheck import finite_diff_grad_check
 from ormllm.geometry import PointCloud
-from ormllm.nn import ExecContext, ModelParams, mlp_forward
+from ormllm.nn import ModelParams, mlp_forward
 from ormllm.spatial import (
     PanopticMap,
     SpatialBlockConfig,
@@ -173,14 +173,14 @@ def upsample_first_depth(grid, params, cfg):
     return T.softplus(T.reshape(out, (B, H, W)))
 
 
-def upsample_first_seg(grid, params, cfg, ctx):
+def upsample_first_seg(grid, params, cfg):
     """The seg head as the per-pixel MLP over upsampled features."""
     g = grid
     for _ in range(cfg.depth_decoder_stages):
         g = T.bilinear_up2(g)
     B, C, H, W = g.shape
     flat = T.reshape(T.transpose(g, (0, 2, 3, 1)), (B, H * W, C))
-    logits = mlp_forward(flat, params, "spatial.seg.pixel", ctx)
+    logits = mlp_forward(flat, params, "spatial.seg.pixel")
     return T.transpose(T.reshape(logits, (B, H, W, cfg.seg_classes)), (0, 3, 1, 2))
 
 
@@ -223,18 +223,13 @@ def test_depth_head_matches_upsample_first_composition():
         assert_rel_close(a, b)
 
 
-@pytest.mark.parametrize("dropout", [0.0, 0.3])
-def test_seg_head_matches_upsample_first_composition(dropout):
+def test_seg_head_matches_upsample_first_composition():
     params, grid = two_stage_grid(21)
     weights = np.random.default_rng(4).normal(size=(2, 5, 16, 16))
-
-    def ctx():  # the same rng stream for both heads
-        return ExecContext(train=True, dropout=dropout, rng=np.random.default_rng(9))
-
-    got = run_head(lambda: seg_head_forward(grid, params, TWO_STAGE, ctx()), params,
-                   grid, weights)
-    want = run_head(lambda: upsample_first_seg(grid, params, TWO_STAGE, ctx()),
-                    params, grid, weights)
+    got = run_head(lambda: seg_head_forward(grid, params, TWO_STAGE), params, grid,
+                   weights)
+    want = run_head(lambda: upsample_first_seg(grid, params, TWO_STAGE), params,
+                    grid, weights)
     assert_rel_close(got[0], want[0])
     assert len(got[1]) == len(want[1])
     for a, b in zip(got[1], want[1]):

@@ -13,7 +13,7 @@ from ormllm.errors import (
 from ormllm.fusion import FusionConfig, answer_loss, lm_forward
 from ormllm.gradcheck import finite_diff_grad_check
 from ormllm.model import Model, ModelConfig
-from ormllm.nn import EVAL_CTX, ExecContext, ModelParams
+from ormllm.nn import ModelParams
 from ormllm.scenegen import build_dataset
 from ormllm.spatial import SpatialBlockConfig
 from ormllm.tensor import Tensor
@@ -265,7 +265,7 @@ def test_stage1_deterministic_and_loss_drops(tiny_data):
         model = tiny_model(tiny_data)
         data = make_stage1_records(tiny_data.samples, tiny_data.vocab, limit=40)
         cfg = TrainConfig(stage=1, epochs=8, batch_size=8, warmup_steps=4,
-                          lr_lm=3e-3, dropout=0.0, seed=9)
+                          lr_lm=3e-3, seed=9)
         result = train_stage(data, model, cfg)
         return result, model
 
@@ -294,7 +294,7 @@ def test_stage2_runs_and_freezes_lm(tiny_data):
     data = make_stage2_records(tiny_data.samples, tiny_data.vocab,
                                qa_per_sample=1, seed=3)
     cfg = TrainConfig(stage=2, epochs=1, batch_size=4, warmup_steps=0,
-                      vfm_epochs=1, dropout=0.0, seed=4)
+                      vfm_epochs=1, seed=4)
     result = train_stage(data, model, cfg)
     assert result.vfm_epoch_means and result.epoch_means
     stages = {row.stage for row in result.rows}
@@ -314,7 +314,7 @@ def test_stage2_loss_log_columns(tiny_data):
     data = make_stage2_records(tiny_data.samples, tiny_data.vocab,
                                qa_per_sample=1, seed=3)
     cfg = TrainConfig(stage=2, epochs=1, batch_size=4, warmup_steps=0,
-                      vfm_epochs=0, dropout=0.0, seed=4)
+                      vfm_epochs=0, seed=4)
     rows = []
     train_stage(data, model, cfg, log=rows.append)
     line = rows[0].format()
@@ -338,7 +338,7 @@ def test_stage2_records_contain_sgg(tiny_data):
 # ---------------------------------------------------------------------------
 
 
-def padded_batch_stage1(model, records, ctx):
+def padded_batch_stage1(model, records):
     """Oracle: the whole batch in one lm_forward, padded to its longest
     record, as stage-1 batches ran before the LM ran once per task."""
     seqs, poss, metas = [], [], []
@@ -348,21 +348,20 @@ def padded_batch_stage1(model, records, ctx):
         poss.append(seq.positions)
         metas.append(_answer_targets(len(rec.prompt_ids), rec.answer_ids, 0))
     tokens, positions = _pad_stack(seqs, poss)
-    logits = lm_forward(tokens, model.params, model.cfg.fusion, ctx,
-                        positions=positions)
+    logits = lm_forward(tokens, model.params, model.cfg.fusion, positions=positions)
     losses = [answer_loss(T.slice_(logits, (b, slice(0, len(targets)))), targets, mask)
               for b, (targets, mask) in enumerate(metas)]
     return T.mean(T.stack(losses, axis=0))
 
 
-def padded_batch_stage2(model, data, records, cfg, ctx):
+def padded_batch_stage2(model, data, records, cfg):
     """Oracle: stage 2 with one padded lm_forward over the whole batch."""
     batch_samples = [data.samples[rec.sample_index] for rec in records]
-    bundles = model.modality_tokens_batch(batch_samples, ctx)
+    bundles = model.modality_tokens_batch(batch_samples)
     seqs, poss, metas, v_feats, starts = [], [], [], [], []
     for rec, sample, bundle in zip(records, batch_samples, bundles):
         seq = model.assemble(sample, rec.prompt_ids,
-                             [V.BOS] + rec.answer_ids + [V.EOS], ctx, bundle)
+                             [V.BOS] + rec.answer_ids + [V.EOS], bundle=bundle)
         start = seq.segment_start("prompt")
         seqs.append(seq.tokens)
         poss.append(seq.positions)
@@ -370,7 +369,7 @@ def padded_batch_stage2(model, data, records, cfg, ctx):
         v_feats.append(model.contrastive_features(bundle))
         starts.append(start)
     tokens, positions = _pad_stack(seqs, poss)
-    logits, hidden = lm_forward(tokens, model.params, model.cfg.fusion, ctx,
+    logits, hidden = lm_forward(tokens, model.params, model.cfg.fusion,
                                 return_hidden=True, positions=positions)
     losses = [answer_loss(T.slice_(logits, (b, slice(0, len(targets)))), targets, mask)
               for b, (targets, mask) in enumerate(metas)]
@@ -398,7 +397,6 @@ def interleaved(records, pattern):
     return [pools[task].pop(0) for task in pattern]
 
 
-TRAIN_CTX = ExecContext(train=True, dropout=0.0)
 MIXED = ("sgg", "qa", "qa", "sgg", "qa")
 
 
@@ -423,8 +421,8 @@ def test_stage1_batch_matches_one_padded_call(tiny_data, pattern, exact):
     model = tiny_model(tiny_data)
     data = make_stage1_records(tiny_data.samples, tiny_data.vocab)
     batch = interleaved(data.records, pattern)
-    got = loss_and_grads(model, lambda: [_batch_stage1(model, batch, TRAIN_CTX)])
-    want = loss_and_grads(model, lambda: [padded_batch_stage1(model, batch, TRAIN_CTX)])
+    got = loss_and_grads(model, lambda: [_batch_stage1(model, batch)])
+    want = loss_and_grads(model, lambda: [padded_batch_stage1(model, batch)])
     assert_matches(got, want, exact)
 
 
@@ -435,10 +433,8 @@ def test_stage2_batch_matches_one_padded_call(tiny_data, pattern, exact):
                                qa_per_sample=2, seed=3)
     batch = interleaved(data.records, pattern)
     cfg = TrainConfig(stage=2)
-    got = loss_and_grads(
-        model, lambda: list(_batch_stage2(model, data, batch, cfg, TRAIN_CTX)))
-    want = loss_and_grads(
-        model, lambda: list(padded_batch_stage2(model, data, batch, cfg, TRAIN_CTX)))
+    got = loss_and_grads(model, lambda: list(_batch_stage2(model, data, batch, cfg)))
+    want = loss_and_grads(model, lambda: list(padded_batch_stage2(model, data, batch, cfg)))
     assert_matches(got, want, exact)
 
 
@@ -451,10 +447,9 @@ def test_pad_stack_tail_padding_leaves_real_rows_unchanged(tiny_data):
     assert seqs[0].tokens.shape[0] < seqs[1].tokens.shape[0]
     tokens, positions = _pad_stack([s.tokens for s in seqs],
                                    [s.positions for s in seqs])
-    padded = lm_forward(tokens, model.params, model.cfg.fusion, EVAL_CTX,
-                        positions=positions).data
+    padded = lm_forward(tokens, model.params, model.cfg.fusion, positions=positions).data
     for b, seq in enumerate(seqs):
-        alone = lm_forward(seq, model.params, model.cfg.fusion, EVAL_CTX).data
+        alone = lm_forward(seq, model.params, model.cfg.fusion).data
         np.testing.assert_allclose(padded[b, : alone.shape[0]], alone,
                                    rtol=0, atol=1e-12)
 
@@ -492,7 +487,7 @@ def test_stage1_one_lm_call_per_task_and_rows(tiny_data, lm_calls, loss_calls,
     data = make_stage1_records(tiny_data.samples, tiny_data.vocab)
     batch = interleaved(data.records, pattern)
     with T.no_grad():
-        _batch_stage1(model, batch, EVAL_CTX)
+        _batch_stage1(model, batch)
     lengths = {}
     for rec in batch:
         length = len(rec.prompt_ids) + len(rec.answer_ids) + 2  # + BOS, EOS
@@ -511,7 +506,7 @@ def test_stage2_one_lm_call_per_task(tiny_data, lm_calls, loss_calls, pattern):
                                qa_per_sample=2, seed=3)
     batch = interleaved(data.records, pattern)
     with T.no_grad():
-        _batch_stage2(model, data, batch, TrainConfig(stage=2), EVAL_CTX)
+        _batch_stage2(model, data, batch, TrainConfig(stage=2))
     assert sorted(b for b, _ in lm_calls) == sorted(
         pattern.count(task) for task in set(pattern))
     assert len(loss_calls) == len(set(pattern))
@@ -567,7 +562,6 @@ def test_batched_answer_loss_rejects_mismatched_shapes():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("dropout", 1.5), ("dropout", 1.0), ("dropout", -0.5),
     ("adam_beta1", 1.0), ("adam_beta2", -0.1), ("adam_eps", 0.0),
     ("warmup_steps", -5), ("weight_decay", -0.01), ("vfm_epochs", -1),
     ("qa_per_sample", -1), ("max_records", -1), ("sgg_max_triples", -2),
