@@ -301,7 +301,6 @@ def _gradcheck_suite(seed: int, corrupt: bool):
     drawn away from softmax saturation and absolute-value ties so central
     differences are meaningful at 1e-4."""
     from .model import build_model_params
-    from .nn import mlp_forward
 
     rng = np.random.default_rng(np.random.SeedSequence([0x96AD, seed]))
     scfg = SpatialBlockConfig(

@@ -124,6 +124,8 @@ class RunConfig:
             values[key] = value
         for key, value in values.items():
             _check_type(key, value)
+        if values["seed"] < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {values['seed']}")
         env_threads = os.environ.get("ORMLLM_THREADS")
         if env_threads and (overrides or {}).get("threads") is None:
             try:

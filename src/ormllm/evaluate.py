@@ -5,7 +5,14 @@ prompts, and so are the LM keys and values of that modality prefix: the
 slot layout gives every prompt of a sample the same prefix rows at the same
 positions, so each decode runs the LM only on its prompt, BOS and the
 tokens it generates. Decoding is greedy by default so identical inputs
-yield identical reports. With threads > 1, samples are processed in a pool
+yield identical reports. A greedy decode drafts and verifies: it guesses
+the next few ids by copying what followed the last one or two ids earlier
+in the prompt or the answer so far, checks the guess and the next choice
+in one cached LM call, keeps the longest correct part and rolls the K/V
+cache back over the rest (fusion.decode_answer). The answers are exactly
+those of one LM call per token; the repeated `subject | relation | object ;`
+pattern of scene-graph answers lets most guesses through, so those decodes
+take far fewer calls. With threads > 1, samples are processed in a pool
 and aggregated in index order, which leaves every score unchanged because
 per-sample evaluation is pure.
 """
@@ -14,8 +21,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import tensor as T
 from . import vocab as V

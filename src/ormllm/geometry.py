@@ -10,7 +10,7 @@ geometry, which are excluded from the valid domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from . import vocab as V
 from .errors import CompatibilityError, ConfigurationError
 from .fusion import (
     FusionConfig,

@@ -115,8 +115,12 @@ class KVCache:
     run, one (k, v) pair of [B, heads, length, dh] arrays per block prefix,
     for inference-only incremental decoding. `length` counts the rows held.
 
-    Entries are replaced, never mutated in place, so copy() (a shallow dict
-    copy) gives an independent branch, e.g. one per beam.
+    A draft-and-verify decoder extends the cache by a guessed continuation
+    in one call and then rolls back the rows it rejected with truncate().
+    Entries are replaced, never mutated in place: extend() concatenates
+    into new arrays and truncate() keeps views of the first rows. So copy()
+    (a shallow dict copy) gives an independent branch, e.g. one per beam or
+    one per decode from a shared prefix cache.
     """
 
     def __init__(self):
@@ -144,6 +148,16 @@ class KVCache:
             v = np.concatenate([past_v, v], axis=2)
         self.kv[prefix] = (k, v)
         return k, v, past
+
+    def truncate(self, length: int) -> None:
+        """Keeps only the first `length` rows, dropping the later ones. The
+        held arrays are sliced, never written, so a cache that shares them
+        (the source of a copy()) is unchanged."""
+        if not 0 <= length <= self.length:
+            raise ContractError(f"cannot truncate a {self.length}-row cache to {length}")
+        self.kv = {name: (k[:, :, :length], v[:, :, :length])
+                   for name, (k, v) in self.kv.items()}
+        self.length = length
 
 
 def _causal_mask(n: int, past: int = 0) -> np.ndarray:

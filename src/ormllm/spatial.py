@@ -17,7 +17,7 @@ Images are [H, W, 3] (or [B, H, W, 3]) float64 in [0, 1]. Class ids are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -78,6 +78,14 @@ def test_gen_data_zero_scenes_usage_error(tmp_path, capsys, flags, config_line, 
     assert not out.exists()
 
 
+def test_gen_data_negative_seed_usage_error(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["gen-data", "--seed", "-1", "--scenes", "1", "--views", "1",
+                 "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("size", [30, 12])
 def test_gen_data_image_size_no_model_takes_usage_error(tmp_path, size):
     # 30 is not a multiple of the encoder patch (4); 12 is, but not of the
@@ -328,6 +336,15 @@ def test_config_value_of_wrong_type_usage_error(workspace, tmp_path, capsys, val
                  "--ckpt-out", str(out)]) == 2
     assert "spatial.encoder_dim" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_negative_seed_usage_error(workspace, tmp_path, capsys):
+    root, cfg, data = workspace
+    ckpt = tmp_path / "s1.ckpt"
+    assert main(["train", "--stage", "1", "--seed", "-1", "--data", data,
+                 "--config", cfg, "--ckpt-out", str(ckpt)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 @pytest.mark.parametrize("line", [

@@ -399,12 +399,55 @@ def decode_fixture(kind, seed, prompt_len=2, eos_bias=0.0):
 
 
 def recording(calls, forward):
-    """`forward` that also appends (rows run, last-row logits) per call."""
+    """`forward` that also appends (rows run, their logits) per call."""
     def wrapped(seq, *args, **kwargs):
         out = forward(seq, *args, **kwargs)
-        calls.append((seq.shape[0], out.data[-1].copy()))
+        calls.append((seq.data.copy(), out.data.copy()))
         return out
     return wrapped
+
+
+def reference_draft(history, limit):
+    """The draft lookup by brute force: the ids after the latest earlier
+    occurrence of the last two ids, else of the last id."""
+    for width in (2, 1):
+        tail = history[-width:]
+        starts = [i for i in range(len(history) - width)
+                  if history[i:i + width] == tail]
+        if starts:
+            return history[starts[-1] + width:starts[-1] + width + limit]
+    return []
+
+
+def check_greedy_calls(seq, params, max_new, skipped, calls, want_calls):
+    """Replays the draft-and-verify contract against the recompute oracle's
+    steps. Each call runs the prefix rows not yet run (first call only), the
+    last chosen token and the lookup draft, and nothing else; the rows up to
+    the first rejected draft id have the oracle's logits for their steps."""
+    steps = [logits[-1] for _, logits in want_calls]
+    chosen = [int(np.argmax(s)) for s in steps]  # the oracle's ids, EOS included
+    wte = params["lm.wte"].data
+    bos_pos = seq.next_position()
+    history = list(seq.prompt_ids) + [V.BOS]
+    n = 0
+    for c, (rows, logits) in enumerate(calls):
+        assert n < len(chosen)
+        limit = min(fusion.DRAFT, max_new - n - 1, FCFG.max_seq_len - 1 - bos_pos - n)
+        draft = reference_draft(history, limit)
+        fresh = len(seq) - skipped if c == 0 else 0
+        assert len(rows) == fresh + 1 + len(draft)
+        assert np.array_equal(rows[len(rows) - len(draft):], wte[draft])
+        accepted = 0
+        while (accepted < len(draft) and n + accepted < len(chosen)
+               and draft[accepted] == chosen[n + accepted]):
+            accepted += 1
+        made = min(accepted + 1, len(chosen) - n)
+        verified = logits[len(logits) - len(draft) - 1:]
+        for j in range(made):
+            np.testing.assert_allclose(verified[j], steps[n + j], rtol=0, atol=1e-10)
+        history += chosen[n:n + made]
+        n += made
+    assert n == len(chosen)
 
 
 DECODE_CASES = [
@@ -435,23 +478,121 @@ def test_cached_decode_matches_recompute_oracle(monkeypatch, mode, beam_k, kind,
     got = decode_answer(seq, params, FCFG, mode=mode, beam_k=beam_k,
                         max_new=max_new, past=past)
     assert got == want
-    assert len(calls) == len(want_calls)
-    for (_, a), (_, b) in zip(calls, want_calls):
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
-    # Prefill of the rows past does not hold plus BOS, then one row per call.
     skipped = past.length if shared_past else 0
-    assert [n for n, _ in calls] == [len(seq) - skipped + 1] + [1] * (len(calls) - 1)
+    if mode == "greedy":
+        check_greedy_calls(seq, params, max_new, skipped, calls, want_calls)
+    else:
+        assert len(calls) == len(want_calls)
+        for (_, a), (_, b) in zip(calls, want_calls):
+            np.testing.assert_allclose(a[-1], b[-1], rtol=0, atol=1e-10)
+        # Prefill of the rows past does not hold plus BOS, then one row per call.
+        assert [len(rows) for rows, _ in calls] == \
+            [len(seq) - skipped + 1] + [1] * (len(calls) - 1)
     if eos_bias < 0 and mode == "greedy":
         assert len(got) < max_new  # the length cut-off ended the decode
 
 
-def test_greedy_decode_runs_lm_once_per_generated_token(monkeypatch):
-    params, seq = decode_fixture("slots", 27)
-    calls = []
+def cycle_fixture(kind, prompt, next_of, seed=30):
+    """An LM whose greedy choice is next_of[current id]: the blocks add
+    nothing to the residual stream (zero output projections), each used id
+    embeds as a large one-hot row, and lm.out maps that row to its
+    successor. Repeating output makes lookup drafts hit."""
+    params = make_params(seed=seed)
+    for i in range(FCFG.lm_layers):
+        for name in ("attn.wo.w", "attn.wo.b", "mlp.fc2.w", "mlp.fc2.b"):
+            params[f"lm.blocks.{i}.{name}"].data[:] = 0.0
+    wte = params["lm.wte"].data
+    wte[:] = 0.0
+    wte[:FCFG.d_token] = 10.0 * np.eye(FCFG.d_token)
+    params["lm.out.w"].data[:] = 0.0
+    params["lm.out.b"].data[:] = 0.0
+    for cur, nxt in next_of.items():
+        params["lm.out.w"].data[cur, nxt] = 1.0
+    img, seg, pc = seq_parts(params, seed=seed)
+    layout = slot_layout(16, SCFG.seg_classes, FCFG.pc_tokens) if kind == "slots" else None
+    seq = build_input_sequence(img, seg, pc, prompt, params, FCFG, layout=layout,
+                               seg_class_ids=[1, 2, 3])
+    return params, seq
+
+
+CYCLE = {V.BOS: 5, 5: 6, 6: 7, 7: 5}
+CYCLE_CASES = [
+    # (positions, prompt, successor map, max_new, expected ids)
+    # Empty drafts until 5 repeats, then a whole draft plus the bonus id;
+    # max_new cuts the last draft short.
+    ("slots", [9], {**CYCLE, 9: 9}, 11, [5, 6, 7] * 3 + [5, 6]),
+    # The prompt drafts 6, 9 after 5: 6 is accepted, 9 rejected for 7.
+    ("slots", [5, 6, 9], {V.BOS: 5, 5: 6, 6: 7, 7: 8, 8: V.EOS, 9: 5}, 10,
+     [5, 6, 7, 8]),
+    # EOS is itself a draft id (after 6 in the prompt) and is accepted.
+    ("sequence", [5, 6, V.EOS, 9], {V.BOS: 5, 5: 6, 6: V.EOS, 9: 9}, 10, [5, 6]),
+    # EOS is the choice at the first mismatch, after two accepted ids.
+    ("sequence", [5, 6, 7, 8], {V.BOS: 5, 5: 6, 6: 7, 7: V.EOS, 8: 8}, 10, [5, 6, 7]),
+    # The last slot (63) falls inside a draft: BOS sits at 55, so the ninth
+    # id, whose slot would be 64, ends the decode.
+    ("sequence", [5, 6, 7] * 11 + [5, 6], CYCLE, 30, [5, 6, 7] * 3),
+]
+
+
+@pytest.mark.parametrize("kind,prompt,next_of,max_new,expected", CYCLE_CASES)
+@pytest.mark.parametrize("shared_past", [False, True])
+def test_greedy_draft_and_verify_on_cycling_output(monkeypatch, kind, prompt, next_of,
+                                                   max_new, expected, shared_past):
+    params, seq = cycle_fixture(kind, prompt, next_of)
+    want_calls, calls = [], []
+    want = recompute_decode(seq, params, FCFG, max_new=max_new,
+                            forward=recording(want_calls, lm_forward))
+    assert want == expected
+    past = prefix_cache(seq, seq.segment_start("prompt"), params, FCFG) \
+        if shared_past else None
     monkeypatch.setattr(fusion, "lm_forward", recording(calls, lm_forward))
-    out = decode_answer(seq, params, FCFG, max_new=10)
-    ended_at_eos = len(out) < 10
-    assert len(calls) == len(out) + ended_at_eos
+    assert decode_answer(seq, params, FCFG, max_new=max_new, past=past) == want
+    check_greedy_calls(seq, params, max_new, past.length if shared_past else 0,
+                       calls, want_calls)
+    assert len(calls) < len(want_calls)  # some draft was accepted
+
+
+def test_exact_logit_tie_decodes_to_smaller_id():
+    params, seq = decode_setup(17)
+    params["lm.out.w"].data[:] = 0.0
+    params["lm.out.b"].data[:] = 0.0
+    params["lm.out.b"].data[[4, 11]] = 3.0
+    assert decode_answer(seq, params, FCFG, max_new=5) == [4] * 5
+    assert decode_answer(seq, params, FCFG, mode="beam", beam_k=2, max_new=5) == [4] * 5
+
+
+def test_cache_truncate_leaves_source_and_shared_past_unchanged():
+    params, seq = decode_fixture("slots", 31, prompt_len=5)
+    past = prefix_cache(seq, seq.segment_start("prompt"), params, FCFG)
+    held = {name: (k.copy(), v.copy()) for name, (k, v) in past.kv.items()}
+    cache = past.copy()
+    rest = seq.tokens.data[past.length:]
+    with T.no_grad():
+        lm_forward(Tensor(rest), params, FCFG, positions=seq.positions[past.length:],
+                   cache=cache)
+    grown = {name: (k.copy(), v.copy()) for name, (k, v) in cache.kv.items()}
+    arrays = dict(cache.kv)
+    cache.truncate(past.length + 1)
+    assert cache.length == past.length + 1
+    for name, (k, v) in cache.kv.items():
+        assert np.array_equal(k, grown[name][0][:, :, :past.length + 1])
+        assert np.array_equal(v, grown[name][1][:, :, :past.length + 1])
+        # The arrays the cache held before are sliced, never written.
+        assert np.array_equal(arrays[name][0], grown[name][0])
+        assert np.array_equal(arrays[name][1], grown[name][1])
+        assert np.array_equal(past.kv[name][0], held[name][0])
+        assert np.array_equal(past.kv[name][1], held[name][1])
+    assert past.length == seq.segment_start("prompt")
+    # Rows run after the truncation see exactly the rows kept.
+    with T.no_grad():
+        after = lm_forward(Tensor(rest[2:]), params, FCFG,
+                           positions=seq.positions[past.length + 2:], cache=cache).data
+    keep = np.r_[0:past.length + 1, past.length + 2:len(seq)]
+    full = lm_forward(Tensor(seq.tokens.data[keep]), params, FCFG,
+                      positions=seq.positions[keep]).data
+    np.testing.assert_allclose(after, full[past.length + 1:], rtol=0, atol=1e-12)
+    with pytest.raises(ContractError):
+        cache.truncate(cache.length + 1)
 
 
 def test_decode_leaves_shared_past_unchanged():
