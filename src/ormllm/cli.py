@@ -381,6 +381,8 @@ def _gradcheck_suite(seed: int, corrupt: bool):
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {args.seed}")
     suite = _gradcheck_suite(args.seed, args.corrupt)
     print("loss\tworst_tensor\tmax_rel_error\tcoords\tstatus")
     exit_code = EXIT_OK

@@ -300,6 +300,11 @@ def test_gradcheck_passes_and_corrupt_fails():
     assert main(["gradcheck", "--seed", "0", "--corrupt"]) == 1
 
 
+def test_gradcheck_negative_seed_usage_error(capsys):
+    assert main(["gradcheck", "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_eval_variant_inferred_from_checkpoint(workspace, trained, tmp_path):
     root, cfg, data = workspace
     out, s1, _, _ = trained
