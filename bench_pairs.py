@@ -33,10 +33,23 @@ SIDES = ("parent", "change")
 
 
 def parse_seeds(text: str) -> list[int]:
+    """Comma-separated seeds and inclusive ranges lo-hi, in the given order.
+    An empty part, a descending range or a negative seed is an argparse
+    type error, so the command line exits 2 before anything runs."""
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds += list(range(int(lo), int(hi or lo) + 1))
+        lo, dash, hi = part.partition("-")
+        try:
+            first = int(lo)
+            last = int(hi) if dash else first
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"seed list {text!r}: {part!r} is not a seed >= 0 or a range lo-hi"
+            ) from None
+        if last < first:
+            raise argparse.ArgumentTypeError(
+                f"seed list {text!r}: range {part!r} is descending")
+        seeds += list(range(first, last + 1))
     return seeds
 
 
@@ -125,21 +138,22 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, help="e.g. 301-310 or 1,4,9")
+    parser.add_argument("--seeds", required=True, type=parse_seeds,
+                        help="e.g. 301-310 or 1,4,9")
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--trace-seeds", help="seeds of traced pairs, e.g. 104,104,104")
+    parser.add_argument("--trace-seeds", type=parse_seeds,
+                        help="seeds of traced pairs, e.g. 104,104,104")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
-    seeds = parse_seeds(args.seeds)
-    pairs, info = run_pairs(checkouts, args.workload, seeds, args.seconds, False)
+    pairs, info = run_pairs(checkouts, args.workload, args.seeds, args.seconds, False)
     entry = {
         "checkouts": {side: checkout_state(path) for side, path in checkouts.items()},
         "command": f"python3 perfbench/run.py --workload {args.workload} "
                    f"--seed N --seconds {args.seconds:g} --trace 0",
-        "seeds": seeds,
+        "seeds": args.seeds,
         "sizes": info["sizes"],
         "nproc": info["nproc"],
         "blas_threads": info["blas_threads"],
@@ -150,7 +164,7 @@ def main(argv=None) -> int:
     }
     traced = []
     if args.trace_seeds:
-        traced, _ = run_pairs(checkouts, args.workload, parse_seeds(args.trace_seeds),
+        traced, _ = run_pairs(checkouts, args.workload, args.trace_seeds,
                               args.seconds, True)
         entry["traced"] = {
             "median": {side: {name: float(np.median([p[side][name] for p in traced]))

@@ -54,8 +54,8 @@ for variant in ("full", "no-depth-seg", "no-fusion"):
         with T.no_grad():
             for s in test_samples[:12]:
                 _, g = model.spatial_grid(s.rgb)
-                _, maps = model.predict_seg(g)
-                accs.append((maps[0].ids == s.seg).mean())
+                _, ids = model.predict_seg(g)
+                accs.append((ids[0] == s.seg).mean())
         seg_acc = float(np.mean(accs))
     else:
         seg_acc = float("nan")

@@ -468,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients of every loss")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -6,6 +6,10 @@ the camera frame is x right, y down, z forward; a pose maps camera-frame
 points into world coordinates (p_world = R p_cam + t). Depth is the
 camera-frame z coordinate, and 0 is the sentinel for pixels with no
 geometry, which are excluded from the valid domain.
+
+Back-projection takes a whole depth map or the depths at a given set of
+pixels; the model's point path passes the predicted depth on a fixed
+raster of pixels only, the pixels the point encoder reads.
 """
 
 from __future__ import annotations
@@ -108,11 +112,22 @@ def back_project_pixel(u: float, v: float, depth: float, K: CameraIntrinsics,
     return pose.rotation @ p_cam + pose.translation
 
 
-def reconstruct_point_cloud(depth: DepthMap, K: CameraIntrinsics,
-                            pose: CameraPose) -> PointCloud:
-    """Back-project every valid pixel, in raster (row-major) order."""
-    vv, uu = np.nonzero(depth.valid_mask)
-    d = depth.values[vv, uu]
+def reconstruct_point_cloud(depth, K: CameraIntrinsics, pose: CameraPose,
+                            pixels: np.ndarray | None = None) -> PointCloud:
+    """Back-project every valid pixel of a DepthMap, in raster (row-major)
+    order. With `pixels` ([P, 2] integer (u, v)), `depth` holds the depths
+    [P] at those pixels instead, checked as a DepthMap's are, and their
+    valid (positive) ones are back-projected in the given order."""
+    if pixels is None:
+        vv, uu = np.nonzero(depth.valid_mask)
+        d = depth.values[vv, uu]
+    else:
+        d = np.asarray(depth, dtype=np.float64)
+        if not np.isfinite(d).all() or (d < 0).any():
+            raise DomainError("depth values must be finite and non-negative")
+        keep = d > 0
+        uu, vv = np.asarray(pixels, dtype=np.int64)[keep].T
+        d = d[keep]
     x = (uu - K.cx) / K.fx * d
     y = (vv - K.cy) / K.fy * d
     cam = np.stack([x, y, d], axis=1)

@@ -2,10 +2,19 @@
 sample-to-token-sequence forward path.
 
 Pseudo-modalities are always inferred from RGB; ground truth enters only
-through losses. The predicted depth map and class map leave the graph as
-plain data before back-projection and region masking, so the point and
-region encoders train through their own weights while the depth and
+through losses. The predicted depth and classes leave the graph as plain
+data before back-projection and region masking, so the point and region
+encoders train through their own weights while the depth and
 segmentation decoders train through their supervision losses.
+
+The modality path runs each head only where its slot reads it. Region
+pooling reads the predicted classes at the encoder cell centres, and the
+point encoder reads the predicted depth on `cloud_raster`: flat pixels
+0, s, 2s, ... with s = ceil(H * W / MAX_ENCODED_POINTS), of which the
+pixels with non-positive depth are dropped. That is the cloud of every
+valid pixel subsampled at the same stride whenever every predicted depth
+is > 0, which softplus guarantees unless its input is below about -745.
+The early composite and the view and depth-patch slots read whole maps.
 """
 
 from __future__ import annotations
@@ -27,16 +36,17 @@ from .fusion import (
     project_pc_tokens,
     slot_layout,
 )
-from .geometry import DepthMap, PointCloud, reconstruct_point_cloud
+from .geometry import reconstruct_point_cloud
 from .nn import ModelParams, mlp_forward
 from .scenegen import CLASS_COLORS, Sample
 from .spatial import (
     SpatialBlockConfig,
     build_spatial_params,
+    cell_centres,
     depth_head_forward,
     encode_point_cloud,
     encoder_forward,
-    logits_to_map,
+    logits_to_ids,
     region_pool,
     seg_head_forward,
     tokens_to_grid,
@@ -48,15 +58,12 @@ DEPTH_SCALE = 10.0  # meters mapped to roughly [0, 1] for image-style inputs
 MAX_ENCODED_POINTS = 256  # point encoder input cap (deterministic stride)
 
 
-def subsample_cloud(cloud, max_points: int):
-    """Deterministic stride subsampling keeps the encoder input bounded;
-    the raster stride preserves scene coverage."""
-    n = len(cloud)
-    if n <= max_points:
-        return cloud
-    stride = int(np.ceil(n / max_points))
-    return PointCloud(points=cloud.points[::stride],
-                      source_pixels=cloud.source_pixels[::stride])
+def cloud_raster(image_size: int) -> np.ndarray:
+    """The flat pixels (v * W + u) the point cloud is back-projected at:
+    0, s, 2s, ... with s = ceil(H * W / MAX_ENCODED_POINTS), so at most
+    MAX_ENCODED_POINTS of them, spread over the whole image."""
+    n = image_size * image_size
+    return np.arange(0, n, -(-n // MAX_ENCODED_POINTS))
 
 
 @dataclass
@@ -85,13 +92,12 @@ def build_model_params(cfg: ModelConfig, seed: int) -> ModelParams:
 
 @dataclass
 class ModalityBundle:
-    """Per-sample projected segments plus inspection hooks for evaluation."""
+    """Per-sample projected segments, plus the class id of each region
+    token."""
 
     img_toks: Tensor
     seg_toks: Tensor | None
     pc_toks: Tensor | None
-    pred_depth: np.ndarray | None = None
-    pred_seg: np.ndarray | None = None
     seg_class_ids: list[int] | None = None
 
 
@@ -116,14 +122,15 @@ class Model:
                                  self.params, self.cfg.spatial)
         return tokens, tokens_to_grid(tokens, self.cfg.spatial)
 
-    def predict_depth(self, grid) -> Tensor:
-        return depth_head_forward(grid, self.params, self.cfg.spatial)
+    def predict_depth(self, grid, pixels=None) -> Tensor:
+        """Depth [B, H, W], or [B, P] at flat pixels [P]."""
+        return depth_head_forward(grid, self.params, self.cfg.spatial, pixels)
 
-    def predict_seg(self, grid):
-        logits = seg_head_forward(grid, self.params, self.cfg.spatial)
-        maps = [logits_to_map(logits.data[b], self.cfg.spatial.seg_classes)
-                for b in range(logits.shape[0])]
-        return logits, maps
+    def predict_seg(self, grid, pixels=None) -> tuple[Tensor, np.ndarray]:
+        """Class logits [B, K, H, W] and ids [B, H, W], or [B, K, P] and
+        [B, P] at flat pixels [P]."""
+        logits = seg_head_forward(grid, self.params, self.cfg.spatial, pixels)
+        return logits, logits_to_ids(logits.data)
 
     # -- per-variant token assembly -----------------------------------------
 
@@ -137,11 +144,15 @@ class Model:
         region pooling and the point-cloud encoding loop over samples. The
         depth and seg heads run without recording: their outputs enter the
         tokens only as data, and they train through the supervision losses
-        of the VFM phase."""
+        of the VFM phase. They run at the pixels the slots read: the seg
+        head at the cell centres when only region pooling reads it
+        (`seg_at_cells`), the depth head on the cloud raster when only the
+        point encoder does (`depth_on_raster`), else over whole maps."""
         spec = variant_spec(self.cfg.variant)
-        fcfg = self.cfg.fusion
+        scfg, fcfg = self.cfg.spatial, self.cfg.fusion
         B = len(samples)
         rgb = np.stack([np.asarray(s.rgb, dtype=np.float64) for s in samples])
+        centres, raster = cell_centres(scfg), cloud_raster(scfg.image_size)
 
         def per_sample(batched: Tensor) -> list[Tensor]:
             return [T.slice_(batched, b) for b in range(B)]
@@ -150,63 +161,59 @@ class Model:
             return per_sample(project_image_tokens(image, self.params, fcfg,
                                                    embed=embed))
 
-        depth = maps = None
+        depth = seg_ids = None
         if spec.spatial:
             cell_tokens, grid = self.spatial_grid(rgb)
             # The head outputs leave the graph as data, so recording them
             # would only keep their tapes alive.
             with T.no_grad():
                 if spec.needs_depth:
-                    depth = self.predict_depth(grid)
+                    depth = self.predict_depth(
+                        grid, raster if spec.depth_on_raster else None).data
                 if spec.needs_seg:
-                    _, maps = self.predict_seg(grid)
+                    _, seg_ids = self.predict_seg(
+                        grid, centres if spec.seg_at_cells else None)
 
         if spec.image == "early":
             # Recolored predicted classes over RGB, predicted depth as a
             # fourth channel, one shared tower.
-            overlay = 0.5 * rgb + 0.5 * np.stack([CLASS_COLORS[m.ids - 1] for m in maps])
-            img = tower(np.concatenate([overlay, depth.data[..., None] / DEPTH_SCALE],
+            overlay = 0.5 * rgb + 0.5 * CLASS_COLORS[seg_ids - 1]
+            img = tower(np.concatenate([overlay, depth[..., None] / DEPTH_SCALE],
                                        axis=-1), embed="proj.early_embed")
         else:
             img = tower(rgb)
 
         seg = [None] * B
-        seg_ids: list[list[int] | None] = [None] * B
+        region_ids: list[list[int] | None] = [None] * B
         if spec.seg == "regions":
-            feats, seg_ids = region_pool(maps, cell_tokens, self.params,
-                                         self.cfg.spatial)
+            cell_ids = seg_ids if spec.seg_at_cells else seg_ids.reshape(B, -1)[:, centres]
+            feats, region_ids = region_pool(cell_ids, cell_tokens, self.params, scfg)
             toks = mlp_forward(feats, self.params, "proj.seg_head")
-            bounds = np.cumsum([0] + [len(ids) for ids in seg_ids])
+            bounds = np.cumsum([0] + [len(ids) for ids in region_ids])
             seg = [T.slice_(toks, (slice(bounds[b], bounds[b + 1]), slice(None)))
                    for b in range(B)]
         elif spec.seg == "view":
-            seg = tower(np.stack([CLASS_COLORS[m.ids - 1] for m in maps]))
+            seg = tower(CLASS_COLORS[seg_ids - 1])
 
         pc = [None] * B
         if spec.pc == "points":
+            at_raster = depth if spec.depth_on_raster else depth.reshape(B, -1)[:, raster]
+            uv = np.stack([raster % scfg.image_size, raster // scfg.image_size], axis=1)
             point_feats = []
             for b, s in enumerate(samples):
-                cloud = reconstruct_point_cloud(DepthMap(depth.data[b].copy()),
-                                                s.K, s.pose)
-                cloud = subsample_cloud(cloud, MAX_ENCODED_POINTS)
+                cloud = reconstruct_point_cloud(at_raster[b], s.K, s.pose, pixels=uv)
                 point_feats.append(encode_point_cloud(cloud, self.params)
                                    if len(cloud) else None)
             pc = project_pc_tokens(point_feats, self.params, fcfg)
         elif spec.pc == "depth_patches":
-            pc = tower(T.constant(depth.data[..., None] / DEPTH_SCALE),
+            pc = tower(T.constant(depth[..., None] / DEPTH_SCALE),
                        embed="proj.depth_embed")
         elif spec.pc == "view":
-            pc = tower(np.repeat(depth.data[..., None] / DEPTH_SCALE, 3, axis=-1))
+            pc = tower(np.repeat(depth[..., None] / DEPTH_SCALE, 3, axis=-1))
 
-        return [
-            ModalityBundle(
-                img_toks=img[b], seg_toks=seg[b], pc_toks=pc[b],
-                pred_depth=None if depth is None else depth.data[b],
-                pred_seg=None if maps is None else maps[b].ids,
-                seg_class_ids=seg_ids[b],
-            )
-            for b in range(B)
-        ]
+        return [ModalityBundle(img_toks=img[b], seg_toks=seg[b], pc_toks=pc[b],
+                               seg_class_ids=region_ids[b])
+                for b in range(B)]
 
     # -- sequence assembly ---------------------------------------------------
 

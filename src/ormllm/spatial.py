@@ -3,13 +3,20 @@
 One shared transformer encoder feeds three heads: an upsampling depth
 decoder with a softplus output (depth is strictly positive), a
 segmentation decoder producing per-pixel class logits, and region pooling
-over the predicted class map. A separate shared-MLP point encoder turns a
+over the predicted classes. A separate shared-MLP point encoder turns a
 back-projected cloud into one permutation-invariant global feature.
 
 Both decoders apply their 1x1 (per-pixel affine) maps to the encoder grid
 before upsampling, not after: each row of the bilinear upsampling operator
 sums to 1, so the two orders agree up to rounding, and the grid has
 4**depth_decoder_stages times fewer pixels than the output.
+
+Both decoders also run at a set of flat pixels (v * W + u) instead of the
+whole map: their per-pixel work (the last 3x3 conv, gelu and the output
+maps) then covers only those pixels. The losses and the full-map slots
+read every pixel; region pooling reads the class map only at the encoder
+cell centres (`cell_centres`), and the point encoder the depth only on a
+raster (`model.cloud_raster`).
 
 Images are [H, W, 3] (or [B, H, W, 3]) float64 in [0, 1]. Class ids are
 1-based; id 1 doubles as the background for pixels with no geometry.
@@ -192,27 +199,52 @@ def conv1x1(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
     return T.transpose(T.reshape(out, (B, H, W, out.shape[-1])), (0, 3, 1, 2))
 
 
+def _at_pixels(x: Tensor, pixels: np.ndarray | None) -> Tensor:
+    """[B, C, H, W] -> [B, C, P]: the maps at flat pixels (v * W + u), or x
+    itself without them."""
+    if pixels is None:
+        return x
+    B, C, H, W = x.shape
+    planes = np.arange(B * C).reshape(B, C, 1) * (H * W)
+    return T.take_flat(x, planes + np.asarray(pixels, dtype=np.int64))
+
+
+def _channels_last(x: Tensor) -> Tensor:
+    """[B, C, ...] -> [B, N, C] with the trailing dims flattened to N rows."""
+    B, C = x.shape[:2]
+    return T.transpose(T.reshape(x, (B, C, -1)), (0, 2, 1))
+
+
 def depth_head_forward(grid: Tensor, params: ModelParams,
-                       cfg: SpatialBlockConfig) -> Tensor:
-    """Upsampling decoder over encoder features; returns depth [B, H, W] > 0.
+                       cfg: SpatialBlockConfig, pixels=None) -> Tensor:
+    """Upsampling decoder over encoder features; returns depth [B, H, W] > 0,
+    or [B, P] at flat output pixels [P] (v * W + u).
 
     Stage s adds a 1x1 skip map of the encoder grid, upsampled s + 1 times.
     The map runs at grid resolution, before the upsampling, because a
     per-pixel affine map commutes with bilinear_up2 (its interpolation
     weights sum to 1): the result is that of upsampling first, up to
-    rounding, at 1/4**(s+1) of the 1x1 cost."""
+    rounding, at 1/4**(s+1) of the 1x1 cost. At `pixels`, the last stage's
+    3x3 conv gathers only their im2col rows, and gelu, the 1x1 head and
+    softplus run on those P rows; the earlier stages and the upsampling stay
+    whole. The values are the full map's at the pixels up to rounding, and
+    byte for byte for the cell centres and the cloud raster at the run
+    configs (T.conv3x3 says when BLAS keeps the conv's bytes; OpenBLAS
+    runs the 1x1 head, a matrix-vector product, 4 rows at a time, so P
+    should be a multiple of 4)."""
     g = grid
+    last = cfg.depth_decoder_stages - 1
     for s in range(cfg.depth_decoder_stages):
+        at = pixels if s == last else None
         skip = conv1x1(grid, params, f"spatial.depth.stage{s}.skip")
         for _ in range(s + 1):
             skip = T.bilinear_up2(skip)
         g = T.conv3x3(T.bilinear_up2(g),
                       params[f"spatial.depth.stage{s}.conv.w"],
-                      params[f"spatial.depth.stage{s}.conv.b"])
-        g = T.gelu(g + skip)
-    out = conv1x1(g, params, "spatial.depth.head")
-    B, _, H, W = out.shape
-    return T.softplus(T.reshape(out, (B, H, W)))
+                      params[f"spatial.depth.stage{s}.conv.b"], pixels=at)
+        g = T.gelu(g + _at_pixels(skip, at))
+    out = linear(_channels_last(g), params, "spatial.depth.head")  # [B, N, 1]
+    return T.softplus(T.reshape(out, (g.shape[0],) + g.shape[2:]))
 
 
 def depth_forward(image, params: ModelParams, cfg: SpatialBlockConfig) -> Tensor:
@@ -224,26 +256,29 @@ def depth_forward(image, params: ModelParams, cfg: SpatialBlockConfig) -> Tensor
 
 
 def seg_head_forward(grid: Tensor, params: ModelParams,
-                     cfg: SpatialBlockConfig) -> Tensor:
-    """Per-pixel class logits [B, K, H, W] from encoder features.
+                     cfg: SpatialBlockConfig, pixels=None) -> Tensor:
+    """Per-pixel class logits [B, K, H, W] from encoder features, or
+    [B, K, P] at flat output pixels [P] (v * W + u).
 
     The per-pixel MLP "spatial.seg.pixel" splits around the upsampling: fc1
     is affine, so it commutes with bilinear_up2 and runs on the encoder
-    grid; gelu and fc2 run at full resolution. The logits are
-    those of the MLP over upsampled features, up to rounding."""
+    grid; gelu and fc2 run at full resolution, or on the P rows of
+    `pixels` only. The logits are those of the MLP over upsampled features,
+    up to rounding; at the pixels they are the full map's."""
     g = conv1x1(grid, params, "spatial.seg.pixel.fc1")
     for _ in range(cfg.depth_decoder_stages):
         g = T.bilinear_up2(g)
-    B, C, H, W = g.shape
-    flat = T.gelu(T.reshape(T.transpose(g, (0, 2, 3, 1)), (B, H * W, C)))
-    logits = linear(flat, params, "spatial.seg.pixel.fc2")
-    return T.transpose(T.reshape(logits, (B, H, W, cfg.seg_classes)), (0, 3, 1, 2))
+    at = _at_pixels(g, pixels)
+    logits = linear(T.gelu(_channels_last(at)), params, "spatial.seg.pixel.fc2")
+    return T.reshape(T.transpose(logits, (0, 2, 1)),
+                     (at.shape[0], cfg.seg_classes) + at.shape[2:])
 
 
-def logits_to_map(logits_data: np.ndarray, num_classes: int) -> PanopticMap:
-    """Argmax over the class axis of one [K, H, W] slice; ties resolve to the
-    smaller class id (argmax returns the first maximum)."""
-    return PanopticMap(ids=logits_data.argmax(axis=0) + 1, num_classes=num_classes)
+def logits_to_ids(logits_data: np.ndarray) -> np.ndarray:
+    """Class ids from [B, K, ...] logits: the argmax over the class axis,
+    1-based; ties resolve to the smaller class id (argmax returns the first
+    maximum)."""
+    return logits_data.argmax(axis=1) + 1
 
 
 def depth_loss(pred, gt, cfg: SpatialBlockConfig) -> Tensor:
@@ -334,34 +369,38 @@ def seg_loss(logits, gt, cfg: SpatialBlockConfig) -> Tensor:
     return ce + cfg.lambda_dice * dice_pen
 
 
-def downsample_map(map_ids: np.ndarray, grid: int) -> np.ndarray:
-    """Nearest-neighbor reduction of a [H, W] id map to [grid, grid]."""
-    H, W = map_ids.shape
-    sy, sx = H // grid, W // grid
-    return map_ids[sy // 2 :: sy, sx // 2 :: sx][:grid, :grid]
+def cell_centres(cfg: SpatialBlockConfig) -> np.ndarray:
+    """The flat pixel (v * W + u) at the centre of each encoder cell, in
+    raster cell order: rows and columns p // 2, p // 2 + p, ... for patch
+    side p. Reading a class map there is its nearest-neighbour reduction to
+    the encoder grid."""
+    side = np.arange(cfg.encoder_patch // 2, cfg.image_size, cfg.encoder_patch)
+    return (side[:, None] * cfg.image_size + side[None, :]).reshape(-1)
 
 
-def region_pool(maps: list[PanopticMap], cell_tokens: Tensor,
-                params: ModelParams,
+def region_pool(cell_ids: np.ndarray, cell_tokens: Tensor, params: ModelParams,
                 cfg: SpatialBlockConfig) -> tuple[Tensor, list[list[int]]]:
     """Region features for a batch: for each sample, a masked mean over its
-    encoder cells per class present in its downsampled map (classes that
-    vanish at encoder resolution are skipped), then one pass of a small MLP
-    over all of them. cell_tokens is [B, n_cells, C] in raster cell order.
+    encoder cells per class present among its cell ids, then one pass of a
+    small MLP over all of them. cell_ids [B, n_cells] holds each sample's
+    predicted class at the cell centres (`cell_centres`), so a class that
+    covers no centre is skipped; cell_tokens is [B, n_cells, C], both in
+    raster cell order.
 
     Returns the features [R, C], sample by sample and within a sample in
     ascending class id, and each sample's class ids."""
-    if (cell_tokens.ndim != 3 or cell_tokens.shape[0] != len(maps)
-            or cell_tokens.shape[1] != cfg.n_cells):
+    cell_ids = np.asarray(cell_ids)
+    if (cell_tokens.ndim != 3 or cell_tokens.shape[1] != cfg.n_cells
+            or cell_ids.shape != cell_tokens.shape[:2]):
         raise DimensionError(
-            f"region_pool expects [{len(maps)}, {cfg.n_cells}, C] cell features, "
-            f"got {cell_tokens.shape}"
+            f"region_pool expects [{len(cell_ids)}, {cfg.n_cells}] cell ids and "
+            f"[{len(cell_ids)}, {cfg.n_cells}, C] cell features, got "
+            f"{cell_ids.shape} and {cell_tokens.shape}"
         )
     pooled, class_ids = [], []
-    for b, pmap in enumerate(maps):
+    for b, small in enumerate(cell_ids):
         cells = T.slice_(cell_tokens, b)
-        small = downsample_map(pmap.ids, cfg.grid_size).reshape(-1)
-        ids = [int(k) for k in sorted(np.unique(small))]
+        ids = [int(k) for k in np.unique(small)]
         for k in ids:
             pooled.append(T.mean(T.gather_rows(cells, np.flatnonzero(small == k)),
                                  axis=0))

@@ -625,24 +625,35 @@ def gather_rows(a, row_ids) -> Tensor:
     return take_flat(a, flat)
 
 
-def _im2col(xp: np.ndarray) -> np.ndarray:
+def _im2col(xp: np.ndarray, pixels: np.ndarray | None = None) -> np.ndarray:
     """[H+2, W+2, C] channel-last padded input -> [H*W, 9*C] columns, each
-    row the 3x3 neighbourhood of one output pixel in (di, dj, c) order."""
+    row the 3x3 neighbourhood of one output pixel in (di, dj, c) order; with
+    flat output pixels [P], only their rows, [P, 9*C]."""
     H, W, C = xp.shape[0] - 2, xp.shape[1] - 2, xp.shape[2]
     win = sliding_window_view(xp, (3, 3), axis=(0, 1))  # [H, W, C, 3, 3]
-    return win.transpose(0, 1, 3, 4, 2).reshape(H * W, 9 * C)
+    if pixels is None:
+        return win.transpose(0, 1, 3, 4, 2).reshape(H * W, 9 * C)
+    v, u = np.divmod(pixels, W)
+    return win[v, u].transpose(0, 2, 3, 1).reshape(len(pixels), 9 * C)
 
 
-def conv3x3(x, w, b) -> Tensor:
-    """Same-padded 3x3 convolution. x: [B,C,H,W], w: [O,C,3,3], b: [O].
+def conv3x3(x, w, b, pixels=None) -> Tensor:
+    """Same-padded 3x3 convolution. x: [B,C,H,W], w: [O,C,3,3], b: [O];
+    returns [B,O,H,W], or [B,O,P] at flat output pixels [P] (v * W + u).
 
     Lowered to one GEMM with K = 9C per sample (im2col; Chellapilla et al.,
     High Performance Convolutional Neural Networks for Document Processing,
     2006): the columns come from a sliding window over a channel-last padded
-    copy of x. The backward rebuilds each sample's columns rather than
-    keeping a [B*H*W, 9C] matrix alive between forward and backward: the
-    weight gradient is colsᵀ @ g, and the input gradient is g @ w2ᵀ folded
-    back onto the padded input with nine slice-adds."""
+    copy of x, and at `pixels` only their rows are gathered. A GEMM computes
+    each output row on its own, so a pixel's value is the full map's up to
+    rounding, and byte for byte while BLAS keeps one kernel for both row
+    counts: with numpy's OpenBLAS at C = O = 64, 28 or more pixels a sample
+    matched and 16 or fewer did not (its small-matrix kernel groups the
+    K = 576 sum differently). The backward rebuilds each sample's columns rather than keeping a
+    [B*H*W, 9C] matrix alive between forward and backward: the weight
+    gradient is colsᵀ @ g, and the input gradient is g @ w2ᵀ folded back
+    onto the padded input, with nine slice-adds over the full map or an
+    unbuffered add at the pixels."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 4 or w.ndim != 4 or w.shape[2:] != (3, 3):
         raise DimensionError(f"conv3x3 shapes: x {x.shape}, w {w.shape}")
@@ -652,26 +663,39 @@ def conv3x3(x, w, b) -> Tensor:
         )
     B, C, H, W = x.shape
     O = w.shape[0]
+    if pixels is not None:
+        pixels = np.asarray(pixels, dtype=np.int64)
+    rows = H * W if pixels is None else len(pixels)
     xp = np.pad(x.data.transpose(0, 2, 3, 1), ((0, 0), (1, 1), (1, 1), (0, 0)))
     w2 = w.data.transpose(2, 3, 1, 0).reshape(9 * C, O)
-    acc = np.empty((B, H * W, O))
+    acc = np.empty((B, rows, O))
     for i in range(B):
-        acc[i] = _im2col(xp[i]) @ w2
-    out = acc.reshape(B, H, W, O).transpose(0, 3, 1, 2) + b.data[None, :, None, None]
+        acc[i] = _im2col(xp[i], pixels) @ w2
+    spatial = (H, W) if pixels is None else (rows,)
+    out = (np.moveaxis(acc.reshape((B,) + spatial + (O,)), -1, 1)
+           + b.data.reshape((O,) + (1,) * len(spatial)))
 
     def bw(g):
-        gl = g.transpose(0, 2, 3, 1).reshape(B, H * W, O)
+        gl = np.moveaxis(g, 1, -1).reshape(B, rows, O)
         gw2 = np.zeros((9 * C, O))
         gxp = np.zeros_like(xp)
         for i in range(B):
-            gw2 += _im2col(xp[i]).T @ gl[i]
-            gcols = (gl[i] @ w2.T).reshape(H, W, 3, 3, C)
-            for di in range(3):
-                for dj in range(3):
-                    gxp[i, di : di + H, dj : dj + W] += gcols[:, :, di, dj]
+            gw2 += _im2col(xp[i], pixels).T @ gl[i]
+            gcols = gl[i] @ w2.T
+            if pixels is None:
+                gcols = gcols.reshape(H, W, 3, 3, C)
+                for di in range(3):
+                    for dj in range(3):
+                        gxp[i, di : di + H, dj : dj + W] += gcols[:, :, di, dj]
+            else:
+                v, u = np.divmod(pixels, W)
+                gcols = gcols.reshape(rows, 3, 3, C)
+                for di in range(3):
+                    for dj in range(3):
+                        np.add.at(gxp[i], (v + di, u + dj), gcols[:, di, dj])
         gx = gxp[:, 1 : 1 + H, 1 : 1 + W].transpose(0, 3, 1, 2)
         gw = gw2.reshape(3, 3, C, O).transpose(3, 2, 0, 1)
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        return gx, gw, g.sum(axis=(0,) + tuple(range(2, g.ndim)))
 
     return _make(out, (x, w, b), bw)
 

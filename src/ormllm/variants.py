@@ -3,9 +3,11 @@ slots of the token sequence.
 
 Every other per-variant decision derives from the row: which spatial nets
 and projection heads get built (`spatial`, `needs_depth`, `needs_seg`,
-`param_groups`), which slots `build_input_sequence` fills, which
-supervision losses the stage-2 depth/seg phase runs, and how a
-checkpoint's variant is recognised (`infer_variant`). The rows hold data
+`param_groups`), at which pixels the modality path runs the depth and seg
+heads (`depth_on_raster`, `seg_at_cells`), which slots
+`build_input_sequence` fills, which supervision losses the stage-2
+depth/seg phase runs, and how a checkpoint's variant is recognised
+(`infer_variant`). The rows hold data
 only; the model code reads them and calls the module-level networks itself.
 
     variant       image slot        seg slot            pc slot
@@ -56,6 +58,20 @@ class VariantSpec:
     def needs_seg(self) -> bool:
         """A predicted class map feeds a slot."""
         return self.image == "early" or self.seg is not None
+
+    @property
+    def seg_at_cells(self) -> bool:
+        """Region pooling is the only reader of the predicted class map, and
+        it reads the map at the encoder cell centres only; the early
+        composite and the seg view read every pixel."""
+        return self.seg == "regions" and self.image != "early"
+
+    @property
+    def depth_on_raster(self) -> bool:
+        """The point encoder is the only reader of the predicted depth, and
+        it reads a fixed raster of pixels only; the early composite, depth
+        patches and the depth view read every pixel."""
+        return self.pc == "points" and self.image != "early"
 
     @property
     def spatial(self) -> bool:

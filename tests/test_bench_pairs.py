@@ -32,6 +32,28 @@ def test_parse_seeds(text, seeds):
     assert bench_pairs.parse_seeds(text) == seeds
 
 
+@pytest.mark.parametrize("text", ["", "10-1", "-3", "3,-1", "1,,2", "4-", "x"])
+def test_parse_seeds_rejects_empty_descending_and_negative(text):
+    with pytest.raises(bench_pairs.argparse.ArgumentTypeError):
+        bench_pairs.parse_seeds(text)
+
+
+@pytest.mark.parametrize("flag", ["--seeds", "--trace-seeds"])
+@pytest.mark.parametrize("text", ["10-1", "-3", ""])
+def test_main_bad_seed_list_is_usage_error(tmp_path, monkeypatch, capsys, flag, text):
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    args = ["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "w",
+            "--out", str(tmp_path / "bench.json"), "--seeds", "1", f"{flag}={text}"]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(args)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "bench.json").exists()
+
+
 def test_summarize_wins_ties_and_lower_is_better():
     pairs = [pair((4.0, 200.0), (5.0, 190.0)),   # change wins both
              pair((4.0, 200.0), (4.0, 200.0)),   # ties count for neither side

@@ -300,6 +300,17 @@ def test_gradcheck_passes_and_corrupt_fails():
     assert main(["gradcheck", "--seed", "0", "--corrupt"]) == 1
 
 
+def test_gradcheck_config_flag_usage_error(tmp_path, capsys):
+    # The suite's configurations are pinned, so gradcheck takes no config.
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text("[model]\n")
+    for path in (str(cfg), str(tmp_path / "missing.toml")):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--seed", "0", "--config", path])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
+
 def test_gradcheck_negative_seed_usage_error(capsys):
     assert main(["gradcheck", "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err

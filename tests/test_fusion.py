@@ -28,9 +28,9 @@ from ormllm.fusion import (
 from ormllm.gradcheck import finite_diff_grad_check
 from ormllm.nn import ModelParams, mlp_forward
 from ormllm.spatial import (
-    PanopticMap,
     SpatialBlockConfig,
     build_spatial_params,
+    cell_centres,
     region_pool,
 )
 from ormllm.tensor import Tensor
@@ -90,8 +90,10 @@ def test_indivisible_patch_error():
 
 def seg_tokens(params, maps, cells):
     """Region pooling plus the seg projection head, as the full variant runs
-    them: one batch in, one token per (sample, region) out."""
-    feats, ids = region_pool(maps, T.constant(cells), params, SCFG)
+    them: one batch of id maps in, read at the cell centres, one token per
+    (sample, region) out."""
+    cell_ids = np.stack([m.reshape(-1)[cell_centres(SCFG)] for m in maps])
+    feats, ids = region_pool(cell_ids, T.constant(cells), params, SCFG)
     return mlp_forward(feats, params, "proj.seg_head"), ids
 
 
@@ -105,7 +107,7 @@ def test_seg_tokens_one_per_region():
     one = np.full((32, 32), 2)
     for maps in ([three], [three, one], [one, three, three]):
         cells = rng.normal(size=(len(maps), SCFG.n_cells, 16))
-        toks, ids = seg_tokens(params, [PanopticMap(m, 3) for m in maps], cells)
+        toks, ids = seg_tokens(params, maps, cells)
         assert [len(i) for i in ids] == [len(np.unique(m)) for m in maps]
         assert toks.shape == (sum(len(i) for i in ids), 16)
 
@@ -119,7 +121,7 @@ def test_identical_region_features_give_identical_tokens():
     for B in (1, 3):
         cells = np.random.default_rng(6).normal(size=(B, SCFG.n_cells, 16))
         cells[0] = f  # every cell of sample 0, so both its regions pool to f
-        toks, _ = seg_tokens(params, [PanopticMap(ids, 3)] * B, cells)
+        toks, _ = seg_tokens(params, [ids] * B, cells)
         np.testing.assert_array_equal(toks.data[0], toks.data[1])
 
 

@@ -145,6 +145,22 @@ def test_point_count_equals_valid_pixels():
     assert len(cloud) == int((values > 0).sum())
 
 
+def test_reconstruct_at_pixels_hand_case():
+    # Depths given at (u, v) pixels, in that order; the zero one is skipped.
+    pixels = np.array([[1, 1], [0, 0], [1, 0]])
+    cloud = reconstruct_point_cloud(np.array([2.0, 0.0, 1.0]), UNIT_K, IDENTITY,
+                                    pixels=pixels)
+    np.testing.assert_array_equal(cloud.points, [[2, 2, 2], [1, 0, 1]])
+    np.testing.assert_array_equal(cloud.source_pixels, [[1, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_reconstruct_at_pixels_rejects_bad_depth(bad):
+    with pytest.raises(DomainError):
+        reconstruct_point_cloud(np.array([1.0, bad]), UNIT_K, IDENTITY,
+                                pixels=np.array([[0, 0], [1, 0]]))
+
+
 def test_invalid_rotation_rejected():
     with pytest.raises(ConfigurationError):
         CameraPose(np.eye(3) * 2.0, np.zeros(3))

@@ -4,17 +4,27 @@ import pytest
 from ormllm import tensor as T
 from ormllm import vocab as V
 from ormllm.errors import CompatibilityError, ConfigurationError
-from ormllm.fusion import FusionConfig
+from ormllm.fusion import FusionConfig, project_image_tokens, project_pc_tokens
+from ormllm.geometry import DepthMap, PointCloud, reconstruct_point_cloud
 from ormllm.model import (
+    DEPTH_SCALE,
+    MAX_ENCODED_POINTS,
     Model,
     ModelConfig,
     build_model_params,
-    subsample_cloud,
+    cloud_raster,
 )
-from ormllm.geometry import PointCloud
-from ormllm.scenegen import build_dataset
-from ormllm.spatial import SpatialBlockConfig
-from ormllm.variants import VARIANTS, infer_variant
+from ormllm.nn import mlp_forward
+from ormllm.scenegen import CLASS_COLORS, build_dataset
+from ormllm.spatial import (
+    SpatialBlockConfig,
+    depth_head_forward,
+    encode_point_cloud,
+    logits_to_ids,
+    region_pool,
+    seg_head_forward,
+)
+from ormllm.variants import VARIANTS, infer_variant, variant_spec
 
 
 @pytest.fixture(scope="module")
@@ -96,13 +106,11 @@ def test_batched_bundles_match_single(bundle):
         batched = model.modality_tokens_batch(samples)
         for i, s in enumerate(samples):
             single = model.modality_tokens_batch([s])[0]
-            for name in ("img_toks", "seg_toks", "pc_toks", "pred_depth",
-                         "pred_seg"):
+            for name in ("img_toks", "seg_toks", "pc_toks"):
                 a, b = getattr(batched[i], name), getattr(single, name)
                 assert (a is None) == (b is None), (variant, name)
                 if a is not None:
-                    np.testing.assert_allclose(getattr(a, "data", a),
-                                               getattr(b, "data", b), atol=1e-10,
+                    np.testing.assert_allclose(a.data, b.data, atol=1e-10,
                                                err_msg=f"{variant} {name}")
             assert batched[i].seg_class_ids == single.seg_class_ids, variant
             if single.seg_class_ids is not None:  # one token per region
@@ -181,15 +189,149 @@ def test_pseudo_modalities_come_from_rgb_only(bundle):
     assert before.pc_toks.data.tobytes() == after.pc_toks.data.tobytes()
 
 
+# --- the modality path against whole-map composition -------------------------
+
+
+def subsample_cloud(cloud, max_points):
+    """Stride subsampling of a cloud to at most max_points points, as the
+    point path bounded the cloud of every valid pixel before it read the
+    depth on a raster."""
+    n = len(cloud)
+    if n <= max_points:
+        return cloud
+    stride = int(np.ceil(n / max_points))
+    return PointCloud(points=cloud.points[::stride],
+                      source_pixels=cloud.source_pixels[::stride])
+
+
+def downsample_map(map_ids, grid):
+    """Nearest-neighbour reduction of a [H, W] id map to [grid, grid]."""
+    H, W = map_ids.shape
+    sy, sx = H // grid, W // grid
+    return map_ids[sy // 2 :: sy, sx // 2 :: sx][:grid, :grid]
+
+
+def whole_map_bundles(model, samples):
+    """Each sample's (image, seg, pc) token data and region class ids,
+    composed from depth and class maps over every pixel: the cloud of every
+    valid pixel, stride-subsampled, and region pooling over the
+    nearest-neighbour reduced class map."""
+    spec = variant_spec(model.cfg.variant)
+    scfg, fcfg, params = model.cfg.spatial, model.cfg.fusion, model.params
+    B = len(samples)
+    rgb = np.stack([s.rgb for s in samples])
+
+    def tower(image, embed="proj.img_embed"):
+        return list(project_image_tokens(image, params, fcfg, embed=embed).data)
+
+    depth = ids = None
+    if spec.spatial:
+        cell_tokens, grid = model.spatial_grid(rgb)
+        with T.no_grad():
+            if spec.needs_depth:
+                depth = depth_head_forward(grid, params, scfg).data
+            if spec.needs_seg:
+                ids = logits_to_ids(seg_head_forward(grid, params, scfg).data)
+    if spec.image == "early":
+        overlay = 0.5 * rgb + 0.5 * CLASS_COLORS[ids - 1]
+        img = tower(np.concatenate([overlay, depth[..., None] / DEPTH_SCALE], axis=-1),
+                    embed="proj.early_embed")
+    else:
+        img = tower(rgb)
+    seg, region_ids, pc = [None] * B, [None] * B, [None] * B
+    if spec.seg == "regions":
+        small = np.stack([downsample_map(m, scfg.grid_size).reshape(-1) for m in ids])
+        feats, region_ids = region_pool(small, cell_tokens, params, scfg)
+        toks = mlp_forward(feats, params, "proj.seg_head").data
+        bounds = np.cumsum([0] + [len(r) for r in region_ids])
+        seg = [toks[bounds[b]:bounds[b + 1]] for b in range(B)]
+    elif spec.seg == "view":
+        seg = tower(CLASS_COLORS[ids - 1])
+    if spec.pc == "points":
+        feats = []
+        for b, s in enumerate(samples):
+            cloud = subsample_cloud(reconstruct_point_cloud(DepthMap(depth[b]), s.K, s.pose),
+                                    MAX_ENCODED_POINTS)
+            feats.append(encode_point_cloud(cloud, params) if len(cloud) else None)
+        pc = [t.data for t in project_pc_tokens(feats, params, fcfg)]
+    elif spec.pc == "depth_patches":
+        pc = tower(depth[..., None] / DEPTH_SCALE, embed="proj.depth_embed")
+    elif spec.pc == "view":
+        pc = tower(np.repeat(depth[..., None] / DEPTH_SCALE, 3, axis=-1))
+    return img, seg, pc, region_ids
+
+
+@pytest.fixture(scope="module")
+def bundle32():
+    return build_dataset(seed=12, n_scenes=2, n_views=2, image_size=32)
+
+
+def model_cfg32(variant, vocab_size):
+    """32x32 images: the cloud raster strides 4 pixels, 64 cell centres."""
+    return ModelConfig(
+        variant=variant,
+        spatial=SpatialBlockConfig(
+            image_size=32, encoder_blocks=1, encoder_dim=16, encoder_heads=2,
+            encoder_patch=4, depth_decoder_stages=2, seg_classes=8,
+            pc_hidden=8, pc_feature_dim=8,
+        ),
+        fusion=FusionConfig(d_token=16, lm_layers=1, lm_heads=2,
+                            vocab_size=vocab_size, max_seq_len=256,
+                            image_patch=8),
+    )
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_modality_tokens_match_whole_map_composition(bundle32, variant):
+    """The heads at the cell centres and on the cloud raster give the tokens
+    of the whole-map composition byte for byte, at batch sizes 1 and 3."""
+    model = Model.build(model_cfg32(variant, len(bundle32.vocab)), seed=8)
+    for samples in (bundle32.samples[:1], bundle32.samples[1:4]):
+        want = whole_map_bundles(model, samples)
+        got = model.modality_tokens_batch(samples)
+        for i, bundle in enumerate(got):
+            for name, ref in zip(("img_toks", "seg_toks", "pc_toks"), want):
+                tok = getattr(bundle, name)
+                assert (tok is None) == (ref[i] is None), name
+                if tok is not None:
+                    assert tok.data.tobytes() == ref[i].tobytes(), name
+            assert bundle.seg_class_ids == want[3][i]
+
+
 def test_subsample_cloud_deterministic_and_bounded():
-    pts = np.arange(3000, dtype=np.float64).reshape(1000, 3)
-    cloud = PointCloud(points=pts, source_pixels=np.zeros((1000, 2), dtype=int))
-    small = subsample_cloud(cloud, 256)
-    assert len(small) <= 256
-    small2 = subsample_cloud(cloud, 256)
-    np.testing.assert_array_equal(small.points, small2.points)
-    tiny = subsample_cloud(PointCloud(pts[:10], np.zeros((10, 2), dtype=int)), 256)
-    assert len(tiny) == 10
+    """The cloud raster is fixed, bounded by MAX_ENCODED_POINTS and, where
+    every depth is positive, the stride-subsampled cloud of every pixel."""
+    s = build_dataset(seed=1, n_scenes=1, n_views=1, image_size=16).samples[0]
+    for side in (8, 16, 32, 48):
+        raster = cloud_raster(side)
+        assert len(raster) <= MAX_ENCODED_POINTS
+        np.testing.assert_array_equal(raster, cloud_raster(side))
+        depth = np.random.default_rng(side).uniform(0.5, 4.0, (side, side))
+        uv = np.stack([raster % side, raster // side], axis=1)
+        got = reconstruct_point_cloud(depth.reshape(-1)[raster], s.K, s.pose, pixels=uv)
+        want = subsample_cloud(reconstruct_point_cloud(DepthMap(depth), s.K, s.pose),
+                               MAX_ENCODED_POINTS)
+        assert got.points.tobytes() == want.points.tobytes()
+        np.testing.assert_array_equal(got.source_pixels, want.source_pixels)
+
+
+def test_raster_cloud_drops_zero_depth_pixels():
+    """A raster pixel whose depth is 0 is dropped and the others keep their
+    raster places; a stride over the valid pixels would shift instead."""
+    s = build_dataset(seed=1, n_scenes=1, n_views=1, image_size=32).samples[0]
+    raster = cloud_raster(32)
+    depth = np.random.default_rng(3).uniform(0.5, 4.0, (32, 32))
+    depth.reshape(-1)[raster[5]] = 0.0
+    uv = np.stack([raster % 32, raster // 32], axis=1)
+    cloud = reconstruct_point_cloud(depth.reshape(-1)[raster], s.K, s.pose, pixels=uv)
+    keep = np.delete(np.arange(len(raster)), 5)
+    np.testing.assert_array_equal(cloud.source_pixels, uv[keep])
+    whole = reconstruct_point_cloud(DepthMap(depth), s.K, s.pose)
+    at = {tuple(p): i for i, p in enumerate(whole.source_pixels)}
+    np.testing.assert_array_equal(cloud.points,
+                                  whole.points[[at[tuple(p)] for p in uv[keep]]])
+    strided = subsample_cloud(whole, MAX_ENCODED_POINTS)
+    assert not np.array_equal(strided.source_pixels, cloud.source_pixels)
 
 
 def test_vocab_check(bundle):

@@ -12,18 +12,18 @@ from ormllm.errors import (
 from ormllm.gradcheck import finite_diff_grad_check
 from ormllm.geometry import PointCloud
 from ormllm.nn import ModelParams, mlp_forward
+from ormllm.model import cloud_raster
 from ormllm.spatial import (
-    PanopticMap,
     SpatialBlockConfig,
     build_spatial_params,
+    cell_centres,
     conv1x1,
     depth_forward,
     depth_head_forward,
     depth_loss,
-    downsample_map,
     encode_point_cloud,
     encoder_forward,
-    logits_to_map,
+    logits_to_ids,
     region_pool,
     seg_head_forward,
     seg_loss,
@@ -236,6 +236,68 @@ def test_seg_head_matches_upsample_first_composition():
         assert_rel_close(a, b)
 
 
+# --- heads at a pixel set -----------------------------------------------------
+
+BASE = SpatialBlockConfig()  # the run configs' decoder widths: C = 64, 32x32
+
+
+def border_pixels(side):
+    """Flat pixels of the four image borders, each border alone and all
+    four together."""
+    flat = np.arange(side * side).reshape(side, side)
+    edges = [flat[0], flat[-1], flat[:, 0], flat[:, -1]]
+    return edges + [np.unique(np.concatenate(edges))]
+
+
+def base_grid(seed, B):
+    params = ModelParams()
+    build_spatial_params(params, BASE, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for name in params.names():  # nonzero biases, so they are tested too
+        if name.endswith(".b"):
+            params[name].data = rng.normal(scale=0.1, size=params[name].shape)
+    g = BASE.grid_size
+    return params, Tensor(rng.normal(size=(B, BASE.encoder_dim, g, g)))
+
+
+@pytest.mark.parametrize("B", [1, 3])
+def test_heads_at_pixels_are_the_full_heads_there(B):
+    """At the cell centres, the cloud raster and the borders, the heads give
+    the full maps' values byte for byte."""
+    params, grid = base_grid(30 + B, B)
+    with T.no_grad():
+        depth = depth_head_forward(grid, params, BASE).data.reshape(B, -1)
+        logits = seg_head_forward(grid, params, BASE).data.reshape(
+            B, BASE.seg_classes, -1)
+        for pixels in [cell_centres(BASE), cloud_raster(BASE.image_size)] + \
+                border_pixels(BASE.image_size):
+            d = depth_head_forward(grid, params, BASE, pixels)
+            lg = seg_head_forward(grid, params, BASE, pixels)
+            assert d.shape == (B, len(pixels))
+            assert lg.shape == (B, BASE.seg_classes, len(pixels))
+            assert d.data.tobytes() == depth[:, pixels].tobytes()
+            assert lg.data.tobytes() == logits[:, :, pixels].tobytes()
+
+
+def test_heads_at_pixels_gradients_match_full_heads():
+    """Under grad, a loss over the heads at pixels gives the gradients of
+    the same loss over the full maps with zero weight elsewhere."""
+    params, grid = two_stage_grid(22)
+    grid.requires_grad = True
+    pixels = np.array([0, 5, 17, 17, 40, 255, 128, 15, 240])
+    rng = np.random.default_rng(5)
+    for head, lead in ((depth_head_forward, ()), (seg_head_forward, (5,))):
+        w = rng.normal(size=(2,) + lead + (len(pixels),))
+        full_w = np.zeros((2,) + lead + (256,))
+        np.add.at(full_w, (slice(None),) * (1 + len(lead)) + (pixels,), w)
+        full_w = full_w.reshape((2,) + lead + (16, 16))
+        got = run_head(lambda: head(grid, params, TWO_STAGE, pixels), params, grid, w)
+        want = run_head(lambda: head(grid, params, TWO_STAGE), params, grid, full_w)
+        assert len(got[1]) == len(want[1])
+        for a, b in zip(got[1], want[1]):
+            assert_rel_close(a, b)
+
+
 # --- segmentation ------------------------------------------------------------
 
 
@@ -244,30 +306,23 @@ def test_seg_logits_shape_and_argmax_map():
     grid = tokens_to_grid(encoder_forward(random_image(6), params, TINY), TINY)
     logits = seg_head_forward(grid, params, TINY)
     assert logits.shape == (1, 3, 8, 8)
-    pmap = logits_to_map(logits.data[0], 3)
-    np.testing.assert_array_equal(pmap.ids, logits.data[0].argmax(axis=0) + 1)
-    assert pmap.ids.min() >= 1 and pmap.ids.max() <= 3
+    ids = logits_to_ids(logits.data)
+    np.testing.assert_array_equal(ids[0], logits.data[0].argmax(axis=0) + 1)
+    assert ids.min() >= 1 and ids.max() <= 3
 
 
 def test_seg_argmax_tie_breaks_to_smaller_class():
-    from ormllm.spatial import logits_to_map
-
-    logits = np.zeros((3, 2, 2))
-    logits[0, 0, 0] = 5.0
-    logits[2, 0, 0] = 5.0
-    pmap = logits_to_map(logits, 3)
-    assert pmap.ids[0, 0] == 1
+    logits = np.zeros((1, 3, 2, 2))
+    logits[0, 0, 0, 0] = 5.0
+    logits[0, 2, 0, 0] = 5.0
+    assert logits_to_ids(logits)[0, 0, 0] == 1
 
 
 def test_seg_map_invariant_to_constant_logit_shift():
-    from ormllm.spatial import logits_to_map
-
     rng = np.random.default_rng(7)
-    logits = rng.normal(size=(3, 4, 4))
-    shifted = logits + rng.normal(size=(1, 4, 4))
-    np.testing.assert_array_equal(
-        logits_to_map(logits, 3).ids, logits_to_map(shifted, 3).ids
-    )
+    logits = rng.normal(size=(2, 3, 4, 4))
+    shifted = logits + rng.normal(size=(2, 1, 4, 4))
+    np.testing.assert_array_equal(logits_to_ids(logits), logits_to_ids(shifted))
 
 
 def seg_loss_oracle(logits, gt_ids, lam_dice, eps=1e-6):
@@ -351,8 +406,8 @@ def test_seg_loss_gradcheck_through_network():
 def pool(params, maps, feats):
     """region_pool over a batch given as per-sample id maps and [16, 8]
     cell features; returns each sample's class ids and feature rows."""
-    out, ids = region_pool([PanopticMap(m, 3) for m in maps],
-                           T.constant(np.stack(feats)), params, TINY)
+    cell_ids = np.stack([m.reshape(-1)[cell_centres(TINY)] for m in maps])
+    out, ids = region_pool(cell_ids, T.constant(np.stack(feats)), params, TINY)
     bounds = np.cumsum([0] + [len(i) for i in ids])
     return ids, [out.data[bounds[b]:bounds[b + 1]] for b in range(len(maps))]
 
@@ -410,9 +465,32 @@ def test_region_pool_mean_is_order_invariant():
         np.testing.assert_array_equal(rows1[-1][1], rows2[-1][1])
 
 
+def downsample_map(map_ids, grid):
+    """Nearest-neighbour reduction of a [H, W] id map to [grid, grid], as
+    region pooling read whole predicted maps before it read cell centres."""
+    H, W = map_ids.shape
+    sy, sx = H // grid, W // grid
+    return map_ids[sy // 2 :: sy, sx // 2 :: sx][:grid, :grid]
+
+
 def test_downsample_map_nearest():
+    """Reading a map at the cell centres is its nearest-neighbour reduction
+    to the encoder grid, in raster cell order."""
     ids = np.arange(16).reshape(4, 4) + 1
     np.testing.assert_array_equal(downsample_map(ids, 2), [[6, 8], [14, 16]])
+    rng = np.random.default_rng(15)
+    for cfg in (TINY, TWO_STAGE, SpatialBlockConfig()):
+        ids = rng.integers(1, 9, size=(cfg.image_size, cfg.image_size))
+        np.testing.assert_array_equal(ids.reshape(-1)[cell_centres(cfg)],
+                                      downsample_map(ids, cfg.grid_size).reshape(-1))
+
+
+def test_region_pool_rejects_mismatched_cell_ids():
+    params = tiny_params()
+    feats = T.constant(np.zeros((2, 16, 8)))
+    for cell_ids in (np.ones((1, 16), dtype=int), np.ones((2, 15), dtype=int)):
+        with pytest.raises(DimensionError):
+            region_pool(cell_ids, feats, params, TINY)
 
 
 # --- point cloud encoder -----------------------------------------------------

@@ -335,6 +335,32 @@ def test_conv3x3_matches_tensordot_oracle(B, C, O, H, W):
         assert_rel_close(got, ref, 1e-12)
 
 
+@pytest.mark.parametrize("B,C,O,H,W", [(1, 3, 5, 6, 4), (3, 4, 2, 5, 7)])
+def test_conv3x3_at_pixels_is_the_full_conv_there(B, C, O, H, W):
+    """At flat pixels (borders, corners and a repeat) conv3x3 returns the
+    full output's values there, up to rounding (a GEMM's bytes may change
+    with its row count at shapes this small), and its gradients are those of
+    the full conv under an adjoint that is zero elsewhere (repeats
+    accumulate)."""
+    rng = np.random.default_rng(B * 10 + C)
+    x, w, b = rng.normal(size=(B, C, H, W)), rng.normal(size=(O, C, 3, 3)), rng.normal(size=O)
+    pixels = np.array([0, W - 1, H * W - W, H * W - 1, W + 1, W + 1, 2 * W])
+    g = rng.normal(size=(B, O, len(pixels)))
+    g_full = np.zeros((B, O, H * W))
+    np.add.at(g_full, (slice(None), slice(None), pixels), g)
+    runs = []
+    for at, adjoint in ((pixels, g), (None, g_full.reshape(B, O, H, W))):
+        tx, tw, tb = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+        out = T.conv3x3(tx, tw, tb, pixels=at)
+        T.backward(T.sum_(out * T.constant(adjoint)))
+        runs.append((out.data, tx.grad, tw.grad, tb.grad))
+    (out, *grads), (full, *full_grads) = runs
+    assert out.shape == (B, O, len(pixels))
+    for got, want in zip([out] + grads,
+                         [full.reshape(B, O, -1)[:, :, pixels]] + full_grads):
+        assert_rel_close(got, want, 1e-12)
+
+
 def test_conv3x3_finite_diff_grad_check():
     rng = np.random.default_rng(12)
     params = ModelParams()
