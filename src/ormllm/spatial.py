@@ -227,11 +227,11 @@ def depth_head_forward(grid: Tensor, params: ModelParams,
     rounding, at 1/4**(s+1) of the 1x1 cost. At `pixels`, the last stage's
     3x3 conv gathers only their im2col rows, and gelu, the 1x1 head and
     softplus run on those P rows; the earlier stages and the upsampling stay
-    whole. The values are the full map's at the pixels up to rounding, and
-    byte for byte for the cell centres and the cloud raster at the run
-    configs (T.conv3x3 says when BLAS keeps the conv's bytes; OpenBLAS
-    runs the 1x1 head, a matrix-vector product, 4 rows at a time, so P
-    should be a multiple of 4)."""
+    whole. The values at the pixels are the full map's up to rounding, and
+    byte for byte at the run configs' cell centres and cloud raster (see
+    T.conv3x3; the 1x1 head is a matrix-vector product that OpenBLAS runs
+    4 rows at a time, so with P not a multiple of 4 the last rows can
+    differ in the last bit)."""
     g = grid
     last = cfg.depth_decoder_stages - 1
     for s in range(cfg.depth_decoder_stages):

@@ -677,6 +677,8 @@ def conv3x3(x, w, b, pixels=None) -> Tensor:
 
     def bw(g):
         gl = np.moveaxis(g, 1, -1).reshape(B, rows, O)
+        if pixels is not None:
+            v, u = np.divmod(pixels, W)
         gw2 = np.zeros((9 * C, O))
         gxp = np.zeros_like(xp)
         for i in range(B):
@@ -688,7 +690,6 @@ def conv3x3(x, w, b, pixels=None) -> Tensor:
                     for dj in range(3):
                         gxp[i, di : di + H, dj : dj + W] += gcols[:, :, di, dj]
             else:
-                v, u = np.divmod(pixels, W)
                 gcols = gcols.reshape(rows, 3, 3, C)
                 for di in range(3):
                     for dj in range(3):
