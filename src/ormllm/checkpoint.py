@@ -4,8 +4,9 @@ Layout: the magic line, one manifest line per tensor
 ("name dims offset flag", dims joined by 'x', offset in bytes from the
 start of the payload), a blank line, then the contiguous little-endian
 float64 payload in manifest order. Loading validates the manifest
-(contiguous offsets, shape/size agreement, exact payload length, finite
-values) so any truncation or length-changing corruption is rejected.
+(ASCII text, unique names, contiguous offsets, shape/size agreement, exact
+payload length, finite values) so any truncation or length-changing
+corruption is rejected.
 Load followed by save reproduces the file byte for byte.
 """
 
@@ -50,7 +51,10 @@ def load_checkpoint(path: str) -> ModelParams:
     sep = body.find(b"\n\n")
     if sep < 0:
         raise CompatibilityError(f"{path}: manifest terminator missing")
-    manifest_text = body[: sep + 1].decode("ascii", errors="strict")
+    try:
+        manifest_text = body[: sep + 1].decode("ascii")
+    except UnicodeDecodeError:
+        raise CompatibilityError(f"{path}: non-ASCII byte in the manifest") from None
     payload = body[sep + 2:]
 
     params = ModelParams()
@@ -68,6 +72,8 @@ def load_checkpoint(path: str) -> ModelParams:
             raise CompatibilityError(f"{path}:{lineno}: malformed manifest field") from None
         if any(d <= 0 for d in shape) or flag not in (0, 1):
             raise CompatibilityError(f"{path}:{lineno}: invalid shape or flag")
+        if name in params:
+            raise CompatibilityError(f"{path}:{lineno}: tensor {name!r} listed twice")
         if offset != expected_offset:
             raise CompatibilityError(
                 f"{path}:{lineno}: offset {offset} breaks contiguity "

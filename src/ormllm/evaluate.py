@@ -6,14 +6,20 @@ slot layout gives every prompt of a sample the same prefix rows at the same
 positions, so each decode runs the LM only on its prompt, BOS and the
 tokens it generates. Decoding is greedy by default so identical inputs
 yield identical reports. A greedy decode drafts and verifies: it guesses
-the next few ids by copying what followed the last one or two ids earlier
-in the prompt or the answer so far, checks the guess and the next choice
-in one cached LM call, keeps the longest correct part and rolls the K/V
-cache back over the rest (fusion.decode_answer). The answers are exactly
-those of one LM call per token; the repeated `subject | relation | object ;`
-pattern of scene-graph answers lets most guesses through, so those decodes
-take far fewer calls. With threads > 1, samples are processed in a pool
-and aggregated in index order, which leaves every score unchanged because
+the next few ids, checks the guess and the next choice in one cached LM
+call, keeps the longest correct part and rolls the K/V cache back over the
+rest (fusion.decode_answer). The guess copies what followed the longest
+match of the decode's recent ids in two sources: the ids of every greedy
+decode this evaluate() call has finished (one DecodeStream per call), and
+the decode's own prompt and output so far. Templated questions recur
+across samples, and a model tends to write much the same scene graph for
+every scene, so most guesses go through and most decodes take a few
+calls. The answers are exactly those of one LM call per token, whatever
+the stream holds, so the report does not depend on the order in which
+decodes finish. With threads > 1, samples are processed in a pool that
+shares the stream (each decode appends its ids in one step under the
+stream's lock, and drafts from the decodes finished before it started) and
+aggregated in index order, which leaves every score unchanged because
 per-sample evaluation is pure.
 """
 
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from . import tensor as T
 from . import vocab as V
 from .errors import ConfigurationError
-from .fusion import decode_answer, prefix_cache
+from .fusion import DecodeStream, decode_answer, prefix_cache
 from .metrics import (
     MetricReport,
     cider,
@@ -79,7 +85,11 @@ class SampleResult:
 
 
 def evaluate_sample(model: Model, vocab: Vocabulary, sample: Sample,
-                    cfg: EvalConfig) -> SampleResult:
+                    cfg: EvalConfig, stream: DecodeStream | None = None) -> SampleResult:
+    """Decodes and pairs one sample's answers. Greedy decodes draft from,
+    and append to, `stream`; None gives the sample an empty one."""
+    if stream is None:
+        stream = DecodeStream()
     with T.no_grad():
         bundle = model.modality_tokens(sample)
         past = None
@@ -92,7 +102,7 @@ def evaluate_sample(model: Model, vocab: Vocabulary, sample: Sample,
                                     model.params, model.cfg.fusion)
             return decode_answer(prefix, model.params, model.cfg.fusion,
                                  mode=cfg.mode, beam_k=cfg.beam_k,
-                                 max_new=max_new, past=past)
+                                 max_new=max_new, past=past, stream=stream)
 
         qa_items = []
         if "qa" in cfg.tasks:
@@ -109,13 +119,14 @@ def evaluate_sample(model: Model, vocab: Vocabulary, sample: Sample,
 def evaluate(model: Model, vocab: Vocabulary, samples: list[Sample],
              cfg: EvalConfig, config_echo: list[str] | None = None) -> MetricReport:
     model.check_vocab(len(vocab))
+    stream = DecodeStream()
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(
-                lambda s: evaluate_sample(model, vocab, s, cfg), samples
+                lambda s: evaluate_sample(model, vocab, s, cfg, stream=stream), samples
             ))
     else:
-        results = [evaluate_sample(model, vocab, s, cfg) for s in samples]
+        results = [evaluate_sample(model, vocab, s, cfg, stream=stream) for s in samples]
 
     report = MetricReport(config_echo=list(config_echo or []))
     if "qa" in cfg.tasks:

@@ -9,6 +9,7 @@ substitute segments but never reorder the survivors.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,31 +361,83 @@ def answer_loss(logits: Tensor, target_ids, answer_mask) -> Tensor:
 
 
 # Most ids a greedy decode guesses ahead per LM call (see decode_answer).
-# On the benchmark's reference eval model (seed 104, 36 samples) the 5,202
-# scene-graph tokens took 2,382 calls at 4, 2,236 at 8 and 2,228 at 12:
-# past 8, longer drafts add rows to each call but hardly save calls.
-DRAFT = 8
+# Scene-graph LM calls and rows, drafting from the evaluation's stream and
+# the decode's own history, on the benchmark's reference eval model (seed
+# 104, 36 samples, 5,202 tokens) and on the smoke probe's `full` model
+# (seed 0, 180 samples, 17,280 tokens):
+#   DRAFT            4       8      12      16      24      32
+#   104 calls    1,224     780     632     558     442     408
+#   104 rows     6,060   6,597   7,469   8,125   8,651   9,679
+#   smoke calls  3,811   2,591   2,230   1,784   1,868   1,421
+#   smoke rows  18,857  20,917  22,826  20,570  27,755  21,766
+# A call costs about 450 us and each row about 50 us more. Timed in turn
+# in one process, 16 beat 8 on seeds 104-106 (all 9 rounds, by about 15%
+# in the median) and tied on the smoke model.
+DRAFT = 16
+
+# Longest suffix of the history that a draft lookup matches. Scene-graph
+# LM calls at DRAFT = 16 (QA calls did not change past 8):
+#   CONTEXT        4      8     16     32
+#   104        1,016    642    558    534
+#   smoke      2,294  2,052  1,784  1,441
+# A match must cover a QA prompt and the last triple or two of a graph
+# to tell apart where repeated answers diverge.
+CONTEXT = 16
 
 
-def _lookup_draft(history: list[int], limit: int) -> list[int]:
-    """Up to `limit` ids that followed the most recent earlier occurrence of
-    the last two ids of `history`, or else of its last id; empty if neither
-    occurred before."""
-    last = history[-1]
-    before = history[-2] if len(history) > 1 else None
-    unigram = None
-    for i in range(len(history) - 2, -1, -1):
-        if history[i] == last:
-            if i > 0 and history[i - 1] == before:
-                return history[i + 1:i + 1 + limit]
-            if unigram is None:
-                unigram = i
-    return [] if unigram is None else history[unigram + 1:unigram + 1 + limit]
+class DecodeStream:
+    """Append-only id stream of finished greedy decodes, for drafting (see
+    decode_answer). Each decode appends its prompt ids, BOS and the ids it
+    generated, EOS included, in one call under a lock, so decodes in
+    several threads never interleave. Memory is one growable int64 array."""
+
+    def __init__(self):
+        self._ids = np.empty(1024, dtype=np.int64)
+        self._len = 0
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return self._len
+
+    def ids(self) -> np.ndarray:
+        """The ids appended so far. Later appends do not change the array
+        returned: they write past its end or into a new buffer."""
+        with self._lock:
+            return self._ids[:self._len]
+
+    def append(self, ids) -> None:
+        ids = np.asarray(ids, dtype=np.int64)
+        with self._lock:
+            end = self._len + len(ids)
+            if end > len(self._ids):
+                grown = np.empty(max(end, 2 * len(self._ids)), dtype=np.int64)
+                grown[:self._len] = self._ids[:self._len]
+                self._ids = grown
+            self._ids[self._len:end] = ids
+            self._len = end
+
+
+def _suffix_match(text: np.ndarray, key: np.ndarray) -> tuple[int, int]:
+    """The longest suffix of `key`, at most CONTEXT ids, that occurs in
+    `text` with at least one id after it: (its length, the index in `text`
+    of the id after its latest occurrence), or (0, 0) if there is none.
+    With text = key this finds earlier occurrences only, as the last one
+    has no successor."""
+    ends = np.flatnonzero(text[:-1] == key[-1])
+    length, after = 0, 0
+    while ends.size:
+        length, after = length + 1, int(ends[-1]) + 1
+        if length == min(CONTEXT, len(key)):
+            break
+        ends = ends[ends >= length]
+        ends = ends[text[ends - length] == key[-1 - length]]
+    return length, after
 
 
 def decode_answer(seq_prefix: TokenSequence, params: ModelParams, cfg: FusionConfig,
                   mode: str = "greedy", beam_k: int = 1,
-                  max_new: int = 16, past: KVCache | None = None) -> list[int]:
+                  max_new: int = 16, past: KVCache | None = None,
+                  stream: DecodeStream | None = None) -> list[int]:
     """Autoregressive decoding from an assembled prefix.
 
     Appends BOS, then either greedy argmax or beam search ranked by summed
@@ -399,20 +452,30 @@ def decode_answer(seq_prefix: TokenSequence, params: ModelParams, cfg: FusionCon
     seq_prefix at their positions (see prefix_cache); only the rows after
     them are run. It is not modified: each decode works on a copy.
 
-    Greedy decoding drafts and verifies. The draft is up to DRAFT ids that
-    followed the most recent earlier occurrence of the last two ids (else
-    the last one) in the prompt, BOS and the ids generated so far, and it
-    never runs past max_new or the last slot. One cached lm_forward call
-    runs the last generated token (BOS at first) plus the draft, so its
-    rows give the greedy choice after each of them. The longest draft
-    prefix that equals those choices is accepted, followed by the choice at
-    the first mismatch (or after the whole draft); the cache then drops the
-    rows of the rejected ids (KVCache.truncate). Every accepted id is the
-    argmax after exactly its greedy predecessors, so the output is the
-    one-token-per-call greedy output, in fewer calls when drafts hit.
+    Greedy decoding drafts and verifies. The history is the prompt, BOS and
+    the ids generated so far. The draft takes the longest suffix of the
+    history, at most CONTEXT ids, that occurs with a successor in `stream`
+    (the ids of earlier decodes, e.g. of the same evaluation) or earlier in
+    the history, and copies up to DRAFT ids that followed its latest
+    occurrence; on equal match lengths the history wins. It never runs
+    past an EOS (no id after an accepted EOS is used), max_new or the last
+    slot. One cached lm_forward call runs the last
+    generated token (BOS at first) plus the draft, so its rows give the
+    greedy choice after each of them. The longest draft prefix that equals
+    those choices is accepted, followed by the choice at the first mismatch
+    (or after the whole draft); the cache then drops the rows of the
+    rejected ids (KVCache.truncate). Every accepted id is the argmax after
+    exactly its greedy predecessors, so the output is the
+    one-token-per-call greedy output whatever the stream holds, in fewer
+    calls when drafts hit. The stream is read once, when the decode starts;
+    a decode that returns appends its history, EOS included, to it, and one
+    that raises leaves it unchanged. Decodes in several threads may share
+    a stream: each then drafts from the decodes that finished before it
+    started.
 
     Beam search runs lm_forward once per unfinished beam and step, on the
-    beam's one new row; a beam copies its cache when it branches.
+    beam's one new row; a beam copies its cache when it branches. It
+    neither reads nor writes `stream`.
     """
     if mode not in ("greedy", "beam"):
         raise ContractError(f"unknown decode mode {mode!r}")
@@ -436,7 +499,7 @@ def decode_answer(seq_prefix: TokenSequence, params: ModelParams, cfg: FusionCon
         cache = KVCache() if past is None else past.copy()
         if mode == "greedy":
             ids = _greedy_decode(rows, pos[start:], cache, seq_prefix.prompt_ids,
-                                 params, cfg, max_new)
+                                 params, cfg, max_new, stream)
         else:
             ids = _beam_decode(rows, pos[start:], cache, params, cfg, beam_k, max_new)
     return ids[:-1] if ids and ids[-1] == V.EOS else ids
@@ -444,11 +507,13 @@ def decode_answer(seq_prefix: TokenSequence, params: ModelParams, cfg: FusionCon
 
 def _greedy_decode(rows: np.ndarray, pos: np.ndarray, cache: KVCache,
                    prompt_ids: tuple[int, ...], params: ModelParams,
-                   cfg: FusionConfig, max_new: int) -> list[int]:
+                   cfg: FusionConfig, max_new: int,
+                   stream: DecodeStream | None = None) -> list[int]:
     """Draft-and-verify greedy decoding (see decode_answer); `rows` and
     `pos` are the prefix rows still to run, BOS last."""
     wte = params["lm.wte"].data
     bos_pos = int(pos[-1])
+    earlier = np.empty(0, dtype=np.int64) if stream is None else stream.ids()
     history = list(prompt_ids) + [V.BOS]
     ids: list[int] = []
     while True:
@@ -456,7 +521,7 @@ def _greedy_decode(rows: np.ndarray, pos: np.ndarray, cache: KVCache,
         # slot bos_pos + len(ids) + j, so it must fit max_new and the table.
         limit = min(DRAFT, max_new - len(ids) - 1,
                     cfg.max_seq_len - 1 - bos_pos - len(ids))
-        draft = _lookup_draft(history, limit)
+        draft = _draft(np.array(history, dtype=np.int64), earlier, limit)
         kept = cache.length + len(rows)
         if draft:
             rows = np.concatenate([rows, wte[draft]], axis=0)
@@ -469,12 +534,29 @@ def _greedy_decode(rows: np.ndarray, pos: np.ndarray, cache: KVCache,
             history.append(tok)
             if (tok == V.EOS or len(ids) == max_new
                     or bos_pos + len(ids) >= cfg.max_seq_len):
+                if stream is not None:
+                    stream.append(history)
                 return ids
             if j == len(draft) or tok != draft[j]:
                 break
         cache.truncate(kept + j)
         rows = wte[tok][None]
         pos = np.array([bos_pos + len(ids)])
+
+
+def _draft(history: np.ndarray, earlier: np.ndarray, limit: int) -> list[int]:
+    """Up to `limit` ids that followed the latest occurrence of the longest
+    suffix of `history` found in `earlier` or before in `history` itself,
+    `history` winning ties, cut after the first EOS (see decode_answer)."""
+    if limit <= 0:
+        return []
+    own, own_after = _suffix_match(history, history)
+    found, after = _suffix_match(earlier, history)
+    if found > own:
+        draft = earlier[after:after + limit].tolist()
+    else:
+        draft = history[own_after:own_after + limit].tolist() if own else []
+    return draft[:draft.index(V.EOS) + 1] if V.EOS in draft else draft
 
 
 def _beam_decode(rows: np.ndarray, pos: np.ndarray, cache: KVCache,

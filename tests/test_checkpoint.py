@@ -82,5 +82,19 @@ def test_non_finite_payload_detected(tmp_path):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("old,new,match", [
+    (b"spatial.head.b ", b"lm.wte ", "listed twice"),
+    (b"lm.wte ", b"lm.wt\xe9 ", "non-ASCII"),
+], ids=["repeated-name", "non-ascii"])
+def test_malformed_manifest_is_incompatible(tmp_path, old, new, match):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(sample_params(), str(path))
+    blob = path.read_bytes()
+    assert blob.count(old) == 1
+    path.write_bytes(blob.replace(old, new))
+    with pytest.raises(CompatibilityError, match=match):
+        load_checkpoint(str(path))
+
+
 def test_magic_is_the_documented_string():
     assert MAGIC == b"ORMLLM-CKPT v1\n"

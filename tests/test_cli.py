@@ -200,6 +200,21 @@ def test_eval_unknown_task_usage(workspace, trained, tasks):
                  "--tasks", tasks]) == 2
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda blob: blob.replace(b"lm.ln_f.b ", b"lm.ln_f.g ", 1),
+    lambda blob: blob.replace(b"lm.ln_f.b ", b"lm.ln_f.\xff ", 1),
+], ids=["repeated-name", "non-ascii"])
+def test_eval_malformed_manifest_exit5(workspace, trained, tmp_path, capsys, corrupt):
+    root, cfg, data = workspace
+    out, s1, s2, _ = trained
+    bad = tmp_path / "bad.ckpt"
+    blob = open(s2, "rb").read()
+    bad.write_bytes(corrupt(blob))
+    assert bad.read_bytes() != blob
+    assert main(["eval", "--ckpt", str(bad), "--data", data, "--config", cfg]) == 5
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_eval_vocab_mismatch_exit5(workspace, trained, tmp_path):
     root, cfg, data = workspace
     out, s1, s2, _ = trained

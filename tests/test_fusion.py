@@ -12,6 +12,7 @@ from ormllm.errors import (
 )
 import ormllm.fusion as fusion
 from ormllm.fusion import (
+    DecodeStream,
     FusionConfig,
     TokenSequence,
     answer_loss,
@@ -409,33 +410,43 @@ def recording(calls, forward):
     return wrapped
 
 
-def reference_draft(history, limit):
-    """The draft lookup by brute force: the ids after the latest earlier
-    occurrence of the last two ids, else of the last id."""
-    for width in (2, 1):
+def reference_draft(history, stream, limit):
+    """The draft lookup by brute force: for each suffix width of the history
+    from CONTEXT down, the ids after the latest occurrence of that suffix
+    with a successor, earlier in the history first, then in the stream, up
+    to the first EOS."""
+    for width in range(min(fusion.CONTEXT, len(history)), 0, -1):
         tail = history[-width:]
-        starts = [i for i in range(len(history) - width)
-                  if history[i:i + width] == tail]
-        if starts:
-            return history[starts[-1] + width:starts[-1] + width + limit]
+        for text in (history, stream):
+            starts = [i for i in range(len(text) - width) if text[i:i + width] == tail]
+            if starts:
+                draft = []
+                for tok in text[starts[-1] + width:starts[-1] + width + limit]:
+                    draft.append(tok)
+                    if tok == V.EOS:
+                        break
+                return draft
     return []
 
 
-def check_greedy_calls(seq, params, max_new, skipped, calls, want_calls):
+def check_greedy_calls(seq, params, max_new, skipped, calls, want_calls, stream=()):
     """Replays the draft-and-verify contract against the recompute oracle's
     steps. Each call runs the prefix rows not yet run (first call only), the
-    last chosen token and the lookup draft, and nothing else; the rows up to
-    the first rejected draft id have the oracle's logits for their steps."""
+    last chosen token and the lookup draft from `stream` (the ids of earlier
+    decodes) and the history, and nothing else; the rows up to the first
+    rejected draft id have the oracle's logits for their steps. Returns the
+    history at the end: prompt, BOS and the oracle's ids, EOS included."""
     steps = [logits[-1] for _, logits in want_calls]
     chosen = [int(np.argmax(s)) for s in steps]  # the oracle's ids, EOS included
     wte = params["lm.wte"].data
     bos_pos = seq.next_position()
     history = list(seq.prompt_ids) + [V.BOS]
+    stream = list(stream)
     n = 0
     for c, (rows, logits) in enumerate(calls):
         assert n < len(chosen)
         limit = min(fusion.DRAFT, max_new - n - 1, FCFG.max_seq_len - 1 - bos_pos - n)
-        draft = reference_draft(history, limit)
+        draft = reference_draft(history, stream, limit)
         fresh = len(seq) - skipped if c == 0 else 0
         assert len(rows) == fresh + 1 + len(draft)
         assert np.array_equal(rows[len(rows) - len(draft):], wte[draft])
@@ -450,6 +461,29 @@ def check_greedy_calls(seq, params, max_new, skipped, calls, want_calls):
         history += chosen[n:n + made]
         n += made
     assert n == len(chosen)
+    return history
+
+
+def test_draft_is_the_brute_force_longest_suffix_match():
+    # Three-id alphabets make long matches, overlaps and equal-length
+    # matches in both sources common; half of them hold EOS (id 2).
+    rng = np.random.default_rng(0)
+    for case in range(400):
+        ids = (0, 3) if case % 2 else (3, 6)
+        history = rng.integers(*ids, rng.integers(1, 40)).tolist()
+        stream = rng.integers(*ids, rng.integers(0, 60)).tolist()
+        if rng.random() < 0.3:  # a long suffix of the history recurs
+            stream += history[-int(rng.integers(1, len(history) + 1)):] + [7, 8]
+        limit = int(rng.integers(0, 10))
+        got = fusion._draft(np.array(history), np.array(stream, dtype=np.int64), limit)
+        assert got == reference_draft(history, stream, limit), (history, stream, limit)
+    # Matches longer than CONTEXT count as CONTEXT ids: the history's
+    # earlier p (CONTEXT ids) ties the stream's 8 + p and its p, and wins.
+    p = rng.integers(3, 6, fusion.CONTEXT).tolist()
+    history = [9] + p + [8] + p
+    for stream in ([4, 8] + p + [7], [4] + p + [7]):
+        got = fusion._draft(np.array(history), np.array(stream), 2)
+        assert got == reference_draft(history, stream, 2) == [8, p[0]]
 
 
 DECODE_CASES = [
@@ -464,25 +498,77 @@ DECODE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("mode,beam_k", [("greedy", 1), ("beam", 1), ("beam", 3)])
+def earlier_decodes(kind, seq, params, max_new, past, want):
+    """A stream for the decode under test, and the number of LM calls the
+    same greedy decode makes with an empty stream. "repeat" holds that
+    decode's own earlier output; "adversarial" holds random ids and, after
+    each prefix of the history the decode will have, a wrong next id."""
+    stream, calls = DecodeStream(), []
+    if kind == "repeat":
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fusion, "lm_forward", recording(calls, lm_forward))
+            decode_answer(seq, params, FCFG, max_new=max_new, past=past, stream=stream)
+    elif kind == "adversarial":
+        rng = np.random.default_rng(len(want))
+        history = list(seq.prompt_ids) + [V.BOS] + want
+        stream.append(rng.integers(0, FCFG.vocab_size, 100))
+        for n in range(len(seq.prompt_ids) + 1, len(history)):
+            stream.append(history[:n] + [(history[n] + 1) % FCFG.vocab_size])
+    return stream, len(calls)
+
+
+MODES = [("greedy", 1), ("beam", 1), ("beam", 3)]
+
+
+@pytest.mark.parametrize("mode,beam_k", MODES)
 @pytest.mark.parametrize("kind,seed,prompt_len,eos_bias,max_new", DECODE_CASES)
 @pytest.mark.parametrize("shared_past", [False, True])
 def test_cached_decode_matches_recompute_oracle(monkeypatch, mode, beam_k, kind,
                                                 seed, prompt_len, eos_bias, max_new,
                                                 shared_past):
+    check_cached_decode(monkeypatch, mode, beam_k, kind, seed, prompt_len, eos_bias,
+                        max_new, shared_past, earlier=None)
+
+
+@pytest.mark.parametrize("mode,beam_k", MODES)
+@pytest.mark.parametrize("kind,seed,prompt_len,eos_bias,max_new", DECODE_CASES)
+@pytest.mark.parametrize("shared_past", [False, True])
+@pytest.mark.parametrize("earlier", ["repeat", "adversarial"])
+def test_cached_decode_after_earlier_decodes_matches_recompute_oracle(
+        monkeypatch, mode, beam_k, kind, seed, prompt_len, eos_bias, max_new,
+        shared_past, earlier):
+    check_cached_decode(monkeypatch, mode, beam_k, kind, seed, prompt_len, eos_bias,
+                        max_new, shared_past, earlier)
+
+
+def check_cached_decode(monkeypatch, mode, beam_k, kind, seed, prompt_len, eos_bias,
+                        max_new, shared_past, earlier):
+    """The decode equals the recompute oracle; a greedy one makes exactly
+    the calls of the draft contract with `earlier` decodes in its stream
+    (None: no stream), and only greedy decodes append to the stream."""
     params, seq = decode_fixture(kind, seed, prompt_len, eos_bias)
     want_calls, calls = [], []
     want = recompute_decode(seq, params, FCFG, mode, beam_k, max_new,
                             forward=recording(want_calls, lm_forward))
     past = prefix_cache(seq, seq.segment_start("prompt"), params, FCFG) \
         if shared_past else None
+    stream, empty_stream_calls = None, 0
+    if earlier:
+        stream, empty_stream_calls = earlier_decodes(earlier, seq, params, max_new, past,
+                                                     want)
+    before = [] if stream is None else stream.ids().tolist()
     monkeypatch.setattr(fusion, "lm_forward", recording(calls, lm_forward))
     got = decode_answer(seq, params, FCFG, mode=mode, beam_k=beam_k,
-                        max_new=max_new, past=past)
+                        max_new=max_new, past=past, stream=stream)
     assert got == want
     skipped = past.length if shared_past else 0
     if mode == "greedy":
-        check_greedy_calls(seq, params, max_new, skipped, calls, want_calls)
+        history = check_greedy_calls(seq, params, max_new, skipped, calls, want_calls,
+                                     before)
+        if stream is not None:  # the decode appended its history once
+            assert stream.ids().tolist() == before + history
+        if earlier == "repeat" and len(want_calls) > 1:
+            assert len(calls) < empty_stream_calls
     else:
         assert len(calls) == len(want_calls)
         for (_, a), (_, b) in zip(calls, want_calls):
@@ -490,8 +576,32 @@ def test_cached_decode_matches_recompute_oracle(monkeypatch, mode, beam_k, kind,
         # Prefill of the rows past does not hold plus BOS, then one row per call.
         assert [len(rows) for rows, _ in calls] == \
             [len(seq) - skipped + 1] + [1] * (len(calls) - 1)
+        if stream is not None:  # beam search neither reads nor writes it
+            assert stream.ids().tolist() == before
     if eos_bias < 0 and mode == "greedy":
         assert len(got) < max_new  # the length cut-off ended the decode
+
+
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_decode_that_raises_leaves_stream_unchanged(monkeypatch, failing_call):
+    params, seq = decode_fixture("sequence", 27, prompt_len=35, eos_bias=-50.0)
+    stream = DecodeStream()
+    stream.append([3, 5, 6, 7])
+    if failing_call == 1:
+        # 64 rows fill the table, so BOS has no positional slot.
+        seq = decode_fixture("sequence", 27, prompt_len=44)[1]
+    else:
+        calls = []
+
+        def forward(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == failing_call:
+                raise SequenceLengthError("injected")
+            return lm_forward(*args, **kwargs)
+        monkeypatch.setattr(fusion, "lm_forward", forward)
+    with pytest.raises(SequenceLengthError):
+        decode_answer(seq, params, FCFG, max_new=10, stream=stream)
+    assert stream.ids().tolist() == [3, 5, 6, 7]
 
 
 def cycle_fixture(kind, prompt, next_of, seed=30):
