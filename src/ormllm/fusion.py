@@ -396,9 +396,6 @@ class DecodeStream:
         self._len = 0
         self._lock = threading.Lock()
 
-    def __len__(self) -> int:
-        return self._len
-
     def ids(self) -> np.ndarray:
         """The ids appended so far. Later appends do not change the array
         returned: they write past its end or into a new buffer."""
