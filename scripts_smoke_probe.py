@@ -1,5 +1,6 @@
 """Desk-scale dry run of the acceptance smoke pipeline (probe only)."""
 
+import resource
 import sys
 import time
 from pathlib import Path
@@ -76,4 +77,5 @@ print(f"\nEM full {full.em_at_1:.2f} vs rgb-only {rgb.em_at_1:.2f}: "
       f"{'PASS' if full.em_at_1 > rgb.em_at_1 else 'FAIL'}")
 print(f"F1 full {full.sgg_f1:.2f} vs no-fusion {nofusion.sgg_f1:.2f}: "
       f"{'PASS' if full.sgg_f1 > nofusion.sgg_f1 else 'FAIL'}")
-print(f"total wall: {time.time()-t00:.0f}s")
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+print(f"total wall: {time.time()-t00:.0f}s peak RSS: {peak_mb:.0f} MB")

@@ -29,7 +29,7 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
         if arr.ndim < 1:
             arr = arr.reshape(1)
         dims = "x".join(str(d) for d in arr.shape)
-        flag = 1 if params.trainable.get(name, True) else 0
+        flag = 1 if t.requires_grad else 0
         manifest.append(f"{name} {dims} {offset} {flag}\n")
         payload.append(arr.tobytes())
         offset += arr.nbytes

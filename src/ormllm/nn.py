@@ -8,6 +8,9 @@ path segment.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
+
 import numpy as np
 
 from . import tensor as T
@@ -16,19 +19,24 @@ from .tensor import Tensor
 
 
 class ModelParams:
-    """Ordered collection of named trainable tensors with per-tensor flags."""
+    """Ordered collection of named tensors. A tensor trains exactly when it
+    requires gradients; a frozen one is not tracked, so ops on frozen
+    tensors alone record no node and no gradient is formed for them."""
 
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}
-        self.trainable: dict[str, bool] = {}
 
     def add(self, name: str, data: np.ndarray, trainable: bool = True) -> Tensor:
         if name in self._tensors:
             raise ConfigurationError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True, name=name)
+        t = Tensor(np.asarray(data, dtype=np.float64), requires_grad=trainable, name=name)
         self._tensors[name] = t
-        self.trainable[name] = trainable
         return t
+
+    @property
+    def trainable(self) -> Mapping[str, bool]:
+        """Read-only name -> flag view of each tensor's requires_grad."""
+        return MappingProxyType({k: t.requires_grad for k, t in self._tensors.items()})
 
     def __getitem__(self, name: str) -> Tensor:
         try:

@@ -9,6 +9,13 @@ reverse, visiting each node exactly once. Replays are deterministic:
 the tape order is fixed by the graph structure, so two backward passes
 over identical graphs produce bit-identical gradients.
 
+A graph serves one backward and is freed as that backward runs: once a
+node has passed its adjoints on, it drops its closure and its inputs, so
+the activations it saved are released during the pass, and nothing of the
+graph outlives it even while the caller still holds the loss. A second
+backward through a released node raises ContractError; rebuild the graph
+with a new forward instead.
+
 All math is 64-bit. Broadcasting follows numpy rules except where an op
 documents a stricter contract.
 """
@@ -47,7 +54,9 @@ class no_grad:
 
 
 class Node:
-    """One recorded primitive: inputs plus a closure producing input adjoints."""
+    """One recorded primitive: inputs plus a closure producing input adjoints.
+    A backward that has passed through it releases it: inputs become () and
+    backward_fn None."""
 
     __slots__ = ("inputs", "backward_fn", "out_shape")
 
@@ -166,7 +175,10 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 class ComputationTape:
-    """Topological ordering of the nodes reachable from one output tensor."""
+    """Topological ordering of the nodes reachable from one output tensor.
+
+    Raises ContractError when one of them was released by an earlier
+    backward, since its adjoints can no longer be formed."""
 
     def __init__(self, root: Tensor):
         self.nodes: list[Node] = []
@@ -188,6 +200,10 @@ class ComputationTape:
                 continue
             if id(node) in seen:
                 continue
+            if node.backward_fn is None:
+                raise ContractError(
+                    "backward reaches a node an earlier backward released: a "
+                    "graph serves one backward, so run the forward again")
             seen.add(id(node))
             stack.append((t, True))
             for inp in node.inputs:
@@ -196,7 +212,14 @@ class ComputationTape:
 
     def replay_adjoints(self, root: Tensor, seed: np.ndarray) -> None:
         """Walk nodes in reverse topological order exactly once, accumulating
-        adjoints into .grad of every requires_grad tensor encountered."""
+        adjoints into .grad of every requires_grad tensor encountered.
+
+        Each node is released as soon as its adjoints are passed on, and the
+        tape pops it and its output, so what its closure saved is freed
+        during the walk; nodes no adjoint reaches are released too. Adjoints
+        are keyed by id(tensor): an output stays referenced through its
+        producer entry until its own node is processed, so no key can be
+        reused by another tensor while its adjoint waits."""
         adjoint: dict[int, np.ndarray] = {id(root): seed}
 
         def deposit(t: Tensor, g: np.ndarray):
@@ -206,13 +229,16 @@ class ComputationTape:
                 t.grad += g
 
         deposit(root, seed)
-        for node in reversed(self.nodes):
-            out = self.producer[id(node)]
+        while self.nodes:
+            node = self.nodes.pop()
+            out = self.producer.pop(id(node))
             g_out = adjoint.pop(id(out), None)
+            inputs, backward_fn = node.inputs, node.backward_fn
+            node.inputs, node.backward_fn = (), None
             if g_out is None:
                 continue
-            grads = node.backward_fn(g_out)
-            for inp, g in zip(node.inputs, grads):
+            grads = backward_fn(g_out)
+            for inp, g in zip(inputs, grads):
                 if g is None or not _tracked(inp):
                     continue
                 if id(inp) in adjoint:
@@ -231,6 +257,12 @@ def backward(loss: Tensor, params=None) -> None:
     Tensors not reachable from the loss keep grad None, meaning zero; when
     `params` (an iterable of Tensors) is given, their missing grads are
     materialized as zero buffers so optimizers can treat them uniformly.
+
+    The graph serves this one backward and is freed as it runs: every node
+    reachable from the loss is released, its saved arrays dropped, even
+    while the caller still holds `loss` or an intermediate. A second
+    backward through any released node, from this loss or from a new op
+    built on one of its intermediates, raises ContractError.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor loss")
@@ -417,7 +449,8 @@ def affine(x, w, b=None) -> Tensor:
     The forward is the same numpy product and sum as matmul + add, so its
     bytes match theirs. The backward flattens the leading dims of x into
     rows: the weight gradient is one 2-d GEMM and the bias gradient one row
-    sum, not a batched product that _unbroadcast then sums."""
+    sum, not a batched product that _unbroadcast then sums. An untracked
+    operand (a frozen weight) gets None, and its product is never formed."""
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim < 2 or w.ndim != 2:
         raise DimensionError(f"affine expects [..., d_in] @ [d_in, d_out], "
@@ -433,9 +466,11 @@ def affine(x, w, b=None) -> Tensor:
 
     def bw(g):
         g2 = g.reshape(-1, w.shape[1])
-        gx = (g2 @ w.data.T).reshape(x.shape)
-        gw = x.data.reshape(-1, w.shape[0]).T @ g2
-        return (gx, gw) if b is None else (gx, gw, g2.sum(axis=0))
+        gx = (g2 @ w.data.T).reshape(x.shape) if _tracked(x) else None
+        gw = x.data.reshape(-1, w.shape[0]).T @ g2 if _tracked(w) else None
+        if b is None:
+            return gx, gw
+        return gx, gw, (g2.sum(axis=0) if _tracked(b) else None)
 
     return _make(out, inputs, bw)
 
@@ -751,7 +786,8 @@ def bilinear_up2(x) -> Tensor:
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
-    """Layer normalization over the last axis with learned scale and shift."""
+    """Layer normalization over the last axis with learned scale and shift.
+    An untracked operand (a frozen gain or bias) gets None in the backward."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     n = x.shape[-1]
     # sum / n is the reduce-then-divide of ndarray.mean, without its
@@ -764,8 +800,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     out = gain.data * xhat + bias.data
 
     def bw(g):
-        gg = _unbroadcast(g * xhat, gain.shape)
-        gb = _unbroadcast(g, bias.shape)
+        gg = _unbroadcast(g * xhat, gain.shape) if _tracked(gain) else None
+        gb = _unbroadcast(g, bias.shape) if _tracked(bias) else None
+        if not _tracked(x):
+            return None, gg, gb
         dxhat = g * gain.data
         gx = (
             inv

@@ -267,7 +267,9 @@ def stage_mask(params: ModelParams, stage: int) -> dict[str, bool]:
 
 
 def apply_stage_mask(params: ModelParams, stage: int) -> None:
-    params.trainable = stage_mask(params, stage)
+    """Tracks exactly the tensors the stage trains."""
+    for name, flag in stage_mask(params, stage).items():
+        params[name].requires_grad = flag
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ differences computed directly on the numpy buffers, independent of the
 graph machinery.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -519,3 +521,27 @@ def test_diamond_graph_accumulates_once_per_node():
     # d/dx (9x^2 + 3x) = 18x + 3 = 39 at x=2
     np.testing.assert_allclose(x.grad, [39.0])
     assert n_nodes == 4  # mul(x,3), mul(a,a), add, sum
+
+
+def test_backward_frees_the_graph_while_the_loss_lives():
+    x = Tensor(np.ones((3, 4)), requires_grad=True)
+    h = T.tanh(x * 2.0)
+    probe = weakref.ref(h.data)
+    loss = T.sum_(h * h)
+    del h
+    T.backward(loss)
+    assert probe() is None
+    assert loss.item() == 12.0 * np.tanh(2.0) ** 2
+
+
+def test_backward_through_a_released_graph_raises():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    h = T.exp(x)
+    loss = T.sum_(h * h)
+    T.backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(ContractError, match="released"):
+        T.backward(loss)
+    with pytest.raises(ContractError, match="released"):
+        T.backward(T.sum_(h * 3.0))
+    assert x.grad.tobytes() == first.tobytes()

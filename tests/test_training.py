@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,11 @@ def test_stage_masks_partition_and_cover():
         assert m1[name] != m2[name], name  # partition: never both, never neither
     assert any(m1.values()) and any(m2.values())
     assert all(name.startswith("lm.") for name, f in m1.items() if f)
+    for stage, mask in ((1, m1), (2, m2)):
+        apply_stage_mask(model.params, stage)
+        assert dict(model.params.trainable) == mask
+    with pytest.raises(TypeError):
+        model.params.trainable["lm.wte"] = True
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +314,57 @@ def test_stage2_runs_and_freezes_lm(tiny_data):
         for n, v in {n: model.params[n].data.copy() for n in lm_before}.items()
     ) or True
     assert moved
+
+
+def test_no_graph_outlives_its_backward(tiny_data):
+    """At each logged step, after the backward, no recorded node still holds
+    its closure, in the VFM phase and in the fusion phase alike."""
+    model = tiny_model(tiny_data)
+    data = make_stage2_records(tiny_data.samples, tiny_data.vocab,
+                               qa_per_sample=1, seed=3)
+    cfg = TrainConfig(stage=2, epochs=1, batch_size=4, warmup_steps=0,
+                      vfm_epochs=1, seed=4)
+    live = []
+
+    def log(row):
+        gc.collect()
+        live.append((row.stage, sum(isinstance(o, T.Node) and o.backward_fn is not None
+                                    for o in gc.get_objects())))
+
+    train_stage(data, model, cfg, log=log)
+    assert {stage for stage, _ in live} == {"2vfm", "2"}
+    assert all(n == 0 for _, n in live), live
+
+
+def test_stage2_step_forms_no_frozen_grads(tiny_data, monkeypatch):
+    """The frozen LM is not tracked, so a stage-2 step forms none of its
+    gradients, and every trainable gradient has the bytes it has when
+    every tensor is tracked."""
+    data = make_stage2_records(tiny_data.samples, tiny_data.vocab,
+                               qa_per_sample=1, seed=3)
+    cfg = TrainConfig(stage=2, epochs=1, batch_size=4, warmup_steps=0,
+                      vfm_epochs=0, seed=4)
+
+    def first_step_grads():
+        model = tiny_model(tiny_data)
+        grads = {}
+
+        def log(row):
+            if not grads:
+                grads.update((n, t.grad) for n, t in model.params.items())
+
+        train_stage(data, model, cfg, log=log)
+        return grads, model.params.trainable
+
+    grads, trainable = first_step_grads()
+    monkeypatch.setattr(training, "apply_stage_mask", lambda params, stage: None)
+    tracked, _ = first_step_grads()
+    assert any(n.startswith("lm.") for n in grads)
+    for name, g in grads.items():
+        if name.startswith("lm."):
+            assert g is None and not trainable[name], name
+        else:
+            assert trainable[name] and g.tobytes() == tracked[name].tobytes(), name
 
 
 def test_stage2_loss_log_columns(tiny_data):
