@@ -324,12 +324,16 @@ def test_no_graph_outlives_its_backward(tiny_data):
                                qa_per_sample=1, seed=3)
     cfg = TrainConfig(stage=2, epochs=1, batch_size=4, warmup_steps=0,
                       vfm_epochs=1, seed=4)
-    live = []
+
+    def live_nodes():
+        gc.collect()
+        return {id(o) for o in gc.get_objects()
+                if isinstance(o, T.Node) and o.backward_fn is not None}
+
+    before, live = live_nodes(), []
 
     def log(row):
-        gc.collect()
-        live.append((row.stage, sum(isinstance(o, T.Node) and o.backward_fn is not None
-                                    for o in gc.get_objects())))
+        live.append((row.stage, len(live_nodes() - before)))
 
     train_stage(data, model, cfg, log=log)
     assert {stage for stage, _ in live} == {"2vfm", "2"}
