@@ -174,7 +174,7 @@ def _train_one_stage(run: RunConfig, bundle, cfg: TrainConfig, variant: str,
 
         def on_epoch(epoch):
             report = evaluate(model, bundle.vocab, val_samples,
-                              EvalConfig(tasks=("qa",), threads=1))
+                              EvalConfig(tasks=("qa",)))
             em = report.em_at_1 or 0.0
             if em > best["em"]:
                 best["em"] = em
@@ -223,7 +223,6 @@ def _eval_config(run: RunConfig, tasks: tuple[str, ...]) -> EvalConfig:
         max_new_sgg=int(run["eval.max_new_sgg"]),
         mode=str(run["eval.mode"]),
         beam_k=int(run["eval.beam_k"]),
-        threads=int(run["threads"]),
     )
 
 
@@ -258,8 +257,7 @@ def _eval_model(run: RunConfig, bundle, ckpt: str, variant: str | None,
 
 
 def cmd_eval(args) -> int:
-    run = RunConfig.resolve(args.config, {"seed": args.seed,
-                                          "threads": args.threads})
+    run = RunConfig.resolve(args.config, {"seed": args.seed})
     tasks = tuple(t.strip() for t in args.tasks.split(",") if t.strip())
     ecfg = _eval_config(run, tasks)
     bundle = read_dataset(args.data)
@@ -453,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=tuple(VARIANTS), default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="train and evaluate one fusion variant")

@@ -7,7 +7,6 @@ echoed verbatim into every output artifact so runs can be audited.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -18,7 +17,6 @@ from .training import TrainConfig
 
 DEFAULTS: dict[str, object] = {
     "seed": 0,
-    "threads": 1,
     "data.scenes": 300,
     "data.views": 3,
     "data.image_size": 32,
@@ -46,7 +44,6 @@ DEFAULTS: dict[str, object] = {
     "train.epochs.stage1": 6,
     "train.epochs.stage2": 2,
     "train.warmup_steps": 10,
-    "train.schedule": "cosine",
     "train.adam_beta1": 0.9,
     "train.adam_beta2": 0.999,
     "train.weight_decay": 0.01,
@@ -126,14 +123,6 @@ class RunConfig:
             _check_type(key, value)
         if values["seed"] < 0:
             raise ConfigurationError(f"seed must be >= 0, got {values['seed']}")
-        env_threads = os.environ.get("ORMLLM_THREADS")
-        if env_threads and (overrides or {}).get("threads") is None:
-            try:
-                values["threads"] = int(env_threads)
-            except ValueError:
-                raise ConfigurationError(
-                    f"ORMLLM_THREADS must be an integer, got {env_threads!r}"
-                ) from None
         return cls(values=values)
 
     def __getitem__(self, key: str):
@@ -183,7 +172,6 @@ class RunConfig:
             batch_size=int(v["train.batch_size"]),
             epochs=int(v[f"train.epochs.stage{stage}"]),
             warmup_steps=int(v["train.warmup_steps"]),
-            schedule=str(v["train.schedule"]),
             adam_beta1=float(v["train.adam_beta1"]),
             adam_beta2=float(v["train.adam_beta2"]),
             weight_decay=float(v["train.weight_decay"]),

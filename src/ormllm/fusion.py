@@ -9,7 +9,6 @@ substitute segments but never reorder the survivors.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -388,30 +387,27 @@ CONTEXT = 16
 class DecodeStream:
     """Append-only id stream of finished greedy decodes, for drafting (see
     decode_answer). Each decode appends its prompt ids, BOS and the ids it
-    generated, EOS included, in one call under a lock, so decodes in
-    several threads never interleave. Memory is one growable int64 array."""
+    generated, EOS included, in one call. Memory is one growable int64
+    array."""
 
     def __init__(self):
         self._ids = np.empty(1024, dtype=np.int64)
         self._len = 0
-        self._lock = threading.Lock()
 
     def ids(self) -> np.ndarray:
         """The ids appended so far. Later appends do not change the array
         returned: they write past its end or into a new buffer."""
-        with self._lock:
-            return self._ids[:self._len]
+        return self._ids[:self._len]
 
     def append(self, ids) -> None:
         ids = np.asarray(ids, dtype=np.int64)
-        with self._lock:
-            end = self._len + len(ids)
-            if end > len(self._ids):
-                grown = np.empty(max(end, 2 * len(self._ids)), dtype=np.int64)
-                grown[:self._len] = self._ids[:self._len]
-                self._ids = grown
-            self._ids[self._len:end] = ids
-            self._len = end
+        end = self._len + len(ids)
+        if end > len(self._ids):
+            grown = np.empty(max(end, 2 * len(self._ids)), dtype=np.int64)
+            grown[:self._len] = self._ids[:self._len]
+            self._ids = grown
+        self._ids[self._len:end] = ids
+        self._len = end
 
 
 def _suffix_match(text: np.ndarray, key: np.ndarray) -> tuple[int, int]:
@@ -466,9 +462,7 @@ def decode_answer(seq_prefix: TokenSequence, params: ModelParams, cfg: FusionCon
     one-token-per-call greedy output whatever the stream holds, in fewer
     calls when drafts hit. The stream is read once, when the decode starts;
     a decode that returns appends its history, EOS included, to it, and one
-    that raises leaves it unchanged. Decodes in several threads may share
-    a stream: each then drafts from the decodes that finished before it
-    started.
+    that raises leaves it unchanged.
 
     Beam search runs lm_forward once per unfinished beam and step, on the
     beam's one new row; a beam copies its cache when it branches. It

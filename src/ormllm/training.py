@@ -44,7 +44,6 @@ class TrainConfig:
     batch_size: int = 8
     epochs: int = 10
     warmup_steps: int = 10
-    schedule: str = "cosine"
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -65,8 +64,6 @@ class TrainConfig:
                 raise ConfigurationError(f"{name} must be positive")
         if self.lambda_clip < 0 or self.batch_size < 1 or self.epochs < 0:
             raise ConfigurationError("invalid lambda_clip, batch_size or epochs")
-        if self.schedule != "cosine":
-            raise ConfigurationError(f"unknown schedule {self.schedule!r}")
         # Adam's moment decays lie in [0, 1): beta = 1 never forgets, and its
         # bias correction divides by zero.
         for name in ("adam_beta1", "adam_beta2"):
@@ -104,11 +101,10 @@ def qa_prompt_ids(vocab: Vocabulary, question: str) -> list[int]:
 
 
 def make_stage1_records(samples: list[Sample], vocab: Vocabulary,
-                        limit: int = 0, include_sgg: bool = True,
-                        sgg_max_triples: int = 24) -> TrainData:
-    """Text-only instruction records: QA pairs plus, by default, one
-    scene-graph serialization record per scene. The frozen stage-2 LM can
-    only emit triple grammar it has already seen here; one record per scene
+                        limit: int = 0, sgg_max_triples: int = 24) -> TrainData:
+    """Text-only instruction records: QA pairs plus one scene-graph
+    serialization record per scene. The frozen stage-2 LM can only emit
+    triple grammar it has already seen here; one record per scene
     (views share triples) teaches the grammar without flooding the corpus
     with sequences whose content is unpredictable from text alone."""
     records = []
@@ -120,7 +116,7 @@ def make_stage1_records(samples: list[Sample], vocab: Vocabulary,
                 prompt_ids=qa_prompt_ids(vocab, question),
                 answer_ids=vocab.encode(answers[0]),
             ))
-        if include_sgg and s.scene_id not in seen_scenes:
+        if s.scene_id not in seen_scenes:
             seen_scenes.add(s.scene_id)
             target = s.triples[:sgg_max_triples] if sgg_max_triples else s.triples
             records.append(TrainRecord(

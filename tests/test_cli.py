@@ -227,22 +227,8 @@ def test_eval_vocab_mismatch_exit5(workspace, trained, tmp_path):
     assert main(["eval", "--ckpt", s2, "--data", other, "--config", cfg]) == 5
 
 
-def test_eval_threads_equivalence(workspace, trained, tmp_path):
-    root, cfg, data = workspace
-    out, s1, s2, _ = trained
-    r1 = str(tmp_path / "t1.report")
-    r4 = str(tmp_path / "t4.report")
-    assert main(["eval", "--ckpt", s2, "--data", data, "--config", cfg,
-                 "--threads", "1", "--report", r1]) == 0
-    assert main(["eval", "--ckpt", s2, "--data", data, "--config", cfg,
-                 "--threads", "4", "--report", r4]) == 0
-    pick = lambda p: [l for l in open(p).read().splitlines()
-                      if "\t" in l and not l.startswith("#")]
-    assert pick(r1) == pick(r4)
-
-
 @pytest.mark.parametrize("line", ["eval.mode = sample", "eval.beam_k = 0",
-                                  "threads = 0", "eval.max_new_qa = -3"])
+                                  "threads = 1", "eval.max_new_qa = -3"])
 def test_eval_bad_settings_usage_error(workspace, trained, tmp_path, capsys, line):
     root, cfg, data = workspace
     out, s1, s2, _ = trained
@@ -257,21 +243,14 @@ def test_eval_bad_settings_usage_error(workspace, trained, tmp_path, capsys, lin
     assert not abl.exists()
 
 
-def test_eval_threads_flag_zero_usage_error(workspace, trained):
-    root, cfg, data = workspace
-    out, s1, s2, _ = trained
-    assert main(["eval", "--ckpt", s2, "--data", data, "--config", cfg,
-                 "--threads", "0"]) == 2
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
-def test_eval_bad_threads_env_usage_error(workspace, trained, monkeypatch, capsys,
-                                          value):
-    root, cfg, data = workspace
-    out, s1, s2, _ = trained
-    monkeypatch.setenv("ORMLLM_THREADS", value)
-    assert main(["eval", "--ckpt", s2, "--data", data, "--config", cfg]) == 2
-    assert "threads" in capsys.readouterr().err.lower()
+def test_eval_threads_flag_usage_error(tmp_path, capsys):
+    # Evaluation runs on one thread: argparse refuses the flag (exit 2 as
+    # SystemExit) before anything is read.
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--ckpt", "missing.ckpt", "--data", str(tmp_path / "missing"),
+              "--threads", "1"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_ablate_full_matches_train_plus_eval(workspace, trained, tmp_path):

@@ -1,8 +1,6 @@
 """evaluate() with one decode stream per call: the report does not depend on
-what the stream holds, and threads never interleave decodes in it."""
+what the stream holds, and each decode lies whole in it."""
 
-import sys
-import threading
 from collections import Counter
 
 import numpy as np
@@ -10,6 +8,7 @@ import pytest
 
 import ormllm.evaluate as ev
 from ormllm import vocab as V
+from ormllm.errors import ConfigurationError
 from ormllm.evaluate import EvalConfig, evaluate
 from ormllm.fusion import DecodeStream, FusionConfig
 from ormllm.model import Model, ModelConfig
@@ -84,6 +83,12 @@ def test_report_independent_of_order_and_of_earlier_decodes(setup, streams, monk
         assert inner(model, vocab, sample, CFG) == result
 
 
+@pytest.mark.parametrize("threads", [0, 2])
+def test_eval_config_threads_other_than_one_is_configuration_error(threads):
+    with pytest.raises(ConfigurationError, match="threads"):
+        EvalConfig(threads=threads)
+
+
 def test_beam_eval_leaves_stream_empty(setup, streams):
     model, vocab, samples = setup
     evaluate(model, vocab, samples[:2], EvalConfig(max_new_qa=3, max_new_sgg=6,
@@ -103,53 +108,29 @@ def split_into(stream_ids, chunks):
     assert not +left
 
 
-def test_threads_append_each_decode_once_and_whole(setup, streams):
+def test_eval_appends_each_decode_once_and_whole(setup, streams):
     model, vocab, samples = setup
     evaluate(model, vocab, samples, CFG)
     chunks = streams[0].chunks
     assert all(V.BOS in c for c in chunks)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        four = evaluate(model, vocab, samples * 3, EvalConfig(max_new_qa=4, max_new_sgg=20,
-                                                             threads=4))
-    finally:
-        sys.setswitchinterval(interval)
-    assert four.counts["samples"] == 3 * len(samples)
+    three = evaluate(model, vocab, samples * 3, CFG)
+    assert three.counts["samples"] == 3 * len(samples)
+    assert len(streams[1].chunks) == 3 * len(chunks)
     split_into(streams[1].ids().tolist(), chunks * 3)
 
 
-def test_decode_stream_appends_whole_chunks_under_threads():
-    REPEATS = 2000
+def test_decode_stream_grows_and_keeps_chunks_and_snapshots_whole():
+    REPEATS = 100
     chunks = [[t] * (1 + t) for t in range(8)]
     stream = DecodeStream()
     stream.append(chunks[0])
     kept = stream.ids()
-
-    start = threading.Barrier(len(chunks))
-
-    def worker(chunk):
-        start.wait(timeout=60)
-        for _ in range(REPEATS):
+    for _ in range(REPEATS):
+        for chunk in chunks:
             stream.append(chunk)
-
-    threads = [threading.Thread(target=worker, args=(c,)) for c in chunks]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
     ids = stream.ids()
-    assert len(ids) == 1 + REPEATS * sum(map(len, chunks))
+    # The stream grew past its first buffer of 1,024 ids; every chunk lies
+    # whole in it, in append order, and the earlier snapshot is unchanged.
+    assert len(ids) == 1 + REPEATS * sum(map(len, chunks)) > 1024
+    assert ids.tolist() == chunks[0] + [t for chunk in chunks for t in chunk] * REPEATS
     assert kept.tolist() == chunks[0]
-    # The stream grew past its first buffer; every chunk lies whole in it.
-    at = 0
-    while at < len(ids):
-        chunk = chunks[int(ids[at])]
-        assert np.array_equal(ids[at:at + len(chunk)], chunk)
-        at += len(chunk)
