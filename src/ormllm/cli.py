@@ -112,16 +112,15 @@ def cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_into(model: Model, ckpt_path: str, require_lm: bool = True) -> None:
+def _load_into(model: Model, ckpt_path: str) -> None:
     loaded = load_checkpoint(ckpt_path)
     loaded_names = set(loaded.names())
-    if require_lm:
-        missing = [n for n in model.params.names()
-                   if n.startswith("lm.") and n not in loaded_names]
-        if missing:
-            raise CompatibilityError(
-                f"{ckpt_path}: checkpoint lacks LM tensors: {missing[:3]}..."
-            )
+    missing = [n for n in model.params.names()
+               if n.startswith("lm.") and n not in loaded_names]
+    if missing:
+        raise CompatibilityError(
+            f"{ckpt_path}: checkpoint lacks LM tensors: {missing[:3]}..."
+        )
     for name in model.params.names():
         if name in loaded_names:
             if loaded[name].shape != model.params[name].shape:
@@ -221,8 +220,6 @@ def _eval_config(run: RunConfig, tasks: tuple[str, ...]) -> EvalConfig:
         tasks=tasks,
         max_new_qa=int(run["eval.max_new_qa"]),
         max_new_sgg=int(run["eval.max_new_sgg"]),
-        mode=str(run["eval.mode"]),
-        beam_k=int(run["eval.beam_k"]),
     )
 
 

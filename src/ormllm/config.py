@@ -55,8 +55,6 @@ DEFAULTS: dict[str, object] = {
     "train.sgg_max_triples": 24,
     "eval.max_new_qa": 8,
     "eval.max_new_sgg": 150,
-    "eval.mode": "greedy",
-    "eval.beam_k": 1,
 }
 
 

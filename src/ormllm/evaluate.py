@@ -4,14 +4,14 @@ Each sample's modality tokens are computed once and shared by all of its
 prompts, and so are the LM keys and values of that modality prefix: the
 slot layout gives every prompt of a sample the same prefix rows at the same
 positions, so each decode runs the LM only on its prompt, BOS and the
-tokens it generates. Decoding is greedy by default so identical inputs
-yield identical reports. A greedy decode drafts and verifies: it guesses
-the next few ids, checks the guess and the next choice in one cached LM
-call, keeps the longest correct part and rolls the K/V cache back over the
-rest (fusion.decode_answer). The guess copies what followed the longest
-match of the decode's recent ids in two sources: the ids of every greedy
-decode this evaluate() call has finished (one DecodeStream per call), and
-the decode's own prompt and output so far. Templated questions recur
+tokens it generates. Decoding is greedy, so identical inputs yield
+identical reports. A decode drafts and verifies: it guesses the next few
+ids, checks the guess and the next choice in one cached LM call, keeps the
+longest correct part and rolls the K/V cache back over the rest
+(fusion.decode_answer). The guess copies what followed the longest match
+of the decode's recent ids in two sources: the ids of every decode this
+evaluate() call has finished (one DecodeStream per call), and the
+decode's own prompt and output so far. Templated questions recur
 across samples, and a model tends to write much the same scene graph for
 every scene, so most guesses go through and most decodes take a few
 calls. The answers are exactly those of one LM call per token, whatever
@@ -47,11 +47,11 @@ TASKS = ("qa", "sgg")
 
 @dataclass
 class EvalConfig:
-    """Evaluation settings. Evaluation runs on one thread; `threads` is
-    kept only because the benchmark's heldout_eval builds
-    EvalConfig(threads=1), so any other value is a ConfigurationError. The
-    field goes at the next change to the benchmark, once it stops passing
-    it."""
+    """Evaluation settings. Decoding is greedy and runs on one thread.
+    `mode`, `beam_k` and `threads` are kept only because the benchmark's
+    heldout_eval builds EvalConfig(mode="greedy", beam_k=1, threads=1), so
+    any other value of them is a ConfigurationError. All three go at the
+    next change to the benchmark, once it stops passing them."""
 
     tasks: tuple[str, ...] = TASKS
     max_new_qa: int = 8
@@ -66,15 +66,10 @@ class EvalConfig:
         for task in self.tasks:
             if task not in TASKS:
                 raise ConfigurationError(f"eval: unknown task {task!r}")
-        if self.mode not in ("greedy", "beam"):
-            raise ConfigurationError(
-                f"eval.mode must be 'greedy' or 'beam', got {self.mode!r}"
-            )
-        if self.beam_k < 1:
-            raise ConfigurationError(f"eval.beam_k must be >= 1, got {self.beam_k}")
-        if self.threads != 1:
-            raise ConfigurationError(
-                f"eval runs on one thread; threads must be 1, got {self.threads}")
+        for name, only in (("mode", "greedy"), ("beam_k", 1), ("threads", 1)):
+            if getattr(self, name) != only:
+                raise ConfigurationError(
+                    f"eval: {name} must be {only!r}, got {getattr(self, name)!r}")
         for name in ("max_new_qa", "max_new_sgg"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"eval.{name} must be >= 0")
@@ -88,8 +83,8 @@ class SampleResult:
 
 def evaluate_sample(model: Model, vocab: Vocabulary, sample: Sample,
                     cfg: EvalConfig, stream: DecodeStream | None = None) -> SampleResult:
-    """Decodes and pairs one sample's answers. Greedy decodes draft from,
-    and append to, `stream`; None gives the sample an empty one."""
+    """Decodes and pairs one sample's answers. Its decodes draft from, and
+    append to, `stream`; None gives the sample an empty one."""
     if stream is None:
         stream = DecodeStream()
     with T.no_grad():
@@ -103,7 +98,6 @@ def evaluate_sample(model: Model, vocab: Vocabulary, sample: Sample,
                 past = prefix_cache(prefix, prefix.segment_start("prompt"),
                                     model.params, model.cfg.fusion)
             return decode_answer(prefix, model.params, model.cfg.fusion,
-                                 mode=cfg.mode, beam_k=cfg.beam_k,
                                  max_new=max_new, past=past, stream=stream)
 
         qa_items = []

@@ -65,16 +65,15 @@ class FusionConfig:
 class TokenSequence:
     tokens: Tensor          # [S, d_token]
     tags: list[str]         # parallel, values in {image, seg, pc, prompt, answer}
-    positions: np.ndarray | None = None  # positional slot per token
+    positions: np.ndarray                # positional slot per token
     prompt_ids: tuple[int, ...] = ()     # the ids embedded in the prompt segment
 
     def __post_init__(self):
         if self.tokens.shape[0] != len(self.tags):
             raise ContractError("token/tag lengths differ")
-        if self.positions is not None:
-            self.positions = np.asarray(self.positions, dtype=np.int64)
-            if len(self.positions) != len(self.tags):
-                raise ContractError("position/tag lengths differ")
+        self.positions = np.asarray(self.positions, dtype=np.int64)
+        if len(self.positions) != len(self.tags):
+            raise ContractError("position/tag lengths differ")
 
     def __len__(self) -> int:
         return len(self.tags)
@@ -83,8 +82,6 @@ class TokenSequence:
         return self.tags.index(tag)
 
     def next_position(self) -> int:
-        if self.positions is None:
-            return len(self.tags)
         return int(self.positions.max()) + 1 if len(self.positions) else 0
 
 
@@ -264,32 +261,24 @@ def build_input_sequence(img_toks, seg_toks, pc_toks, prompt_ids,
 
 
 def lm_hidden(tokens: Tensor, params: ModelParams, cfg: FusionConfig,
-              positions=None, cache: KVCache | None = None) -> Tensor:
+              positions, cache: KVCache | None = None) -> Tensor:
     """Causal transformer over an embedded sequence [S, d] or batch
     [B, S, d]; returns the final hidden states after the last norm.
-    Positional rows follow `positions` when given (slot layout), otherwise
-    sequence order.
+    Each row adds the row of fusion.pos_embed that `positions` names.
 
     With a cache (inference only), `tokens` are the rows that follow the
-    cache.length rows it holds, `positions` are theirs (sequence order
-    continues from cache.length when omitted), and the cache is extended
-    by them."""
+    cache.length rows it holds, `positions` are theirs, and the cache is
+    extended by them."""
     S = tokens.shape[-2]
     past = 0 if cache is None else cache.length
     if past + S > cfg.max_seq_len:
         raise SequenceLengthError(
             f"sequence length {past + S} exceeds {cfg.max_seq_len}"
         )
-    if positions is None and cache is None:
-        pos = T.slice_(params["fusion.pos_embed"], (slice(0, S), slice(None)))
-    else:
-        if positions is None:
-            positions = np.arange(past, past + S)
-        positions = np.asarray(positions, dtype=np.int64)
-        if positions.max(initial=0) >= cfg.max_seq_len or positions.min(initial=0) < 0:
-            raise SequenceLengthError("positional slot outside the embedding table")
-        pos = T.gather_rows(params["fusion.pos_embed"], positions)
-    h = tokens + pos
+    positions = np.asarray(positions, dtype=np.int64)
+    if positions.max(initial=0) >= cfg.max_seq_len or positions.min(initial=0) < 0:
+        raise SequenceLengthError("positional slot outside the embedding table")
+    h = tokens + T.gather_rows(params["fusion.pos_embed"], positions)
     for i in range(cfg.lm_layers):
         h = attention_block_forward(h, params, f"lm.blocks.{i}", cfg.lm_heads,
                                     causal=True, cache=cache)
@@ -302,13 +291,16 @@ def lm_forward(seq: TokenSequence | Tensor, params: ModelParams, cfg: FusionConf
                return_hidden: bool = False, positions=None,
                cache: KVCache | None = None):
     """Per-position logits over the vocabulary for a token sequence; with a
-    cache, for the new rows only (see lm_hidden)."""
+    cache, for the new rows only (see lm_hidden). A TokenSequence brings
+    its own positions; a bare token tensor needs `positions`."""
     if isinstance(seq, TokenSequence):
         tokens = seq.tokens
         if positions is None:
             positions = seq.positions
     else:
         tokens = seq
+    if positions is None:
+        raise ContractError("lm_forward on a token tensor needs positions")
     if tokens.shape[-2] == 0:
         raise ContractError("cannot run the LM on an empty sequence")
     hidden = lm_hidden(tokens, params, cfg, positions, cache)
@@ -323,10 +315,9 @@ def prefix_cache(seq: TokenSequence, rows: int, params: ModelParams,
     can all start from it."""
     cache = KVCache()
     if rows:
-        positions = None if seq.positions is None else seq.positions[:rows]
         with T.no_grad():
             lm_hidden(T.slice_(seq.tokens, slice(0, rows)), params, cfg,
-                      positions=positions, cache=cache)
+                      positions=seq.positions[:rows], cache=cache)
     return cache
 
 
@@ -428,16 +419,14 @@ def _suffix_match(text: np.ndarray, key: np.ndarray) -> tuple[int, int]:
 
 
 def decode_answer(seq_prefix: TokenSequence, params: ModelParams, cfg: FusionConfig,
-                  mode: str = "greedy", beam_k: int = 1,
                   max_new: int = 16, past: KVCache | None = None,
                   stream: DecodeStream | None = None) -> list[int]:
-    """Autoregressive decoding from an assembled prefix.
+    """Greedy autoregressive decoding from an assembled prefix.
 
-    Appends BOS, then either greedy argmax or beam search ranked by summed
-    log probability, with ties broken toward the smaller token id in both.
-    Stops at EOS, after max_new tokens, or at a token whose positional slot
-    would lie outside the embedding table; the returned ids exclude BOS and
-    EOS.
+    Appends BOS, then takes the argmax at each step, ties broken toward the
+    smaller token id. Stops at EOS, after max_new tokens, or at a token
+    whose positional slot would lie outside the embedding table; the
+    returned ids exclude BOS and EOS.
 
     The LM runs once on the prefix rows plus BOS, filling a K/V cache, and
     after that only on rows of generated tokens. `past`, if given, must
@@ -445,7 +434,7 @@ def decode_answer(seq_prefix: TokenSequence, params: ModelParams, cfg: FusionCon
     seq_prefix at their positions (see prefix_cache); only the rows after
     them are run. It is not modified: each decode works on a copy.
 
-    Greedy decoding drafts and verifies. The history is the prompt, BOS and
+    The decode drafts and verifies. The history is the prompt, BOS and
     the ids generated so far. The draft takes the longest suffix of the
     history, at most CONTEXT ids, that occurs with a successor in `stream`
     (the ids of earlier decodes, e.g. of the same evaluation) or earlier in
@@ -463,15 +452,7 @@ def decode_answer(seq_prefix: TokenSequence, params: ModelParams, cfg: FusionCon
     calls when drafts hit. The stream is read once, when the decode starts;
     a decode that returns appends its history, EOS included, to it, and one
     that raises leaves it unchanged.
-
-    Beam search runs lm_forward once per unfinished beam and step, on the
-    beam's one new row; a beam copies its cache when it branches. It
-    neither reads nor writes `stream`.
     """
-    if mode not in ("greedy", "beam"):
-        raise ContractError(f"unknown decode mode {mode!r}")
-    if mode == "beam" and beam_k < 1:
-        raise ContractError("beam search requires k >= 1")
     if past is not None and not 0 <= past.length <= len(seq_prefix):
         raise ContractError(
             f"past covers {past.length} rows of a {len(seq_prefix)}-row prefix"
@@ -480,59 +461,42 @@ def decode_answer(seq_prefix: TokenSequence, params: ModelParams, cfg: FusionCon
         return []
     with T.no_grad():
         start = 0 if past is None else past.length
-        rows = np.concatenate([seq_prefix.tokens.data[start:],
-                               params["lm.wte"].data[V.BOS][None]], axis=0)
-        if seq_prefix.positions is not None:
-            pos = np.concatenate([seq_prefix.positions,
-                                  [seq_prefix.next_position()]])
-        else:
-            pos = np.arange(len(seq_prefix) + 1, dtype=np.int64)
+        wte = params["lm.wte"].data
+        rows = np.concatenate([seq_prefix.tokens.data[start:], wte[V.BOS][None]],
+                              axis=0)
+        bos_pos = seq_prefix.next_position()
+        pos = np.append(seq_prefix.positions[start:], bos_pos)
         cache = KVCache() if past is None else past.copy()
-        if mode == "greedy":
-            ids = _greedy_decode(rows, pos[start:], cache, seq_prefix.prompt_ids,
-                                 params, cfg, max_new, stream)
-        else:
-            ids = _beam_decode(rows, pos[start:], cache, params, cfg, beam_k, max_new)
-    return ids[:-1] if ids and ids[-1] == V.EOS else ids
-
-
-def _greedy_decode(rows: np.ndarray, pos: np.ndarray, cache: KVCache,
-                   prompt_ids: tuple[int, ...], params: ModelParams,
-                   cfg: FusionConfig, max_new: int,
-                   stream: DecodeStream | None = None) -> list[int]:
-    """Draft-and-verify greedy decoding (see decode_answer); `rows` and
-    `pos` are the prefix rows still to run, BOS last."""
-    wte = params["lm.wte"].data
-    bos_pos = int(pos[-1])
-    earlier = np.empty(0, dtype=np.int64) if stream is None else stream.ids()
-    history = list(prompt_ids) + [V.BOS]
-    ids: list[int] = []
-    while True:
-        # The j-th draft id (from 1) runs as generated token len(ids) + j at
-        # slot bos_pos + len(ids) + j, so it must fit max_new and the table.
-        limit = min(DRAFT, max_new - len(ids) - 1,
-                    cfg.max_seq_len - 1 - bos_pos - len(ids))
-        draft = _draft(np.array(history, dtype=np.int64), earlier, limit)
-        kept = cache.length + len(rows)
-        if draft:
-            rows = np.concatenate([rows, wte[draft]], axis=0)
-            pos = np.concatenate([pos, pos[-1] + 1 + np.arange(len(draft))])
-        logits = lm_forward(Tensor(rows), params, cfg, positions=pos,
-                            cache=cache).data
-        choices = logits[len(logits) - len(draft) - 1:].argmax(axis=-1)
-        for j, tok in enumerate(choices.tolist()):
-            ids.append(tok)
-            history.append(tok)
-            if (tok == V.EOS or len(ids) == max_new
-                    or bos_pos + len(ids) >= cfg.max_seq_len):
-                if stream is not None:
-                    stream.append(history)
-                return ids
-            if j == len(draft) or tok != draft[j]:
-                break
-        cache.truncate(kept + j)
-        rows = wte[tok][None]
-        pos = np.array([bos_pos + len(ids)])
+        earlier = np.empty(0, dtype=np.int64) if stream is None else stream.ids()
+        history = list(seq_prefix.prompt_ids) + [V.BOS]
+        ids: list[int] = []
+        while True:
+            # The j-th draft id (from 1) runs as generated token len(ids) + j
+            # at slot bos_pos + len(ids) + j, so it must fit max_new and the
+            # table.
+            limit = min(DRAFT, max_new - len(ids) - 1,
+                        cfg.max_seq_len - 1 - bos_pos - len(ids))
+            draft = _draft(np.array(history, dtype=np.int64), earlier, limit)
+            kept = cache.length + len(rows)
+            if draft:
+                rows = np.concatenate([rows, wte[draft]], axis=0)
+                pos = np.concatenate([pos, pos[-1] + 1 + np.arange(len(draft))])
+            logits = lm_forward(Tensor(rows), params, cfg, positions=pos,
+                                cache=cache).data
+            choices = logits[len(logits) - len(draft) - 1:].argmax(axis=-1)
+            for j, tok in enumerate(choices.tolist()):
+                ids.append(tok)
+                history.append(tok)
+                if (tok == V.EOS or len(ids) == max_new
+                        or bos_pos + len(ids) >= cfg.max_seq_len):
+                    if stream is not None:
+                        stream.append(history)
+                    return ids[:-1] if tok == V.EOS else ids
+                if j == len(draft) or tok != draft[j]:
+                    break
+            cache.truncate(kept + j)
+            rows = wte[tok][None]
+            pos = np.array([bos_pos + len(ids)])
 
 
 def _draft(history: np.ndarray, earlier: np.ndarray, limit: int) -> list[int]:
@@ -548,42 +512,3 @@ def _draft(history: np.ndarray, earlier: np.ndarray, limit: int) -> list[int]:
     else:
         draft = history[own_after:own_after + limit].tolist() if own else []
     return draft[:draft.index(V.EOS) + 1] if V.EOS in draft else draft
-
-
-def _beam_decode(rows: np.ndarray, pos: np.ndarray, cache: KVCache,
-                 params: ModelParams, cfg: FusionConfig, k: int,
-                 max_new: int) -> list[int]:
-    """Beam search (see decode_answer); `rows` and `pos` are the prefix rows
-    still to run, BOS last."""
-    wte = params["lm.wte"].data
-    bos_pos = int(pos[-1])
-    # (score, ids, cache, rows still to run, their positions, finished)
-    beams = [(0.0, (), cache, rows, pos, False)]
-    for _ in range(max_new):
-        candidates = []
-        for beam in beams:
-            score, ids, cache, rows, pos, finished = beam
-            if finished:
-                candidates.append(beam)
-                continue
-            cache = cache.copy()
-            logits = lm_forward(Tensor(rows), params, cfg, positions=pos,
-                                cache=cache).data[-1]
-            shifted = logits - logits.max()
-            logp = shifted - np.log(np.exp(shifted).sum())
-            order = np.lexsort((np.arange(len(logp)), -logp))[:k]
-            for tok in order:
-                tok = int(tok)
-                new_ids = ids + (tok,)
-                # A token whose slot lies outside the embedding table
-                # ends the beam without being run.
-                next_pos = bos_pos + len(new_ids)
-                done = tok == V.EOS or next_pos >= cfg.max_seq_len
-                candidates.append((score + logp[tok], new_ids, cache,
-                                   wte[tok][None], np.array([next_pos]), done))
-        # Rank by score; on ties the lexicographically smaller id tuple wins.
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        beams = candidates[:k]
-        if all(b[5] for b in beams):
-            break
-    return list(beams[0][1])

@@ -127,8 +127,8 @@ class KVCache:
     in one call and then rolls back the rows it rejected with truncate().
     Entries are replaced, never mutated in place: extend() concatenates
     into new arrays and truncate() keeps views of the first rows. So copy()
-    (a shallow dict copy) gives an independent branch, e.g. one per beam or
-    one per decode from a shared prefix cache.
+    (a shallow dict copy) gives an independent branch, e.g. one per decode
+    from a shared prefix cache.
     """
 
     def __init__(self):

@@ -46,7 +46,6 @@ class TrainConfig:
     warmup_steps: int = 10
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     weight_decay: float = 0.01
     lambda_clip: float = 0.1
     tau: float = 0.07
@@ -70,8 +69,6 @@ class TrainConfig:
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ConfigurationError(f"train.{name} must be in [0, 1), got {value}")
-        if self.adam_eps <= 0:
-            raise ConfigurationError(f"adam_eps must be positive, got {self.adam_eps}")
         for name in ("warmup_steps", "weight_decay", "vfm_epochs", "qa_per_sample",
                      "max_records", "sgg_max_triples"):
             value = getattr(self, name)
@@ -213,6 +210,10 @@ def lr_at_step(step: int, total_steps: int, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 
 
+# Keeps AdamW's denominator away from zero.
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamWState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -249,7 +250,7 @@ def optimizer_step(params: ModelParams, state: AdamWState, cfg: TrainConfig,
         v *= b2
         v += (1 - b2) * g * g
         lr = rate_for(name)
-        update = (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+        update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         tensor.data -= lr * (update + cfg.weight_decay * tensor.data)
 
 

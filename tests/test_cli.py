@@ -227,7 +227,7 @@ def test_eval_vocab_mismatch_exit5(workspace, trained, tmp_path):
     assert main(["eval", "--ckpt", s2, "--data", other, "--config", cfg]) == 5
 
 
-@pytest.mark.parametrize("line", ["eval.mode = sample", "eval.beam_k = 0",
+@pytest.mark.parametrize("line", ["eval.mode = greedy", "eval.beam_k = 1",
                                   "threads = 1", "eval.max_new_qa = -3"])
 def test_eval_bad_settings_usage_error(workspace, trained, tmp_path, capsys, line):
     root, cfg, data = workspace

@@ -20,9 +20,9 @@ def test_int_serves_a_float_key_unchanged(tmp_path):
 
 
 @pytest.mark.parametrize("line", [
-    "eval.beam_k = 1.5", "fusion.d_token = 64.9", "spatial.encoder_dim = abc",
+    "eval.max_new_qa = 1.5", "fusion.d_token = 64.9", "spatial.encoder_dim = abc",
     "seed = true", "train.lambda_clip = false", "train.lr_lm = abc",
-    "eval.mode = 3",
+    "train.tau = abc",
 ])
 def test_value_of_wrong_type_is_configuration_error(tmp_path, line):
     key = line.split(" =")[0]
@@ -31,7 +31,8 @@ def test_value_of_wrong_type_is_configuration_error(tmp_path, line):
 
 
 @pytest.mark.parametrize("line", ["threads = 1", "train.schedule = cosine",
-                                  "train.dropout = 0"])
+                                  "train.dropout = 0", "eval.mode = greedy",
+                                  "eval.beam_k = 1"])
 def test_removed_key_is_configuration_error(tmp_path, line):
     with pytest.raises(ConfigurationError, match="unknown config keys: " + line.split(" =")[0]):
         RunConfig.resolve(write(tmp_path, line + "\n"))

@@ -83,17 +83,13 @@ def test_report_independent_of_order_and_of_earlier_decodes(setup, streams, monk
         assert inner(model, vocab, sample, CFG) == result
 
 
-@pytest.mark.parametrize("threads", [0, 2])
-def test_eval_config_threads_other_than_one_is_configuration_error(threads):
-    with pytest.raises(ConfigurationError, match="threads"):
-        EvalConfig(threads=threads)
-
-
-def test_beam_eval_leaves_stream_empty(setup, streams):
-    model, vocab, samples = setup
-    evaluate(model, vocab, samples[:2], EvalConfig(max_new_qa=3, max_new_sgg=6,
-                                                   mode="beam", beam_k=2))
-    assert [len(s.ids()) for s in streams] == [0]
+@pytest.mark.parametrize("field,value", [
+    ("threads", 0), ("threads", 2), ("mode", "beam"), ("beam_k", 2),
+])
+def test_eval_config_mode_beam_k_threads_take_one_value(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        EvalConfig(**{field: value})
+    EvalConfig(mode="greedy", beam_k=1, threads=1)  # the benchmark's values
 
 
 def split_into(stream_ids, chunks):

@@ -14,7 +14,6 @@ import ormllm.fusion as fusion
 from ormllm.fusion import (
     DecodeStream,
     FusionConfig,
-    TokenSequence,
     answer_loss,
     build_fusion_params,
     build_input_sequence,
@@ -211,17 +210,23 @@ def test_lm_cached_chunks_match_full_forward():
     params = make_params()
     img, seg, pc = seq_parts(params)
     seq = build_input_sequence(img, seg, pc, [1, 4, 5, 6, 7], params, FCFG)
-    full = lm_forward(seq.tokens, params, FCFG).data
+    full = lm_forward(seq.tokens, params, FCFG, positions=seq.positions).data
     cache = fusion.KVCache()
     with T.no_grad():
-        # Positions omitted: sequence order continues from cache.length.
-        parts = [lm_forward(seq.tokens[a:b], params, FCFG, cache=cache).data
+        parts = [lm_forward(seq.tokens[a:b], params, FCFG,
+                            positions=seq.positions[a:b], cache=cache).data
                  for a, b in ((0, 20), (20, 21), (21, 25))]
     assert cache.length == len(seq)
     np.testing.assert_allclose(np.concatenate(parts), full, rtol=0, atol=1e-12)
     with T.no_grad(), pytest.raises(SequenceLengthError):
         lm_forward(Tensor(np.zeros((FCFG.max_seq_len - 24, 16))), params, FCFG,
-                   cache=cache)
+                   positions=np.arange(25, FCFG.max_seq_len + 1), cache=cache)
+
+
+def test_lm_forward_on_a_token_tensor_needs_positions():
+    params, seq = decode_setup()
+    with pytest.raises(ContractError, match="positions"):
+        lm_forward(seq.tokens, params, FCFG)
 
 
 def test_answer_loss_uniform_logits_is_log_vocab():
@@ -292,13 +297,6 @@ def decode_setup(seed=11):
     return params, seq
 
 
-def test_beam1_equals_greedy():
-    params, seq = decode_setup()
-    g = decode_answer(seq, params, FCFG, mode="greedy", max_new=6)
-    b = decode_answer(seq, params, FCFG, mode="beam", beam_k=1, max_new=6)
-    assert g == b
-
-
 def test_decode_deterministic():
     params, seq = decode_setup(12)
     a = decode_answer(seq, params, FCFG, max_new=6)
@@ -325,70 +323,29 @@ def test_decode_stops_at_eos_and_strips_it():
     assert V.EOS not in out and len(out) <= 10
 
 
-def test_beam_respects_k_validation():
-    params, seq = decode_setup(16)
-    with pytest.raises(ContractError):
-        decode_answer(seq, params, FCFG, mode="beam", beam_k=0)
-
-
-def recompute_decode(seq_prefix, params, cfg, mode="greedy", beam_k=1, max_new=16,
-                     forward=lm_forward):
-    """Reference decoder: re-runs the LM over the whole prefix for every new
-    token, with no K/V cache."""
-    if max_new == 0:
-        return []
-    k = 1 if mode == "greedy" else beam_k
+def recompute_decode(seq_prefix, params, cfg, max_new=16, forward=lm_forward):
+    """Reference greedy decoder: re-runs the LM over the whole prefix for
+    every new token, with no K/V cache."""
+    ids = []
     with T.no_grad():
         wte = params["lm.wte"].data
-        prefix = np.concatenate([seq_prefix.tokens.data, wte[V.BOS][None]], axis=0)
-        if seq_prefix.positions is not None:
-            base_pos = np.concatenate([seq_prefix.positions,
-                                       [seq_prefix.next_position()]])
-        else:
-            base_pos = np.arange(len(prefix), dtype=np.int64)
-
-        def step_logprobs(token_rows):
-            pos = np.concatenate([
-                base_pos,
-                np.arange(base_pos[-1] + 1,
-                          base_pos[-1] + 1 + (len(token_rows) - len(base_pos)),
-                          dtype=np.int64),
-            ])
-            logits = forward(Tensor(token_rows), params, cfg, positions=pos).data[-1]
-            shifted = logits - logits.max()
-            return shifted - np.log(np.exp(shifted).sum())
-
-        beams = [(0.0, (), prefix, False)]
-        for _ in range(max_new):
-            candidates = []
-            for score, ids, rows, finished in beams:
-                if finished:
-                    candidates.append((score, ids, rows, True))
-                    continue
-                logp = step_logprobs(rows)
-                order = np.lexsort((np.arange(len(logp)), -logp))[:k]
-                for tok in order:
-                    tok = int(tok)
-                    new_ids = ids + (tok,)
-                    if tok == V.EOS:
-                        candidates.append((score + logp[tok], new_ids, rows, True))
-                    else:
-                        new_rows = np.concatenate([rows, wte[tok][None]], axis=0)
-                        if base_pos[-1] + 1 + len(new_rows) - len(base_pos) > cfg.max_seq_len:
-                            candidates.append((score + logp[tok], new_ids, rows, True))
-                        else:
-                            candidates.append((score + logp[tok], new_ids, new_rows, False))
-            candidates.sort(key=lambda c: (-c[0], c[1]))
-            beams = candidates[:k]
-            if all(b[3] for b in beams):
+        rows = np.concatenate([seq_prefix.tokens.data, wte[V.BOS][None]], axis=0)
+        pos = np.append(seq_prefix.positions, seq_prefix.next_position())
+        while len(ids) < max_new:
+            logits = forward(Tensor(rows), params, cfg, positions=pos).data[-1]
+            tok = int(np.argmax(logits))  # the first maximum: ties go to the smaller id
+            ids.append(tok)
+            # EOS, or a token whose slot lies outside the table, ends the decode.
+            if tok == V.EOS or pos[-1] + 1 >= cfg.max_seq_len:
                 break
-        ids = list(beams[0][1])
+            rows = np.concatenate([rows, wte[tok][None]], axis=0)
+            pos = np.append(pos, pos[-1] + 1)
     return ids[:-1] if ids and ids[-1] == V.EOS else ids
 
 
 def decode_fixture(kind, seed, prompt_len=2, eos_bias=0.0):
-    """Random-parameter prefixes: slot-layout (gapped) positions, sequence
-    positions, or no positions at all."""
+    """Random-parameter prefixes: slot-layout (gapped) positions or sequence
+    positions."""
     params = make_params(seed=seed)
     params["lm.out.b"].data[V.EOS] += eos_bias
     img, seg, pc = seq_parts(params, seed=seed)
@@ -396,8 +353,6 @@ def decode_fixture(kind, seed, prompt_len=2, eos_bias=0.0):
     layout = slot_layout(16, SCFG.seg_classes, FCFG.pc_tokens) if kind == "slots" else None
     seq = build_input_sequence(img, seg, pc, prompt, params, FCFG, layout=layout,
                                seg_class_ids=[1, 2, 3])
-    if kind == "none":
-        seq = TokenSequence(tokens=seq.tokens, tags=seq.tags)
     return params, seq
 
 
@@ -493,8 +448,6 @@ DECODE_CASES = [
     ("slots", 22, 2, -50.0, 20),      # slot 63 is the last: cut-off after 13
     ("sequence", 23, 3, 0.0, 10),
     ("sequence", 24, 35, -50.0, 20),  # 55 rows + BOS: cut-off after 8
-    ("none", 25, 4, 0.0, 10),
-    ("none", 26, 35, -50.0, 12),      # as above, without positions
 ]
 
 
@@ -517,38 +470,31 @@ def earlier_decodes(kind, seq, params, max_new, past, want):
     return stream, len(calls)
 
 
-MODES = [("greedy", 1), ("beam", 1), ("beam", 3)]
-
-
-@pytest.mark.parametrize("mode,beam_k", MODES)
 @pytest.mark.parametrize("kind,seed,prompt_len,eos_bias,max_new", DECODE_CASES)
 @pytest.mark.parametrize("shared_past", [False, True])
-def test_cached_decode_matches_recompute_oracle(monkeypatch, mode, beam_k, kind,
-                                                seed, prompt_len, eos_bias, max_new,
-                                                shared_past):
-    check_cached_decode(monkeypatch, mode, beam_k, kind, seed, prompt_len, eos_bias,
-                        max_new, shared_past, earlier=None)
+def test_cached_decode_matches_recompute_oracle(monkeypatch, kind, seed, prompt_len,
+                                                eos_bias, max_new, shared_past):
+    check_cached_decode(monkeypatch, kind, seed, prompt_len, eos_bias, max_new,
+                        shared_past, earlier=None)
 
 
-@pytest.mark.parametrize("mode,beam_k", MODES)
 @pytest.mark.parametrize("kind,seed,prompt_len,eos_bias,max_new", DECODE_CASES)
 @pytest.mark.parametrize("shared_past", [False, True])
 @pytest.mark.parametrize("earlier", ["repeat", "adversarial"])
 def test_cached_decode_after_earlier_decodes_matches_recompute_oracle(
-        monkeypatch, mode, beam_k, kind, seed, prompt_len, eos_bias, max_new,
-        shared_past, earlier):
-    check_cached_decode(monkeypatch, mode, beam_k, kind, seed, prompt_len, eos_bias,
-                        max_new, shared_past, earlier)
+        monkeypatch, kind, seed, prompt_len, eos_bias, max_new, shared_past, earlier):
+    check_cached_decode(monkeypatch, kind, seed, prompt_len, eos_bias, max_new,
+                        shared_past, earlier)
 
 
-def check_cached_decode(monkeypatch, mode, beam_k, kind, seed, prompt_len, eos_bias,
-                        max_new, shared_past, earlier):
-    """The decode equals the recompute oracle; a greedy one makes exactly
-    the calls of the draft contract with `earlier` decodes in its stream
-    (None: no stream), and only greedy decodes append to the stream."""
+def check_cached_decode(monkeypatch, kind, seed, prompt_len, eos_bias, max_new,
+                        shared_past, earlier):
+    """The decode equals the recompute oracle, makes exactly the calls of
+    the draft contract with `earlier` decodes in its stream (None: no
+    stream), and appends its history to the stream once."""
     params, seq = decode_fixture(kind, seed, prompt_len, eos_bias)
     want_calls, calls = [], []
-    want = recompute_decode(seq, params, FCFG, mode, beam_k, max_new,
+    want = recompute_decode(seq, params, FCFG, max_new,
                             forward=recording(want_calls, lm_forward))
     past = prefix_cache(seq, seq.segment_start("prompt"), params, FCFG) \
         if shared_past else None
@@ -558,27 +504,15 @@ def check_cached_decode(monkeypatch, mode, beam_k, kind, seed, prompt_len, eos_b
                                                      want)
     before = [] if stream is None else stream.ids().tolist()
     monkeypatch.setattr(fusion, "lm_forward", recording(calls, lm_forward))
-    got = decode_answer(seq, params, FCFG, mode=mode, beam_k=beam_k,
-                        max_new=max_new, past=past, stream=stream)
+    got = decode_answer(seq, params, FCFG, max_new=max_new, past=past, stream=stream)
     assert got == want
     skipped = past.length if shared_past else 0
-    if mode == "greedy":
-        history = check_greedy_calls(seq, params, max_new, skipped, calls, want_calls,
-                                     before)
-        if stream is not None:  # the decode appended its history once
-            assert stream.ids().tolist() == before + history
-        if earlier == "repeat" and len(want_calls) > 1:
-            assert len(calls) < empty_stream_calls
-    else:
-        assert len(calls) == len(want_calls)
-        for (_, a), (_, b) in zip(calls, want_calls):
-            np.testing.assert_allclose(a[-1], b[-1], rtol=0, atol=1e-10)
-        # Prefill of the rows past does not hold plus BOS, then one row per call.
-        assert [len(rows) for rows, _ in calls] == \
-            [len(seq) - skipped + 1] + [1] * (len(calls) - 1)
-        if stream is not None:  # beam search neither reads nor writes it
-            assert stream.ids().tolist() == before
-    if eos_bias < 0 and mode == "greedy":
+    history = check_greedy_calls(seq, params, max_new, skipped, calls, want_calls, before)
+    if stream is not None:  # the decode appended its history once
+        assert stream.ids().tolist() == before + history
+    if earlier == "repeat" and len(want_calls) > 1:
+        assert len(calls) < empty_stream_calls
+    if eos_bias < 0:
         assert len(got) < max_new  # the length cut-off ended the decode
 
 
@@ -670,7 +604,6 @@ def test_exact_logit_tie_decodes_to_smaller_id():
     params["lm.out.b"].data[:] = 0.0
     params["lm.out.b"].data[[4, 11]] = 3.0
     assert decode_answer(seq, params, FCFG, max_new=5) == [4] * 5
-    assert decode_answer(seq, params, FCFG, mode="beam", beam_k=2, max_new=5) == [4] * 5
 
 
 def test_cache_truncate_leaves_source_and_shared_past_unchanged():
@@ -712,12 +645,10 @@ def test_decode_leaves_shared_past_unchanged():
     past = prefix_cache(seq, seq.segment_start("prompt"), params, FCFG)
     held = dict(past.kv)
     length = past.length
-    first = decode_answer(seq, params, FCFG, mode="beam", beam_k=3, max_new=6,
-                          past=past)
+    first = decode_answer(seq, params, FCFG, max_new=6, past=past)
     assert past.length == length
     assert all(past.kv[name] is held[name] for name in held) and len(past.kv) == len(held)
-    assert decode_answer(seq, params, FCFG, mode="beam", beam_k=3, max_new=6,
-                         past=past) == first
+    assert decode_answer(seq, params, FCFG, max_new=6, past=past) == first
 
 
 def test_decode_rejects_past_longer_than_prefix():

@@ -634,7 +634,7 @@ def test_batched_answer_loss_rejects_mismatched_shapes():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("adam_beta1", 1.0), ("adam_beta2", -0.1), ("adam_eps", 0.0),
+    ("adam_beta1", 1.0), ("adam_beta2", -0.1),
     ("warmup_steps", -5), ("weight_decay", -0.01), ("vfm_epochs", -1),
     ("qa_per_sample", -1), ("max_records", -1), ("sgg_max_triples", -2),
 ])
