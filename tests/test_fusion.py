@@ -443,11 +443,26 @@ def test_draft_is_the_brute_force_longest_suffix_match():
 
 DECODE_CASES = [
     # (positions, seed, prompt length, EOS logit bias, max_new); the -50
-    # bias keeps EOS away so that the max_seq_len cut-off ends the decode.
-    ("slots", 21, 2, 0.0, 10),
+    # bias keeps EOS away so that the max_seq_len cut-off ends the decode,
+    # and the +5 bias makes EOS the first id.
+    ("slots", 21, 2, 0.0, 10),        # EOS after 3
     ("slots", 22, 2, -50.0, 20),      # slot 63 is the last: cut-off after 13
+    ("slots", 25, 4, 0.0, 10),
+    ("slots", 27, 1, 0.0, 1),         # one id: one call, no draft
+    ("slots", 28, 6, 0.0, 2),
+    ("slots", 29, 3, 5.0, 10),        # empty answer
+    ("slots", 30, 12, -50.0, 30),     # cut-off after 3
+    ("slots", 31, 2, 0.0, 16),
+    ("slots", 32, 15, -50.0, 5),      # BOS in slot 63: one id, no draft
     ("sequence", 23, 3, 0.0, 10),
     ("sequence", 24, 35, -50.0, 20),  # 55 rows + BOS: cut-off after 8
+    ("sequence", 26, 35, -50.0, 12),
+    ("sequence", 33, 1, 0.0, 1),
+    ("sequence", 34, 5, 0.0, 3),
+    ("sequence", 35, 2, 5.0, 10),     # empty answer
+    ("sequence", 36, 43, -50.0, 5),   # 63 rows: BOS in the last slot
+    ("sequence", 37, 8, 0.0, 16),
+    ("sequence", 38, 20, -50.0, 30),  # cut-off after 23
 ]
 
 
