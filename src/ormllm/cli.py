@@ -158,12 +158,11 @@ def _train_one_stage(run: RunConfig, bundle, cfg: TrainConfig, variant: str,
         model.check_vocab(len(bundle.vocab))
     if stage == 1:
         data = make_stage1_records(train_samples, bundle.vocab,
-                                   limit=cfg.max_records,
                                    sgg_max_triples=cfg.sgg_max_triples)
     else:
         data = make_stage2_records(train_samples, bundle.vocab,
                                    qa_per_sample=cfg.qa_per_sample,
-                                   seed=cfg.seed, limit=cfg.max_records,
+                                   seed=cfg.seed,
                                    sgg_max_triples=cfg.sgg_max_triples)
 
     best = {"em": -1.0}

@@ -51,7 +51,6 @@ DEFAULTS: dict[str, object] = {
     "train.tau": 0.07,
     "train.vfm_epochs": 3,
     "train.qa_per_sample": 2,
-    "train.max_records": 0,
     "train.sgg_max_triples": 24,
     "eval.max_new_qa": 8,
     "eval.max_new_sgg": 150,
@@ -178,6 +177,5 @@ class RunConfig:
             seed=int(v["seed"]),
             vfm_epochs=int(v["train.vfm_epochs"]),
             qa_per_sample=int(v["train.qa_per_sample"]),
-            max_records=int(v["train.max_records"]),
             sgg_max_triples=int(v["train.sgg_max_triples"]),
         )

@@ -2,10 +2,14 @@
 sample-to-token-sequence forward path.
 
 Pseudo-modalities are always inferred from RGB; ground truth enters only
-through losses. The predicted depth and classes leave the graph as plain
-data before back-projection and region masking, so the point and region
-encoders train through their own weights while the depth and
-segmentation decoders train through their supervision losses.
+through losses. Perception (`Model.perceive`) runs the encoder and the
+depth and seg heads without recording and returns plain data: per sample,
+the encoder cell tokens, predicted classes and predicted depth that the
+slots read. So no token loss reaches the encoder or the heads: they train
+only through the depth and segmentation supervision losses, and the
+region and point encoders and the projections train through their own
+weights. Training computes each sample's percept once for the whole
+fusion phase and reuses it.
 
 The modality path runs each head only where its slot reads it. Region
 pooling reads the predicted classes at the encoder cell centres, and the
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import CompatibilityError, ConfigurationError
+from .errors import CompatibilityError, ConfigurationError, ContractError
 from .fusion import (
     FusionConfig,
     TokenSequence,
@@ -91,6 +95,20 @@ def build_model_params(cfg: ModelConfig, seed: int) -> ModelParams:
 
 
 @dataclass
+class Percept:
+    """What the slots read of one sample's perception, as plain data; None
+    where no slot reads it. `cell_tokens` [n_cells, C] are the encoder cells
+    that region pooling reads; `seg_ids` are the predicted class ids at the
+    cell centres [n_cells] (`seg_at_cells`) or over the whole map [H, W];
+    `depth` is the predicted depth on the cloud raster [P]
+    (`depth_on_raster`) or over the whole map [H, W]."""
+
+    cell_tokens: np.ndarray | None = None
+    seg_ids: np.ndarray | None = None
+    depth: np.ndarray | None = None
+
+
+@dataclass
 class ModalityBundle:
     """Per-sample projected segments, plus the class id of each region
     token."""
@@ -137,17 +155,45 @@ class Model:
     def modality_tokens(self, sample: Sample) -> ModalityBundle:
         return self.modality_tokens_batch([sample])[0]
 
-    def modality_tokens_batch(self, samples: list[Sample]) -> list[ModalityBundle]:
+    def perceive(self, samples: list[Sample]) -> list[Percept]:
+        """Each sample's percept. The encoder and the depth and seg heads
+        run once over the batch, without recording, at the pixels the slots
+        read: the seg head at the cell centres when only region pooling
+        reads it (`seg_at_cells`), the depth head on the cloud raster when
+        only the point encoder does (`depth_on_raster`), else over whole
+        maps."""
+        spec = variant_spec(self.cfg.variant)
+        B = len(samples)
+        if not spec.spatial:
+            return [Percept() for _ in range(B)]
+        scfg = self.cfg.spatial
+        rgb = np.stack([np.asarray(s.rgb, dtype=np.float64) for s in samples])
+        cell_tokens = seg_ids = depth = [None] * B
+        with T.no_grad():
+            tokens, grid = self.spatial_grid(rgb)
+            if spec.seg == "regions":
+                cell_tokens = tokens.data
+            if spec.needs_depth:
+                depth = self.predict_depth(
+                    grid, cloud_raster(scfg.image_size) if spec.depth_on_raster
+                    else None).data
+            if spec.needs_seg:
+                _, seg_ids = self.predict_seg(
+                    grid, cell_centres(scfg) if spec.seg_at_cells else None)
+        return [Percept(cell_tokens[b], seg_ids[b], depth[b]) for b in range(B)]
+
+    def modality_tokens_batch(self, samples: list[Sample],
+                              percepts: list[Percept] | None = None
+                              ) -> list[ModalityBundle]:
         """Modality tokens for several samples, slot by slot as the variant's
-        row says. The encoder and the depth and seg heads run once over the
-        batch, and so does every projection head; only the masked means of
-        region pooling and the point-cloud encoding loop over samples. The
-        depth and seg heads run without recording: their outputs enter the
-        tokens only as data, and they train through the supervision losses
-        of the VFM phase. They run at the pixels the slots read: the seg
-        head at the cell centres when only region pooling reads it
-        (`seg_at_cells`), the depth head on the cloud raster when only the
-        point encoder does (`depth_on_raster`), else over whole maps."""
+        row says, from the samples' percepts (`perceive` runs when none are
+        given). Every projection head runs once over the batch; only the
+        masked means of region pooling and the point-cloud encoding loop
+        over samples."""
+        if percepts is None:
+            percepts = self.perceive(samples)
+        if len(percepts) != len(samples):
+            raise ContractError(f"{len(percepts)} percepts for {len(samples)} samples")
         spec = variant_spec(self.cfg.variant)
         scfg, fcfg = self.cfg.spatial, self.cfg.fusion
         B = len(samples)
@@ -161,18 +207,11 @@ class Model:
             return per_sample(project_image_tokens(image, self.params, fcfg,
                                                    embed=embed))
 
-        depth = seg_ids = None
-        if spec.spatial:
-            cell_tokens, grid = self.spatial_grid(rgb)
-            # The head outputs leave the graph as data, so recording them
-            # would only keep their tapes alive.
-            with T.no_grad():
-                if spec.needs_depth:
-                    depth = self.predict_depth(
-                        grid, raster if spec.depth_on_raster else None).data
-                if spec.needs_seg:
-                    _, seg_ids = self.predict_seg(
-                        grid, centres if spec.seg_at_cells else None)
+        def stacked(name: str) -> np.ndarray:
+            return np.stack([getattr(p, name) for p in percepts])
+
+        depth = stacked("depth") if spec.needs_depth else None
+        seg_ids = stacked("seg_ids") if spec.needs_seg else None
 
         if spec.image == "early":
             # Recolored predicted classes over RGB, predicted depth as a
@@ -187,7 +226,8 @@ class Model:
         region_ids: list[list[int] | None] = [None] * B
         if spec.seg == "regions":
             cell_ids = seg_ids if spec.seg_at_cells else seg_ids.reshape(B, -1)[:, centres]
-            feats, region_ids = region_pool(cell_ids, cell_tokens, self.params, scfg)
+            feats, region_ids = region_pool(cell_ids, T.constant(stacked("cell_tokens")),
+                                            self.params, scfg)
             toks = mlp_forward(feats, self.params, "proj.seg_head")
             bounds = np.cumsum([0] + [len(ids) for ids in region_ids])
             seg = [T.slice_(toks, (slice(bounds[b], bounds[b + 1]), slice(None)))

@@ -43,7 +43,6 @@ CLASS_NAMES = (
     "monitor",
 )
 CLASS_ID = {name: i + 1 for i, name in enumerate(CLASS_NAMES)}
-NUM_CLASSES = len(CLASS_NAMES)
 CLASS_TEXT = {name: name.replace("_", " ") for name in CLASS_NAMES}
 
 # Flat-shading palette, one distinct color per class; misses use BACKGROUND.

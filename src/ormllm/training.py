@@ -2,12 +2,19 @@
 tuning against the composite language-modeling plus contrastive objective.
 
 Stage 1 trains exactly the lm.* tensors on text-only QA records. Stage 2
-freezes them and trains everything else on full multimodal records; it
-opens with a supervision phase that fits the depth and segmentation
-decoders to rendered ground truth (the stand-in for fine-tuning pretrained
-perception backbones before fusion training), then optimizes
-lm_loss + lambda_clip * InfoNCE. All shuffling derives from the config
-seed, so loss logs are bit-reproducible.
+freezes them and trains everything else on full multimodal records. It
+opens with a supervision (VFM) phase that fits the encoder and the depth
+and segmentation decoders to rendered ground truth (the stand-in for
+fine-tuning pretrained perception backbones before fusion training). The
+fusion phase then optimizes lm_loss + lambda_clip * InfoNCE. There the
+perception nets are fixed: each sample's percept (`Model.perceive`) is
+computed once, when a batch first holds the sample, and reused for the
+rest of the phase, and no fusion loss reaches the encoder or the heads.
+So they end stage 2 as the VFM phase left them, and with vfm_epochs = 0
+stage 2 never trains them. The optimizer skips a tensor with no gradient,
+as torch.optim.AdamW does, so weight decay moves nothing a step does not
+reach. All shuffling derives from the config seed, so loss logs are
+bit-reproducible.
 
 In both stages the LM runs once per task group of a batch (QA, SGG), each
 group padded only to its own longest record. Each group's answer loss is one
@@ -26,7 +33,7 @@ from . import vocab as V
 from .errors import ConfigurationError, ContractError, NumericError
 from .fusion import answer_loss, lm_forward
 from .metrics import normalize
-from .model import Model
+from .model import Model, Percept
 from .nn import ModelParams
 from .scenegen import Sample, triples_to_text
 from .spatial import depth_loss, seg_loss
@@ -40,7 +47,7 @@ class TrainConfig:
     stage: int = 1
     lr_lm: float = 3e-3
     lr_vision: float = 3e-3
-    lr_pretrained_vision: float = 5e-4
+    lr_pretrained_vision: float = 5e-4  # fusion phase: spatial.region, spatial.pc
     batch_size: int = 8
     epochs: int = 10
     warmup_steps: int = 10
@@ -50,9 +57,9 @@ class TrainConfig:
     lambda_clip: float = 0.1
     tau: float = 0.07
     seed: int = 0
-    vfm_epochs: int = 3       # stage-2 depth/seg supervision phase
+    vfm_epochs: int = 3       # stage-2 depth/seg supervision phase; with 0,
+                              # stage 2 never trains encoder, depth or seg
     qa_per_sample: int = 2    # stage-2 QA records drawn per sample (0 = all)
-    max_records: int = 0      # cap on record count (0 = all)
     sgg_max_triples: int = 24  # training-target truncation; gold stays full
 
     def __post_init__(self):
@@ -70,7 +77,7 @@ class TrainConfig:
             if not 0.0 <= value < 1.0:
                 raise ConfigurationError(f"train.{name} must be in [0, 1), got {value}")
         for name in ("warmup_steps", "weight_decay", "vfm_epochs", "qa_per_sample",
-                     "max_records", "sgg_max_triples"):
+                     "sgg_max_triples"):
             value = getattr(self, name)
             if value < 0:
                 raise ConfigurationError(f"train.{name} must be >= 0, got {value}")
@@ -161,10 +168,16 @@ def make_stage2_records(samples: list[Sample], vocab: Vocabulary,
 # ---------------------------------------------------------------------------
 
 
-def contrastive_loss(v: Tensor, t: Tensor, tau: float) -> Tensor:
+def contrastive_loss(v: Tensor, t: Tensor, tau: float,
+                     sample_ids=None) -> Tensor:
     """One-directional (image to text) InfoNCE over cosine similarities.
 
-    loss = -(1/N) sum_i log( exp(sim(v_i,t_i)/tau) / sum_j exp(sim(v_i,t_j)/tau) )
+    loss = -(1/N) sum_i log( exp(sim(v_i,t_i)/tau) / sum_{j in N(i)} exp(sim(v_i,t_j)/tau) )
+
+    N(i) is i plus every j whose sample id differs from i's: two records of
+    one sample share their image feature, so neither is a negative of the
+    other (Chuang et al., Debiased Contrastive Learning). Without
+    `sample_ids` every record is its own sample.
     """
     if v.ndim != 2 or t.ndim != 2 or v.shape != t.shape:
         raise ContractError(f"contrastive_loss needs matching [N, D], got "
@@ -172,6 +185,11 @@ def contrastive_loss(v: Tensor, t: Tensor, tau: float) -> Tensor:
     n = v.shape[0]
     if n < 1:
         raise ContractError("contrastive_loss needs at least one pair")
+    ids = np.arange(n) if sample_ids is None else np.asarray(sample_ids)
+    if ids.shape != (n,):
+        raise ContractError(f"contrastive_loss needs {n} sample ids, got shape "
+                            f"{ids.shape}")
+    same = (ids[:, None] == ids[None, :]) & ~np.eye(n, dtype=bool)
     for name, x in (("image", v), ("text", t)):
         norms = np.linalg.norm(x.data, axis=1)
         if (norms == 0.0).any():
@@ -179,6 +197,7 @@ def contrastive_loss(v: Tensor, t: Tensor, tau: float) -> Tensor:
     vn = v / T.reshape(T.sqrt(T.sum_(v * v, axis=1)), (n, 1))
     tn = t / T.reshape(T.sqrt(T.sum_(t * t, axis=1)), (n, 1))
     sims = T.matmul(vn, T.transpose(tn, (1, 0))) * (1.0 / tau)
+    sims = sims + T.constant(np.where(same, -np.inf, 0.0))
     lse = T.logsumexp(sims, axis=-1)
     diag = T.take_flat(sims, np.arange(n) * n + np.arange(n))
     return T.mean(lse - diag)
@@ -226,12 +245,14 @@ def optimizer_step(params: ModelParams, state: AdamWState, cfg: TrainConfig,
     """Decoupled-weight-decay adaptive-moment update with bias correction.
 
     rate_for maps a tensor name to its learning rate (already scheduled).
-    Frozen tensors are untouched bit-exactly. Any non-finite gradient
-    aborts the whole step before any tensor is modified."""
-    trainable = [name for name, flag in params.trainable.items() if flag]
+    Frozen tensors, and trainable ones whose grad is None because no loss
+    reached them, are untouched bit-exactly: neither their moments nor
+    weight decay move. Any non-finite gradient aborts the whole step before
+    any tensor is modified."""
+    trainable = [name for name, flag in params.trainable.items()
+                 if flag and params[name].grad is not None]
     for name in trainable:
-        g = params[name].grad
-        if g is not None and not np.isfinite(g).all():
+        if not np.isfinite(params[name].grad).all():
             raise NumericError(f"non-finite gradient in tensor {name!r}")
     state.t += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
@@ -239,7 +260,7 @@ def optimizer_step(params: ModelParams, state: AdamWState, cfg: TrainConfig,
     c2 = 1.0 - b2**state.t
     for name in trainable:
         tensor = params[name]
-        g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
+        g = tensor.grad
         if name not in state.m:
             state.m[name] = np.zeros_like(tensor.data)
             state.v[name] = np.zeros_like(tensor.data)
@@ -396,13 +417,23 @@ def _batch_stage1(model: Model, records: list[TrainRecord]) -> Tensor:
 
 
 def _batch_stage2(model: Model, data: TrainData, records: list[TrainRecord],
-                  cfg: TrainConfig) -> tuple[Tensor, Tensor]:
-    batch_samples = [data.samples[rec.sample_index] for rec in records]
-    bundles = model.modality_tokens_batch(batch_samples)
+                  cfg: TrainConfig,
+                  percepts: dict[int, Percept]) -> tuple[Tensor, Tensor]:
+    """LM loss and InfoNCE of one fusion batch. Modality tokens are built
+    once per sample of the batch, from `percepts` (sample index -> percept),
+    which this fills for the samples it lacks."""
+    indices = list(dict.fromkeys(rec.sample_index for rec in records))
+    new = [i for i in indices if i not in percepts]
+    if new:
+        percepts.update(zip(new, model.perceive([data.samples[i] for i in new])))
+    bundles = dict(zip(indices, model.modality_tokens_batch(
+        [data.samples[i] for i in indices], [percepts[i] for i in indices])))
     seqs, poss, metas, v_feats, prompt_starts = [], [], [], [], []
-    for rec, sample, bundle in zip(records, batch_samples, bundles):
+    for rec in records:
+        bundle = bundles[rec.sample_index]
         answer_seg = [V.BOS] + rec.answer_ids + [V.EOS]
-        seq = model.assemble(sample, rec.prompt_ids, answer_seg, bundle=bundle)
+        seq = model.assemble(data.samples[rec.sample_index], rec.prompt_ids,
+                             answer_seg, bundle=bundle)
         n_modality = seq.segment_start("prompt")
         seqs.append(seq.tokens)
         poss.append(seq.positions)
@@ -412,7 +443,8 @@ def _batch_stage2(model: Model, data: TrainData, records: list[TrainRecord],
         prompt_starts.append(n_modality)
     losses, t_feats = _lm_by_task(model, records, seqs, poss, metas,
                                   text_rows=prompt_starts)
-    contrast = contrastive_loss(T.stack(v_feats, axis=0), t_feats, cfg.tau)
+    contrast = contrastive_loss(T.stack(v_feats, axis=0), t_feats, cfg.tau,
+                                sample_ids=[rec.sample_index for rec in records])
     return T.mean(losses), contrast
 
 
@@ -489,7 +521,7 @@ def train_stage(data: TrainData, model: Model, cfg: TrainConfig,
                 lm_val, contrast_val, total = loss_fn(batch)
                 if not np.isfinite(total.data).all():
                     raise NumericError(f"non-finite loss at step {step + 1}")
-                T.backward(total, model.params.tensors())
+                T.backward(total)
                 scale = lr_at_step(local_step, total_steps, phase_cfg, 1.0)
                 optimizer_step(model.params, state, cfg,
                                lambda name: scale * rate_fn(name))
@@ -514,10 +546,10 @@ def train_stage(data: TrainData, model: Model, cfg: TrainConfig,
         return result
 
     # Stage 2: a supervision phase fits the perception nets at the full
-    # vision rate; the fusion phase then tunes projections at the full rate
-    # while the now-pretrained spatial nets move only at the slower
-    # pretrained-vision rate (large fusion-phase steps through the shared
-    # encoder would otherwise destroy the fresh depth/seg decoders).
+    # vision rate. The fusion phase reads them only through cached
+    # percepts, so it tunes the projections at the full rate and the spatial
+    # nets it does reach, spatial.region and spatial.pc, at the slower
+    # pretrained-vision rate.
     if cfg.vfm_epochs > 0 and variant_spec(model.cfg.variant).spatial:
         sample_idx = sorted({rec.sample_index for rec in data.records})
         vfm_items = [data.samples[i] for i in sample_idx]
@@ -537,8 +569,10 @@ def train_stage(data: TrainData, model: Model, cfg: TrainConfig,
             return cfg.lr_pretrained_vision
         return cfg.lr_vision
 
+    percepts: dict[int, Percept] = {}  # filled as batches first hold a sample
+
     def loss2(batch):
-        lm, contrast = _batch_stage2(model, data, batch, cfg)
+        lm, contrast = _batch_stage2(model, data, batch, cfg, percepts)
         total = stage2_loss(lm, contrast, cfg.lambda_clip)
         return lm.item(), contrast.item(), total
 

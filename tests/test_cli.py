@@ -360,8 +360,7 @@ def test_train_negative_seed_usage_error(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "train.warmup_steps = -5", "train.adam_beta1 = 1.0", "train.adam_beta2 = 1.5",
     "train.weight_decay = -0.01", "train.vfm_epochs = -1",
-    "train.qa_per_sample = -1", "train.max_records = -1",
-    "train.sgg_max_triples = -1",
+    "train.qa_per_sample = -1", "train.sgg_max_triples = -1",
 ])
 def test_train_bad_settings_usage_error(workspace, trained, tmp_path, capsys, line):
     root, cfg, data = workspace

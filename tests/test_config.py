@@ -32,7 +32,7 @@ def test_value_of_wrong_type_is_configuration_error(tmp_path, line):
 
 @pytest.mark.parametrize("line", ["threads = 1", "train.schedule = cosine",
                                   "train.dropout = 0", "eval.mode = greedy",
-                                  "eval.beam_k = 1"])
+                                  "eval.beam_k = 1", "train.max_records = 0"])
 def test_removed_key_is_configuration_error(tmp_path, line):
     with pytest.raises(ConfigurationError, match="unknown config keys: " + line.split(" =")[0]):
         RunConfig.resolve(write(tmp_path, line + "\n"))

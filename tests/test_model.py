@@ -3,7 +3,7 @@ import pytest
 
 from ormllm import tensor as T
 from ormllm import vocab as V
-from ormllm.errors import CompatibilityError, ConfigurationError
+from ormllm.errors import CompatibilityError, ConfigurationError, ContractError
 from ormllm.fusion import FusionConfig, project_image_tokens, project_pc_tokens
 from ormllm.geometry import DepthMap, PointCloud, reconstruct_point_cloud
 from ormllm.model import (
@@ -118,9 +118,11 @@ def test_batched_bundles_match_single(bundle):
 
 
 def test_heads_run_off_the_tape(bundle, monkeypatch):
-    """Under grad, modality_tokens_batch records no decoder node, and the
-    encoder's gradients through the region and point tokens are the bytes
-    they are when the heads do record."""
+    """Under grad, modality_tokens_batch records no decoder node and forms
+    no gradient for the encoder or the heads: the region tokens pool the
+    percepts' cell tokens as plain data, so token losses reach the region
+    and point nets only. That holds even when the heads record, and the
+    gradients formed are the same bytes either way."""
     samples = bundle.samples[:3]
     model = Model.build(model_cfg("full", len(bundle.vocab)), seed=6)
     recorded = []
@@ -135,7 +137,7 @@ def test_heads_run_off_the_tape(bundle, monkeypatch):
     monkeypatch.setattr(T, "conv3x3", spy(T.conv3x3))
     monkeypatch.setattr(T, "bilinear_up2", spy(T.bilinear_up2))
 
-    def encoder_grads():
+    def token_grads():
         model.params.zero_grads()
         bundles = model.modality_tokens_batch(samples)
         loss = T.sum_(T.concat([T.sum_(b.seg_toks * b.seg_toks, axis=0)
@@ -143,11 +145,13 @@ def test_heads_run_off_the_tape(bundle, monkeypatch):
                                [T.sum_(b.pc_toks, axis=0) for b in bundles], axis=0))
         T.backward(loss)
         return {n: t.grad.tobytes() for n, t in model.params.items()
-                if n.startswith("spatial.encoder") and t.grad is not None}
+                if t.grad is not None}
 
-    off_tape = encoder_grads()
+    off_tape = token_grads()
     assert recorded and not any(recorded)
-    assert off_tape  # the region tokens do reach the encoder
+    groups = {".".join(n.split(".")[:2]) for n in off_tape}
+    assert {"spatial.region", "spatial.pc", "proj.seg_head", "proj.pc_head"} <= groups
+    assert not groups & {"spatial.encoder", "spatial.depth", "spatial.seg"}
 
     class recording:  # stands in for no_grad: the heads record again
         def __enter__(self):
@@ -158,9 +162,50 @@ def test_heads_run_off_the_tape(bundle, monkeypatch):
 
     recorded.clear()
     monkeypatch.setattr(T, "no_grad", recording)
-    on_tape = encoder_grads()
+    on_tape = token_grads()
     assert recorded and all(recorded)
     assert on_tape == off_tape
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_tokens_from_percepts_equal_tokens_without_them(bundle, variant):
+    """Percepts are plain arrays of the shapes the slots read, and tokens
+    built from them are the bytes modality_tokens_batch gives without
+    them, however often they are reused."""
+    model = Model.build(model_cfg(variant, len(bundle.vocab)), seed=9)
+    spec, scfg = variant_spec(variant), model.cfg.spatial
+    samples = bundle.samples[:3]
+    percepts = model.perceive(samples)
+    H = scfg.image_size
+    for p in percepts:
+        want = {
+            "cell_tokens": (scfg.n_cells, scfg.encoder_dim) if spec.seg == "regions" else None,
+            "seg_ids": None if not spec.needs_seg else
+            (scfg.n_cells,) if spec.seg_at_cells else (H, H),
+            "depth": None if not spec.needs_depth else
+            (len(cloud_raster(H)),) if spec.depth_on_raster else (H, H),
+        }
+        for name, shape in want.items():
+            value = getattr(p, name)
+            assert (value is None) == (shape is None), (variant, name)
+            if shape is not None:
+                assert type(value) is np.ndarray and value.shape == shape, (variant, name)
+    kept = [[None if v is None else v.tobytes() for v in vars(p).values()]
+            for p in percepts]
+    want = model.modality_tokens_batch(samples)
+    for _ in range(2):
+        got = model.modality_tokens_batch(samples, percepts)
+        for g, w in zip(got, want):
+            for name in ("img_toks", "seg_toks", "pc_toks"):
+                a, b = getattr(g, name), getattr(w, name)
+                assert (a is None) == (b is None), (variant, name)
+                if a is not None:
+                    assert a.data.tobytes() == b.data.tobytes(), (variant, name)
+            assert g.seg_class_ids == w.seg_class_ids
+    assert kept == [[None if v is None else v.tobytes() for v in vars(p).values()]
+                    for p in percepts]
+    with pytest.raises(ContractError):
+        model.modality_tokens_batch(samples, percepts[:2])
 
 
 def test_modality_tokens_deterministic(bundle):

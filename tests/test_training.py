@@ -112,6 +112,63 @@ def test_contrastive_gradcheck():
     assert all(r.passed for r in reports), [(r.name, r.max_rel_error) for r in reports]
 
 
+def infonce_rows_without_same_sample(v, t, tau, ids):
+    """Each row's InfoNCE, with the columns of the row's own sample other
+    than its own deleted from the similarity row."""
+    vn = v / np.linalg.norm(v, axis=1, keepdims=True)
+    tn = t / np.linalg.norm(t, axis=1, keepdims=True)
+    rows = []
+    for i in range(len(v)):
+        drop = [j for j in range(len(v)) if j != i and ids[j] == ids[i]]
+        sims = np.delete(vn[i] @ tn.T / tau, drop)
+        own = i - sum(j < i for j in drop)
+        rows.append(np.log(np.exp(sims).sum()) - sims[own])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("ids", [[0, 0, 1], [3, 1, 3, 3, 2, 1], [0, 1, 2, 3], [7, 7]])
+def test_contrastive_skips_same_sample_negatives(ids):
+    """With two records of one sample in the batch, each row's loss is
+    InfoNCE with that row's same-sample columns removed: the mean agrees,
+    and so does each row's gradient with respect to its image feature, the
+    one row it enters."""
+    rng = np.random.default_rng(len(ids))
+    n = len(ids)
+    v, t = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
+    rows = infonce_rows_without_same_sample(v, t, 0.5, ids)
+    vt = Tensor(v.copy(), requires_grad=True)
+    loss = contrastive_loss(vt, Tensor(t), 0.5, sample_ids=ids)
+    np.testing.assert_allclose(float(loss.data), rows.mean(), rtol=0, atol=1e-12)
+    T.backward(loss)
+    h = 1e-6
+    for i in range(n):
+        for d in range(6):
+            up, down = v.copy(), v.copy()
+            up[i, d] += h
+            down[i, d] -= h
+            numeric = (infonce_rows_without_same_sample(up, t, 0.5, ids)[i]
+                       - infonce_rows_without_same_sample(down, t, 0.5, ids)[i]) / (2 * h)
+            np.testing.assert_allclose(n * vt.grad[i, d], numeric, rtol=1e-6, atol=1e-8)
+
+
+def test_contrastive_one_sample_batch_is_exactly_zero():
+    rng = np.random.default_rng(3)
+    v, t = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 4)))
+    assert float(contrastive_loss(v, t, 0.07, sample_ids=[5, 5, 5]).data) == 0.0
+    with pytest.raises(ContractError):
+        contrastive_loss(v, t, 0.07, sample_ids=[5, 5])
+
+
+def test_contrastive_gradcheck_with_same_sample_records():
+    params = ModelParams()
+    rng = np.random.default_rng(4)
+    params.add("v", rng.normal(size=(4, 16)))
+    params.add("t", rng.normal(size=(4, 16)))
+    f = lambda: contrastive_loss(params["v"], params["t"], 0.07, sample_ids=[0, 1, 0, 2])
+    reports = finite_diff_grad_check(f, params, tol=1e-4)
+    assert all(r.passed for r in reports), [(r.name, r.max_rel_error) for r in reports]
+
+
 # ---------------------------------------------------------------------------
 # composite loss and schedule
 # ---------------------------------------------------------------------------
@@ -187,6 +244,23 @@ def test_adamw_nonfinite_grad_aborts_with_name():
     params["w"].grad = np.array([np.nan])
     with pytest.raises(NumericError, match="w"):
         optimizer_step(params, AdamWState(), TrainConfig(), lambda name: 0.1)
+
+
+def test_adamw_skips_tensor_without_grad():
+    """A trainable tensor that no loss reached (grad None) keeps its bytes
+    and gets no moments, weight decay or not, as torch.optim.AdamW skips a
+    parameter whose grad is None; a zero gradient still decays."""
+    params = ModelParams()
+    params.add("unreached", np.array([2.0, -1.0]))
+    params.add("zero", np.array([2.0]))
+    params["zero"].grad = np.zeros(1)
+    before = params["unreached"].data.tobytes()
+    state = AdamWState()
+    for _ in range(3):
+        optimizer_step(params, state, TrainConfig(weight_decay=0.5), lambda name: 0.1)
+    assert params["unreached"].data.tobytes() == before
+    assert "unreached" not in state.m and "unreached" not in state.v
+    assert params["zero"].data[0] < 2.0
 
 
 def test_adamw_weight_decay_decoupled():
@@ -295,8 +369,7 @@ def test_stage1_leaves_vision_untouched(tiny_data):
 
 
 # Every tensor of these groups moves in stage 2 of `full`. proj.seg_null and
-# proj.pc_null are left out: nothing reads them here, so only weight decay
-# moves them.
+# proj.pc_null are left out: nothing reads them here, so no step moves them.
 STAGE2_MOVED = ("spatial.encoder", "spatial.depth", "spatial.seg", "spatial.region",
                 "spatial.pc", "proj.img_embed", "proj.img_head", "proj.seg_head",
                 "proj.pc_head", "proj.pool", "fusion.pos_embed")
@@ -324,6 +397,45 @@ def test_stage2_runs_and_freezes_lm(tiny_data):
             assert after.tobytes() == value.tobytes(), name
         elif group[name]:
             assert not np.array_equal(after, value), name
+
+
+PERCEPTION = ("spatial.encoder.", "spatial.depth.", "spatial.seg.")
+
+
+def test_fusion_phase_leaves_perception_as_the_vfm_phase_left_it(tiny_data):
+    """In stage 2 of `full`, every encoder and depth and seg head tensor
+    ends the fusion phase with the bytes it had after the last VFM step,
+    and those equal `no-fusion`'s at the same seed and data, whose VFM loss
+    rows they share. proj.seg_null, which nothing reads, never moves."""
+    data = make_stage2_records(tiny_data.samples, tiny_data.vocab,
+                               qa_per_sample=1, seed=3)
+    cfg = TrainConfig(stage=2, epochs=2, batch_size=4, warmup_steps=0,
+                      vfm_epochs=1, seed=4)
+
+    def run(variant):
+        model = tiny_model(tiny_data, variant)
+        before, after_vfm, vfm_rows = model.params.copy_values(), {}, []
+
+        def log(row):
+            if row.stage == "2vfm":
+                after_vfm.update(model.params.copy_values())
+                vfm_rows.append(row.format())
+
+        result = train_stage(data, model, cfg, log=log)
+        assert result.epoch_means and vfm_rows
+        return model, before, after_vfm, vfm_rows
+
+    full, before, after_vfm, vfm_rows = run("full")
+    no_fusion, _, _, no_fusion_vfm_rows = run("no-fusion")
+    assert vfm_rows == no_fusion_vfm_rows
+    names = [n for n in full.params.names() if n.startswith(PERCEPTION)]
+    assert {n for n in no_fusion.params.names() if n.startswith(PERCEPTION)} == set(names)
+    for name in names:
+        end = full.params[name].data.tobytes()
+        assert end == after_vfm[name].tobytes(), name
+        assert end == no_fusion.params[name].data.tobytes(), name
+        assert end != before[name].tobytes(), name
+    assert full.params["proj.seg_null"].data.tobytes() == before["proj.seg_null"].tobytes()
 
 
 def test_no_graph_outlives_its_backward(tiny_data):
@@ -374,9 +486,14 @@ def test_stage2_step_forms_no_frozen_grads(tiny_data, monkeypatch):
     monkeypatch.setattr(training, "apply_stage_mask", lambda params, stage: None)
     tracked, _ = first_step_grads()
     assert any(n.startswith("lm.") for n in grads)
+    # No token loss reaches the perception nets or the unread null tokens.
+    unreached = {n for n in grads if n.startswith(PERCEPTION)} | {"proj.seg_null",
+                                                                 "proj.pc_null"}
     for name, g in grads.items():
         if name.startswith("lm."):
             assert g is None and not trainable[name], name
+        elif name in unreached:
+            assert trainable[name] and g is None and tracked[name] is None, name
         else:
             assert trainable[name] and g.tobytes() == tracked[name].tobytes(), name
 
@@ -427,11 +544,15 @@ def padded_batch_stage1(model, records):
 
 
 def padded_batch_stage2(model, data, records, cfg):
-    """Oracle: stage 2 with one padded lm_forward over the whole batch."""
-    batch_samples = [data.samples[rec.sample_index] for rec in records]
-    bundles = model.modality_tokens_batch(batch_samples)
+    """Oracle: stage 2 with one padded lm_forward over the whole batch.
+    As in training, each sample of the batch gets its modality tokens once
+    and InfoNCE takes no record of a record's own sample as a negative."""
+    indices = list(dict.fromkeys(rec.sample_index for rec in records))
+    bundles = dict(zip(indices, model.modality_tokens_batch(
+        [data.samples[i] for i in indices])))
     seqs, poss, metas, v_feats, starts = [], [], [], [], []
-    for rec, sample, bundle in zip(records, batch_samples, bundles):
+    for rec in records:
+        sample, bundle = data.samples[rec.sample_index], bundles[rec.sample_index]
         seq = model.assemble(sample, rec.prompt_ids,
                              [V.BOS] + rec.answer_ids + [V.EOS], bundle=bundle)
         start = seq.segment_start("prompt")
@@ -448,7 +569,8 @@ def padded_batch_stage2(model, data, records, cfg):
     t_feats = [T.slice_(hidden, (b, start)) for b, start in enumerate(starts)]
     lm = T.mean(T.stack(losses, axis=0))
     contrast = contrastive_loss(T.stack(v_feats, axis=0),
-                                T.stack(t_feats, axis=0), cfg.tau)
+                                T.stack(t_feats, axis=0), cfg.tau,
+                                sample_ids=[rec.sample_index for rec in records])
     return lm, contrast
 
 
@@ -505,7 +627,7 @@ def test_stage2_batch_matches_one_padded_call(tiny_data, pattern, exact):
                                qa_per_sample=2, seed=3)
     batch = interleaved(data.records, pattern)
     cfg = TrainConfig(stage=2)
-    got = loss_and_grads(model, lambda: list(_batch_stage2(model, data, batch, cfg)))
+    got = loss_and_grads(model, lambda: list(_batch_stage2(model, data, batch, cfg, {})))
     want = loss_and_grads(model, lambda: list(padded_batch_stage2(model, data, batch, cfg)))
     assert_matches(got, want, exact)
 
@@ -578,7 +700,7 @@ def test_stage2_one_lm_call_per_task(tiny_data, lm_calls, loss_calls, pattern):
                                qa_per_sample=2, seed=3)
     batch = interleaved(data.records, pattern)
     with T.no_grad():
-        _batch_stage2(model, data, batch, TrainConfig(stage=2))
+        _batch_stage2(model, data, batch, TrainConfig(stage=2), {})
     assert sorted(b for b, _ in lm_calls) == sorted(
         pattern.count(task) for task in set(pattern))
     assert len(loss_calls) == len(set(pattern))
@@ -636,7 +758,7 @@ def test_batched_answer_loss_rejects_mismatched_shapes():
 @pytest.mark.parametrize("field,value", [
     ("adam_beta1", 1.0), ("adam_beta2", -0.1),
     ("warmup_steps", -5), ("weight_decay", -0.01), ("vfm_epochs", -1),
-    ("qa_per_sample", -1), ("max_records", -1), ("sgg_max_triples", -2),
+    ("qa_per_sample", -1), ("sgg_max_triples", -2),
 ])
 def test_train_config_rejects_out_of_range(field, value):
     with pytest.raises(ConfigurationError, match=field):
