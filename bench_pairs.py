@@ -70,15 +70,20 @@ def checkout_state(checkout: str) -> dict:
 def run_once(checkout: str, workload: str, seed: int, seconds: float,
              trace: bool) -> dict:
     """One benchmark run; returns its result object plus the run's
-    description lines (`info`)."""
+    description lines (`info`). A run whose last stdout line is not a JSON
+    result raises RuntimeError naming the checkout, the exit code and the
+    tail of stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{checkout}: no output (exit {proc.returncode}): "
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        raise RuntimeError(f"{checkout}: no JSON result (exit {proc.returncode}): "
                            f"{proc.stderr.strip()[-500:]}")
-    result = json.loads(lines[-1])
     result["info"] = [json.loads(l[2:]) for l in lines[:-1] if l.startswith("# ")]
     return result
 

@@ -261,14 +261,20 @@ def build_input_sequence(img_toks, seg_toks, pc_toks, prompt_ids,
 
 
 def lm_hidden(tokens: Tensor, params: ModelParams, cfg: FusionConfig,
-              positions, cache: KVCache | None = None) -> Tensor:
+              positions, cache: KVCache | None = None, rows=None) -> Tensor:
     """Causal transformer over an embedded sequence [S, d] or batch
     [B, S, d]; returns the final hidden states after the last norm.
     Each row adds the row of fusion.pos_embed that `positions` names.
 
+    Every block but the last runs at all S rows. The last block, and
+    lm.ln_f after it, run at `rows` only ([k] or [B, k] strictly
+    increasing indices into the S rows; see attention_block_forward), so
+    the result is [k, d] or [B, k, d]: the full result's rows at `rows`.
+    Without `rows` they run at every row.
+
     With a cache (inference only), `tokens` are the rows that follow the
     cache.length rows it holds, `positions` are theirs, and the cache is
-    extended by them."""
+    extended by all of them, whatever `rows` says."""
     S = tokens.shape[-2]
     past = 0 if cache is None else cache.length
     if past + S > cfg.max_seq_len:
@@ -280,8 +286,10 @@ def lm_hidden(tokens: Tensor, params: ModelParams, cfg: FusionConfig,
         raise SequenceLengthError("positional slot outside the embedding table")
     h = tokens + T.gather_rows(params["fusion.pos_embed"], positions)
     for i in range(cfg.lm_layers):
+        last = i == cfg.lm_layers - 1
         h = attention_block_forward(h, params, f"lm.blocks.{i}", cfg.lm_heads,
-                                    causal=True, cache=cache)
+                                    causal=True, cache=cache,
+                                    rows=rows if last else None)
     if cache is not None:
         cache.length += S
     return layer_norm(h, params, "lm.ln_f")
@@ -289,10 +297,11 @@ def lm_hidden(tokens: Tensor, params: ModelParams, cfg: FusionConfig,
 
 def lm_forward(seq: TokenSequence | Tensor, params: ModelParams, cfg: FusionConfig,
                return_hidden: bool = False, positions=None,
-               cache: KVCache | None = None):
+               cache: KVCache | None = None, rows=None):
     """Per-position logits over the vocabulary for a token sequence; with a
-    cache, for the new rows only (see lm_hidden). A TokenSequence brings
-    its own positions; a bare token tensor needs `positions`."""
+    cache, for the new rows only, and with `rows`, for those rows only
+    (see lm_hidden). A TokenSequence brings its own positions; a bare
+    token tensor needs `positions`."""
     if isinstance(seq, TokenSequence):
         tokens = seq.tokens
         if positions is None:
@@ -303,7 +312,7 @@ def lm_forward(seq: TokenSequence | Tensor, params: ModelParams, cfg: FusionConf
         raise ContractError("lm_forward on a token tensor needs positions")
     if tokens.shape[-2] == 0:
         raise ContractError("cannot run the LM on an empty sequence")
-    hidden = lm_hidden(tokens, params, cfg, positions, cache)
+    hidden = lm_hidden(tokens, params, cfg, positions, cache, rows)
     logits = linear(hidden, params, "lm.out")
     return (logits, hidden) if return_hidden else logits
 
@@ -312,12 +321,14 @@ def prefix_cache(seq: TokenSequence, rows: int, params: ModelParams,
                  cfg: FusionConfig) -> KVCache:
     """K/V cache of the first `rows` rows of `seq`, for decode_answer's
     `past`. Sequences that share those rows (same tokens, same positions)
-    can all start from it."""
+    can all start from it. Only keys and values are kept, so the last
+    block runs at none of the rows: it forms their keys and values only."""
     cache = KVCache()
     if rows:
         with T.no_grad():
             lm_hidden(T.slice_(seq.tokens, slice(0, rows)), params, cfg,
-                      positions=seq.positions[:rows], cache=cache)
+                      positions=seq.positions[:rows], cache=cache,
+                      rows=np.empty(0, dtype=np.int64))
     return cache
 
 
@@ -432,7 +443,10 @@ def decode_answer(seq_prefix: TokenSequence, params: ModelParams, cfg: FusionCon
     after that only on rows of generated tokens. `past`, if given, must
     hold the keys and values of exactly the first past.length rows of
     seq_prefix at their positions (see prefix_cache); only the rows after
-    them are run. It is not modified: each decode works on a copy.
+    them are run. It is not modified: each decode works on a copy. Of the
+    rows a call runs, only those whose choices are read, the last
+    len(draft) + 1, run the last block, lm.ln_f and lm.out; the others
+    run the last block's keys and values only.
 
     The decode drafts and verifies. The history is the prompt, BOS and
     the ids generated so far. The draft takes the longest suffix of the
@@ -462,8 +476,8 @@ def decode_answer(seq_prefix: TokenSequence, params: ModelParams, cfg: FusionCon
     with T.no_grad():
         start = 0 if past is None else past.length
         wte = params["lm.wte"].data
-        rows = np.concatenate([seq_prefix.tokens.data[start:], wte[V.BOS][None]],
-                              axis=0)
+        new = np.concatenate([seq_prefix.tokens.data[start:], wte[V.BOS][None]],
+                             axis=0)
         bos_pos = seq_prefix.next_position()
         pos = np.append(seq_prefix.positions[start:], bos_pos)
         cache = KVCache() if past is None else past.copy()
@@ -477,13 +491,13 @@ def decode_answer(seq_prefix: TokenSequence, params: ModelParams, cfg: FusionCon
             limit = min(DRAFT, max_new - len(ids) - 1,
                         cfg.max_seq_len - 1 - bos_pos - len(ids))
             draft = _draft(np.array(history, dtype=np.int64), earlier, limit)
-            kept = cache.length + len(rows)
+            kept = cache.length + len(new)
             if draft:
-                rows = np.concatenate([rows, wte[draft]], axis=0)
+                new = np.concatenate([new, wte[draft]], axis=0)
                 pos = np.concatenate([pos, pos[-1] + 1 + np.arange(len(draft))])
-            logits = lm_forward(Tensor(rows), params, cfg, positions=pos,
-                                cache=cache).data
-            choices = logits[len(logits) - len(draft) - 1:].argmax(axis=-1)
+            read = np.arange(len(new) - len(draft) - 1, len(new))
+            choices = lm_forward(Tensor(new), params, cfg, positions=pos,
+                                 cache=cache, rows=read).data.argmax(axis=-1)
             for j, tok in enumerate(choices.tolist()):
                 ids.append(tok)
                 history.append(tok)
@@ -495,7 +509,7 @@ def decode_answer(seq_prefix: TokenSequence, params: ModelParams, cfg: FusionCon
                 if j == len(draft) or tok != draft[j]:
                     break
             cache.truncate(kept + j)
-            rows = wte[tok][None]
+            new = wte[tok][None]
             pos = np.array([bos_pos + len(ids)])
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError
 
 
 @dataclass(frozen=True)
@@ -133,17 +133,3 @@ def reconstruct_point_cloud(depth, K: CameraIntrinsics, pose: CameraPose,
     cam = np.stack([x, y, d], axis=1)
     world = cam @ pose.rotation.T + pose.translation
     return PointCloud(points=world, source_pixels=np.stack([uu, vv], axis=1))
-
-
-def project_point(p: np.ndarray, K: CameraIntrinsics,
-                  pose: CameraPose) -> tuple[float, float, float]:
-    """Exact algebraic inverse of back_project_pixel: world point to
-    (u, v, depth)."""
-    p = np.asarray(p, dtype=np.float64)
-    cam = pose.rotation.T @ (p - pose.translation)
-    z = cam[2]
-    if z <= 0:
-        raise BehindCameraError(f"point has camera-frame z={z}, not in front of camera")
-    u = cam[0] / z * K.fx + K.cx
-    v = cam[1] / z * K.fy + K.cy
-    return float(u), float(v), float(z)

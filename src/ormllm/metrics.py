@@ -246,35 +246,23 @@ def parse_triples(answer_text: str) -> list[Triple]:
     return out
 
 
-def sgg_counts(predicted: list[Triple], gold: set[Triple]) -> tuple[int, int, int]:
-    """(correct, n_predicted, n_gold) under set semantics: duplicates beyond
-    the first copy of a correct triple count as incorrect."""
-    correct = len(set(predicted) & set(gold))
-    return correct, len(predicted), len(gold)
-
-
-def _prf(correct: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
-    if n_pred == 0 and n_gold == 0:
-        return 100.0, 100.0, 100.0
-    p = 100.0 * correct / n_pred if n_pred else 0.0
-    r = 100.0 * correct / n_gold if n_gold else 100.0
-    f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
-    return p, r, f1
-
-
-def sgg_prf(predicted: list[Triple], gold: set[Triple]) -> tuple[float, float, float]:
-    """Precision, recall and F1 percentages for one predicted multiset
-    against a gold set."""
-    return _prf(*sgg_counts(predicted, gold))
-
-
 def sgg_corpus_prf(items: list[tuple[list[Triple], set[Triple]]]) -> tuple[float, float, float]:
-    """Micro-averaged P/R/F1 over (predicted, gold) pairs."""
+    """Micro-averaged precision, recall and F1 percentages over (predicted
+    multiset, gold set) pairs. Copies beyond the first of a correct triple
+    count as incorrect. With nothing predicted and nothing gold all three
+    are 100; with no gold, recall is 100."""
     c = p = g = 0
     for predicted, gold in items:
-        ci, pi, gi = sgg_counts(predicted, gold)
-        c, p, g = c + ci, p + pi, g + gi
-    return _prf(c, p, g)
+        c += len(set(predicted) & set(gold))
+        p += len(predicted)
+        g += len(gold)
+    if p == 0 and g == 0:
+        return 100.0, 100.0, 100.0
+    precision = 100.0 * c / p if p else 0.0
+    recall = 100.0 * c / g if g else 100.0
+    f1 = (2 * precision * recall / (precision + recall)
+          if precision + recall > 0 else 0.0)
+    return precision, recall, f1
 
 
 @dataclass

@@ -4,16 +4,17 @@ sample-to-token-sequence forward path.
 Pseudo-modalities are always inferred from RGB; ground truth enters only
 through losses. Perception (`Model.perceive`) runs the encoder and the
 depth and seg heads without recording and returns plain data: per sample,
-the encoder cell tokens, predicted classes and predicted depth that the
-slots read. So no token loss reaches the encoder or the heads: they train
-only through the depth and segmentation supervision losses, and the
-region and point encoders and the projections train through their own
-weights. Training computes each sample's percept once for the whole
-fusion phase and reuses it.
+the encoder cell tokens, predicted classes, predicted depth and
+back-projected point cloud that the slots read. So no token loss reaches
+the encoder or the heads: they train only through the depth and
+segmentation supervision losses, and the region and point encoders and
+the projections train through their own weights. Training computes each
+sample's percept once for the whole fusion phase and reuses it.
 
 The modality path runs each head only where its slot reads it. Region
 pooling reads the predicted classes at the encoder cell centres, and the
-point encoder reads the predicted depth on `cloud_raster`: flat pixels
+point encoder reads the cloud back-projected from the predicted depth on
+`cloud_raster`: flat pixels
 0, s, 2s, ... with s = ceil(H * W / MAX_ENCODED_POINTS), of which the
 pixels with non-positive depth are dropped. That is the cloud of every
 valid pixel subsampled at the same stride whenever every predicted depth
@@ -100,12 +101,16 @@ class Percept:
     where no slot reads it. `cell_tokens` [n_cells, C] are the encoder cells
     that region pooling reads; `seg_ids` are the predicted class ids at the
     cell centres [n_cells] (`seg_at_cells`) or over the whole map [H, W];
-    `depth` is the predicted depth on the cloud raster [P]
-    (`depth_on_raster`) or over the whole map [H, W]."""
+    `depth` is the predicted depth over the whole map [H, W], which the
+    early composite and the depth-patch and depth-view slots read;
+    `points` [N, 3] is the world-frame point cloud that the point encoder
+    reads: the predicted depth on the cloud raster, back-projected with the
+    sample's K and pose."""
 
     cell_tokens: np.ndarray | None = None
     seg_ids: np.ndarray | None = None
     depth: np.ndarray | None = None
+    points: np.ndarray | None = None
 
 
 @dataclass
@@ -161,26 +166,34 @@ class Model:
         read: the seg head at the cell centres when only region pooling
         reads it (`seg_at_cells`), the depth head on the cloud raster when
         only the point encoder does (`depth_on_raster`), else over whole
-        maps."""
+        maps. The point cloud is back-projected here, once per sample."""
         spec = variant_spec(self.cfg.variant)
         B = len(samples)
         if not spec.spatial:
             return [Percept() for _ in range(B)]
         scfg = self.cfg.spatial
         rgb = np.stack([np.asarray(s.rgb, dtype=np.float64) for s in samples])
-        cell_tokens = seg_ids = depth = [None] * B
+        raster = cloud_raster(scfg.image_size)
+        cell_tokens = seg_ids = depth = points = [None] * B
         with T.no_grad():
             tokens, grid = self.spatial_grid(rgb)
             if spec.seg == "regions":
                 cell_tokens = tokens.data
             if spec.needs_depth:
                 depth = self.predict_depth(
-                    grid, cloud_raster(scfg.image_size) if spec.depth_on_raster
-                    else None).data
+                    grid, raster if spec.depth_on_raster else None).data
             if spec.needs_seg:
                 _, seg_ids = self.predict_seg(
                     grid, cell_centres(scfg) if spec.seg_at_cells else None)
-        return [Percept(cell_tokens[b], seg_ids[b], depth[b]) for b in range(B)]
+        if spec.pc == "points":
+            at_raster = depth if spec.depth_on_raster else depth.reshape(B, -1)[:, raster]
+            uv = np.stack([raster % scfg.image_size, raster // scfg.image_size], axis=1)
+            points = [reconstruct_point_cloud(at_raster[b], s.K, s.pose, pixels=uv).points
+                      for b, s in enumerate(samples)]
+            if spec.depth_on_raster:  # the cloud is all that reads it
+                depth = [None] * B
+        return [Percept(cell_tokens[b], seg_ids[b], depth[b], points[b])
+                for b in range(B)]
 
     def modality_tokens_batch(self, samples: list[Sample],
                               percepts: list[Percept] | None = None
@@ -198,7 +211,7 @@ class Model:
         scfg, fcfg = self.cfg.spatial, self.cfg.fusion
         B = len(samples)
         rgb = np.stack([np.asarray(s.rgb, dtype=np.float64) for s in samples])
-        centres, raster = cell_centres(scfg), cloud_raster(scfg.image_size)
+        centres = cell_centres(scfg)
 
         def per_sample(batched: Tensor) -> list[Tensor]:
             return [T.slice_(batched, b) for b in range(B)]
@@ -210,7 +223,7 @@ class Model:
         def stacked(name: str) -> np.ndarray:
             return np.stack([getattr(p, name) for p in percepts])
 
-        depth = stacked("depth") if spec.needs_depth else None
+        depth = stacked("depth") if spec.needs_depth and not spec.depth_on_raster else None
         seg_ids = stacked("seg_ids") if spec.needs_seg else None
 
         if spec.image == "early":
@@ -237,13 +250,8 @@ class Model:
 
         pc = [None] * B
         if spec.pc == "points":
-            at_raster = depth if spec.depth_on_raster else depth.reshape(B, -1)[:, raster]
-            uv = np.stack([raster % scfg.image_size, raster // scfg.image_size], axis=1)
-            point_feats = []
-            for b, s in enumerate(samples):
-                cloud = reconstruct_point_cloud(at_raster[b], s.K, s.pose, pixels=uv)
-                point_feats.append(encode_point_cloud(cloud, self.params)
-                                   if len(cloud) else None)
+            point_feats = [encode_point_cloud(p.points, self.params)
+                           if len(p.points) else None for p in percepts]
             pc = project_pc_tokens(point_feats, self.params, fcfg)
         elif spec.pc == "depth_patches":
             pc = tower(T.constant(depth[..., None] / DEPTH_SCALE),

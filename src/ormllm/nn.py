@@ -168,14 +168,17 @@ class KVCache:
         self.length = length
 
 
-def _causal_mask(n: int, past: int = 0) -> np.ndarray:
+def _causal_mask(n: int, past: int = 0, rows=None) -> np.ndarray:
     """Additive mask for n new rows after `past` earlier ones: new row i
-    sees columns <= past + i."""
-    return np.triu(np.full((n, past + n), -np.inf), k=past + 1)
+    sees columns <= past + i. With `rows` ([..., k] indices into the n new
+    rows), the mask of those rows only, [..., k, past + n]."""
+    rows = np.arange(n) if rows is None else rows
+    return np.where(np.arange(past + n) > past + rows[..., None], -np.inf, 0.0)
 
 
 def attention_block_forward(x: Tensor, params: ModelParams, prefix: str, heads: int,
-                            causal: bool, cache: KVCache | None = None) -> Tensor:
+                            causal: bool, cache: KVCache | None = None,
+                            rows=None) -> Tensor:
     """Pre-norm multi-head self-attention plus MLP, both with residuals.
 
     Accepts [n, d] or [B, n, d]. With causal=True, position i attends only
@@ -188,10 +191,29 @@ def attention_block_forward(x: Tensor, params: ModelParams, prefix: str, heads: 
     attends to every cached row and to new rows <= i. The cache is
     inference-only: passing one while graph recording is on raises
     ContractError. Without a cache the block sees the whole sequence.
+
+    `rows`, strictly increasing indices into the n new rows ([k] for [n, d]
+    input, [B, k] for [B, n, d]), runs the block's output only there: keys
+    and values are still formed for all n rows (and cached), but the
+    queries, the attention core, attn.wo, both residuals, ln2 and the MLP
+    run at those k rows, and the block returns [k, d] or [B, k, d]. Each
+    returned row equals the full block's row at its index, since in a
+    causal block nothing else reads it. Without `rows` every row runs.
     """
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != x.ndim - 1 or rows.shape[:-1] != x.shape[:-2]:
+            raise DimensionError(f"block rows {rows.shape} do not fit input {x.shape}")
+        if rows.size and (rows.min() < 0 or rows.max() >= x.shape[-2]
+                          or (np.diff(rows, axis=-1) <= 0).any()):
+            raise ContractError(
+                f"block rows must increase strictly within [0, {x.shape[-2]})")
+        if rows.shape[-1] == x.shape[-2]:  # every row, so skip the gathers
+            rows = None
     squeeze = x.ndim == 2
     if squeeze:
         x = T.reshape(x, (1,) + x.shape)
+        rows = None if rows is None else rows[None]
     if x.ndim != 3:
         raise DimensionError(f"attention block expects [n,d] or [B,n,d], got {x.shape}")
     B, n, d = x.shape
@@ -199,18 +221,22 @@ def attention_block_forward(x: Tensor, params: ModelParams, prefix: str, heads: 
         raise ConfigurationError(f"model width {d} not divisible by {heads} heads")
 
     h = layer_norm(x, params, f"{prefix}.ln1")
-    q = linear(h, params, f"{prefix}.attn.wq")
     k = linear(h, params, f"{prefix}.attn.wk")
     v = linear(h, params, f"{prefix}.attn.wv")
+    if rows is not None:
+        x, h = T.take_rows(x, rows), T.take_rows(h, rows)
+    q = linear(h, params, f"{prefix}.attn.wq")
     past = 0
     if cache is not None:
         k, v, past = cache.extend(prefix, T.split_heads(k.data, heads),
                                   T.split_heads(v.data, heads))
-    mask = _causal_mask(n, past)[None, None] if causal and n > 1 else None
+    mask = None
+    if causal and (n > 1 if rows is None else (rows < n - 1).any()):
+        mask = _causal_mask(n, past, rows)[..., None, :, :]
     attn = T.attention_core(q, k, v, heads, mask)
     x = x + linear(attn, params, f"{prefix}.attn.wo")
     x = x + mlp_forward(layer_norm(x, params, f"{prefix}.ln2"), params,
                         f"{prefix}.mlp")
     if squeeze:
-        x = T.reshape(x, (n, d))
+        x = T.reshape(x, x.shape[1:])
     return x

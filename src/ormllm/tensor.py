@@ -660,6 +660,21 @@ def gather_rows(a, row_ids) -> Tensor:
     return take_flat(a, flat)
 
 
+def take_rows(a, rows) -> Tensor:
+    """Per-batch row lookup: a [B, n, d] and distinct row indices [B, k]
+    give [B, k, d] with out[b, i] = a[b, rows[b, i]]."""
+    a = as_tensor(a)
+    rows = np.asarray(rows, dtype=np.int64)
+    batch = np.arange(a.shape[0])[:, None]
+
+    def bw(g):
+        ga = np.zeros_like(a.data)
+        ga[batch, rows] = g
+        return (ga,)
+
+    return _make(a.data[batch, rows], (a,), bw)
+
+
 def _im2col(xp: np.ndarray, pixels: np.ndarray | None = None) -> np.ndarray:
     """[H+2, W+2, C] channel-last padded input -> [H*W, 9*C] columns, each
     row the 3x3 neighbourhood of one output pixel in (di, dj, c) order; with

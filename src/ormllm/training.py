@@ -17,9 +17,12 @@ reach. All shuffling derives from the config seed, so loss logs are
 bit-reproducible.
 
 In both stages the LM runs once per task group of a batch (QA, SGG), each
-group padded only to its own longest record. Each group's answer loss is one
-answer_loss node that gives its records' losses; they are put back in batch
-order before they are averaged.
+group padded only to its own longest record. Every block but the last runs
+at all of the group's rows; the last block, lm.ln_f and lm.out run only at
+each record's read window, the rows its losses read: the answer-mask rows
+and, in stage 2, the InfoNCE text row (see _lm_by_task). Each group's
+answer loss is one answer_loss node that gives its records' losses; they
+are put back in batch order before they are averaged.
 """
 
 from __future__ import annotations
@@ -357,31 +360,46 @@ def _lm_by_task(model: Model, records: list[TrainRecord], seqs: list[Tensor],
     SGG length. Groups run in order of first appearance; a one-task batch
     makes exactly one call over the whole batch.
 
-    Each group's answer loss is one answer_loss call on its padded logits,
-    with each record's targets and mask (from `metas`) padded alike.
-    Returns the [B] per-record losses in batch order and, with `text_rows`
-    (one row index per record), the [B, d] hidden rows at those indices,
+    Only the rows a loss reads run the last block, lm.ln_f and lm.out (see
+    lm_hidden). Each record reads one contiguous window: its answer-mask
+    rows (from `metas`) and, with `text_rows` (one row index per record),
+    its text row. A group's windows share the longest one's length n_q,
+    each starting at its record's first read row, moved back where it
+    would pass the padded length S. Each group's answer loss is one
+    answer_loss call on its [G, n_q] logits, with each record's targets and
+    mask read from its window. Returns the [B] per-record losses in batch
+    order and, with `text_rows`, the [B, d] hidden rows at those indices,
     also in batch order; otherwise None."""
     order, losses, feats = [], [], []
     for task in dict.fromkeys(rec.task for rec in records):
         group = [i for i, rec in enumerate(records) if rec.task == task]
         tokens, pos = _pad_stack([seqs[i] for i in group],
                                  [positions[i] for i in group])
-        out = lm_forward(tokens, model.params, model.cfg.fusion,
-                         return_hidden=text_rows is not None, positions=pos)
-        logits, hidden = out if text_rows is not None else (out, None)
         G, S = tokens.shape[:2]
         targets = np.zeros((G, S), dtype=np.int64)
         mask = np.zeros((G, S), dtype=bool)
+        firsts, lasts = [], []
         for j, i in enumerate(group):
             rec_targets, rec_mask = metas[i]
             targets[j, : len(rec_targets)] = rec_targets
             mask[j, : len(rec_mask)] = rec_mask
-        losses.append(answer_loss(logits, targets, mask))
+            read = np.flatnonzero(rec_mask)
+            firsts.append(read[0] if text_rows is None else min(read[0], text_rows[i]))
+            lasts.append(read[-1])
+        n_q = max(last - first for first, last in zip(firsts, lasts)) + 1
+        starts = np.minimum(firsts, S - n_q)
+        rows = starts[:, None] + np.arange(n_q)
+        out = lm_forward(tokens, model.params, model.cfg.fusion,
+                         return_hidden=text_rows is not None, positions=pos,
+                         rows=rows)
+        logits, hidden = out if text_rows is not None else (out, None)
+        at = np.arange(G)[:, None], rows
+        losses.append(answer_loss(logits, targets[at], mask[at]))
         if text_rows is not None:
             d = hidden.shape[2]
-            rows = np.array([j * S + text_rows[i] for j, i in enumerate(group)])
-            feats.append(T.take_flat(hidden, rows[:, None] * d + np.arange(d)))
+            flat = np.array([j * n_q + text_rows[i] - starts[j]
+                             for j, i in enumerate(group)])
+            feats.append(T.take_flat(hidden, flat[:, None] * d + np.arange(d)))
         order += group
     return (_in_batch_order(losses, order),
             _in_batch_order(feats, order) if feats else None)

@@ -1,4 +1,5 @@
-"""The pure parts of bench_pairs.py: seed lists and the pair summary."""
+"""The pure parts of bench_pairs.py: seed lists, the pair summary, and how a
+run's output is read."""
 
 import importlib.util
 from pathlib import Path
@@ -100,3 +101,30 @@ def test_main_records_checkouts_and_fails_on_incorrect_runs(tmp_path, monkeypatc
     entry = bench_pairs.json.loads(out.read_text())["workloads"]["w"]
     assert entry["incorrect_runs"] == {"parent": 0, "change": 1}
     assert entry["checkouts"]["parent"] == {"head": None, "dirty": None}
+
+
+@pytest.mark.parametrize("stdout", ["", "# {}\nTraceback (most recent call last)\n",
+                                    "[1, 2]\n"])
+def test_run_once_without_json_result_names_checkout_exit_and_stderr(monkeypatch, stdout):
+    def fake_run(cmd, cwd, capture_output, text):
+        return bench_pairs.subprocess.CompletedProcess(
+            cmd, 3, stdout=stdout, stderr="start\nValueError: bad workload\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    with pytest.raises(RuntimeError) as exc:
+        bench_pairs.run_once("/src/change", "lm_pretrain", 7, 1.0, False)
+    message = str(exc.value)
+    assert "/src/change" in message and "exit 3" in message
+    assert message.endswith("ValueError: bad workload")
+
+
+def test_run_once_reads_result_and_info_lines(monkeypatch):
+    stdout = '# {"nproc": 2}\nnoise\n{"correct": true, "metrics": {}}\n'
+
+    def fake_run(cmd, cwd, capture_output, text):
+        assert cwd == "/src/parent" and cmd[-2:] == ["--trace", "1"]
+        return bench_pairs.subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    result = bench_pairs.run_once("/src/parent", "lm_pretrain", 7, 1.0, True)
+    assert result == {"correct": True, "metrics": {}, "info": [{"nproc": 2}]}

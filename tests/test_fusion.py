@@ -223,6 +223,66 @@ def test_lm_cached_chunks_match_full_forward():
                    positions=np.arange(25, FCFG.max_seq_len + 1), cache=cache)
 
 
+@pytest.mark.parametrize("kind", ["sequence", "slots"])
+@pytest.mark.parametrize("chunks", [(20, 4, 2), (25, 1), (26,)])
+def test_lm_at_tail_rows_with_a_cache_equals_the_full_lm(kind, chunks):
+    """Decode calls: each chunk after the cached rows runs the last block
+    at its last one to three rows only, and those logits are the full
+    forward's at the same rows."""
+    params, seq = decode_fixture(kind, 32, prompt_len=6)
+    full = lm_forward(seq, params, FCFG).data
+    cache, start = fusion.KVCache(), 0
+    with T.no_grad():
+        for n in chunks:
+            tail = np.arange(max(n - 3, 0), n)
+            got = lm_forward(seq.tokens[start:start + n], params, FCFG,
+                             positions=seq.positions[start:start + n], cache=cache,
+                             rows=tail).data
+            assert got.shape == (len(tail), FCFG.vocab_size)
+            np.testing.assert_allclose(got, full[start + tail], rtol=0, atol=1e-12)
+            start += n
+    assert cache.length == len(seq)
+
+
+@pytest.mark.parametrize("kind", ["sequence", "slots"])
+def test_prefix_cache_keys_and_values_are_the_full_prefix_forwards(kind):
+    """prefix_cache runs the last block at no row, yet holds the bytes
+    of every block's keys and values that the full prefix forward forms."""
+    params, seq = decode_fixture(kind, 33, prompt_len=4)
+    rows = seq.segment_start("prompt")
+    full = fusion.KVCache()
+    with T.no_grad():
+        lm_forward(seq.tokens[:rows], params, FCFG, positions=seq.positions[:rows],
+                   cache=full)
+    got = prefix_cache(seq, rows, params, FCFG)
+    assert got.length == full.length == rows
+    assert got.kv.keys() == full.kv.keys() and len(got.kv) == FCFG.lm_layers
+    for name, (k, v) in full.kv.items():
+        assert got.kv[name][0].tobytes() == k.tobytes(), name
+        assert got.kv[name][1].tobytes() == v.tobytes(), name
+
+
+def test_decode_runs_the_lm_head_at_the_draft_rows_only(monkeypatch):
+    """Every decode call asks for, and gets, logits at its last
+    len(draft) + 1 rows: the last chosen id and the draft after it."""
+    params, seq = decode_fixture("slots", 34, prompt_len=3)
+    calls = []
+
+    def recording_rows(tokens, *args, rows=None, **kwargs):
+        out = lm_forward(tokens, *args, rows=rows, **kwargs)
+        calls.append((tokens.shape[0], rows, out.shape))
+        return out
+
+    monkeypatch.setattr(fusion, "lm_forward", recording_rows)
+    stream = DecodeStream()
+    first = decode_answer(seq, params, FCFG, max_new=12, stream=stream)
+    assert decode_answer(seq, params, FCFG, max_new=12, stream=stream) == first
+    assert any(len(rows) > 1 for _, rows, _ in calls)  # a draft was verified
+    for n, rows, shape in calls:
+        assert rows.tolist() == list(range(n - len(rows), n))
+        assert shape == (len(rows), FCFG.vocab_size)
+
+
 def test_lm_forward_on_a_token_tensor_needs_positions():
     params, seq = decode_setup()
     with pytest.raises(ContractError, match="positions"):

@@ -9,9 +9,18 @@ from ormllm.geometry import (
     CameraPose,
     DepthMap,
     back_project_pixel,
-    project_point,
     reconstruct_point_cloud,
 )
+
+def project_point(p, K, pose):
+    """Oracle: the algebraic inverse of back_project_pixel, world point to
+    (u, v, depth)."""
+    cam = pose.rotation.T @ (np.asarray(p, dtype=np.float64) - pose.translation)
+    z = cam[2]
+    if z <= 0:
+        raise BehindCameraError(f"point has camera-frame z={z}, not in front of camera")
+    return float(cam[0] / z * K.fx + K.cx), float(cam[1] / z * K.fy + K.cy), float(z)
+
 
 UNIT_K = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
 IDENTITY = CameraPose.identity()

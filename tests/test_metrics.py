@@ -24,7 +24,6 @@ from ormllm.metrics import (
     parse_triples,
     rouge_l,
     sgg_corpus_prf,
-    sgg_prf,
 )
 from ormllm.scenegen import Triple
 
@@ -141,6 +140,22 @@ def oracle_cider(items):
             per_n.append(sum(sims) / len(sims))
         total += 10.0 * sum(per_n) / 4
     return total / n_items
+
+
+def oracle_sgg_prf(predicted, gold):
+    """One sample's precision, recall and F1 percentages, counted triple by
+    triple: a predicted triple is correct if it is gold and no earlier copy
+    of it was counted."""
+    counted, correct = [], 0
+    for t in predicted:
+        if t in gold and t not in counted:
+            counted.append(t)
+            correct += 1
+    if not predicted and not gold:
+        return 100.0, 100.0, 100.0
+    p = 100.0 * correct / len(predicted) if predicted else 0.0
+    r = 100.0 * correct / len(gold) if gold else 100.0
+    return p, r, (2 * p * r / (p + r) if p + r > 0 else 0.0)
 
 
 def random_corpus(rng, n_items, vocab=("the", "a", "table", "patient", "on",
@@ -314,25 +329,29 @@ T4 = Triple("monitor", "behind", "nurse")
 WRONG = Triple("surgeon", "holding", "instrument_tray")
 
 
+def sgg_pair_prf(predicted, gold):
+    return sgg_corpus_prf([(predicted, gold)])
+
+
 def test_sgg_exact_match_100():
-    assert sgg_prf([T1, T2], {T1, T2}) == (100.0, 100.0, 100.0)
+    assert sgg_pair_prf([T1, T2], {T1, T2}) == (100.0, 100.0, 100.0)
 
 
 def test_sgg_one_wrong_of_five():
     gold = {T1, T2, T3, T4}
-    p, r, f1 = sgg_prf([T1, T2, T3, T4, WRONG], gold)
+    p, r, f1 = sgg_pair_prf([T1, T2, T3, T4, WRONG], gold)
     assert p == 80.0 and r == 100.0
     np.testing.assert_allclose(f1, 2 * 80 * 100 / 180, atol=1e-9)
 
 
 def test_sgg_empty_predictions():
-    assert sgg_prf([], {T1}) == (0.0, 0.0, 0.0)
-    assert sgg_prf([], set()) == (100.0, 100.0, 100.0)
-    assert sgg_prf([T1], set()) == (0.0, 100.0, 0.0)
+    assert sgg_pair_prf([], {T1}) == (0.0, 0.0, 0.0)
+    assert sgg_pair_prf([], set()) == (100.0, 100.0, 100.0)
+    assert sgg_pair_prf([T1], set()) == (0.0, 100.0, 0.0)
 
 
 def test_sgg_duplicates_count_against_precision():
-    p, r, f1 = sgg_prf([T1, T1], {T1})
+    p, r, f1 = sgg_pair_prf([T1, T1], {T1})
     assert p == 50.0 and r == 100.0
 
 
@@ -342,6 +361,25 @@ def test_sgg_corpus_micro():
     # correct 2, predicted 3, gold 3
     np.testing.assert_allclose(p, 200 / 3, atol=1e-9)
     np.testing.assert_allclose(r, 200 / 3, atol=1e-9)
+
+
+def test_sgg_matches_oracle_random():
+    rng = random.Random(5)
+    pool = [T1, T2, T3, T4, WRONG]
+    items = []
+    for _ in range(200):
+        predicted = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+        gold = set(rng.sample(pool, rng.randint(0, 4)))
+        assert sgg_pair_prf(predicted, gold) == oracle_sgg_prf(predicted, gold)
+        items.append((predicted, gold))
+    # Micro averaging pools the counts: the corpus score of many pairs is
+    # the one-pair score of their concatenation once each pair's triples
+    # are told apart.
+    tagged = [([(i, t) for t in pred], {(i, t) for t in gold})
+              for i, (pred, gold) in enumerate(items)]
+    pooled = ([t for pred, _ in tagged for t in pred],
+              set().union(*(gold for _, gold in tagged)))
+    assert sgg_corpus_prf(items) == pytest.approx(oracle_sgg_prf(*pooled), abs=1e-9)
 
 
 def test_parse_triples_grammar():
@@ -358,11 +396,11 @@ def test_parse_triples_grammar():
 def test_parse_triples_garbage_counts_as_incorrect():
     parsed = parse_triples("garbage segment")
     assert len(parsed) == 1
-    assert sgg_prf(parsed, {T1}) == (0.0, 0.0, 0.0)
+    assert sgg_pair_prf(parsed, {T1}) == (0.0, 0.0, 0.0)
     assert parse_triples("") == []
     mixed = parse_triples("patient|on_top_of|operating_table; zebra|flies|moon")
     assert len(mixed) == 2
-    p, r, _ = sgg_prf(mixed, {T1})
+    p, r, _ = sgg_pair_prf(mixed, {T1})
     assert p == 50.0 and r == 100.0
 
 

@@ -182,8 +182,9 @@ def test_tokens_from_percepts_equal_tokens_without_them(bundle, variant):
             "cell_tokens": (scfg.n_cells, scfg.encoder_dim) if spec.seg == "regions" else None,
             "seg_ids": None if not spec.needs_seg else
             (scfg.n_cells,) if spec.seg_at_cells else (H, H),
-            "depth": None if not spec.needs_depth else
-            (len(cloud_raster(H)),) if spec.depth_on_raster else (H, H),
+            "depth": None if not spec.needs_depth or spec.depth_on_raster else (H, H),
+            # every raster pixel of positive predicted depth, in world metres
+            "points": (len(cloud_raster(H)), 3) if spec.pc == "points" else None,
         }
         for name, shape in want.items():
             value = getattr(p, name)

@@ -333,3 +333,91 @@ def test_causal_mask_blocks_exactly_the_later_columns(n, past):
     rows, cols = np.indices(m.shape)
     assert (m[cols > past + rows] == -np.inf).all()
     assert (m[cols <= past + rows] == 0.0).all()
+
+
+# ---------------------------------------------------------------------------
+# the block run at chosen rows
+# ---------------------------------------------------------------------------
+
+
+ROW_CASES = [  # (input shape, rows, causal)
+    ((6, 8), [5], True),
+    ((6, 8), [0, 2, 5], True),
+    ((6, 8), list(range(6)), True),
+    ((3, 7, 8), [[0, 3, 6], [1, 2, 4], [4, 5, 6]], True),
+    ((3, 7, 8), [[0, 3, 6], [1, 2, 4], [4, 5, 6]], False),
+    ((2, 5, 8), [[], []], True),
+]
+
+
+@pytest.mark.parametrize("shape,rows,causal", ROW_CASES)
+def test_block_at_rows_equals_full_block_rows(shape, rows, causal):
+    params = make_block()
+    x = Tensor(np.random.default_rng(19).normal(size=shape))
+    rows = np.array(rows, dtype=np.int64)
+    full = attention_block_forward(x, params, "blk", heads=2, causal=causal).data
+    got = attention_block_forward(x, params, "blk", heads=2, causal=causal,
+                                  rows=rows).data
+    want = full[rows] if len(shape) == 2 else np.stack(
+        [full[b, r] for b, r in enumerate(rows)])
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("chunks", [[5, 1, 1], [2, 3, 1], [4, 3]])
+def test_cached_block_at_tail_rows_keeps_the_full_cache(chunks):
+    """With a cache, rows pick among the new rows only; every new row's
+    keys and values are still appended, the bytes the full block appends."""
+    params = make_block()
+    x = np.random.default_rng(20).normal(size=(2, sum(chunks), 8))
+    full = attention_block_forward(Tensor(x), params, "blk", heads=2, causal=True).data
+    full_cache, cache = KVCache(), KVCache()
+    start = 0
+    with T.no_grad():
+        for n in chunks:
+            new = Tensor(x[:, start:start + n])
+            attention_block_forward(new, params, "blk", heads=2, causal=True,
+                                    cache=full_cache)
+            tail = np.tile(np.arange(max(n - 2, 0), n), (2, 1))
+            got = attention_block_forward(new, params, "blk", heads=2, causal=True,
+                                          cache=cache, rows=tail)
+            np.testing.assert_allclose(got.data, full[:, start + tail[0]],
+                                       rtol=0, atol=1e-12)
+            start += n
+    for a, b in zip(cache.kv["blk"], full_cache.kv["blk"]):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape,rows", [
+    ((2, 6, 4), [[0, 2, 5], [1, 3, 4]]),   # gaps, n_q < n
+    ((2, 6, 4), [[3, 4, 5], [0, 1, 2]]),   # contiguous windows
+    ((5, 4), [1, 4]),
+])
+def test_block_at_rows_gradcheck(shape, rows):
+    """The input's gradient too: x is a parameter, so the rows the block
+    skips are checked to get exactly what flows through keys and values."""
+    params = make_block(d=4, heads=2)
+    rng = np.random.default_rng(21)
+    params.add("x", rng.normal(size=shape))
+    rows = np.array(rows)
+    w = rng.normal(size=shape[:-2] + (rows.shape[-1], shape[-1]))
+    f = lambda: T.sum_(attention_block_forward(
+        params["x"], params, "blk", heads=2, causal=True, rows=rows) * T.constant(w))
+    reports = finite_diff_grad_check(f, params, tol=1e-6)
+    assert all(r.passed for r in reports), [(r.name, r.max_rel_error) for r in reports]
+
+
+@pytest.mark.parametrize("shape,rows,error", [
+    ((2, 5, 8), [[0, 0], [1, 2]], ContractError),   # not strictly increasing
+    ((2, 5, 8), [[3, 1], [1, 2]], ContractError),
+    ((2, 5, 8), [[0, 5], [1, 2]], ContractError),   # past the last row
+    ((2, 5, 8), [[-1, 2], [1, 2]], ContractError),
+    ((2, 5, 8), [0, 1], DimensionError),            # one row set for a batch
+    ((3, 5, 8), [[0, 1], [1, 2]], DimensionError),  # a set too few
+    ((5, 8), [[0, 1]], DimensionError),
+])
+def test_block_rejects_bad_rows(shape, rows, error):
+    params = make_block()
+    with pytest.raises(error):
+        attention_block_forward(Tensor(np.zeros(shape)), params, "blk", heads=2,
+                                causal=True, rows=np.array(rows))

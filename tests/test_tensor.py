@@ -231,6 +231,21 @@ def test_take_flat_and_gather_rows_grads():
     np.testing.assert_array_equal(table.grad, expected)
 
 
+def test_take_rows_values_and_grads():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(2, 5, 3))
+    rows = np.array([[0, 2, 4], [1, 2, 3]])
+    t = Tensor(x.copy(), requires_grad=True)
+    out = T.take_rows(t, rows)
+    np.testing.assert_array_equal(out.data, np.stack([x[b, rows[b]] for b in range(2)]))
+    w = rng.normal(size=out.shape)
+    T.backward(T.sum_(out * T.constant(w)))
+    num = numeric_grad(lambda a: float((np.stack([a[b, rows[b]] for b in range(2)])
+                                        * w).sum()), x.copy())
+    np.testing.assert_allclose(t.grad, num, rtol=1e-5, atol=1e-8)
+    assert T.take_rows(t, np.zeros((2, 0), dtype=np.int64)).shape == (2, 0, 3)
+
+
 def test_conv3x3_grads():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(2, 3, 5, 4))

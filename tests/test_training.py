@@ -527,9 +527,36 @@ def test_stage2_records_contain_sgg(tiny_data):
 # ---------------------------------------------------------------------------
 
 
+def read_windows(metas, S, text_rows=None):
+    """The [B, n_q] rows a loss reads, as training takes them: each record
+    from its first answer-mask row (or its text row, if earlier) to its
+    last, every window as long as the longest, moved back to end by row S
+    where it would pass it."""
+    spans = []
+    for b, (_, mask) in enumerate(metas):
+        read = np.flatnonzero(mask)
+        first = read[0] if text_rows is None else min(read[0], text_rows[b])
+        spans.append((first, read[-1] + 1))
+    n_q = max(end - first for first, end in spans)
+    return np.array([np.arange(n_q) + min(first, S - n_q) for first, _ in spans])
+
+
+def window_losses(logits, metas, rows, S):
+    """Each record's answer loss from its [n_q, V] window of the logits,
+    with its targets and mask zero-padded to S and read at the window."""
+    losses = []
+    for b, (targets, mask) in enumerate(metas):
+        pad = S - len(targets)
+        losses.append(answer_loss(T.slice_(logits, b),
+                                  np.pad(targets, (0, pad))[rows[b]],
+                                  np.pad(mask, (0, pad))[rows[b]]))
+    return losses
+
+
 def padded_batch_stage1(model, records):
     """Oracle: the whole batch in one lm_forward, padded to its longest
-    record, as stage-1 batches ran before the LM ran once per task."""
+    record, as stage-1 batches ran before the LM ran once per task; the
+    last block runs at the read windows of the whole batch."""
     seqs, poss, metas = [], [], []
     for rec in records:
         seq = model.text_sequence(rec.prompt_ids, [V.BOS] + rec.answer_ids + [V.EOS])
@@ -537,10 +564,10 @@ def padded_batch_stage1(model, records):
         poss.append(seq.positions)
         metas.append(_answer_targets(len(rec.prompt_ids), rec.answer_ids, 0))
     tokens, positions = _pad_stack(seqs, poss)
-    logits = lm_forward(tokens, model.params, model.cfg.fusion, positions=positions)
-    losses = [answer_loss(T.slice_(logits, (b, slice(0, len(targets)))), targets, mask)
-              for b, (targets, mask) in enumerate(metas)]
-    return T.mean(T.stack(losses, axis=0))
+    rows = read_windows(metas, tokens.shape[1])
+    logits = lm_forward(tokens, model.params, model.cfg.fusion, positions=positions,
+                        rows=rows)
+    return T.mean(T.stack(window_losses(logits, metas, rows, tokens.shape[1]), axis=0))
 
 
 def padded_batch_stage2(model, data, records, cfg):
@@ -562,12 +589,12 @@ def padded_batch_stage2(model, data, records, cfg):
         v_feats.append(model.contrastive_features(bundle))
         starts.append(start)
     tokens, positions = _pad_stack(seqs, poss)
+    rows = read_windows(metas, tokens.shape[1], text_rows=starts)
     logits, hidden = lm_forward(tokens, model.params, model.cfg.fusion,
-                                return_hidden=True, positions=positions)
-    losses = [answer_loss(T.slice_(logits, (b, slice(0, len(targets)))), targets, mask)
-              for b, (targets, mask) in enumerate(metas)]
-    t_feats = [T.slice_(hidden, (b, start)) for b, start in enumerate(starts)]
-    lm = T.mean(T.stack(losses, axis=0))
+                                return_hidden=True, positions=positions, rows=rows)
+    t_feats = [T.slice_(hidden, (b, start - rows[b, 0]))
+               for b, start in enumerate(starts)]
+    lm = T.mean(T.stack(window_losses(logits, metas, rows, tokens.shape[1]), axis=0))
     contrast = contrastive_loss(T.stack(v_feats, axis=0),
                                 T.stack(t_feats, axis=0), cfg.tau,
                                 sample_ids=[rec.sample_index for rec in records])
@@ -608,6 +635,48 @@ def assert_matches(got, want, exact):
         else:
             np.testing.assert_allclose(got_grads[name], want_grads[name],
                                        rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("stage,pattern", [
+    (1, MIXED), (1, ("sgg",) * 2), (2, MIXED), (2, ("qa",) * 3)])
+def test_lm_at_read_rows_equals_the_full_lm_there(tiny_data, monkeypatch, stage,
+                                                  pattern):
+    """Each padded task group runs the last block, lm.ln_f and lm.out at
+    its read windows only; logits and hidden rows there are those of the
+    full forward over the group within 1e-12, and every window lies inside
+    the padded length."""
+    model = tiny_model(tiny_data)
+    if stage == 1:
+        data = make_stage1_records(tiny_data.samples, tiny_data.vocab)
+    else:
+        data = make_stage2_records(tiny_data.samples, tiny_data.vocab,
+                                   qa_per_sample=2, seed=3)
+    batch = interleaved(data.records, pattern)
+    calls = []
+
+    def recording(tokens, params, cfg, **kwargs):
+        out = lm_forward(tokens, params, cfg, **kwargs)
+        calls.append((tokens, kwargs, out))
+        return out
+
+    monkeypatch.setattr(training, "lm_forward", recording)
+    with T.no_grad():
+        if stage == 1:
+            _batch_stage1(model, batch)
+        else:
+            _batch_stage2(model, data, batch, TrainConfig(stage=2), {})
+    assert len(calls) == len(set(pattern))
+    for tokens, kwargs, out in calls:
+        rows = kwargs.pop("rows")
+        G, S = tokens.shape[:2]
+        assert rows.shape[0] == G and rows.shape[1] < S
+        assert (rows.min() >= 0) and (rows.max() < S)
+        assert (np.diff(rows, axis=1) == 1).all()  # one contiguous window each
+        full = lm_forward(tokens, model.params, model.cfg.fusion, **kwargs)
+        at = np.arange(G)[:, None], rows
+        for got, want in zip(out if stage == 2 else (out,),
+                             full if stage == 2 else (full,)):
+            np.testing.assert_allclose(got.data, want.data[at], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("pattern,exact", [(MIXED, False), (("qa",) * 5, True)])
@@ -689,8 +758,13 @@ def test_stage1_one_lm_call_per_task_and_rows(tiny_data, lm_calls, loss_calls,
     assert len(lm_calls) == len(lengths)
     assert sum(b * s for b, s in lm_calls) == \
         sum(len(ls) * max(ls) for ls in lengths.values())
-    # One answer loss per task group, over that group's padded logits.
-    assert [shape[:2] for shape in loss_calls] == lm_calls
+    # One answer loss per task group, over that group's [G, n_q] read
+    # windows: BOS and the answer ids, which predict the answer and EOS.
+    windows = {}
+    for rec in batch:
+        windows.setdefault(rec.task, []).append(len(rec.answer_ids) + 1)
+    assert [shape[:2] for shape in loss_calls] == [
+        (len(ws), max(ws)) for ws in windows.values()]
 
 
 @pytest.mark.parametrize("pattern", [MIXED, ("qa",) * 3])
@@ -703,8 +777,15 @@ def test_stage2_one_lm_call_per_task(tiny_data, lm_calls, loss_calls, pattern):
         _batch_stage2(model, data, batch, TrainConfig(stage=2), {})
     assert sorted(b for b, _ in lm_calls) == sorted(
         pattern.count(task) for task in set(pattern))
-    assert len(loss_calls) == len(set(pattern))
-    assert [shape[:2] for shape in loss_calls] == lm_calls
+    # Each group's answer loss reads [G, n_q] windows: the prompt (its first
+    # row is the InfoNCE text row), BOS and the answer ids.
+    windows = {}
+    for rec in batch:
+        windows.setdefault(rec.task, []).append(
+            len(rec.prompt_ids) + len(rec.answer_ids) + 1)
+    assert [shape[:2] for shape in loss_calls] == [
+        (len(ws), max(ws)) for ws in windows.values()]
+    assert all(got[1] < s for got, (_, s) in zip(loss_calls, lm_calls))
 
 
 def padded_answer_case(seed=20, lengths=(5, 9, 7), vocab=11):
