@@ -51,13 +51,12 @@ for variant in ("full", "no-depth-seg", "no-fusion"):
     r2 = train_stage(data2, model, run.train(2))
     t_train = time.time() - t0
     if variant != "no-depth-seg":
-        accs = []
+        probe = test_samples[:12]
         with T.no_grad():
-            for s in test_samples[:12]:
-                _, g = model.spatial_grid(s.rgb)
-                _, ids = model.predict_seg(g)
-                accs.append((ids[0] == s.seg).mean())
-        seg_acc = float(np.mean(accs))
+            _, g = model.spatial_grid(np.stack([s.rgb for s in probe]))
+            _, ids = model.predict_seg(g)
+        gt = np.stack([s.seg for s in probe])
+        seg_acc = float(np.mean((ids == gt).mean(axis=(1, 2))))
     else:
         seg_acc = float("nan")
     t0 = time.time()

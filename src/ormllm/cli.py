@@ -19,7 +19,6 @@ from . import vocab as V
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .errors import (
-    BehindCameraError,
     CheckFailure,
     CompatibilityError,
     ConfigurationError,
@@ -40,7 +39,15 @@ from .gradcheck import finite_diff_grad_check
 from .model import Model, ModelConfig, build_model_params
 from .nn import ModelParams
 from .scenegen import build_dataset, read_dataset, write_dataset
-from .spatial import SpatialBlockConfig, depth_forward, depth_loss, seg_loss
+from .spatial import (
+    SpatialBlockConfig,
+    depth_head_forward,
+    depth_loss,
+    encoder_forward,
+    seg_head_forward,
+    seg_loss,
+    tokens_to_grid,
+)
 from .training import (
     TrainConfig,
     contrastive_loss,
@@ -60,7 +67,7 @@ EXIT_COMPAT = 5
 
 _USAGE_ERRORS = (ConfigurationError, GenerationError, DataParseError)
 _CONTRACT_ERRORS = (ContractError, DimensionError, DomainError, EmptyDomainError,
-                    EmptyInputError, SequenceLengthError, BehindCameraError)
+                    EmptyInputError, SequenceLengthError)
 
 
 def _echo_comment_lines(run: RunConfig, extra: list[str] | None = None) -> list[str]:
@@ -327,13 +334,12 @@ def _gradcheck_suite(seed: int, corrupt: bool):
                 if n.startswith("lm.") or n == "fusion.pos_embed"]
 
     def f_depth():
-        return maybe_corrupt(depth_loss(depth_forward(image, params, scfg),
-                                        gt_depth, scfg))
+        grid = tokens_to_grid(encoder_forward(image[None], params, scfg), scfg)
+        depth = depth_head_forward(grid, params, scfg)
+        return maybe_corrupt(depth_loss(depth, gt_depth[None], scfg))
 
     def f_seg():
-        from .spatial import seg_head_forward, tokens_to_grid, encoder_forward
-
-        grid = tokens_to_grid(encoder_forward(image, params, scfg), scfg)
+        grid = tokens_to_grid(encoder_forward(image[None], params, scfg), scfg)
         logits = seg_head_forward(grid, params, scfg)
         return maybe_corrupt(seg_loss(logits, gt_seg[None], scfg))
 
@@ -347,7 +353,7 @@ def _gradcheck_suite(seed: int, corrupt: bool):
 
     def f_answer():
         seq = model.text_sequence(prompt, [V.BOS] + answer + [V.EOS])
-        logits = lm_forward(seq, params, fcfg)
+        logits = lm_forward(seq.tokens, params, fcfg, seq.positions)
         return maybe_corrupt(answer_loss(logits, targets, mask))
 
     cparams = ModelParams()
@@ -361,7 +367,8 @@ def _gradcheck_suite(seed: int, corrupt: bool):
 
     def f_stage2():
         seq = model.text_sequence(prompt, [V.BOS] + answer + [V.EOS])
-        lm = answer_loss(lm_forward(seq, params, fcfg), targets, mask)
+        logits = lm_forward(seq.tokens, params, fcfg, seq.positions)
+        lm = answer_loss(logits, targets, mask)
         contrast = contrastive_loss(cparams["v_feat"], cparams["t_feat"], 0.07)
         return maybe_corrupt(stage2_loss(lm, contrast, 0.1))
 

@@ -41,10 +41,6 @@ class SequenceLengthError(OrmllmError):
     """An assembled token sequence exceeds the configured maximum."""
 
 
-class BehindCameraError(OrmllmError):
-    """A point has non-positive depth in the camera frame."""
-
-
 class GenerationError(OrmllmError):
     """Scene or view generation exhausted its rejection budget."""
 

@@ -88,12 +88,12 @@ def evaluate_sample(model: Model, vocab: Vocabulary, sample: Sample,
     if stream is None:
         stream = DecodeStream()
     with T.no_grad():
-        bundle = model.modality_tokens(sample)
+        bundle = model.modality_tokens_batch([sample])[0]
         past = None
 
         def decode(prompt_ids, max_new: int) -> list[int]:
             nonlocal past
-            prefix = model.assemble(sample, prompt_ids, bundle=bundle)
+            prefix = model.assemble(bundle, prompt_ids)
             if past is None:
                 past = prefix_cache(prefix, prefix.segment_start("prompt"),
                                     model.params, model.cfg.fusion)

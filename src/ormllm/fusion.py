@@ -18,6 +18,7 @@ from . import vocab as V
 from .errors import (
     ConfigurationError,
     ContractError,
+    DimensionError,
     DomainError,
     EmptyDomainError,
     SequenceLengthError,
@@ -146,18 +147,17 @@ def build_fusion_params(params: ModelParams, cfg: FusionConfig,
 def project_image_tokens(image, params: ModelParams, cfg: FusionConfig,
                          embed: str = "proj.img_embed") -> Tensor:
     """Patch flattening, learned linear patch embedding, then the two-layer
-    projection head. Strictly per patch: no cross-patch mixing."""
+    projection head: images [B, H, W, ch] to tokens [B, n_patches, d].
+    Strictly per patch: no cross-patch mixing."""
     img = T.as_tensor(image)
-    squeeze = img.ndim == 3
-    if squeeze:
-        img = T.reshape(img, (1,) + img.shape)
+    if img.ndim != 4:
+        raise DimensionError(f"expected [B,H,W,ch] images, got {img.shape}")
     if img.shape[1] % cfg.image_patch or img.shape[2] % cfg.image_patch:
         raise ConfigurationError(
             f"image sides {img.shape[1:3]} not divisible by patch {cfg.image_patch}"
         )
     tokens = linear(patchify(img, cfg.image_patch), params, embed)
-    tokens = mlp_forward(tokens, params, "proj.img_head")
-    return T.reshape(tokens, tokens.shape[1:]) if squeeze else tokens
+    return mlp_forward(tokens, params, "proj.img_head")
 
 
 def project_pc_tokens(feats: list[Tensor | None], params: ModelParams,
@@ -195,51 +195,44 @@ def _embed_ids(ids, params: ModelParams, cfg: FusionConfig) -> Tensor:
 
 def build_input_sequence(img_toks, seg_toks, pc_toks, prompt_ids,
                          params: ModelParams, cfg: FusionConfig,
-                         variant: str = "full",
-                         answer_ids=None,
-                         layout: SlotLayout | None = None,
-                         seg_class_ids=None) -> TokenSequence:
+                         variant: str = "full", answer_ids=None, *,
+                         layout: SlotLayout, seg_class_ids=None) -> TokenSequence:
     """Concatenates modality segments with embedded prompt (and optional
     answer) ids in the fixed order. The variant's row says which of the seg
     and pc slots are filled (the image slot always is); the caller supplies
-    their content. With a layout, every token also gets a fixed positional
-    slot; without one, positions default to sequence order.
+    their content. Every token gets its positional slot from the layout:
+    region tokens at their class ids' slots when seg_class_ids are given,
+    the answer right after the prompt.
     """
     spec = variant_spec(variant)
     parts: list[Tensor] = [img_toks]
     tags: list[str] = ["image"] * img_toks.shape[0]
-    base = layout.img_base if layout else 0
-    positions: list[int] = list(range(base, base + img_toks.shape[0]))
+    positions: list[int] = list(range(layout.img_base,
+                                      layout.img_base + img_toks.shape[0]))
     if spec.seg is not None:
         if seg_toks is None:
             raise ContractError(f"variant {variant!r} requires seg tokens")
         parts.append(seg_toks)
         tags += ["seg"] * seg_toks.shape[0]
-        if layout:
-            if seg_class_ids is not None:
-                if len(seg_class_ids) != seg_toks.shape[0]:
-                    raise ContractError("seg_class_ids length mismatch")
-                positions += [layout.seg_base + int(k) - 1 for k in seg_class_ids]
-            else:
-                positions += list(range(layout.seg_base,
-                                        layout.seg_base + seg_toks.shape[0]))
+        if seg_class_ids is not None:
+            if len(seg_class_ids) != seg_toks.shape[0]:
+                raise ContractError("seg_class_ids length mismatch")
+            positions += [layout.seg_base + int(k) - 1 for k in seg_class_ids]
         else:
-            positions += list(range(len(positions),
-                                    len(positions) + seg_toks.shape[0]))
+            positions += list(range(layout.seg_base,
+                                    layout.seg_base + seg_toks.shape[0]))
     if spec.pc is not None:
         if pc_toks is None:
             raise ContractError(f"variant {variant!r} requires pc-slot tokens")
         parts.append(pc_toks)
         tags += ["pc"] * pc_toks.shape[0]
-        base = layout.pc_base if layout else len(positions)
-        positions += list(range(base, base + pc_toks.shape[0]))
+        positions += list(range(layout.pc_base, layout.pc_base + pc_toks.shape[0]))
     prompt_ids = list(prompt_ids)
     if not prompt_ids:
         raise ContractError("prompt must be non-empty")
     parts.append(_embed_ids(prompt_ids, params, cfg))
     tags += ["prompt"] * len(prompt_ids)
-    base = layout.prompt_base if layout else len(positions)
-    positions += list(range(base, base + len(prompt_ids)))
+    positions += list(range(layout.prompt_base, layout.prompt_base + len(prompt_ids)))
     if answer_ids is not None:
         answer_ids = list(answer_ids)
         parts.append(_embed_ids(answer_ids, params, cfg))
@@ -251,7 +244,7 @@ def build_input_sequence(img_toks, seg_toks, pc_toks, prompt_ids,
         raise SequenceLengthError(
             f"sequence length {total} exceeds max_seq_len {cfg.max_seq_len}"
         )
-    if positions and max(positions) >= cfg.max_seq_len:
+    if max(positions) >= cfg.max_seq_len:
         raise SequenceLengthError(
             f"positional slot {max(positions)} exceeds max_seq_len {cfg.max_seq_len}"
         )
@@ -295,21 +288,12 @@ def lm_hidden(tokens: Tensor, params: ModelParams, cfg: FusionConfig,
     return layer_norm(h, params, "lm.ln_f")
 
 
-def lm_forward(seq: TokenSequence | Tensor, params: ModelParams, cfg: FusionConfig,
-               return_hidden: bool = False, positions=None,
+def lm_forward(tokens: Tensor, params: ModelParams, cfg: FusionConfig,
+               positions, return_hidden: bool = False,
                cache: KVCache | None = None, rows=None):
-    """Per-position logits over the vocabulary for a token sequence; with a
-    cache, for the new rows only, and with `rows`, for those rows only
-    (see lm_hidden). A TokenSequence brings its own positions; a bare
-    token tensor needs `positions`."""
-    if isinstance(seq, TokenSequence):
-        tokens = seq.tokens
-        if positions is None:
-            positions = seq.positions
-    else:
-        tokens = seq
-    if positions is None:
-        raise ContractError("lm_forward on a token tensor needs positions")
+    """Per-position logits over the vocabulary for embedded tokens [S, d] or
+    [B, S, d] at `positions` (see lm_hidden); with a cache, for the new rows
+    only, and with `rows`, for those rows only."""
     if tokens.shape[-2] == 0:
         raise ContractError("cannot run the LM on an empty sequence")
     hidden = lm_hidden(tokens, params, cfg, positions, cache, rows)

@@ -51,7 +51,7 @@ def finite_diff_grad_check(
     loss = f()
     if not np.isfinite(loss.data).all():
         raise NumericError("loss is non-finite at the base point")
-    T.backward(loss, params.tensors())
+    T.backward(loss)
 
     rng = np.random.default_rng(seed)
     reports: list[TensorCheck] = []

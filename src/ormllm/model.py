@@ -141,8 +141,9 @@ class Model:
     # -- spatial inference -------------------------------------------------
 
     def spatial_grid(self, rgb):
-        tokens = encoder_forward(rgb[None] if rgb.ndim == 3 else rgb,
-                                 self.params, self.cfg.spatial)
+        """Encoder cell tokens [B, n_cells, C] and grid [B, C, g, g] of
+        images [B, H, W, 3]."""
+        tokens = encoder_forward(rgb, self.params, self.cfg.spatial)
         return tokens, tokens_to_grid(tokens, self.cfg.spatial)
 
     def predict_depth(self, grid, pixels=None) -> Tensor:
@@ -156,9 +157,6 @@ class Model:
         return logits, logits_to_ids(logits.data)
 
     # -- per-variant token assembly -----------------------------------------
-
-    def modality_tokens(self, sample: Sample) -> ModalityBundle:
-        return self.modality_tokens_batch([sample])[0]
 
     def perceive(self, samples: list[Sample]) -> list[Percept]:
         """Each sample's percept. The encoder and the depth and seg heads
@@ -188,7 +186,7 @@ class Model:
         if spec.pc == "points":
             at_raster = depth if spec.depth_on_raster else depth.reshape(B, -1)[:, raster]
             uv = np.stack([raster % scfg.image_size, raster // scfg.image_size], axis=1)
-            points = [reconstruct_point_cloud(at_raster[b], s.K, s.pose, pixels=uv).points
+            points = [reconstruct_point_cloud(at_raster[b], s.K, s.pose, uv)
                       for b, s in enumerate(samples)]
             if spec.depth_on_raster:  # the cloud is all that reads it
                 depth = [None] * B
@@ -265,10 +263,8 @@ class Model:
 
     # -- sequence assembly ---------------------------------------------------
 
-    def assemble(self, sample: Sample, prompt_ids, answer_ids=None,
-                 bundle: ModalityBundle | None = None) -> TokenSequence:
-        if bundle is None:
-            bundle = self.modality_tokens(sample)
+    def assemble(self, bundle: ModalityBundle, prompt_ids,
+                 answer_ids=None) -> TokenSequence:
         return build_input_sequence(
             bundle.img_toks, bundle.seg_toks, bundle.pc_toks, prompt_ids,
             self.params, self.cfg.fusion, self.cfg.variant, answer_ids,

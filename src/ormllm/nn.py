@@ -63,9 +63,6 @@ class ModelParams:
         for t in self._tensors.values():
             t.grad = None
 
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self._tensors.items()}
-
 
 def init_linear(params: ModelParams, prefix: str, d_in: int, d_out: int,
                 rng: np.random.Generator, bias: bool = True) -> None:

@@ -18,7 +18,7 @@ read every pixel; region pooling reads the class map only at the encoder
 cell centres (`cell_centres`), and the point encoder the depth only on a
 raster (`model.cloud_raster`).
 
-Images are [H, W, 3] (or [B, H, W, 3]) float64 in [0, 1]. Class ids are
+Images come in batches [B, H, W, 3], float64 in [0, 1]. Class ids are
 1-based; id 1 doubles as the background for pixels with no geometry.
 """
 
@@ -36,7 +36,6 @@ from .errors import (
     EmptyDomainError,
     EmptyInputError,
 )
-from .geometry import DepthMap
 from .nn import (
     ModelParams,
     attention_block_forward,
@@ -92,31 +91,6 @@ class SpatialBlockConfig:
         return self.grid_size * self.grid_size
 
 
-@dataclass
-class PanopticMap:
-    ids: np.ndarray       # [H, W], values in [1, num_classes]
-    num_classes: int
-
-    def __post_init__(self):
-        ids = np.asarray(self.ids, dtype=np.int64)
-        if ids.ndim != 2:
-            raise ConfigurationError(f"panoptic map must be 2-d, got {ids.shape}")
-        if ids.min(initial=1) < 1 or ids.max(initial=1) > self.num_classes:
-            raise DomainError(
-                f"class ids must lie in [1, {self.num_classes}], "
-                f"got range [{ids.min()}, {ids.max()}]"
-            )
-        self.ids = ids
-
-    @property
-    def height(self) -> int:
-        return self.ids.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.ids.shape[1]
-
-
 def build_spatial_params(params: ModelParams, cfg: SpatialBlockConfig,
                          rng: np.random.Generator, *, depth: bool = True,
                          seg: bool = True, region: bool | None = None,
@@ -155,25 +129,17 @@ def patchify(image: Tensor, patch: int) -> Tensor:
     return T.reshape(x, (B, g * g, patch * patch * ch))
 
 
-def _ensure_batched(image) -> Tensor:
-    t = T.as_tensor(image)
-    if t.ndim == 3:
-        return T.reshape(t, (1,) + t.shape)
-    if t.ndim != 4:
-        raise DimensionError(f"expected [H,W,3] or [B,H,W,3] image, got {t.shape}")
-    return t
-
-
 def encoder_forward(image, params: ModelParams, cfg: SpatialBlockConfig) -> Tensor:
     """Shared encoder: patch embedding plus attention blocks.
 
-    Returns cell features [B, n_cells, C] in raster cell order.
+    Takes images [B, H, W, 3]; returns cell features [B, n_cells, C] in
+    raster cell order.
     """
-    x = _ensure_batched(image)
-    if x.shape[1] != cfg.image_size or x.shape[2] != cfg.image_size or x.shape[3] != 3:
+    x = T.as_tensor(image)
+    if x.shape[1:] != (cfg.image_size, cfg.image_size, 3):
         raise DimensionError(
-            f"encoder expects [{cfg.image_size},{cfg.image_size},3] images, "
-            f"got {tuple(x.shape[1:])}"
+            f"encoder expects [B,{cfg.image_size},{cfg.image_size},3] images, "
+            f"got {x.shape}"
         )
     tokens = linear(patchify(x, cfg.encoder_patch), params, "spatial.encoder.embed")
     tokens = tokens + params["spatial.encoder.pos"]
@@ -247,14 +213,6 @@ def depth_head_forward(grid: Tensor, params: ModelParams,
     return T.softplus(T.reshape(out, (g.shape[0],) + g.shape[2:]))
 
 
-def depth_forward(image, params: ModelParams, cfg: SpatialBlockConfig) -> Tensor:
-    """Encoder plus depth decoder: strictly positive depth, [H, W] for a
-    single image and [B, H, W] for a batch."""
-    grid = tokens_to_grid(encoder_forward(image, params, cfg), cfg)
-    return T.reshape(depth_head_forward(grid, params, cfg),
-                     T.as_tensor(image).shape[:-1])
-
-
 def seg_head_forward(grid: Tensor, params: ModelParams,
                      cfg: SpatialBlockConfig, pixels=None) -> Tensor:
     """Per-pixel class logits [B, K, H, W] from encoder features, or
@@ -286,7 +244,7 @@ def depth_loss(pred, gt, cfg: SpatialBlockConfig) -> Tensor:
     over the valid domain. gt pixels equal to 0 are excluded; a gradient pair
     counts only when both of its pixels are valid."""
     pred = T.as_tensor(pred)
-    gt_arr = gt.values if isinstance(gt, DepthMap) else np.asarray(gt, dtype=np.float64)
+    gt_arr = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt_arr.shape:
         raise DimensionError(f"depth_loss shapes differ: {pred.shape} vs {gt_arr.shape}")
     valid = gt_arr > 0
@@ -325,21 +283,18 @@ def _shift_mask(pair: np.ndarray, shape, axis: int, offset: int) -> np.ndarray:
 
 
 def seg_loss(logits, gt, cfg: SpatialBlockConfig) -> Tensor:
-    """Mean per-pixel cross entropy plus a Dice penalty summed over classes.
+    """Mean per-pixel cross entropy plus a Dice penalty summed over classes,
+    from logits [B, K, H, W] and ground-truth ids [B, H, W].
 
     Dice_k = (2 * sum(p_k * y_k) + eps) / (sum(p_k) + sum(y_k) + eps) with
-    eps = 1e-6 and sums taken over every pixel (and every batch item)."""
+    eps = 1e-6 and sums taken over every pixel of every batch item."""
     logits = T.as_tensor(logits)
-    squeeze = logits.ndim == 3
-    if squeeze:
-        logits = T.reshape(logits, (1,) + logits.shape)
-    if isinstance(gt, PanopticMap):
-        gt_ids = gt.ids[None]
-    else:
-        gt_ids = np.asarray(gt, dtype=np.int64)
-        if gt_ids.ndim == 2:
-            gt_ids = gt_ids[None]
+    gt_ids = np.asarray(gt, dtype=np.int64)
     K = cfg.seg_classes
+    if logits.ndim != 4 or gt_ids.ndim != 3:
+        raise DimensionError(
+            f"seg_loss expects [B,K,H,W] logits and [B,H,W] ids, got "
+            f"{logits.shape} and {gt_ids.shape}")
     if logits.shape[1] != K:
         raise DimensionError(f"seg_loss expects {K} class planes, got {logits.shape[1]}")
     if logits.shape[0] != gt_ids.shape[0] or logits.shape[2:] != gt_ids.shape[1:]:
@@ -409,11 +364,12 @@ def region_pool(cell_ids: np.ndarray, cell_tokens: Tensor, params: ModelParams,
     return feats, class_ids
 
 
-def encode_point_cloud(cloud, params: ModelParams) -> Tensor:
-    """Shared per-point MLP followed by a coordinate-wise max over points.
-    Exactly permutation and duplication invariant. The cloud enters as plain
-    coordinates: gradients flow into the encoder weights only."""
-    points = cloud.points if hasattr(cloud, "points") else np.asarray(cloud)
+def encode_point_cloud(points, params: ModelParams) -> Tensor:
+    """Shared per-point MLP over a cloud [N, 3] followed by a coordinate-wise
+    max over points. Exactly permutation and duplication invariant. The
+    cloud enters as plain coordinates: gradients flow into the encoder
+    weights only."""
+    points = np.asarray(points)
     if len(points) == 0:
         raise EmptyInputError("cannot encode an empty point cloud")
     per_point = mlp_forward(T.constant(points), params, "spatial.pc")

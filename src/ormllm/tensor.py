@@ -250,13 +250,11 @@ class ComputationTape:
                     adjoint.pop(id(inp), None)
 
 
-def backward(loss: Tensor, params=None) -> None:
+def backward(loss: Tensor) -> None:
     """Populate .grad of every reachable requires_grad tensor with the exact
     reverse-mode adjoint of a scalar loss.
 
-    Tensors not reachable from the loss keep grad None, meaning zero; when
-    `params` (an iterable of Tensors) is given, their missing grads are
-    materialized as zero buffers so optimizers can treat them uniformly.
+    Tensors not reachable from the loss keep grad None, meaning zero.
 
     The graph serves this one backward and is freed as it runs: every node
     reachable from the loss is released, its saved arrays dropped, even
@@ -271,10 +269,6 @@ def backward(loss: Tensor, params=None) -> None:
     tape = ComputationTape(loss)
     seed = np.ones_like(loss.data)
     tape.replay_adjoints(loss, seed)
-    if params is not None:
-        for t in params:
-            if t.requires_grad and t.grad is None:
-                t.grad = np.zeros_like(t.data)
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def qa_prompt_ids(vocab: Vocabulary, question: str) -> list[int]:
 
 
 def make_stage1_records(samples: list[Sample], vocab: Vocabulary,
-                        limit: int = 0, sgg_max_triples: int = 24) -> TrainData:
+                        sgg_max_triples: int = 24) -> TrainData:
     """Text-only instruction records: QA pairs plus one scene-graph
     serialization record per scene. The frozen stage-2 LM can only emit
     triple grammar it has already seen here; one record per scene
@@ -131,14 +131,12 @@ def make_stage1_records(samples: list[Sample], vocab: Vocabulary,
                 prompt_ids=[V.SGG_TASK],
                 answer_ids=vocab.encode(triples_to_text(target)),
             ))
-    if limit:
-        records = records[:limit]
     return TrainData(stage=1, records=records, samples=[], vocab_size=len(vocab))
 
 
 def make_stage2_records(samples: list[Sample], vocab: Vocabulary,
                         qa_per_sample: int, seed: int,
-                        limit: int = 0, sgg_max_triples: int = 24) -> TrainData:
+                        sgg_max_triples: int = 24) -> TrainData:
     rng = np.random.default_rng(np.random.SeedSequence([0x2EC02D, seed]))
     records = []
     for idx, s in enumerate(samples):
@@ -160,8 +158,6 @@ def make_stage2_records(samples: list[Sample], vocab: Vocabulary,
             prompt_ids=[V.SGG_TASK],
             answer_ids=vocab.encode(triples_to_text(target)),
         ))
-    if limit:
-        records = records[:limit]
     return TrainData(stage=2, records=records, samples=list(samples),
                      vocab_size=len(vocab))
 
@@ -450,8 +446,7 @@ def _batch_stage2(model: Model, data: TrainData, records: list[TrainRecord],
     for rec in records:
         bundle = bundles[rec.sample_index]
         answer_seg = [V.BOS] + rec.answer_ids + [V.EOS]
-        seq = model.assemble(data.samples[rec.sample_index], rec.prompt_ids,
-                             answer_seg, bundle=bundle)
+        seq = model.assemble(bundle, rec.prompt_ids, answer_seg)
         n_modality = seq.segment_start("prompt")
         seqs.append(seq.tokens)
         poss.append(seq.positions)

@@ -14,6 +14,7 @@ import ormllm.fusion as fusion
 from ormllm.fusion import (
     DecodeStream,
     FusionConfig,
+    SlotLayout,
     answer_loss,
     build_fusion_params,
     build_input_sequence,
@@ -45,6 +46,12 @@ FCFG = FusionConfig(d_token=16, lm_layers=2, lm_heads=2, vocab_size=20,
                     max_seq_len=64, image_patch=8, pc_tokens=1)
 
 
+# Slot layouts for seq_parts' 16 image, 3 region and 1 point tokens: the
+# model's gapped one, and a packed one whose positions run in sequence order.
+SLOTS = slot_layout(16, SCFG.seg_classes, FCFG.pc_tokens)
+PACKED = SlotLayout(img_base=0, seg_base=16, pc_base=19, prompt_base=20)
+
+
 def make_params(seed=0, variant="full", fcfg=FCFG):
     params = ModelParams()
     build_fusion_params(params, fcfg, SCFG, np.random.default_rng(seed), variant)
@@ -52,22 +59,23 @@ def make_params(seed=0, variant="full", fcfg=FCFG):
 
 
 def rand_image(seed=0, size=32, ch=3):
-    return np.random.default_rng(seed).uniform(0, 1, size=(size, size, ch))
+    """One image as a batch of one, [1, size, size, ch]."""
+    return np.random.default_rng(seed).uniform(0, 1, size=(1, size, size, ch))
 
 
 def test_image_token_count():
     params = make_params()
     toks = project_image_tokens(rand_image(), params, FCFG)
-    assert toks.shape == (16, 16)  # (32/8)^2 tokens of width d_token
+    assert toks.shape == (1, 16, 16)  # (32/8)^2 tokens of width d_token
 
 
 def test_image_tokens_patch_local():
     params = make_params()
     img1 = rand_image(1)
     img2 = img1.copy()
-    img2[8:16, 24:32] += 0.25  # exactly patch index 1*4+3=7
-    t1 = project_image_tokens(img1, params, FCFG).data
-    t2 = project_image_tokens(img2, params, FCFG).data
+    img2[0, 8:16, 24:32] += 0.25  # exactly patch index 1*4+3=7
+    t1 = project_image_tokens(img1, params, FCFG).data[0]
+    t2 = project_image_tokens(img2, params, FCFG).data[0]
     diff = np.abs(t1 - t2).max(axis=1)
     assert diff[7] > 0
     assert (diff[np.arange(16) != 7] == 0).all()
@@ -78,14 +86,14 @@ def test_zero_image_zero_biases_all_tokens_equal():
     for name in params.names():
         if name.endswith(".b") and name.startswith("proj."):
             params[name].data[:] = 0.0
-    toks = project_image_tokens(np.zeros((32, 32, 3)), params, FCFG).data
-    assert np.ptp(toks, axis=0).max() == 0.0
+    toks = project_image_tokens(np.zeros((2, 32, 32, 3)), params, FCFG).data
+    assert np.ptp(toks.reshape(-1, 16), axis=0).max() == 0.0
 
 
 def test_indivisible_patch_error():
     params = make_params()
     with pytest.raises(ConfigurationError):
-        project_image_tokens(np.zeros((30, 30, 3)), params, FCFG)
+        project_image_tokens(np.zeros((1, 30, 30, 3)), params, FCFG)
 
 
 def seg_tokens(params, maps, cells):
@@ -146,7 +154,8 @@ def test_pc_tokens_default_single_and_null_distinct():
 
 def seq_parts(params, seed=7, n_regions=3):
     rng = np.random.default_rng(seed)
-    img = project_image_tokens(rng.uniform(0, 1, (32, 32, 3)), params, FCFG)
+    img = T.slice_(project_image_tokens(rng.uniform(0, 1, (1, 32, 32, 3)), params,
+                                        FCFG), 0)
     seg = mlp_forward(Tensor(rng.normal(size=(n_regions, 16))), params,
                       "proj.seg_head")
     (pc,) = project_pc_tokens([Tensor(rng.normal(size=8))], params, FCFG)
@@ -156,7 +165,7 @@ def seq_parts(params, seed=7, n_regions=3):
 def test_build_sequence_lengths_and_tag_order():
     params = make_params()
     img, seg, pc = seq_parts(params)
-    seq = build_input_sequence(img, seg, pc, list(range(8)), params, FCFG)
+    seq = build_input_sequence(img, seg, pc, list(range(8)), params, FCFG, layout=SLOTS)
     assert len(seq) == 16 + 3 + 1 + 8
     assert seq.tags == ["image"] * 16 + ["seg"] * 3 + ["pc"] * 1 + ["prompt"] * 8
 
@@ -165,7 +174,7 @@ def test_build_sequence_no_seg_variant():
     params = make_params()
     img, seg, pc = seq_parts(params)
     seq = build_input_sequence(img, seg, pc, list(range(8)), params, FCFG,
-                               variant="no-seg")
+                               variant="no-seg", layout=SLOTS)
     assert len(seq) == 16 + 1 + 8
     assert "seg" not in seq.tags
 
@@ -174,21 +183,22 @@ def test_build_sequence_rejects_bad_prompt_id():
     params = make_params()
     img, seg, pc = seq_parts(params)
     with pytest.raises(DomainError):
-        build_input_sequence(img, seg, pc, [5, 99], params, FCFG)
+        build_input_sequence(img, seg, pc, [5, 99], params, FCFG, layout=SLOTS)
 
 
 def test_build_sequence_overflow():
     params = make_params()
     img, seg, pc = seq_parts(params)
     with pytest.raises(SequenceLengthError):
-        build_input_sequence(img, seg, pc, list(range(5)) * 12, params, FCFG)
+        build_input_sequence(img, seg, pc, list(range(5)) * 12, params, FCFG,
+                             layout=SLOTS)
 
 
 def test_lm_logits_shape_and_softmax_rows():
     params = make_params()
     img, seg, pc = seq_parts(params)
-    seq = build_input_sequence(img, seg, pc, [1, 4, 5], params, FCFG)
-    logits = lm_forward(seq, params, FCFG)
+    seq = build_input_sequence(img, seg, pc, [1, 4, 5], params, FCFG, layout=SLOTS)
+    logits = lm_forward(seq.tokens, params, FCFG, seq.positions)
     assert logits.shape == (len(seq), 20)
     p = T.softmax(logits).data
     np.testing.assert_allclose(p.sum(axis=1), np.ones(len(seq)), atol=1e-12)
@@ -197,10 +207,10 @@ def test_lm_logits_shape_and_softmax_rows():
 def test_lm_causality_bitwise():
     params = make_params()
     img, seg, pc = seq_parts(params)
-    seq1 = build_input_sequence(img, seg, pc, [1, 4, 5, 6], params, FCFG)
-    seq2 = build_input_sequence(img, seg, pc, [1, 4, 9, 8], params, FCFG)
-    l1 = lm_forward(seq1, params, FCFG).data
-    l2 = lm_forward(seq2, params, FCFG).data
+    seq1 = build_input_sequence(img, seg, pc, [1, 4, 5, 6], params, FCFG, layout=SLOTS)
+    seq2 = build_input_sequence(img, seg, pc, [1, 4, 9, 8], params, FCFG, layout=SLOTS)
+    l1 = lm_forward(seq1.tokens, params, FCFG, seq1.positions).data
+    l2 = lm_forward(seq2.tokens, params, FCFG, seq2.positions).data
     j = len(seq1) - 2  # first changed position
     assert (l1[:j] == l2[:j]).all()
     assert not np.array_equal(l1[j:], l2[j:])
@@ -209,7 +219,8 @@ def test_lm_causality_bitwise():
 def test_lm_cached_chunks_match_full_forward():
     params = make_params()
     img, seg, pc = seq_parts(params)
-    seq = build_input_sequence(img, seg, pc, [1, 4, 5, 6, 7], params, FCFG)
+    seq = build_input_sequence(img, seg, pc, [1, 4, 5, 6, 7], params, FCFG,
+                               layout=SLOTS)
     full = lm_forward(seq.tokens, params, FCFG, positions=seq.positions).data
     cache = fusion.KVCache()
     with T.no_grad():
@@ -230,7 +241,7 @@ def test_lm_at_tail_rows_with_a_cache_equals_the_full_lm(kind, chunks):
     at its last one to three rows only, and those logits are the full
     forward's at the same rows."""
     params, seq = decode_fixture(kind, 32, prompt_len=6)
-    full = lm_forward(seq, params, FCFG).data
+    full = lm_forward(seq.tokens, params, FCFG, seq.positions).data
     cache, start = fusion.KVCache(), 0
     with T.no_grad():
         for n in chunks:
@@ -281,12 +292,6 @@ def test_decode_runs_the_lm_head_at_the_draft_rows_only(monkeypatch):
     for n, rows, shape in calls:
         assert rows.tolist() == list(range(n - len(rows), n))
         assert shape == (len(rows), FCFG.vocab_size)
-
-
-def test_lm_forward_on_a_token_tensor_needs_positions():
-    params, seq = decode_setup()
-    with pytest.raises(ContractError, match="positions"):
-        lm_forward(seq.tokens, params, FCFG)
 
 
 def test_answer_loss_uniform_logits_is_log_vocab():
@@ -340,8 +345,10 @@ def test_answer_loss_gradcheck_through_lm():
     mask[-3:] = True
 
     def f():
-        seq = build_input_sequence(img, seg, pc, [V.BOS, 4, 5, 6], params, FCFG)
-        return answer_loss(lm_forward(seq, params, FCFG), target_full, mask)
+        seq = build_input_sequence(img, seg, pc, [V.BOS, 4, 5, 6], params, FCFG,
+                                   layout=SLOTS)
+        return answer_loss(lm_forward(seq.tokens, params, FCFG, seq.positions),
+                           target_full, mask)
 
     names = [n for n in params.names() if n.startswith("lm.") or n == "fusion.pos_embed"]
     reports = finite_diff_grad_check(f, params, tol=1e-4, coords_per_tensor=8,
@@ -353,7 +360,7 @@ def test_answer_loss_gradcheck_through_lm():
 def decode_setup(seed=11):
     params = make_params(seed=seed)
     img, seg, pc = seq_parts(params, seed=seed)
-    seq = build_input_sequence(img, seg, pc, [V.BOS, 5], params, FCFG)
+    seq = build_input_sequence(img, seg, pc, [V.BOS, 5], params, FCFG, layout=SLOTS)
     return params, seq
 
 
@@ -404,13 +411,13 @@ def recompute_decode(seq_prefix, params, cfg, max_new=16, forward=lm_forward):
 
 
 def decode_fixture(kind, seed, prompt_len=2, eos_bias=0.0):
-    """Random-parameter prefixes: slot-layout (gapped) positions or sequence
-    positions."""
+    """Random-parameter prefixes: the model's slot layout (gapped positions)
+    or the packed one (sequence positions)."""
     params = make_params(seed=seed)
     params["lm.out.b"].data[V.EOS] += eos_bias
     img, seg, pc = seq_parts(params, seed=seed)
     prompt = [int(t) for t in np.random.default_rng(seed).integers(4, 20, prompt_len)]
-    layout = slot_layout(16, SCFG.seg_classes, FCFG.pc_tokens) if kind == "slots" else None
+    layout = SLOTS if kind == "slots" else PACKED
     seq = build_input_sequence(img, seg, pc, prompt, params, FCFG, layout=layout,
                                seg_class_ids=[1, 2, 3])
     return params, seq
@@ -630,7 +637,7 @@ def cycle_fixture(kind, prompt, next_of, seed=30):
     for cur, nxt in next_of.items():
         params["lm.out.w"].data[cur, nxt] = 1.0
     img, seg, pc = seq_parts(params, seed=seed)
-    layout = slot_layout(16, SCFG.seg_classes, FCFG.pc_tokens) if kind == "slots" else None
+    layout = SLOTS if kind == "slots" else PACKED
     seq = build_input_sequence(img, seg, pc, prompt, params, FCFG, layout=layout,
                                seg_class_ids=[1, 2, 3])
     return params, seq
@@ -729,7 +736,7 @@ def test_decode_leaves_shared_past_unchanged():
 def test_decode_rejects_past_longer_than_prefix():
     params, seq = decode_fixture("slots", 29)
     longer = build_input_sequence(*seq_parts(params, seed=29), [5, 6, 7, 8], params,
-                                  FCFG)
+                                  FCFG, layout=SLOTS)
     past = prefix_cache(longer, len(longer), params, FCFG)
     with pytest.raises(ContractError):
         decode_answer(seq, params, FCFG, past=past)

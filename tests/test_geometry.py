@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ormllm.errors import BehindCameraError, ConfigurationError, DomainError
-from ormllm.geometry import (
-    CameraIntrinsics,
-    CameraPose,
-    DepthMap,
-    back_project_pixel,
-    reconstruct_point_cloud,
-)
+from ormllm.errors import ConfigurationError, DomainError
+from ormllm.geometry import CameraIntrinsics, CameraPose, reconstruct_point_cloud
+
+
+def back_project_pixel(u, v, depth, K, pose):
+    """Oracle: one pixel with known depth lifted into a world-frame
+    3-vector."""
+    p_cam = np.array([(u - K.cx) / K.fx * depth, (v - K.cy) / K.fy * depth, depth])
+    return pose.rotation @ p_cam + pose.translation
+
 
 def project_point(p, K, pose):
     """Oracle: the algebraic inverse of back_project_pixel, world point to
@@ -18,12 +20,27 @@ def project_point(p, K, pose):
     cam = pose.rotation.T @ (np.asarray(p, dtype=np.float64) - pose.translation)
     z = cam[2]
     if z <= 0:
-        raise BehindCameraError(f"point has camera-frame z={z}, not in front of camera")
+        raise DomainError(f"point has camera-frame z={z}, not in front of camera")
     return float(cam[0] / z * K.fx + K.cx), float(cam[1] / z * K.fy + K.cy), float(z)
 
 
+def reconstruct_map(values, K, pose):
+    """The cloud of a whole depth map [H, W]: reconstruct_point_cloud at
+    every pixel, in raster (row-major) order."""
+    H, W = values.shape
+    vv, uu = np.divmod(np.arange(H * W), W)
+    return reconstruct_point_cloud(values.reshape(-1), K, pose,
+                                   np.stack([uu, vv], axis=1))
+
+
+def lift(u, v, depth, K, pose):
+    """One pixel's world point through reconstruct_point_cloud."""
+    (p,) = reconstruct_point_cloud(np.array([depth]), K, pose, np.array([[u, v]]))
+    return p
+
+
 UNIT_K = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
-IDENTITY = CameraPose.identity()
+IDENTITY = CameraPose(np.eye(3), np.zeros(3))
 
 
 def random_pose(rng) -> CameraPose:
@@ -42,14 +59,14 @@ def random_pose(rng) -> CameraPose:
 
 def test_principal_ray():
     np.testing.assert_allclose(
-        back_project_pixel(0, 0, 2.0, UNIT_K, IDENTITY), [0.0, 0.0, 2.0]
+        lift(0, 0, 2.0, UNIT_K, IDENTITY), [0.0, 0.0, 2.0]
     )
 
 
 def test_hand_case_unit_intrinsics():
     # ((2-0)/1*3, (1-0)/1*3, 3)
     np.testing.assert_allclose(
-        back_project_pixel(2, 1, 3.0, UNIT_K, IDENTITY), [6.0, 3.0, 3.0]
+        lift(2, 1, 3.0, UNIT_K, IDENTITY), [6.0, 3.0, 3.0]
     )
 
 
@@ -58,15 +75,17 @@ def test_hand_case_offset_intrinsics_and_translation():
     pose = CameraPose(np.eye(3), np.array([1.0, 0.0, 0.0]))
     # ((3-1)/2*4+1, (1-1)/2*4, 4)
     np.testing.assert_allclose(
-        back_project_pixel(3, 1, 4.0, K, pose), [5.0, 0.0, 4.0]
+        lift(3, 1, 4.0, K, pose), [5.0, 0.0, 4.0]
     )
 
 
 def test_nonpositive_depth_rejected():
+    # 0 marks a pixel with no geometry: it is skipped, not lifted.
+    pixel = np.array([[0, 0]])
+    points = reconstruct_point_cloud(np.array([0.0]), UNIT_K, IDENTITY, pixel)
+    assert points.shape == (0, 3)
     with pytest.raises(DomainError):
-        back_project_pixel(0, 0, 0.0, UNIT_K, IDENTITY)
-    with pytest.raises(DomainError):
-        back_project_pixel(0, 0, -1.0, UNIT_K, IDENTITY)
+        reconstruct_point_cloud(np.array([-1.0]), UNIT_K, IDENTITY, pixel)
 
 
 def test_project_principal_point():
@@ -74,7 +93,7 @@ def test_project_principal_point():
 
 
 def test_behind_camera_error():
-    with pytest.raises(BehindCameraError):
+    with pytest.raises(DomainError):
         project_point(np.array([0.0, 0.0, -1.0]), UNIT_K, IDENTITY)
 
 
@@ -88,17 +107,16 @@ def test_round_trip_random_cameras():
             cx=rng.uniform(-20, 20),
             cy=rng.uniform(-20, 20),
         )
-        u, v = rng.uniform(-50, 50, size=2)
+        u, v = rng.integers(-50, 50, size=2)
         d = rng.uniform(0.1, 20.0)
-        p = back_project_pixel(u, v, d, K, pose)
-        u2, v2, d2 = project_point(p, K, pose)
+        u2, v2, d2 = project_point(lift(u, v, d, K, pose), K, pose)
         assert abs(u2 - u) < 1e-9 and abs(v2 - v) < 1e-9 and abs(d2 - d) < 1e-9
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    u=st.floats(-30, 30),
-    v=st.floats(-30, 30),
+    u=st.integers(-30, 30),
+    v=st.integers(-30, 30),
     d=st.floats(0.1, 20.0),
     seed=st.integers(0, 10_000),
 )
@@ -107,7 +125,7 @@ def test_round_trip_property(u, v, d, seed):
     pose = random_pose(rng)
     K = CameraIntrinsics(fx=rng.uniform(0.5, 50), fy=rng.uniform(0.5, 50),
                          cx=rng.uniform(-5, 5), cy=rng.uniform(-5, 5))
-    u2, v2, d2 = project_point(back_project_pixel(u, v, d, K, pose), K, pose)
+    u2, v2, d2 = project_point(lift(u, v, d, K, pose), K, pose)
     assert abs(u2 - u) < 1e-9 and abs(v2 - v) < 1e-9 and abs(d2 - d) < 1e-9
 
 
@@ -115,59 +133,63 @@ def test_world_frame_consistency():
     rng = np.random.default_rng(1)
     pose = random_pose(rng)
     for _ in range(100):
-        u, v = rng.uniform(-10, 10, size=2)
+        u, v = rng.integers(-10, 10, size=2)
         d = rng.uniform(0.1, 20.0)
-        p_world = back_project_pixel(u, v, d, UNIT_K, pose)
+        p_world = lift(u, v, d, UNIT_K, pose)
         p_cam = pose.rotation.T @ (p_world - pose.translation)
-        p_identity = back_project_pixel(u, v, d, UNIT_K, IDENTITY)
+        p_identity = lift(u, v, d, UNIT_K, IDENTITY)
         np.testing.assert_allclose(p_cam, p_identity, atol=1e-9)
 
 
 def test_reconstruct_2x2_hand_case():
-    depth = DepthMap(np.ones((2, 2)))
-    cloud = reconstruct_point_cloud(depth, UNIT_K, IDENTITY)
-    np.testing.assert_array_equal(
-        cloud.points, [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]]
-    )
-    np.testing.assert_array_equal(
-        cloud.source_pixels, [[0, 0], [1, 0], [0, 1], [1, 1]]
-    )
+    points = reconstruct_map(np.ones((2, 2)), UNIT_K, IDENTITY)
+    np.testing.assert_array_equal(points, [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]])
 
 
 def test_reconstruct_skips_sentinels():
     values = np.array([[1.0, 0.0], [0.0, 2.0]])
-    cloud = reconstruct_point_cloud(DepthMap(values), UNIT_K, IDENTITY)
-    assert len(cloud) == 2
-    np.testing.assert_array_equal(cloud.source_pixels, [[0, 0], [1, 1]])
+    points = reconstruct_map(values, UNIT_K, IDENTITY)
+    np.testing.assert_array_equal(points, [[0, 0, 1], [2, 2, 2]])
 
 
 def test_all_sentinels_empty_cloud():
-    cloud = reconstruct_point_cloud(DepthMap(np.zeros((3, 3))), UNIT_K, IDENTITY)
-    assert len(cloud) == 0
+    points = reconstruct_map(np.zeros((3, 3)), UNIT_K, IDENTITY)
+    assert points.shape == (0, 3)
 
 
 def test_point_count_equals_valid_pixels():
     rng = np.random.default_rng(2)
     values = rng.uniform(0.0, 5.0, size=(8, 8))
     values[values < 2.0] = 0.0
-    cloud = reconstruct_point_cloud(DepthMap(values), UNIT_K, IDENTITY)
-    assert len(cloud) == int((values > 0).sum())
+    points = reconstruct_map(values, UNIT_K, IDENTITY)
+    assert len(points) == int((values > 0).sum())
+
+
+def test_reconstruct_matches_pixel_oracle_under_random_cameras():
+    rng = np.random.default_rng(3)
+    values = rng.uniform(0.0, 5.0, size=(6, 7))
+    values[values < 1.0] = 0.0
+    pose = random_pose(rng)
+    K = CameraIntrinsics(fx=30.0, fy=25.0, cx=3.0, cy=2.5)
+    points = reconstruct_map(values, K, pose)
+    vv, uu = np.nonzero(values)
+    want = [back_project_pixel(u, v, values[v, u], K, pose) for u, v in zip(uu, vv)]
+    np.testing.assert_allclose(points, want, rtol=0, atol=1e-12)
 
 
 def test_reconstruct_at_pixels_hand_case():
     # Depths given at (u, v) pixels, in that order; the zero one is skipped.
     pixels = np.array([[1, 1], [0, 0], [1, 0]])
-    cloud = reconstruct_point_cloud(np.array([2.0, 0.0, 1.0]), UNIT_K, IDENTITY,
-                                    pixels=pixels)
-    np.testing.assert_array_equal(cloud.points, [[2, 2, 2], [1, 0, 1]])
-    np.testing.assert_array_equal(cloud.source_pixels, [[1, 1], [1, 0]])
+    points = reconstruct_point_cloud(np.array([2.0, 0.0, 1.0]), UNIT_K, IDENTITY,
+                                     pixels)
+    np.testing.assert_array_equal(points, [[2, 2, 2], [1, 0, 1]])
 
 
 @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
 def test_reconstruct_at_pixels_rejects_bad_depth(bad):
     with pytest.raises(DomainError):
         reconstruct_point_cloud(np.array([1.0, bad]), UNIT_K, IDENTITY,
-                                pixels=np.array([[0, 0], [1, 0]]))
+                                np.array([[0, 0], [1, 0]]))
 
 
 def test_invalid_rotation_rejected():
@@ -177,7 +199,3 @@ def test_invalid_rotation_rejected():
     with pytest.raises(ConfigurationError):
         CameraPose(reflect, np.zeros(3))
 
-
-def test_negative_depth_map_rejected():
-    with pytest.raises(DomainError):
-        DepthMap(np.array([[1.0, -0.5]]))

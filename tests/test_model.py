@@ -5,7 +5,7 @@ from ormllm import tensor as T
 from ormllm import vocab as V
 from ormllm.errors import CompatibilityError, ConfigurationError, ContractError
 from ormllm.fusion import FusionConfig, project_image_tokens, project_pc_tokens
-from ormllm.geometry import DepthMap, PointCloud, reconstruct_point_cloud
+from ormllm.geometry import reconstruct_point_cloud
 from ormllm.model import (
     DEPTH_SCALE,
     MAX_ENCODED_POINTS,
@@ -61,7 +61,7 @@ SEGMENT_EXPECT = {
 def test_variant_assembles_expected_segments(bundle, variant):
     model = Model.build(model_cfg(variant, len(bundle.vocab)), seed=3)
     sample = bundle.samples[0]
-    seq = model.assemble(sample, [V.BOS, 5, 6])
+    seq = model.assemble(model.modality_tokens_batch([sample])[0], [V.BOS, 5, 6])
     seen = tuple(dict.fromkeys(seq.tags))
     assert seen == SEGMENT_EXPECT[variant]
     n_img = 16  # (16/4)^2 patches
@@ -94,7 +94,8 @@ def test_surviving_segment_order_is_stable(bundle):
     order = ("image", "seg", "pc", "prompt")
     for variant in VARIANTS:
         model = Model.build(model_cfg(variant, len(bundle.vocab)), seed=1)
-        seq = model.assemble(bundle.samples[0], [V.BOS])
+        (modalities,) = model.modality_tokens_batch(bundle.samples[:1])
+        seq = model.assemble(modalities, [V.BOS])
         positions = [order.index(t) for t in seq.tags if t in order]
         assert positions == sorted(positions), variant
 
@@ -212,8 +213,8 @@ def test_tokens_from_percepts_equal_tokens_without_them(bundle, variant):
 def test_modality_tokens_deterministic(bundle):
     model = Model.build(model_cfg("full", len(bundle.vocab)), seed=4)
     s = bundle.samples[1]
-    a = model.modality_tokens(s)
-    b = model.modality_tokens(s)
+    (a,) = model.modality_tokens_batch([s])
+    (b,) = model.modality_tokens_batch([s])
     assert a.img_toks.data.tobytes() == b.img_toks.data.tobytes()
     assert a.pc_toks.data.tobytes() == b.pc_toks.data.tobytes()
 
@@ -222,14 +223,14 @@ def test_pseudo_modalities_come_from_rgb_only(bundle):
     # Corrupting ground-truth depth/seg must not change the assembled tokens.
     model = Model.build(model_cfg("full", len(bundle.vocab)), seed=5)
     s = bundle.samples[0]
-    before = model.modality_tokens(s)
+    (before,) = model.modality_tokens_batch([s])
     s2 = type(s)(
         scene_id=s.scene_id, view_id=s.view_id, rgb=s.rgb,
         depth=np.maximum(s.depth * 0.5, 0.0), seg=np.ones_like(s.seg),
         K=s.K, pose=s.pose, triples=s.triples, description=s.description,
         qa=s.qa,
     )
-    after = model.modality_tokens(s2)
+    (after,) = model.modality_tokens_batch([s2])
     assert before.img_toks.data.tobytes() == after.img_toks.data.tobytes()
     assert before.seg_toks.data.tobytes() == after.seg_toks.data.tobytes()
     assert before.pc_toks.data.tobytes() == after.pc_toks.data.tobytes()
@@ -238,16 +239,25 @@ def test_pseudo_modalities_come_from_rgb_only(bundle):
 # --- the modality path against whole-map composition -------------------------
 
 
-def subsample_cloud(cloud, max_points):
-    """Stride subsampling of a cloud to at most max_points points, as the
-    point path bounded the cloud of every valid pixel before it read the
-    depth on a raster."""
-    n = len(cloud)
+def whole_map_cloud(depth, K, pose):
+    """Oracle: the cloud of every valid (positive) pixel of a depth map
+    [H, W] in raster order, as world points [N, 3] and their (u, v) pixels
+    [N, 2]."""
+    vv, uu = np.nonzero(depth > 0)
+    d = depth[vv, uu]
+    cam = np.stack([(uu - K.cx) / K.fx * d, (vv - K.cy) / K.fy * d, d], axis=1)
+    return cam @ pose.rotation.T + pose.translation, np.stack([uu, vv], axis=1)
+
+
+def subsample_cloud(points, pixels, max_points):
+    """Stride subsampling of a cloud (points and their pixels) to at most
+    max_points points, as the point path bounded the cloud of every valid
+    pixel before it read the depth on a raster."""
+    n = len(points)
     if n <= max_points:
-        return cloud
+        return points, pixels
     stride = int(np.ceil(n / max_points))
-    return PointCloud(points=cloud.points[::stride],
-                      source_pixels=cloud.source_pixels[::stride])
+    return points[::stride], pixels[::stride]
 
 
 def downsample_map(map_ids, grid):
@@ -296,8 +306,8 @@ def whole_map_bundles(model, samples):
     if spec.pc == "points":
         feats = []
         for b, s in enumerate(samples):
-            cloud = subsample_cloud(reconstruct_point_cloud(DepthMap(depth[b]), s.K, s.pose),
-                                    MAX_ENCODED_POINTS)
+            cloud, _ = subsample_cloud(*whole_map_cloud(depth[b], s.K, s.pose),
+                                       MAX_ENCODED_POINTS)
             feats.append(encode_point_cloud(cloud, params) if len(cloud) else None)
         pc = [t.data for t in project_pc_tokens(feats, params, fcfg)]
     elif spec.pc == "depth_patches":
@@ -354,11 +364,11 @@ def test_subsample_cloud_deterministic_and_bounded():
         np.testing.assert_array_equal(raster, cloud_raster(side))
         depth = np.random.default_rng(side).uniform(0.5, 4.0, (side, side))
         uv = np.stack([raster % side, raster // side], axis=1)
-        got = reconstruct_point_cloud(depth.reshape(-1)[raster], s.K, s.pose, pixels=uv)
-        want = subsample_cloud(reconstruct_point_cloud(DepthMap(depth), s.K, s.pose),
-                               MAX_ENCODED_POINTS)
-        assert got.points.tobytes() == want.points.tobytes()
-        np.testing.assert_array_equal(got.source_pixels, want.source_pixels)
+        got = reconstruct_point_cloud(depth.reshape(-1)[raster], s.K, s.pose, uv)
+        want, want_pixels = subsample_cloud(*whole_map_cloud(depth, s.K, s.pose),
+                                            MAX_ENCODED_POINTS)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(uv, want_pixels)
 
 
 def test_raster_cloud_drops_zero_depth_pixels():
@@ -369,15 +379,13 @@ def test_raster_cloud_drops_zero_depth_pixels():
     depth = np.random.default_rng(3).uniform(0.5, 4.0, (32, 32))
     depth.reshape(-1)[raster[5]] = 0.0
     uv = np.stack([raster % 32, raster // 32], axis=1)
-    cloud = reconstruct_point_cloud(depth.reshape(-1)[raster], s.K, s.pose, pixels=uv)
+    cloud = reconstruct_point_cloud(depth.reshape(-1)[raster], s.K, s.pose, uv)
     keep = np.delete(np.arange(len(raster)), 5)
-    np.testing.assert_array_equal(cloud.source_pixels, uv[keep])
-    whole = reconstruct_point_cloud(DepthMap(depth), s.K, s.pose)
-    at = {tuple(p): i for i, p in enumerate(whole.source_pixels)}
-    np.testing.assert_array_equal(cloud.points,
-                                  whole.points[[at[tuple(p)] for p in uv[keep]]])
-    strided = subsample_cloud(whole, MAX_ENCODED_POINTS)
-    assert not np.array_equal(strided.source_pixels, cloud.source_pixels)
+    whole, whole_pixels = whole_map_cloud(depth, s.K, s.pose)
+    at = {tuple(p): i for i, p in enumerate(whole_pixels)}
+    np.testing.assert_array_equal(cloud, whole[[at[tuple(p)] for p in uv[keep]]])
+    _, strided_pixels = subsample_cloud(whole, whole_pixels, MAX_ENCODED_POINTS)
+    assert not np.array_equal(strided_pixels, uv[keep])
 
 
 def test_vocab_check(bundle):

@@ -275,7 +275,7 @@ def test_attention_node_cached_chunks_bytes_match_composed(chunks, batch):
 def block_grads(forward, params, x0, w):
     x = Tensor(x0, requires_grad=True)
     params.zero_grads()
-    T.backward(T.sum_(forward(x) * T.constant(w)), params.tensors())
+    T.backward(T.sum_(forward(x) * T.constant(w)))
     return x.grad, {name: params[name].grad.copy() for name in params.names()}
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ormllm.errors import DataParseError
-from ormllm.geometry import back_project_pixel
+from ormllm.geometry import reconstruct_point_cloud
 from ormllm.scenegen import (
     CLASS_ID,
     REL_MARGIN,
@@ -174,8 +174,10 @@ def test_rendering_consistency_invariant():
         boxes = {e.color_id: e.box for e in sc.entities}
         for s in render_views(sc, 2, 32):
             vv, uu = np.nonzero(s.depth > 0)
-            for v, u in zip(vv[::7], uu[::7]):
-                p = back_project_pixel(u, v, s.depth[v, u], s.K, s.pose)
+            vv, uu = vv[::7], uu[::7]
+            points = reconstruct_point_cloud(s.depth[vv, uu], s.K, s.pose,
+                                             np.stack([uu, vv], axis=1))
+            for v, u, p in zip(vv, uu, points):
                 box = boxes[s.seg[v, u]]
                 assert (p >= box.lo - 1e-6).all() and (p <= box.hi + 1e-6).all()
 

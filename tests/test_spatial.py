@@ -9,8 +9,8 @@ from ormllm.errors import (
     EmptyDomainError,
     EmptyInputError,
 )
+from ormllm.fusion import FusionConfig, build_fusion_params, project_image_tokens
 from ormllm.gradcheck import finite_diff_grad_check
-from ormllm.geometry import PointCloud
 from ormllm.nn import ModelParams, mlp_forward
 from ormllm.model import cloud_raster
 from ormllm.spatial import (
@@ -18,7 +18,6 @@ from ormllm.spatial import (
     build_spatial_params,
     cell_centres,
     conv1x1,
-    depth_forward,
     depth_head_forward,
     depth_loss,
     encode_point_cloud,
@@ -45,7 +44,14 @@ def tiny_params(seed=0, **kw):
 
 
 def random_image(seed=0, size=8):
-    return np.random.default_rng(seed).uniform(0.0, 1.0, size=(size, size, 3))
+    """One image as a batch of one, [1, size, size, 3]."""
+    return np.random.default_rng(seed).uniform(0.0, 1.0, size=(1, size, size, 3))
+
+
+def depth_forward(images, params, cfg=TINY):
+    """Encoder plus depth decoder: depth [B, H, W] of images [B, H, W, 3]."""
+    grid = tokens_to_grid(encoder_forward(images, params, cfg), cfg)
+    return depth_head_forward(grid, params, cfg)
 
 
 # --- depth forward -----------------------------------------------------------
@@ -53,32 +59,60 @@ def random_image(seed=0, size=8):
 
 def test_depth_output_shape_and_positivity():
     params = tiny_params()
-    d = depth_forward(random_image(), params, TINY)
-    assert d.shape == (8, 8)
+    d = depth_forward(random_image(), params)
+    assert d.shape == (1, 8, 8)
     assert (d.data > 0).all()
 
 
 def test_depth_forward_deterministic():
     params = tiny_params()
     img = random_image(1)
-    a = depth_forward(img, params, TINY)
-    b = depth_forward(img, params, TINY)
+    a = depth_forward(img, params)
+    b = depth_forward(img, params)
     assert a.data.tobytes() == b.data.tobytes()
 
 
-def test_depth_forward_batched_matches_single():
+def test_depth_forward_batch_rows_match_batches_of_one():
     params = tiny_params()
-    imgs = np.stack([random_image(2), random_image(3)])
-    batched = depth_forward(imgs, params, TINY)
+    imgs = np.concatenate([random_image(2), random_image(3)])
+    batched = depth_forward(imgs, params)
     for i in range(2):
-        single = depth_forward(imgs[i], params, TINY)
-        np.testing.assert_allclose(batched.data[i], single.data, atol=1e-12)
+        alone = depth_forward(imgs[i:i + 1], params)
+        np.testing.assert_allclose(batched.data[i], alone.data[0], atol=1e-12)
 
 
 def test_depth_forward_shape_error():
     params = tiny_params()
     with pytest.raises(DimensionError):
-        depth_forward(np.zeros((4, 4, 3)), params, TINY)
+        depth_forward(np.zeros((1, 4, 4, 3)), params)
+
+
+def _unbatched_calls():
+    """Each forward with one item and with a batch of it: an image
+    [8, 8, 3], or seg logits [K, 8, 8] with their ids [8, 8]."""
+    params = tiny_params()
+    fcfg = FusionConfig(d_token=8, lm_layers=1, lm_heads=2, vocab_size=8,
+                        max_seq_len=16, image_patch=4)
+    build_fusion_params(params, fcfg, TINY, np.random.default_rng(1))
+    img = random_image()[0]
+    logits, ids = np.zeros((3, 8, 8)), np.ones((8, 8), dtype=np.int64)
+    return {
+        "encoder_forward": lambda b: encoder_forward(img[None] if b else img,
+                                                     params, TINY),
+        "project_image_tokens": lambda b: project_image_tokens(
+            img[None] if b else img, params, fcfg),
+        "seg_loss": lambda b: seg_loss(T.constant(logits[None] if b else logits),
+                                       ids[None] if b else ids, TINY),
+    }
+
+
+@pytest.mark.parametrize("name",
+                         ["encoder_forward", "project_image_tokens", "seg_loss"])
+def test_unbatched_input_is_a_dimension_error(name):
+    call = _unbatched_calls()[name]
+    call(True)
+    with pytest.raises(DimensionError):
+        call(False)
 
 
 # --- depth loss --------------------------------------------------------------
@@ -140,10 +174,10 @@ def test_depth_loss_gradcheck_through_network():
     params = tiny_params()
     img = random_image(4)
     rng = np.random.default_rng(5)
-    gt = rng.uniform(0.5, 3.0, (8, 8))
+    gt = rng.uniform(0.5, 3.0, (1, 8, 8))
 
     def f():
-        return depth_loss(depth_forward(img, params, TINY), gt, TINY)
+        return depth_loss(depth_forward(img, params), gt, TINY)
 
     reports = finite_diff_grad_check(f, params, tol=1e-4, coords_per_tensor=6,
                                      names=[n for n in params.names() if "pc" not in n and "seg" not in n and "region" not in n])
@@ -351,7 +385,7 @@ def test_seg_loss_matches_scratch_oracle():
     rng = np.random.default_rng(8)
     logits = rng.normal(size=(3, 4, 4))
     gt = rng.integers(1, 4, size=(4, 4))
-    got = float(seg_loss(T.constant(logits), gt, TINY).data)
+    got = float(seg_loss(T.constant(logits[None]), gt[None], TINY).data)
     np.testing.assert_allclose(got, seg_loss_oracle(logits, gt, TINY.lambda_dice), atol=1e-12)
 
 
@@ -362,7 +396,7 @@ def test_seg_loss_saturating_logits_approach_zero():
         for v in range(2):
             for u in range(2):
                 logits[gt[v, u] - 1, v, u] = M
-        assert float(seg_loss(T.constant(logits), gt, TINY).data) < bound
+        assert float(seg_loss(T.constant(logits[None]), gt[None], TINY).data) < bound
 
 
 def test_seg_loss_uniform_logits_balanced_binary_ce_is_ln2():
@@ -370,29 +404,26 @@ def test_seg_loss_uniform_logits_balanced_binary_ce_is_ln2():
         image_size=8, encoder_blocks=1, encoder_dim=8, encoder_heads=2,
         encoder_patch=2, depth_decoder_stages=1, seg_classes=2, lambda_dice=0.0,
     )
-    gt = np.array([[1, 2], [2, 1]])
-    loss = seg_loss(T.constant(np.zeros((2, 2, 2))), gt, cfg)
+    gt = np.array([[[1, 2], [2, 1]]])
+    loss = seg_loss(T.constant(np.zeros((1, 2, 2, 2))), gt, cfg)
     np.testing.assert_allclose(float(loss.data), np.log(2.0), atol=1e-12)
 
 
 def test_seg_loss_rejects_out_of_range_ids():
     with pytest.raises(DomainError):
-        seg_loss(T.constant(np.zeros((3, 2, 2))), np.array([[0, 1], [1, 2]]), TINY)
+        seg_loss(T.constant(np.zeros((1, 3, 2, 2))), np.array([[[0, 1], [1, 2]]]), TINY)
     with pytest.raises(DomainError):
-        seg_loss(T.constant(np.zeros((3, 2, 2))), np.array([[4, 1], [1, 2]]), TINY)
+        seg_loss(T.constant(np.zeros((1, 3, 2, 2))), np.array([[[4, 1], [1, 2]]]), TINY)
 
 
 def test_seg_loss_gradcheck_through_network():
     params = tiny_params()
     img = random_image(9)
-    gt = np.random.default_rng(10).integers(1, 4, size=(8, 8))
+    gt = np.random.default_rng(10).integers(1, 4, size=(1, 8, 8))
 
     def f():
-        grid_tokens = encoder_forward(img, params, TINY)
-        from ormllm.spatial import seg_head_forward, tokens_to_grid
-
-        logits = seg_head_forward(tokens_to_grid(grid_tokens, TINY), params, TINY)
-        return seg_loss(T.reshape(logits, logits.shape[1:]), gt, TINY)
+        grid = tokens_to_grid(encoder_forward(img, params, TINY), TINY)
+        return seg_loss(seg_head_forward(grid, params, TINY), gt, TINY)
 
     names = [n for n in params.names() if "pc" not in n and "depth" not in n and "region" not in n]
     reports = finite_diff_grad_check(f, params, tol=1e-4, coords_per_tensor=6, names=names)
@@ -529,7 +560,7 @@ def test_point_encoder_single_point_is_mlp_output():
 def test_point_encoder_empty_cloud_error():
     params = tiny_params()
     with pytest.raises(EmptyInputError):
-        encode_point_cloud(PointCloud(np.zeros((0, 3)), np.zeros((0, 2))), params)
+        encode_point_cloud(np.zeros((0, 3)), params)
 
 
 def test_point_encoder_feature_width():

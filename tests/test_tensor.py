@@ -512,11 +512,12 @@ def test_backward_deterministic_bit_identical():
     assert grads[0].tobytes() == grads[1].tobytes()
 
 
-def test_unreachable_param_gets_zero_grad():
+def test_unreachable_leaf_keeps_grad_none():
     a = Tensor(np.ones(3), requires_grad=True)
     b = Tensor(np.ones(3), requires_grad=True)
-    T.backward(T.sum_(a * a), params=[a, b])
-    np.testing.assert_array_equal(b.grad, np.zeros(3))
+    T.backward(T.sum_(a * a))
+    np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
+    assert b.grad is None
 
 
 def test_no_grad_disables_recording():

@@ -1,4 +1,5 @@
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -324,13 +325,18 @@ def tiny_model(bundle, variant="full"):
     return Model.build(cfg, seed=1)
 
 
+def values(params):
+    """A copy of every parameter's values, by name."""
+    return {name: t.data.copy() for name, t in params.items()}
+
+
 def test_zero_epochs_is_a_no_op(tiny_data):
     model = tiny_model(tiny_data)
     data = make_stage1_records(tiny_data.samples, tiny_data.vocab)
-    before = model.params.copy_values()
+    before = values(model.params)
     result = train_stage(data, model, TrainConfig(stage=1, epochs=0))
     assert result.rows == [] and result.epoch_means == []
-    after = model.params.copy_values()
+    after = values(model.params)
     assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
@@ -344,7 +350,8 @@ def test_stage_mismatch_contract_error(tiny_data):
 def test_stage1_deterministic_and_loss_drops(tiny_data):
     def run():
         model = tiny_model(tiny_data)
-        data = make_stage1_records(tiny_data.samples, tiny_data.vocab, limit=40)
+        data = make_stage1_records(tiny_data.samples, tiny_data.vocab)
+        data = replace(data, records=data.records[:40])
         cfg = TrainConfig(stage=1, epochs=8, batch_size=8, warmup_steps=4,
                           lr_lm=3e-3, seed=9)
         result = train_stage(data, model, cfg)
@@ -362,7 +369,8 @@ def test_stage1_leaves_vision_untouched(tiny_data):
     model = tiny_model(tiny_data)
     frozen_before = {n: model.params[n].data.copy() for n in model.params.names()
                      if not n.startswith("lm.")}
-    data = make_stage1_records(tiny_data.samples, tiny_data.vocab, limit=16)
+    data = make_stage1_records(tiny_data.samples, tiny_data.vocab)
+    data = replace(data, records=data.records[:16])
     train_stage(data, model, TrainConfig(stage=1, epochs=1, warmup_steps=0))
     for name, before in frozen_before.items():
         assert model.params[name].data.tobytes() == before.tobytes(), name
@@ -377,7 +385,7 @@ STAGE2_MOVED = ("spatial.encoder", "spatial.depth", "spatial.seg", "spatial.regi
 
 def test_stage2_runs_and_freezes_lm(tiny_data):
     model = tiny_model(tiny_data)
-    before = model.params.copy_values()
+    before = values(model.params)
     data = make_stage2_records(tiny_data.samples, tiny_data.vocab,
                                qa_per_sample=1, seed=3)
     cfg = TrainConfig(stage=2, epochs=1, batch_size=4, warmup_steps=0,
@@ -414,11 +422,11 @@ def test_fusion_phase_leaves_perception_as_the_vfm_phase_left_it(tiny_data):
 
     def run(variant):
         model = tiny_model(tiny_data, variant)
-        before, after_vfm, vfm_rows = model.params.copy_values(), {}, []
+        before, after_vfm, vfm_rows = values(model.params), {}, []
 
         def log(row):
             if row.stage == "2vfm":
-                after_vfm.update(model.params.copy_values())
+                after_vfm.update(values(model.params))
                 vfm_rows.append(row.format())
 
         result = train_stage(data, model, cfg, log=log)
@@ -579,9 +587,8 @@ def padded_batch_stage2(model, data, records, cfg):
         [data.samples[i] for i in indices])))
     seqs, poss, metas, v_feats, starts = [], [], [], [], []
     for rec in records:
-        sample, bundle = data.samples[rec.sample_index], bundles[rec.sample_index]
-        seq = model.assemble(sample, rec.prompt_ids,
-                             [V.BOS] + rec.answer_ids + [V.EOS], bundle=bundle)
+        bundle = bundles[rec.sample_index]
+        seq = model.assemble(bundle, rec.prompt_ids, [V.BOS] + rec.answer_ids + [V.EOS])
         start = seq.segment_start("prompt")
         seqs.append(seq.tokens)
         poss.append(seq.positions)
@@ -607,8 +614,8 @@ def loss_and_grads(model, make_losses):
     model.params.zero_grads()
     losses = make_losses()
     total = losses[0] if len(losses) == 1 else stage2_loss(losses[0], losses[1], 0.1)
-    T.backward(total, model.params.tensors())
-    grads = {n: model.params[n].grad.copy() for n in model.params.names()}
+    T.backward(total)
+    grads = {n: t.grad.copy() for n, t in model.params.items() if t.grad is not None}
     return [l.data.copy() for l in losses], grads
 
 
@@ -712,7 +719,8 @@ def test_pad_stack_tail_padding_leaves_real_rows_unchanged(tiny_data):
                                    [s.positions for s in seqs])
     padded = lm_forward(tokens, model.params, model.cfg.fusion, positions=positions).data
     for b, seq in enumerate(seqs):
-        alone = lm_forward(seq, model.params, model.cfg.fusion).data
+        alone = lm_forward(seq.tokens, model.params, model.cfg.fusion,
+                           seq.positions).data
         np.testing.assert_allclose(padded[b, : alone.shape[0]], alone,
                                    rtol=0, atol=1e-12)
 
