@@ -34,7 +34,7 @@ from .errors import (
     SequenceLengthError,
 )
 from .evaluate import TASKS, EvalConfig, evaluate
-from .fusion import FusionConfig, answer_loss, lm_forward
+from .fusion import FusionConfig, answer_loss, build_input_sequence, lm_forward
 from .gradcheck import finite_diff_grad_check
 from .model import Model, ModelConfig, build_model_params
 from .nn import ModelParams
@@ -351,10 +351,15 @@ def _gradcheck_suite(seed: int, corrupt: bool):
         targets[len(prompt) + i] = tok
         mask[len(prompt) + i] = True
 
-    def f_answer():
-        seq = model.text_sequence(prompt, [V.BOS] + answer + [V.EOS])
+    def text_answer_loss():
+        seq = build_input_sequence(None, None, None, prompt, params, fcfg,
+                                   answer_ids=[V.BOS] + answer + [V.EOS],
+                                   layout=model.layout)
         logits = lm_forward(seq.tokens, params, fcfg, seq.positions)
-        return maybe_corrupt(answer_loss(logits, targets, mask))
+        return answer_loss(logits, targets, mask)
+
+    def f_answer():
+        return maybe_corrupt(text_answer_loss())
 
     cparams = ModelParams()
     cparams.add("v_feat", rng.normal(size=(3, 16)))
@@ -366,9 +371,7 @@ def _gradcheck_suite(seed: int, corrupt: bool):
         )
 
     def f_stage2():
-        seq = model.text_sequence(prompt, [V.BOS] + answer + [V.EOS])
-        logits = lm_forward(seq.tokens, params, fcfg, seq.positions)
-        lm = answer_loss(logits, targets, mask)
+        lm = text_answer_loss()
         contrast = contrastive_loss(cparams["v_feat"], cparams["t_feat"], 0.07)
         return maybe_corrupt(stage2_loss(lm, contrast, 0.1))
 

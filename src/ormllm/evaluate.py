@@ -4,19 +4,23 @@ Each sample's modality tokens are computed once and shared by all of its
 prompts, and so are the LM keys and values of that modality prefix: the
 slot layout gives every prompt of a sample the same prefix rows at the same
 positions, so each decode runs the LM only on its prompt, BOS and the
-tokens it generates. Decoding is greedy, so identical inputs yield
-identical reports. A decode drafts and verifies: it guesses the next few
-ids, checks the guess and the next choice in one cached LM call, keeps the
-longest correct part and rolls the K/V cache back over the rest
-(fusion.decode_answer). The guess copies what followed the longest match
-of the decode's recent ids in two sources: the ids of every decode this
-evaluate() call has finished (one DecodeStream per call), and the
-decode's own prompt and output so far. Templated questions recur
-across samples, and a model tends to write much the same scene graph for
-every scene, so most guesses go through and most decodes take a few
-calls. The answers are exactly those of one LM call per token, whatever
-the stream holds, so the report does not depend on the order of the
-samples.
+tokens it generates. A sample makes two decode calls
+(fusion.decode_answer): one for all of its QA prompts and one for its
+scene-graph prompt. The first LM call of a decode call runs all of its
+prompts as one padded batch over the shared prefix; a prompt that has not
+ended then continues alone. Decoding is greedy, so identical inputs yield
+identical reports. Each step drafts and verifies: it guesses a prompt's
+next few ids, checks the guess and the next choice in one cached LM call,
+keeps the longest correct part and rolls the K/V cache back over the
+rest. The guess copies what followed the longest match of the prompt's
+recent ids in two sources: the ids of every decode call this evaluate()
+call has finished (one DecodeStream per call, to which each decode call
+appends its prompts' ids in prompt order), and the prompt's own ids and
+output so far. Templated questions recur across samples, and a model
+tends to write much the same scene graph for every scene, so most
+guesses go through and most prompts take a few LM calls. The answers are
+exactly those of one LM call per token, whatever the stream holds, so the
+report does not depend on the order of the samples.
 """
 
 from __future__ import annotations
@@ -83,31 +87,33 @@ class SampleResult:
 
 def evaluate_sample(model: Model, vocab: Vocabulary, sample: Sample,
                     cfg: EvalConfig, stream: DecodeStream | None = None) -> SampleResult:
-    """Decodes and pairs one sample's answers. Its decodes draft from, and
-    append to, `stream`; None gives the sample an empty one."""
+    """Decodes and pairs one sample's answers, in one decode call for its
+    QA prompts and one for its scene-graph prompt, both over one cache of
+    its modality prefix. The calls draft from, and append to, `stream`;
+    None gives the sample an empty one."""
     if stream is None:
         stream = DecodeStream()
     with T.no_grad():
         bundle = model.modality_tokens_batch([sample])[0]
-        past = None
+        qa = [model.assemble(bundle, qa_prompt_ids(vocab, question))
+              for question, _ in sample.qa] if "qa" in cfg.tasks else []
+        sgg = [model.assemble(bundle, [V.SGG_TASK])] if "sgg" in cfg.tasks else []
+        prefixes = qa + sgg
+        past = prefix_cache(prefixes[0], prefixes[0].segment_start("prompt"),
+                            model.params, model.cfg.fusion) if prefixes else None
 
-        def decode(prompt_ids, max_new: int) -> list[int]:
-            nonlocal past
-            prefix = model.assemble(bundle, prompt_ids)
-            if past is None:
-                past = prefix_cache(prefix, prefix.segment_start("prompt"),
-                                    model.params, model.cfg.fusion)
-            return decode_answer(prefix, model.params, model.cfg.fusion,
+        def decode(prefixes, max_new: int) -> list[list[int]]:
+            return decode_answer(prefixes, model.params, model.cfg.fusion,
                                  max_new=max_new, past=past, stream=stream)
 
         qa_items = []
-        if "qa" in cfg.tasks:
-            for question, answers in sample.qa:
-                out = decode(qa_prompt_ids(vocab, question), cfg.max_new_qa)
-                qa_items.append((vocab.decode(out), list(answers)))
+        if qa:
+            qa_items = [(vocab.decode(out), list(answers))
+                        for out, (_, answers) in zip(decode(qa, cfg.max_new_qa),
+                                                     sample.qa)]
         sgg_pair = None
-        if "sgg" in cfg.tasks:
-            out = decode([V.SGG_TASK], cfg.max_new_sgg)
+        if sgg:
+            out, = decode(sgg, cfg.max_new_sgg)
             sgg_pair = (parse_triples(vocab.decode(out)), set(sample.triples))
     return SampleResult(qa_items=qa_items, sgg_pair=sgg_pair)
 

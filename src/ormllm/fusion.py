@@ -200,33 +200,38 @@ def build_input_sequence(img_toks, seg_toks, pc_toks, prompt_ids,
     """Concatenates modality segments with embedded prompt (and optional
     answer) ids in the fixed order. The variant's row says which of the seg
     and pc slots are filled (the image slot always is); the caller supplies
-    their content. Every token gets its positional slot from the layout:
-    region tokens at their class ids' slots when seg_class_ids are given,
+    their content. With img_toks None the sequence is text only (stage-1
+    records): no modality segment, whatever the variant. Every token gets
+    its positional slot from the layout: region tokens at their class ids'
+    slots when seg_class_ids are given, the prompt from layout.prompt_base,
     the answer right after the prompt.
     """
     spec = variant_spec(variant)
-    parts: list[Tensor] = [img_toks]
-    tags: list[str] = ["image"] * img_toks.shape[0]
-    positions: list[int] = list(range(layout.img_base,
-                                      layout.img_base + img_toks.shape[0]))
-    if spec.seg is not None:
-        if seg_toks is None:
-            raise ContractError(f"variant {variant!r} requires seg tokens")
-        parts.append(seg_toks)
-        tags += ["seg"] * seg_toks.shape[0]
-        if seg_class_ids is not None:
-            if len(seg_class_ids) != seg_toks.shape[0]:
-                raise ContractError("seg_class_ids length mismatch")
-            positions += [layout.seg_base + int(k) - 1 for k in seg_class_ids]
-        else:
-            positions += list(range(layout.seg_base,
-                                    layout.seg_base + seg_toks.shape[0]))
-    if spec.pc is not None:
-        if pc_toks is None:
-            raise ContractError(f"variant {variant!r} requires pc-slot tokens")
-        parts.append(pc_toks)
-        tags += ["pc"] * pc_toks.shape[0]
-        positions += list(range(layout.pc_base, layout.pc_base + pc_toks.shape[0]))
+    parts: list[Tensor] = []
+    tags: list[str] = []
+    positions: list[int] = []
+    if img_toks is not None:
+        parts.append(img_toks)
+        tags += ["image"] * img_toks.shape[0]
+        positions += list(range(layout.img_base, layout.img_base + img_toks.shape[0]))
+        if spec.seg is not None:
+            if seg_toks is None:
+                raise ContractError(f"variant {variant!r} requires seg tokens")
+            parts.append(seg_toks)
+            tags += ["seg"] * seg_toks.shape[0]
+            if seg_class_ids is not None:
+                if len(seg_class_ids) != seg_toks.shape[0]:
+                    raise ContractError("seg_class_ids length mismatch")
+                positions += [layout.seg_base + int(k) - 1 for k in seg_class_ids]
+            else:
+                positions += list(range(layout.seg_base,
+                                        layout.seg_base + seg_toks.shape[0]))
+        if spec.pc is not None:
+            if pc_toks is None:
+                raise ContractError(f"variant {variant!r} requires pc-slot tokens")
+            parts.append(pc_toks)
+            tags += ["pc"] * pc_toks.shape[0]
+            positions += list(range(layout.pc_base, layout.pc_base + pc_toks.shape[0]))
     prompt_ids = list(prompt_ids)
     if not prompt_ids:
         raise ContractError("prompt must be non-empty")
@@ -372,9 +377,9 @@ CONTEXT = 16
 
 class DecodeStream:
     """Append-only id stream of finished greedy decodes, for drafting (see
-    decode_answer). Each decode appends its prompt ids, BOS and the ids it
-    generated, EOS included, in one call. Memory is one growable int64
-    array."""
+    decode_answer). A decode call appends, for each of its prompts in
+    order and in one append each, the prompt ids, BOS and the ids it
+    generated, EOS included. Memory is one growable int64 array."""
 
     def __init__(self):
         self._ids = np.empty(1024, dtype=np.int64)
@@ -413,88 +418,144 @@ def _suffix_match(text: np.ndarray, key: np.ndarray) -> tuple[int, int]:
     return length, after
 
 
-def decode_answer(seq_prefix: TokenSequence, params: ModelParams, cfg: FusionConfig,
-                  max_new: int = 16, past: KVCache | None = None,
-                  stream: DecodeStream | None = None) -> list[int]:
-    """Greedy autoregressive decoding from an assembled prefix.
+@dataclass
+class _Greedy:
+    """One prompt's decode in progress (see decode_answer): its history
+    (prompt, BOS, the ids chosen so far), its chosen ids, the slot of its
+    BOS, and the embedded rows (with their slots) that its next LM call
+    runs before the draft."""
 
-    Appends BOS, then takes the argmax at each step, ties broken toward the
-    smaller token id. Stops at EOS, after max_new tokens, or at a token
-    whose positional slot would lie outside the embedding table; the
-    returned ids exclude BOS and EOS.
+    history: list[int]
+    ids: list[int]
+    bos_pos: int
+    new: np.ndarray
+    pos: np.ndarray
 
-    The LM runs once on the prefix rows plus BOS, filling a K/V cache, and
-    after that only on rows of generated tokens. `past`, if given, must
-    hold the keys and values of exactly the first past.length rows of
-    seq_prefix at their positions (see prefix_cache); only the rows after
-    them are run. It is not modified: each decode works on a copy. Of the
-    rows a call runs, only those whose choices are read, the last
-    len(draft) + 1, run the last block, lm.ln_f and lm.out; the others
-    run the last block's keys and values only.
 
-    The decode drafts and verifies. The history is the prompt, BOS and
-    the ids generated so far. The draft takes the longest suffix of the
-    history, at most CONTEXT ids, that occurs with a successor in `stream`
-    (the ids of earlier decodes, e.g. of the same evaluation) or earlier in
-    the history, and copies up to DRAFT ids that followed its latest
-    occurrence; on equal match lengths the history wins. It never runs
-    past an EOS (no id after an accepted EOS is used), max_new or the last
-    slot. One cached lm_forward call runs the last
-    generated token (BOS at first) plus the draft, so its rows give the
-    greedy choice after each of them. The longest draft prefix that equals
-    those choices is accepted, followed by the choice at the first mismatch
-    (or after the whole draft); the cache then drops the rows of the
-    rejected ids (KVCache.truncate). Every accepted id is the argmax after
-    exactly its greedy predecessors, so the output is the
-    one-token-per-call greedy output whatever the stream holds, in fewer
-    calls when drafts hit. The stream is read once, when the decode starts;
-    a decode that returns appends its history, EOS included, to it, and one
-    that raises leaves it unchanged.
+def decode_answer(prefixes: list[TokenSequence], params: ModelParams,
+                  cfg: FusionConfig, *, max_new: int = 16,
+                  past: KVCache | None = None,
+                  stream: DecodeStream | None = None) -> list[list[int]]:
+    """Greedy autoregressive decoding of several prompts, one id list per
+    prompt of `prefixes` (assembled sequences that share their first
+    past.length rows); a single decode is a list of one.
+
+    Each decode appends BOS, then takes the argmax at each step, ties
+    broken toward the smaller token id. It stops at EOS, after max_new
+    tokens, or at a token whose positional slot would lie outside the
+    embedding table; the returned ids exclude BOS and EOS.
+
+    `past`, if given, must hold the keys and values of exactly the first
+    past.length rows of every prefix at their positions (see
+    prefix_cache); only the rows after them are run. It is not modified:
+    the decodes work on a copy. The first LM call runs every prompt's new
+    rows (its prefix rows after past, BOS and its draft) as one
+    right-padded batch over `past` broadcast to every prompt (KVCache).
+    A prompt's pad rows come after all of its real rows, so the causal
+    mask alone keeps them out of every real row's view. A prompt that has
+    not ended after that call continues alone, from its own entry of the
+    call's cache cut to the rows it accepted (KVCache.select, truncate),
+    one LM call at a time; the prompts continue in order. Of the rows a
+    call runs, only each prompt's last len(draft) + 1 real rows, whose
+    choices are read, run the last block, lm.ln_f and lm.out (the `rows`
+    window of lm_forward, padded to the longest); the others run the last
+    block's keys and values only.
+
+    Each call drafts and verifies. The draft takes the longest suffix of
+    the history, at most CONTEXT ids, that occurs with a successor in
+    `stream` (the ids of earlier decodes, e.g. of the same evaluation) or
+    earlier in the history, and copies up to DRAFT ids that followed its
+    latest occurrence; on equal match lengths the history wins. It never
+    runs past an EOS (no id after an accepted EOS is used), max_new or
+    the last slot. The call runs the last generated token (BOS at first)
+    plus the draft, so its rows give the greedy choice after each of
+    them. The longest draft prefix that equals those choices is accepted,
+    followed by the choice at the first mismatch (or after the whole
+    draft); the cache then drops the rows of the rejected ids. Every
+    accepted id is the argmax after exactly its greedy predecessors, so
+    each output is the one-token-per-call greedy output whatever the
+    stream holds, in fewer calls when drafts hit. The stream is read
+    once, when the call starts, so the prompts of one call do not draft
+    from each other; a call that returns appends every prompt's history,
+    EOS included, in prompt order, and one that raises leaves it
+    unchanged.
     """
-    if past is not None and not 0 <= past.length <= len(seq_prefix):
-        raise ContractError(
-            f"past covers {past.length} rows of a {len(seq_prefix)}-row prefix"
-        )
-    if max_new <= 0:
-        return []
+    start = 0 if past is None else past.length
+    for seq in prefixes:
+        if start > len(seq):
+            raise ContractError(f"past covers {start} rows of a {len(seq)}-row prefix")
+    if max_new <= 0 or not prefixes:
+        return [[] for _ in prefixes]
     with T.no_grad():
-        start = 0 if past is None else past.length
         wte = params["lm.wte"].data
-        new = np.concatenate([seq_prefix.tokens.data[start:], wte[V.BOS][None]],
-                             axis=0)
-        bos_pos = seq_prefix.next_position()
-        pos = np.append(seq_prefix.positions[start:], bos_pos)
-        cache = KVCache() if past is None else past.copy()
         earlier = np.empty(0, dtype=np.int64) if stream is None else stream.ids()
-        history = list(seq_prefix.prompt_ids) + [V.BOS]
-        ids: list[int] = []
-        while True:
-            # The j-th draft id (from 1) runs as generated token len(ids) + j
-            # at slot bos_pos + len(ids) + j, so it must fit max_new and the
-            # table.
-            limit = min(DRAFT, max_new - len(ids) - 1,
-                        cfg.max_seq_len - 1 - bos_pos - len(ids))
-            draft = _draft(np.array(history, dtype=np.int64), earlier, limit)
-            kept = cache.length + len(new)
-            if draft:
-                new = np.concatenate([new, wte[draft]], axis=0)
-                pos = np.concatenate([pos, pos[-1] + 1 + np.arange(len(draft))])
-            read = np.arange(len(new) - len(draft) - 1, len(new))
-            choices = lm_forward(Tensor(new), params, cfg, positions=pos,
-                                 cache=cache, rows=read).data.argmax(axis=-1)
-            for j, tok in enumerate(choices.tolist()):
-                ids.append(tok)
-                history.append(tok)
-                if (tok == V.EOS or len(ids) == max_new
-                        or bos_pos + len(ids) >= cfg.max_seq_len):
-                    if stream is not None:
-                        stream.append(history)
-                    return ids[:-1] if tok == V.EOS else ids
-                if j == len(draft) or tok != draft[j]:
-                    break
-            cache.truncate(kept + j)
-            new = wte[tok][None]
-            pos = np.array([bos_pos + len(ids)])
+        decodes = [_Greedy(history=list(seq.prompt_ids) + [V.BOS], ids=[],
+                           bos_pos=seq.next_position(),
+                           new=np.concatenate([seq.tokens.data[start:],
+                                               wte[V.BOS][None]], axis=0),
+                           pos=np.append(seq.positions[start:], seq.next_position()))
+                   for seq in prefixes]
+        cache = KVCache() if past is None else past.copy()
+        caches = _verify(decodes, cache, earlier, params, cfg, max_new)
+        for d, own in zip(decodes, caches):
+            while own is not None:
+                own = _verify([d], own, earlier, params, cfg, max_new)[0]
+    if stream is not None:
+        for d in decodes:
+            stream.append(d.history)
+    return [d.ids[:-1] if d.ids[-1] == V.EOS else d.ids for d in decodes]
+
+
+def _verify(decodes: list[_Greedy], cache: KVCache, earlier: np.ndarray,
+            params: ModelParams, cfg: FusionConfig,
+            max_new: int) -> list[KVCache | None]:
+    """One draft-and-verify LM call for `decodes`, batch entry b for
+    decodes[b], over `cache` (of batch 1 or len(decodes)); see
+    decode_answer. Each decode takes the ids it accepts. Returns, per
+    decode, None if it ended, else its own cache cut to the rows it
+    accepted, with its next rows set to its last choice."""
+    wte = params["lm.wte"].data
+    drafts = []
+    for d in decodes:
+        # The j-th draft id (from 1) runs as generated token len(ids) + j
+        # at slot bos_pos + len(ids) + j, so it must fit max_new and the
+        # table.
+        n = len(d.ids)
+        limit = min(DRAFT, max_new - n - 1, cfg.max_seq_len - 1 - d.bos_pos - n)
+        drafts.append(_draft(np.array(d.history, dtype=np.int64), earlier, limit))
+    lens = [len(d.new) + len(draft) for d, draft in zip(decodes, drafts)]
+    S, k = max(lens), max(len(draft) for draft in drafts) + 1
+    tokens = np.zeros((len(decodes), S, wte.shape[1]))
+    pos = np.zeros((len(decodes), S), dtype=np.int64)
+    for b, (d, draft) in enumerate(zip(decodes, drafts)):
+        tokens[b, :len(d.new)] = d.new
+        tokens[b, len(d.new):lens[b]] = wte[draft]
+        pos[b, :lens[b]] = np.append(d.pos, d.pos[-1] + 1 + np.arange(len(draft)))
+    # Each read window starts at the decode's last pending row, moved back
+    # where the longest window would pass the padded length.
+    firsts = np.array([len(d.new) - 1 for d in decodes])
+    starts = np.minimum(firsts, S - k)
+    held = cache.length
+    choices = lm_forward(Tensor(tokens), params, cfg, positions=pos, cache=cache,
+                         rows=starts[:, None] + np.arange(k)).data.argmax(axis=-1)
+    out: list[KVCache | None] = []
+    for b, (d, draft) in enumerate(zip(decodes, drafts)):
+        read = choices[b, firsts[b] - starts[b]:][:len(draft) + 1]
+        for j, tok in enumerate(read.tolist()):
+            d.ids.append(tok)
+            d.history.append(tok)
+            ended = (tok == V.EOS or len(d.ids) == max_new
+                     or d.bos_pos + len(d.ids) >= cfg.max_seq_len)
+            if ended or j == len(draft) or tok != draft[j]:
+                break
+        if ended:
+            out.append(None)
+            continue
+        own = cache.select(b)
+        own.truncate(held + len(d.new) + j)
+        d.new, d.pos = wte[tok][None], np.array([d.bos_pos + len(d.ids)])
+        out.append(own)
+    return out
 
 
 def _draft(history: np.ndarray, earlier: np.ndarray, limit: int) -> list[int]:

@@ -271,22 +271,6 @@ class Model:
             layout=self.layout, seg_class_ids=bundle.seg_class_ids,
         )
 
-    def text_sequence(self, prompt_ids, answer_ids=None) -> TokenSequence:
-        """Text-only sequence (stage-1 records): prompt plus optional answer
-        segments, no modality tokens. Text occupies the same positional
-        slots it will occupy in multimodal sequences."""
-        parts = [T.gather_rows(self.params["lm.wte"], np.asarray(prompt_ids))]
-        tags = ["prompt"] * len(prompt_ids)
-        base = self.layout.prompt_base
-        positions = list(range(base, base + len(prompt_ids)))
-        if answer_ids is not None:
-            parts.append(T.gather_rows(self.params["lm.wte"], np.asarray(answer_ids)))
-            tags += ["answer"] * len(answer_ids)
-            positions += list(range(positions[-1] + 1,
-                                    positions[-1] + 1 + len(answer_ids)))
-        return TokenSequence(tokens=T.concat(parts, axis=0), tags=tags,
-                             positions=np.array(positions, dtype=np.int64))
-
     def contrastive_features(self, bundle: ModalityBundle) -> Tensor:
         return pooled_image_feature(bundle.img_toks, self.params)
 

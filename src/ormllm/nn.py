@@ -122,10 +122,13 @@ class KVCache:
 
     A draft-and-verify decoder extends the cache by a guessed continuation
     in one call and then rolls back the rows it rejected with truncate().
-    Entries are replaced, never mutated in place: extend() concatenates
-    into new arrays and truncate() keeps views of the first rows. So copy()
-    (a shallow dict copy) gives an independent branch, e.g. one per decode
-    from a shared prefix cache.
+    Several decodes can share a prefix: a cache of batch 1 extended by B
+    new rows per block broadcasts its rows to all B, and select(b) then
+    gives batch entry b alone. Entries are replaced, never mutated in
+    place: extend() concatenates into new arrays, and truncate() and
+    select() keep views. So copy() (a shallow dict copy) gives an
+    independent branch, e.g. one per decode call from a shared prefix
+    cache.
     """
 
     def __init__(self):
@@ -141,14 +144,20 @@ class KVCache:
     def extend(self, prefix: str, k: np.ndarray,
                v: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """Appends one block's new keys/values [B, heads, n, dh] to the held
-        ones; returns all keys, all values and the number of rows held
-        before."""
+        ones, which a held batch of 1 gives to every one of the B; returns
+        all keys, all values and the number of rows held before."""
         if T.grad_enabled():
             raise ContractError("the K/V cache is inference-only; run under no_grad")
         past = 0
         if prefix in self.kv:
             past_k, past_v = self.kv[prefix]
             past = past_k.shape[2]
+            if past_k.shape[0] != k.shape[0]:
+                if past_k.shape[0] != 1:
+                    raise DimensionError(f"cannot extend a batch-{past_k.shape[0]} "
+                                         f"cache by a batch of {k.shape[0]}")
+                past_k = np.broadcast_to(past_k, (k.shape[0],) + past_k.shape[1:])
+                past_v = np.broadcast_to(past_v, past_k.shape)
             k = np.concatenate([past_k, k], axis=2)
             v = np.concatenate([past_v, v], axis=2)
         self.kv[prefix] = (k, v)
@@ -163,6 +172,15 @@ class KVCache:
         self.kv = {name: (k[:, :, :length], v[:, :, :length])
                    for name, (k, v) in self.kv.items()}
         self.length = length
+
+    def select(self, b: int) -> "KVCache":
+        """Batch entry b alone, as a new cache of batch 1 and the same
+        length. Its arrays are views of this cache's, so neither cache
+        changes the other."""
+        out = KVCache()
+        out.kv = {name: (k[b:b + 1], v[b:b + 1]) for name, (k, v) in self.kv.items()}
+        out.length = self.length
+        return out
 
 
 def _causal_mask(n: int, past: int = 0, rows=None) -> np.ndarray:

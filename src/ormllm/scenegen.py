@@ -173,12 +173,6 @@ class Scene:
     relations: set[Triple]
     seed: int
 
-    def entity(self, cls: str) -> Entity | None:
-        for e in self.entities:
-            if e.cls == cls:
-                return e
-        return None
-
     def present_classes(self) -> list[str]:
         return [e.cls for e in self.entities]
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import tensor as T
 from . import vocab as V
 from .errors import ConfigurationError, ContractError, NumericError
-from .fusion import answer_loss, lm_forward
+from .fusion import answer_loss, build_input_sequence, lm_forward
 from .metrics import normalize
 from .model import Model, Percept
 from .nn import ModelParams
@@ -422,7 +422,9 @@ def _batch_stage1(model: Model, records: list[TrainRecord]) -> Tensor:
     seqs, poss, metas = [], [], []
     for rec in records:
         answer_seg = [V.BOS] + rec.answer_ids + [V.EOS]
-        seq = model.text_sequence(rec.prompt_ids, answer_seg)
+        seq = build_input_sequence(None, None, None, rec.prompt_ids, model.params,
+                                   model.cfg.fusion, answer_ids=answer_seg,
+                                   layout=model.layout)
         seqs.append(seq.tokens)
         poss.append(seq.positions)
         metas.append(_answer_targets(len(rec.prompt_ids), rec.answer_ids, 0))

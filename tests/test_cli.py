@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import ormllm.cli as cli
 from ormllm.checkpoint import load_checkpoint, save_checkpoint
 from ormllm.cli import main
 
@@ -379,6 +380,29 @@ def test_train_bad_settings_usage_error(workspace, trained, tmp_path, capsys, li
                  "--stage1-ckpt", s1, "--out-dir", str(abl)]) == 2
     assert key in capsys.readouterr().err
     assert not abl.exists()
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_out_of_vocabulary_id_exits_3_in_either_stage(workspace, trained, tmp_path,
+                                                      capsys, monkeypatch, stage):
+    """A training record holding an id outside the vocabulary stops the run
+    with a DomainError from sequence assembly, text-only or multimodal."""
+    root, cfg, data = workspace
+    name = f"make_stage{stage}_records"
+    make = getattr(cli, name)
+
+    def with_bad_id(samples, vocab, **kwargs):
+        out = make(samples, vocab, **kwargs)
+        out.records[0].prompt_ids[-1] = len(vocab)
+        return out
+
+    monkeypatch.setattr(cli, name, with_bad_id)
+    args = ["train", "--stage", str(stage), "--data", data, "--config", cfg,
+            "--ckpt-out", str(tmp_path / "x.ckpt")]
+    if stage == 2:
+        args += ["--ckpt-in", trained[1]]
+    assert main(args) == 3
+    assert "outside vocabulary" in capsys.readouterr().err
 
 
 def test_stage1_ckpt_best_contract_error(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ormllm.evaluate as ev
+import ormllm.fusion as fusion
 from ormllm import vocab as V
 from ormllm.errors import ConfigurationError
 from ormllm.evaluate import EvalConfig, evaluate
@@ -66,10 +67,24 @@ def test_report_independent_of_order_and_of_earlier_decodes(setup, streams, monk
         per_call.append((sample.sample_id, result, stream))
         return result
 
+    drafts = []
+    draft = fusion._draft
+
+    def recorded_draft(history, earlier, limit):
+        out = draft(history, earlier, limit)
+        drafts[-1].append((tuple(history.tolist()), tuple(out)))
+        return out
+
     monkeypatch.setattr(ev, "evaluate_sample", recorded)
-    forward = evaluate(model, vocab, samples, CFG).to_text()
-    backward = evaluate(model, vocab, samples[::-1], CFG).to_text()
-    assert forward == backward
+    monkeypatch.setattr(fusion, "_draft", recorded_draft)
+    reports = []
+    for order in (samples, samples[::-1]):
+        drafts.append([])
+        reports.append(evaluate(model, vocab, order, CFG).to_text())
+    assert reports[0] == reports[1]
+    # Reversed, the stream holds other ids when each decode call drafts,
+    # so other drafts are made.
+    assert Counter(drafts[0]) != Counter(drafts[1])
     # One stream per evaluate() call, shared by its samples, holding one
     # chunk per decode (10 questions and one scene graph a sample).
     assert len(streams) == 2 and streams[0] is not streams[1]

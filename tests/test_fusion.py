@@ -63,6 +63,24 @@ def rand_image(seed=0, size=32, ch=3):
     return np.random.default_rng(seed).uniform(0, 1, size=(1, size, size, ch))
 
 
+def test_text_only_sequence_takes_the_prompt_slots_and_checks_ids():
+    """With no image tokens the sequence is the prompt from
+    layout.prompt_base and the answer right after it, whatever the
+    variant; an id outside the vocabulary is a DomainError."""
+    params = make_params()
+    wte = params["lm.wte"].data
+    seq = build_input_sequence(None, None, None, [4, 5, 6], params, FCFG,
+                               answer_ids=[V.BOS, 7, V.EOS], layout=SLOTS)
+    assert seq.tags == ["prompt"] * 3 + ["answer"] * 3
+    assert seq.positions.tolist() == list(range(SLOTS.prompt_base, SLOTS.prompt_base + 6))
+    assert np.array_equal(seq.tokens.data, wte[[4, 5, 6, V.BOS, 7, V.EOS]])
+    assert seq.prompt_ids == (4, 5, 6)
+    for prompt, answer in (([4, FCFG.vocab_size], None), ([4], [V.BOS, -1])):
+        with pytest.raises(DomainError):
+            build_input_sequence(None, None, None, prompt, params, FCFG,
+                                 answer_ids=answer, layout=SLOTS)
+
+
 def test_image_token_count():
     params = make_params()
     toks = project_image_tokens(rand_image(), params, FCFG)
@@ -281,17 +299,18 @@ def test_decode_runs_the_lm_head_at_the_draft_rows_only(monkeypatch):
 
     def recording_rows(tokens, *args, rows=None, **kwargs):
         out = lm_forward(tokens, *args, rows=rows, **kwargs)
-        calls.append((tokens.shape[0], rows, out.shape))
+        calls.append((tokens.shape[-2], rows, out.shape))
         return out
 
     monkeypatch.setattr(fusion, "lm_forward", recording_rows)
     stream = DecodeStream()
-    first = decode_answer(seq, params, FCFG, max_new=12, stream=stream)
-    assert decode_answer(seq, params, FCFG, max_new=12, stream=stream) == first
-    assert any(len(rows) > 1 for _, rows, _ in calls)  # a draft was verified
+    first = decode_answer([seq], params, FCFG, max_new=12, stream=stream)
+    assert decode_answer([seq], params, FCFG, max_new=12, stream=stream) == first
+    assert any(rows.shape[-1] > 1 for _, rows, _ in calls)  # a draft was verified
     for n, rows, shape in calls:
-        assert rows.tolist() == list(range(n - len(rows), n))
-        assert shape == (len(rows), FCFG.vocab_size)
+        k = rows.shape[-1]
+        assert rows.tolist() == [list(range(n - k, n))]
+        assert shape == (1, k, FCFG.vocab_size)
 
 
 def test_answer_loss_uniform_logits_is_log_vocab():
@@ -366,14 +385,14 @@ def decode_setup(seed=11):
 
 def test_decode_deterministic():
     params, seq = decode_setup(12)
-    a = decode_answer(seq, params, FCFG, max_new=6)
-    b = decode_answer(seq, params, FCFG, max_new=6)
+    a = decode_answer([seq], params, FCFG, max_new=6)
+    b = decode_answer([seq], params, FCFG, max_new=6)
     assert a == b
 
 
 def test_decode_max_new_zero_empty():
     params, seq = decode_setup(13)
-    assert decode_answer(seq, params, FCFG, max_new=0) == []
+    assert decode_answer([seq], params, FCFG, max_new=0) == [[]]
 
 
 def test_decode_eos_first_gives_empty_answer():
@@ -381,12 +400,12 @@ def test_decode_eos_first_gives_empty_answer():
     # Force EOS to dominate every logit row via the output head bias.
     params["lm.out.b"].data[:] = -50.0
     params["lm.out.b"].data[V.EOS] = 50.0
-    assert decode_answer(seq, params, FCFG, max_new=8) == []
+    assert decode_answer([seq], params, FCFG, max_new=8) == [[]]
 
 
 def test_decode_stops_at_eos_and_strips_it():
     params, seq = decode_setup(15)
-    out = decode_answer(seq, params, FCFG, max_new=10)
+    out, = decode_answer([seq], params, FCFG, max_new=10)
     assert V.EOS not in out and len(out) <= 10
 
 
@@ -424,10 +443,14 @@ def decode_fixture(kind, seed, prompt_len=2, eos_bias=0.0):
 
 
 def recording(calls, forward):
-    """`forward` that also appends (rows run, their logits) per call."""
+    """`forward` that also appends (rows run, their logits) per call; a
+    batch of one is recorded as its one entry."""
     def wrapped(seq, *args, **kwargs):
         out = forward(seq, *args, **kwargs)
-        calls.append((seq.data.copy(), out.data.copy()))
+        rows, logits = seq.data.copy(), out.data.copy()
+        if rows.ndim == 3 and len(rows) == 1:
+            rows, logits = rows[0], logits[0]
+        calls.append((rows, logits))
         return out
     return wrapped
 
@@ -542,7 +565,7 @@ def earlier_decodes(kind, seq, params, max_new, past, want):
     if kind == "repeat":
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fusion, "lm_forward", recording(calls, lm_forward))
-            decode_answer(seq, params, FCFG, max_new=max_new, past=past, stream=stream)
+            decode_answer([seq], params, FCFG, max_new=max_new, past=past, stream=stream)
     elif kind == "adversarial":
         rng = np.random.default_rng(len(want))
         history = list(seq.prompt_ids) + [V.BOS] + want
@@ -586,7 +609,7 @@ def check_cached_decode(monkeypatch, kind, seed, prompt_len, eos_bias, max_new,
                                                      want)
     before = [] if stream is None else stream.ids().tolist()
     monkeypatch.setattr(fusion, "lm_forward", recording(calls, lm_forward))
-    got = decode_answer(seq, params, FCFG, max_new=max_new, past=past, stream=stream)
+    got, = decode_answer([seq], params, FCFG, max_new=max_new, past=past, stream=stream)
     assert got == want
     skipped = past.length if shared_past else 0
     history = check_greedy_calls(seq, params, max_new, skipped, calls, want_calls, before)
@@ -596,6 +619,119 @@ def check_cached_decode(monkeypatch, kind, seed, prompt_len, eos_bias, max_new,
         assert len(calls) < empty_stream_calls
     if eos_bias < 0:
         assert len(got) < max_new  # the length cut-off ended the decode
+
+
+def batch_fixture(kind, seed, prompt_len, eos_bias=0.0):
+    """decode_fixture's prefix and two more prompts of other lengths after
+    the same modality rows, in the order shorter, the case's, longer (at
+    most the longest prompt whose BOS has a slot)."""
+    params, seq = decode_fixture(kind, seed, prompt_len, eos_bias)
+    layout = SLOTS if kind == "slots" else PACKED
+    longest = FCFG.max_seq_len - 1 - layout.prompt_base
+    rng = np.random.default_rng(seed + 100)
+    lengths = [1 + prompt_len // 2 if prompt_len > 2 else prompt_len + 3,
+               min(prompt_len + 2, longest)]
+    parts = seq_parts(params, seed=seed)
+    shorter, longer = (
+        build_input_sequence(*parts, rng.integers(4, 20, n).tolist(), params, FCFG,
+                             layout=layout, seg_class_ids=[1, 2, 3])
+        for n in lengths)
+    return params, [shorter, seq, longer]
+
+
+@pytest.mark.parametrize("kind,seed,prompt_len,eos_bias,max_new", DECODE_CASES)
+@pytest.mark.parametrize("shared_past", [False, True])
+def test_batched_decode_matches_recompute_oracle_and_single_decodes(
+        monkeypatch, kind, seed, prompt_len, eos_bias, max_new, shared_past):
+    """Prompts of different lengths decoded in one call: each gets the
+    recompute oracle's ids and its batch-of-one decode's ids, although the
+    stream differs. The first LM call runs all of them as one padded
+    batch, later calls one prompt each, and the stream then holds each
+    prompt's history in prompt order."""
+    params, seqs = batch_fixture(kind, seed, prompt_len, eos_bias)
+    assert len({len(seq) for seq in seqs}) > 1
+    want = [recompute_decode(seq, params, FCFG, max_new) for seq in seqs]
+    past = prefix_cache(seqs[0], seqs[0].segment_start("prompt"), params, FCFG) \
+        if shared_past else None
+    alone, histories = [], []
+    for seq in seqs:
+        own = DecodeStream()
+        alone += decode_answer([seq], params, FCFG, max_new=max_new, past=past,
+                               stream=own)
+        histories += own.ids().tolist()
+    stream = DecodeStream()
+    stream.append([3, 5, 6])
+    calls = []
+    monkeypatch.setattr(fusion, "lm_forward", recording(calls, lm_forward))
+    got = decode_answer(seqs, params, FCFG, max_new=max_new, past=past, stream=stream)
+    assert got == alone == want
+    assert calls[0][0].shape[0] == 3
+    assert all(rows.ndim == 2 for rows, _ in calls[1:])  # a batch of one each
+    assert stream.ids().tolist() == [3, 5, 6] + histories
+
+
+# A cycle model whose answer is 5, 6, 7 after any prompt, and an earlier
+# decode in the stream, from which every prompt drafts that whole answer.
+STOPS = {V.BOS: 5, 5: 6, 6: 7, 7: V.EOS, 8: 8, 9: 9}
+EARLIER = [9, V.BOS, 5, 6, 7, V.EOS]
+
+
+@pytest.mark.parametrize("max_new,expected", [
+    (10, [5, 6, 7]),  # EOS inside the first call's draft, accepted
+    (2, [5, 6]),      # max_new reached inside the first call
+    (0, []),          # nothing runs
+])
+@pytest.mark.parametrize("shared_past", [False, True])
+def test_batched_decode_can_end_every_prompt_in_the_first_call(
+        monkeypatch, max_new, expected, shared_past):
+    params, seq = cycle_fixture("slots", [9], STOPS)
+    parts = seq_parts(params, seed=30)
+    seqs = [seq] + [build_input_sequence(*parts, prompt, params, FCFG, layout=SLOTS,
+                                         seg_class_ids=[1, 2, 3])
+                    for prompt in ([8, 9, 8], [5, 6, 7, 8, 9])]
+    past = prefix_cache(seq, seq.segment_start("prompt"), params, FCFG) \
+        if shared_past else None
+    assert all(recompute_decode(s, params, FCFG, max_new) == expected for s in seqs)
+    stream = DecodeStream()
+    stream.append(EARLIER)
+    calls = []
+    monkeypatch.setattr(fusion, "lm_forward", recording(calls, lm_forward))
+    got = decode_answer(seqs, params, FCFG, max_new=max_new, past=past, stream=stream)
+    assert got == [expected] * 3
+    assert len(calls) == (1 if max_new else 0)
+    if calls:
+        assert calls[0][0].shape[0] == 3
+    ended = [V.EOS] if expected == [5, 6, 7] else []
+    histories = [list(s.prompt_ids) + [V.BOS] + expected + ended for s in seqs]
+    assert stream.ids().tolist() == EARLIER + (sum(histories, []) if max_new else [])
+
+
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_batched_decode_that_raises_leaves_stream_unchanged(monkeypatch, failing_call):
+    """A call fails in its batched first LM call (one prompt leaves BOS no
+    slot) or in a later one, after every prompt has chosen ids: the stream
+    is as before."""
+    params, seq = decode_fixture("sequence", 27, prompt_len=35, eos_bias=-50.0)
+    parts = seq_parts(params, seed=27)
+    other = build_input_sequence(*parts, [5, 6, 7], params, FCFG, layout=PACKED,
+                                 seg_class_ids=[1, 2, 3])
+    stream = DecodeStream()
+    stream.append([3, 5, 6, 7])
+    if failing_call == 1:
+        # 64 rows fill the table, so this prompt's BOS has no positional slot.
+        seq = decode_fixture("sequence", 27, prompt_len=44)[1]
+    else:
+        calls = []
+
+        def forward(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == failing_call:
+                raise SequenceLengthError("injected")
+            return lm_forward(*args, **kwargs)
+        monkeypatch.setattr(fusion, "lm_forward", forward)
+    with pytest.raises(SequenceLengthError):
+        decode_answer([other, seq], params, FCFG, max_new=10, stream=stream)
+    assert stream.ids().tolist() == [3, 5, 6, 7]
 
 
 @pytest.mark.parametrize("failing_call", [1, 2])
@@ -616,7 +752,7 @@ def test_decode_that_raises_leaves_stream_unchanged(monkeypatch, failing_call):
             return lm_forward(*args, **kwargs)
         monkeypatch.setattr(fusion, "lm_forward", forward)
     with pytest.raises(SequenceLengthError):
-        decode_answer(seq, params, FCFG, max_new=10, stream=stream)
+        decode_answer([seq], params, FCFG, max_new=10, stream=stream)
     assert stream.ids().tolist() == [3, 5, 6, 7]
 
 
@@ -674,7 +810,7 @@ def test_greedy_draft_and_verify_on_cycling_output(monkeypatch, kind, prompt, ne
     past = prefix_cache(seq, seq.segment_start("prompt"), params, FCFG) \
         if shared_past else None
     monkeypatch.setattr(fusion, "lm_forward", recording(calls, lm_forward))
-    assert decode_answer(seq, params, FCFG, max_new=max_new, past=past) == want
+    assert decode_answer([seq], params, FCFG, max_new=max_new, past=past) == [want]
     check_greedy_calls(seq, params, max_new, past.length if shared_past else 0,
                        calls, want_calls)
     assert len(calls) < len(want_calls)  # some draft was accepted
@@ -685,7 +821,7 @@ def test_exact_logit_tie_decodes_to_smaller_id():
     params["lm.out.w"].data[:] = 0.0
     params["lm.out.b"].data[:] = 0.0
     params["lm.out.b"].data[[4, 11]] = 3.0
-    assert decode_answer(seq, params, FCFG, max_new=5) == [4] * 5
+    assert decode_answer([seq], params, FCFG, max_new=5) == [[4] * 5]
 
 
 def test_cache_truncate_leaves_source_and_shared_past_unchanged():
@@ -727,10 +863,10 @@ def test_decode_leaves_shared_past_unchanged():
     past = prefix_cache(seq, seq.segment_start("prompt"), params, FCFG)
     held = dict(past.kv)
     length = past.length
-    first = decode_answer(seq, params, FCFG, max_new=6, past=past)
+    first = decode_answer([seq], params, FCFG, max_new=6, past=past)
     assert past.length == length
     assert all(past.kv[name] is held[name] for name in held) and len(past.kv) == len(held)
-    assert decode_answer(seq, params, FCFG, max_new=6, past=past) == first
+    assert decode_answer([seq], params, FCFG, max_new=6, past=past) == first
 
 
 def test_decode_rejects_past_longer_than_prefix():
@@ -739,7 +875,7 @@ def test_decode_rejects_past_longer_than_prefix():
                                   FCFG, layout=SLOTS)
     past = prefix_cache(longer, len(longer), params, FCFG)
     with pytest.raises(ContractError):
-        decode_answer(seq, params, FCFG, past=past)
+        decode_answer([seq], params, FCFG, past=past)
 
 
 def test_pooled_feature_shape():

@@ -180,6 +180,48 @@ def test_cache_copy_branches_independently():
     np.testing.assert_allclose(b.data, full_b.data[3:], rtol=0, atol=1e-12)
 
 
+def test_batch_one_cache_extended_by_b_rows_equals_b_separate_extends():
+    """A prefix cache of batch 1, extended by a padded batch of B new rows
+    per entry, holds what B batch-of-one extends of copies hold; entry b
+    kept alone and cut to its real rows is the cache a batch-of-one call
+    on those rows leaves."""
+    params = make_block()
+    rng = np.random.default_rng(11)
+    prefix, new = rng.normal(size=(4, 8)), rng.normal(size=(3, 5, 8))
+    real = [2, 5, 3]  # entry b's rows after real[b] are padding
+    cache = KVCache()
+
+    def run(x, cache):
+        attention_block_forward(Tensor(x), params, "blk", heads=2, causal=True,
+                                cache=cache)
+        cache.length += x.shape[-2]
+
+    with T.no_grad():
+        run(prefix, cache)
+        batched = cache.copy()
+        run(new, batched)
+        k, v = batched.kv["blk"]
+        assert k.shape == v.shape == (3, 2, 9, 4)
+        for b, n in enumerate(real):
+            whole, alone = cache.copy(), cache.copy()
+            run(new[b:b + 1], whole)
+            run(new[b:b + 1, :n], alone)
+            np.testing.assert_allclose(k[b:b + 1], whole.kv["blk"][0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(v[b:b + 1], whole.kv["blk"][1], rtol=0, atol=1e-12)
+            kept = batched.select(b)
+            kept.truncate(4 + n)
+            assert kept.length == alone.length == 4 + n
+            for got, want in zip(kept.kv["blk"], alone.kv["blk"]):
+                assert got.shape == want.shape == (1, 2, 4 + n, 4)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # The prefix cache is unchanged, and select() and truncate() left the
+    # batched cache whole.
+    assert cache.length == 4 and cache.kv["blk"][0].shape == (1, 2, 4, 4)
+    assert batched.length == 9 and batched.kv["blk"][0] is k
+    with T.no_grad(), pytest.raises(DimensionError):
+        run(new[:2], batched)  # a batch of 3 cannot take 2 entries
+
+
 def test_cache_under_grad_recording_is_a_contract_error():
     params = make_block()
     x = Tensor(np.random.default_rng(10).normal(size=(3, 8)))

@@ -13,7 +13,7 @@ from ormllm.errors import (
     EmptyDomainError,
     NumericError,
 )
-from ormllm.fusion import FusionConfig, answer_loss, lm_forward
+from ormllm.fusion import FusionConfig, answer_loss, build_input_sequence, lm_forward
 from ormllm.gradcheck import finite_diff_grad_check
 from ormllm.model import Model, ModelConfig
 from ormllm.nn import ModelParams
@@ -561,13 +561,21 @@ def window_losses(logits, metas, rows, S):
     return losses
 
 
+def text_sequence(model, rec):
+    """A stage-1 record's text-only sequence: prompt, BOS, answer, EOS."""
+    return build_input_sequence(None, None, None, rec.prompt_ids, model.params,
+                                model.cfg.fusion,
+                                answer_ids=[V.BOS] + rec.answer_ids + [V.EOS],
+                                layout=model.layout)
+
+
 def padded_batch_stage1(model, records):
     """Oracle: the whole batch in one lm_forward, padded to its longest
     record, as stage-1 batches ran before the LM ran once per task; the
     last block runs at the read windows of the whole batch."""
     seqs, poss, metas = [], [], []
     for rec in records:
-        seq = model.text_sequence(rec.prompt_ids, [V.BOS] + rec.answer_ids + [V.EOS])
+        seq = text_sequence(model, rec)
         seqs.append(seq.tokens)
         poss.append(seq.positions)
         metas.append(_answer_targets(len(rec.prompt_ids), rec.answer_ids, 0))
@@ -712,8 +720,7 @@ def test_pad_stack_tail_padding_leaves_real_rows_unchanged(tiny_data):
     model = tiny_model(tiny_data)
     data = make_stage1_records(tiny_data.samples, tiny_data.vocab)
     short, long_ = interleaved(data.records, ("qa", "sgg"))
-    seqs = [model.text_sequence(r.prompt_ids, [V.BOS] + r.answer_ids + [V.EOS])
-            for r in (short, long_)]
+    seqs = [text_sequence(model, r) for r in (short, long_)]
     assert seqs[0].tokens.shape[0] < seqs[1].tokens.shape[0]
     tokens, positions = _pad_stack([s.tokens for s in seqs],
                                    [s.positions for s in seqs])
