@@ -2,12 +2,20 @@
 
 Every primitive op computes its result eagerly with numpy and, when
 gradient tracking is on and at least one input requires gradients,
-records a node holding the inputs and a backward closure. backward()
+records a node: one link per input and a backward closure. backward()
 linearizes the recorded graph into a ComputationTape (a topological
 ordering of the nodes reachable from the loss) and replays adjoints in
 reverse, visiting each node exactly once. Replays are deterministic:
 the tape order is fixed by the graph structure, so two backward passes
 over identical graphs produce bit-identical gradients.
+
+A graph holds nothing that no backward reads. A node links to its inputs'
+producer nodes, not to the input tensors, so an intermediate's data lives
+only as long as the caller holds the tensor or a closure saved the array.
+The rule for every primitive, and for any new one: the backward closure
+captures the arrays and shapes its formula reads (an input's data only
+when the other operand's gradient needs it, shapes as tuples, tracking
+flags taken at forward time), never an input Tensor.
 
 A graph serves one backward and is freed as that backward runs: once a
 node has passed its adjoints on, it drops its closure and its inputs, so
@@ -54,16 +62,20 @@ class no_grad:
 
 
 class Node:
-    """One recorded primitive: inputs plus a closure producing input adjoints.
-    A backward that has passed through it releases it: inputs become () and
-    backward_fn None."""
+    """One recorded primitive: one link per input plus a closure producing
+    the input adjoints, in input order.
 
-    __slots__ = ("inputs", "backward_fn", "out_shape")
+    A link is the producer Node of a non-leaf input, the leaf Tensor itself
+    when it takes a gradient, or None for an untracked constant. The node
+    holds no other tensor, and its closure holds only the arrays and shapes
+    its formula reads. A backward that has passed through it releases it:
+    inputs become () and backward_fn None."""
 
-    def __init__(self, inputs, backward_fn, out_shape):
+    __slots__ = ("inputs", "backward_fn")
+
+    def __init__(self, inputs, backward_fn):
         self.inputs = inputs
         self.backward_fn = backward_fn
-        self.out_shape = out_shape
 
 
 class Tensor:
@@ -153,11 +165,24 @@ def _tracked(t: Tensor) -> bool:
     return t.requires_grad or t.node is not None
 
 
+def _link(t: Tensor):
+    """What a node keeps of one input: its producer node, the leaf itself
+    when it takes a gradient, or None for an untracked constant."""
+    if t.node is not None:
+        return t.node
+    return t if t.requires_grad else None
+
+
+def _records(*inputs: Tensor) -> bool:
+    """Whether an op on these inputs records a node."""
+    return grad_enabled() and any(_tracked(t) for t in inputs)
+
+
 def _make(out_data, inputs, backward_fn) -> Tensor:
     out = Tensor(out_data)
-    if grad_enabled() and any(_tracked(t) for t in inputs):
+    if _records(*inputs):
         out.requires_grad = True
-        out.node = Node(tuple(inputs), backward_fn, out_data.shape)
+        out.node = Node(tuple(_link(t) for t in inputs), backward_fn)
     return out
 
 
@@ -174,6 +199,13 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _deposit(t: Tensor, g: np.ndarray) -> None:
+    if t.requires_grad:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        t.grad += g
+
+
 class ComputationTape:
     """Topological ordering of the nodes reachable from one output tensor.
 
@@ -182,21 +214,16 @@ class ComputationTape:
 
     def __init__(self, root: Tensor):
         self.nodes: list[Node] = []
-        self.producer: dict[int, Tensor] = {}
         if root.node is None:
             return
         # Iterative post-order DFS; child (input) nodes land before parents,
         # so reversed(self.nodes) is a valid reverse topological order.
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
+        stack: list[tuple[Node, bool]] = [(root.node, False)]
         while stack:
-            t, expanded = stack.pop()
-            node = t.node
-            if node is None:
-                continue
+            node, expanded = stack.pop()
             if expanded:
                 self.nodes.append(node)
-                self.producer[id(node)] = t
                 continue
             if id(node) in seen:
                 continue
@@ -205,49 +232,40 @@ class ComputationTape:
                     "backward reaches a node an earlier backward released: a "
                     "graph serves one backward, so run the forward again")
             seen.add(id(node))
-            stack.append((t, True))
-            for inp in node.inputs:
-                if inp.node is not None and id(inp.node) not in seen:
-                    stack.append((inp, False))
+            stack.append((node, True))
+            for link in node.inputs:
+                if isinstance(link, Node) and id(link) not in seen:
+                    stack.append((link, False))
 
     def replay_adjoints(self, root: Tensor, seed: np.ndarray) -> None:
         """Walk nodes in reverse topological order exactly once, accumulating
         adjoints into .grad of every requires_grad tensor encountered.
 
         Each node is released as soon as its adjoints are passed on, and the
-        tape pops it and its output, so what its closure saved is freed
-        during the walk; nodes no adjoint reaches are released too. Adjoints
-        are keyed by id(tensor): an output stays referenced through its
-        producer entry until its own node is processed, so no key can be
-        reused by another tensor while its adjoint waits."""
-        adjoint: dict[int, np.ndarray] = {id(root): seed}
-
-        def deposit(t: Tensor, g: np.ndarray):
-            if t.requires_grad:
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad += g
-
-        deposit(root, seed)
+        tape pops it, so what its closure saved is freed during the walk;
+        nodes no adjoint reaches are released too. Adjoints wait keyed by
+        id(node): the tape holds every node it has not yet processed, so no
+        key can be reused while its adjoint waits. A leaf link takes each
+        contribution into .grad as it arrives."""
+        _deposit(root, seed)
+        adjoint: dict[int, np.ndarray] = {id(root.node): seed}
         while self.nodes:
             node = self.nodes.pop()
-            out = self.producer.pop(id(node))
-            g_out = adjoint.pop(id(out), None)
+            g_out = adjoint.pop(id(node), None)
             inputs, backward_fn = node.inputs, node.backward_fn
             node.inputs, node.backward_fn = (), None
             if g_out is None:
                 continue
             grads = backward_fn(g_out)
-            for inp, g in zip(inputs, grads):
-                if g is None or not _tracked(inp):
+            for link, g in zip(inputs, grads):
+                if g is None or link is None:
                     continue
-                if id(inp) in adjoint:
-                    adjoint[id(inp)] = adjoint[id(inp)] + g
+                if isinstance(link, Tensor):
+                    _deposit(link, g)
+                elif id(link) in adjoint:
+                    adjoint[id(link)] = adjoint[id(link)] + g
                 else:
-                    adjoint[id(inp)] = g
-                if inp.node is None:
-                    deposit(inp, g)
-                    adjoint.pop(id(inp), None)
+                    adjoint[id(link)] = g
 
 
 def backward(loss: Tensor) -> None:
@@ -279,9 +297,10 @@ def backward(loss: Tensor) -> None:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _make(out, (a, b), bw)
 
@@ -289,9 +308,10 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data - b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return _make(out, (a, b), bw)
 
@@ -308,9 +328,15 @@ def neg(a) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
+    a_shape, b_shape = a.shape, b.shape
+    # Each operand's data is kept only for the other operand's gradient.
+    ad = a.data if _tracked(b) else None
+    bd = b.data if _tracked(a) else None
 
     def bw(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        ga = _unbroadcast(g * bd, a_shape) if bd is not None else None
+        gb = _unbroadcast(g * ad, b_shape) if ad is not None else None
+        return ga, gb
 
     return _make(out, (a, b), bw)
 
@@ -318,10 +344,12 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data / b.data
+    a_shape, b_shape, bd = a.shape, b.shape, b.data
+    ta, ad = _tracked(a), (a.data if _tracked(b) else None)
 
     def bw(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / bd, a_shape) if ta else None
+        gb = _unbroadcast(-g * ad / (bd * bd), b_shape) if ad is not None else None
         return ga, gb
 
     return _make(out, (a, b), bw)
@@ -330,10 +358,11 @@ def div(a, b) -> Tensor:
 def pow_const(a, p: float) -> Tensor:
     a = as_tensor(a)
     p = float(p)
-    out = a.data**p
+    x = a.data
+    out = x**p
 
     def bw(g):
-        return (g * p * a.data ** (p - 1.0),)
+        return (g * p * x ** (p - 1.0),)
 
     return _make(out, (a,), bw)
 
@@ -350,10 +379,11 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    out = np.log(a.data)
+    x = a.data
+    out = np.log(x)
 
     def bw(g):
-        return (g / a.data,)
+        return (g / x,)
 
     return _make(out, (a,), bw)
 
@@ -371,11 +401,12 @@ def sqrt(a) -> Tensor:
 def abs_(a) -> Tensor:
     # Subgradient 0 at exactly 0 (np.sign(0) == 0): deterministic tie rule.
     a = as_tensor(a)
+    x = a.data
 
     def bw(g):
-        return (g * np.sign(a.data),)
+        return (g * np.sign(x),)
 
-    return _make(np.abs(a.data), (a,), bw)
+    return _make(np.abs(x), (a,), bw)
 
 
 def tanh(a) -> Tensor:
@@ -398,10 +429,14 @@ def gelu(a) -> Tensor:
     x = a.data
     phi_cdf = _ndtr(x)
     out = x * phi_cdf
+    if not _records(a):
+        return Tensor(out)
+    # Recording saves the slope alone, not x and Phi(x).
+    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    slope = phi_cdf + x * pdf
 
     def bw(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return (g * (phi_cdf + x * pdf),)
+        return (g * slope,)
 
     return _make(out, (a,), bw)
 
@@ -409,10 +444,11 @@ def gelu(a) -> Tensor:
 def softplus(a) -> Tensor:
     """log(1 + exp(x)), computed stably; derivative is the logistic sigmoid."""
     a = as_tensor(a)
-    out = np.logaddexp(0.0, a.data)
+    x = a.data
+    out = np.logaddexp(0.0, x)
 
     def bw(g):
-        sig = 0.5 * (1.0 + np.tanh(0.5 * a.data))
+        sig = 0.5 * (1.0 + np.tanh(0.5 * x))
         return (g * sig,)
 
     return _make(out, (a,), bw)
@@ -427,10 +463,13 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     out = a.data @ b.data
+    a_shape, b_shape = a.shape, b.shape
+    ad = a.data if _tracked(b) else None
+    bd = b.data if _tracked(a) else None
 
     def bw(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), a_shape) if bd is not None else None
+        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, b_shape) if ad is not None else None
         return ga, gb
 
     return _make(out, (a, b), bw)
@@ -457,14 +496,16 @@ def affine(x, w, b=None) -> Tensor:
         b = as_tensor(b)
         inputs += (b,)
         out = out + b.data
+    x_shape, (d_in, d_out) = x.shape, w.shape
+    wd = w.data if _tracked(x) else None
+    xd = x.data if _tracked(w) else None
+    tb = b is not None and _tracked(b)
 
     def bw(g):
-        g2 = g.reshape(-1, w.shape[1])
-        gx = (g2 @ w.data.T).reshape(x.shape) if _tracked(x) else None
-        gw = x.data.reshape(-1, w.shape[0]).T @ g2 if _tracked(w) else None
-        if b is None:
-            return gx, gw
-        return gx, gw, (g2.sum(axis=0) if _tracked(b) else None)
+        g2 = g.reshape(-1, d_out)
+        gx = (g2 @ wd.T).reshape(x_shape) if wd is not None else None
+        gw = xd.reshape(-1, d_in).T @ g2 if xd is not None else None
+        return gx, gw, (g2.sum(axis=0) if tb else None)
 
     return _make(out, inputs, bw)
 
@@ -472,12 +513,13 @@ def affine(x, w, b=None) -> Tensor:
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
 
     def bw(g):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _make(np.asarray(out), (a,), bw)
 
@@ -492,12 +534,13 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
         count = 1
         for ax in axes:
             count *= a.shape[ax]
+    shape = a.shape
 
     def bw(g):
         g = np.asarray(g) / count
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _make(np.asarray(out), (a,), bw)
 
@@ -507,9 +550,10 @@ def max_reduce(a, axis: int) -> Tensor:
     a = as_tensor(a)
     out = a.data.max(axis=axis)
     idx = a.data.argmax(axis=axis)
+    shape = a.shape
 
     def bw(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         np.put_along_axis(
             ga, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis
         )
@@ -560,9 +604,10 @@ def masked_nll(logits, target_ids: np.ndarray, mask: np.ndarray) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = np.array([-logp[b, r, t].mean() for b, (r, t) in enumerate(zip(rows, picks))])
+    shape = a.shape
 
     def bw(g):
-        gl = np.zeros_like(a.data)
+        gl = np.zeros(shape)
         for b, (r, t) in enumerate(zip(rows, picks)):
             gl[b, r, t] = np.asarray(-g[b]) / r.size
         return (gl - np.exp(logp) * gl.sum(axis=-1, keepdims=True),)
@@ -572,9 +617,10 @@ def masked_nll(logits, target_ids: np.ndarray, mask: np.ndarray) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
+    in_shape = a.shape
 
     def bw(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(in_shape),)
 
     return _make(a.data.reshape(shape), (a,), bw)
 
@@ -598,7 +644,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
     def bw(g):
         return tuple(
             np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(tensors))
+            for i in range(len(sizes))
         )
 
     return _make(out, tuple(tensors), bw)
@@ -607,9 +653,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def stack(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out = np.stack([t.data for t in tensors], axis=axis)
+    count = len(tensors)
 
     def bw(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
+        return tuple(np.take(g, i, axis=axis) for i in range(count))
 
     return _make(out, tuple(tensors), bw)
 
@@ -619,9 +666,10 @@ def slice_(a, key) -> Tensor:
     plain write into a zero buffer."""
     a = as_tensor(a)
     out = a.data[key]
+    shape = a.shape
 
     def bw(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         ga[key] = g
         return (ga,)
 
@@ -634,11 +682,12 @@ def take_flat(a, flat_index: np.ndarray) -> Tensor:
     a = as_tensor(a)
     flat_index = np.asarray(flat_index, dtype=np.int64)
     out = a.data.reshape(-1)[flat_index]
+    shape, size = a.shape, a.size
 
     def bw(g):
-        ga = np.zeros(a.size, dtype=np.float64)
+        ga = np.zeros(size, dtype=np.float64)
         np.add.at(ga, flat_index.reshape(-1), np.asarray(g).reshape(-1))
-        return (ga.reshape(a.shape),)
+        return (ga.reshape(shape),)
 
     return _make(out, (a,), bw)
 
@@ -660,9 +709,10 @@ def take_rows(a, rows) -> Tensor:
     a = as_tensor(a)
     rows = np.asarray(rows, dtype=np.int64)
     batch = np.arange(a.shape[0])[:, None]
+    shape = a.shape
 
     def bw(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         ga[batch, rows] = g
         return (ga,)
 
@@ -718,16 +768,24 @@ def conv3x3(x, w, b, pixels=None) -> Tensor:
     spatial = (H, W) if pixels is None else (rows,)
     out = (np.moveaxis(acc.reshape((B,) + spatial + (O,)), -1, 1)
            + b.data.reshape((O,) + (1,) * len(spatial)))
+    # The padded input is kept for the weight gradient, the weight matrix
+    # for the input gradient.
+    xp_shape, tb = xp.shape, _tracked(b)
+    xp_kept = xp if _tracked(w) else None
+    w2_kept = w2 if _tracked(x) else None
 
     def bw(g):
         gl = np.moveaxis(g, 1, -1).reshape(B, rows, O)
         if pixels is not None:
             v, u = np.divmod(pixels, W)
-        gw2 = np.zeros((9 * C, O))
-        gxp = np.zeros_like(xp)
+        gw2 = np.zeros((9 * C, O)) if xp_kept is not None else None
+        gxp = np.zeros(xp_shape) if w2_kept is not None else None
         for i in range(B):
-            gw2 += _im2col(xp[i], pixels).T @ gl[i]
-            gcols = gl[i] @ w2.T
+            if gw2 is not None:
+                gw2 += _im2col(xp_kept[i], pixels).T @ gl[i]
+            if gxp is None:
+                continue
+            gcols = gl[i] @ w2_kept.T
             if pixels is None:
                 gcols = gcols.reshape(H, W, 3, 3, C)
                 for di in range(3):
@@ -738,9 +796,10 @@ def conv3x3(x, w, b, pixels=None) -> Tensor:
                 for di in range(3):
                     for dj in range(3):
                         np.add.at(gxp[i], (v + di, u + dj), gcols[:, di, dj])
-        gx = gxp[:, 1 : 1 + H, 1 : 1 + W].transpose(0, 3, 1, 2)
-        gw = gw2.reshape(3, 3, C, O).transpose(3, 2, 0, 1)
-        return gx, gw, g.sum(axis=(0,) + tuple(range(2, g.ndim)))
+        gx = gxp[:, 1 : 1 + H, 1 : 1 + W].transpose(0, 3, 1, 2) if gxp is not None else None
+        gw = gw2.reshape(3, 3, C, O).transpose(3, 2, 0, 1) if gw2 is not None else None
+        gb = g.sum(axis=(0,) + tuple(range(2, g.ndim))) if tb else None
+        return gx, gw, gb
 
     return _make(out, (x, w, b), bw)
 
@@ -807,13 +866,16 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = gain.data * xhat + bias.data
+    gain_shape, bias_shape = gain.shape, bias.shape
+    tg, tb = _tracked(gain), _tracked(bias)
+    gain_data = gain.data if _tracked(x) else None
 
     def bw(g):
-        gg = _unbroadcast(g * xhat, gain.shape) if _tracked(gain) else None
-        gb = _unbroadcast(g, bias.shape) if _tracked(bias) else None
-        if not _tracked(x):
+        gg = _unbroadcast(g * xhat, gain_shape) if tg else None
+        gb = _unbroadcast(g, bias_shape) if tb else None
+        if gain_data is None:
             return None, gg, gb
-        dxhat = g * gain.data
+        dxhat = g * gain_data
         gx = (
             inv
             / n

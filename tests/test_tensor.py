@@ -37,8 +37,8 @@ def check_unary(op, np_ref, shape=(3, 4), scale=1.0, shift=0.0, atol=1e-8):
     rng = np.random.default_rng(0)
     x = rng.normal(size=shape) * scale + shift
     t = Tensor(x.copy(), requires_grad=True)
-    loss = T.sum_(op(t) * T.constant(rng.normal(size=shape)))
-    weights = loss.node.inputs[0].node.inputs[1].data  # the random weighting
+    weights = rng.normal(size=shape)  # the random weighting
+    loss = T.sum_(op(t) * T.constant(weights))
     T.backward(loss)
     num = numeric_grad(lambda a: float((np_ref(a) * weights).sum()), x.copy())
     np.testing.assert_allclose(t.grad, num, rtol=1e-5, atol=atol)
@@ -561,3 +561,127 @@ def test_backward_through_a_released_graph_raises():
     with pytest.raises(ContractError, match="released"):
         T.backward(T.sum_(h * 3.0))
     assert x.grad.tobytes() == first.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Memory contract: a graph holds only what its backward formulas read
+# ---------------------------------------------------------------------------
+
+
+def up2_np(x):
+    return (T._up2_matrix(x.shape[2]) @ x) @ T._up2_matrix(x.shape[3]).T
+
+
+DROPPED_OUTPUT_CASES = {
+    "bilinear_up2": (lambda x: T.bilinear_up2(x), up2_np),
+    "conv3x3": (lambda x: T.conv3x3(x, T.constant(CONV_W), T.constant(CONV_B)),
+                lambda x: conv3x3_tensordot(x, CONV_W, CONV_B,
+                                            np.zeros((2, 3, 3, 4)))[0]),
+    "add": (lambda x: T.add(x, T.constant(ADD_B)), lambda x: x + ADD_B),
+}
+_rng = np.random.default_rng(40)
+CONV_W, CONV_B = _rng.normal(size=(3, 2, 3, 3)), _rng.normal(size=3)
+ADD_B = _rng.normal(size=(1, 2, 1, 4))
+
+
+@pytest.mark.parametrize("name", sorted(DROPPED_OUTPUT_CASES))
+def test_dropped_output_dies_before_backward(name):
+    """An op's output data lives only while the caller holds it: the node
+    that consumes it (a product with a constant) saves the constant alone."""
+    op, ref = DROPPED_OUTPUT_CASES[name]
+    rng = np.random.default_rng(41)
+    x0 = rng.normal(size=(2, 2, 3, 4))
+    x = Tensor(x0.copy(), requires_grad=True)
+    y = op(x)
+    weights = rng.normal(size=y.shape)
+    probe = weakref.ref(y.data)
+    loss = T.sum_(y * T.constant(weights))
+    del y
+    assert probe() is None
+    T.backward(loss)
+    num = numeric_grad(lambda a: float((ref(a) * weights).sum()), x0.copy())
+    np.testing.assert_allclose(x.grad, num, rtol=1e-6, atol=1e-8)
+
+
+def chain_grads(keep_intermediates: bool):
+    """Gradients of conv3x3 -> add -> gelu -> bilinear_up2 -> affine (tracked
+    weight) -> layer_norm -> attention_core, as bytes, with every
+    intermediate held by the caller or each one dropped as it is used."""
+    rng = np.random.default_rng(42)
+    leaves = {
+        "x": rng.normal(size=(2, 3, 4, 4)), "cw": rng.normal(size=(2, 3, 3, 3)) * 0.3,
+        "cb": rng.normal(size=2), "skip": rng.normal(size=(2, 2, 4, 4)),
+        "w": rng.normal(size=(8, 6)) * 0.3, "gain": 1.0 + 0.1 * rng.normal(size=6),
+        "bias": 0.1 * rng.normal(size=6),
+    }
+    weights = rng.normal(size=(2, 16, 6))
+    t = {k: Tensor(v.copy(), requires_grad=True) for k, v in leaves.items()}
+    held = []
+    h = T.conv3x3(t["x"], t["cw"], t["cb"])
+    for step in (lambda h: h + t["skip"], T.gelu, T.bilinear_up2,
+                 lambda h: T.affine(h, t["w"]),
+                 lambda h: T.reshape(h, (2, 16, 6)),
+                 lambda h: T.layer_norm(h, t["gain"], t["bias"]),
+                 lambda h: T.attention_core(h, h, h, heads=2)):
+        if keep_intermediates:
+            held.append(h)
+        h = step(h)
+    loss = T.sum_(h * T.constant(weights))
+    del h
+    T.backward(loss)
+    return {k: v.grad.tobytes() for k, v in t.items()}
+
+
+def test_chain_grads_do_not_depend_on_held_intermediates():
+    assert chain_grads(keep_intermediates=True) == chain_grads(keep_intermediates=False)
+
+
+def every_primitive_loss():
+    """A scalar loss whose graph records every primitive at least once."""
+    rng = np.random.default_rng(43)
+    x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 6)) * 0.3, requires_grad=True)
+    h = T.bilinear_up2(T.gelu(T.conv3x3(x, Tensor(rng.normal(size=(3, 3, 3, 3)) * 0.3,
+                                                  requires_grad=True), T.constant(np.zeros(3)))))
+    h = T.reshape(T.transpose(h[:, :, :4, :4], (0, 2, 1, 3)), (2, 12, 4))
+    h = T.affine(h, w, T.constant(np.ones(6)))
+    h = T.layer_norm(h, Tensor(np.ones(6), requires_grad=True), T.constant(np.zeros(6)))
+    h = T.attention_core(h, h, h, heads=2)
+    h = T.concat([h, T.take_rows(h, np.array([[0, 1], [2, 3]]))], axis=1)
+    h = T.stack([h, -h], axis=0) / (T.exp(h) + 2.0)
+    pos = T.softplus(T.tanh(h)) + T.abs_(h) + 0.5
+    s = (T.sum_(T.log(pos)) + T.mean(T.sqrt(pos) ** 2.0 - pos)
+         + T.sum_(T.max_reduce(T.softmax(h, axis=-1), axis=0))
+         + T.sum_(T.log_softmax(h) * T.constant(rng.normal(size=h.shape)))
+         + T.sum_(T.take_flat(h, np.array([0, 5, 5])))
+         + T.sum_(T.gather_rows(w, np.array([1, 3])))
+         + T.sum_(T.logsumexp(h, axis=-1))
+         + T.sum_(T.masked_nll(T.reshape(h, (4, 14, 6)), np.zeros((4, 14), dtype=np.int64),
+                               np.ones((4, 14), dtype=bool)))
+         + T.sum_(T.matmul(T.reshape(h, (56, 6)), T.transpose(w, (1, 0)))))
+    return s
+
+
+def test_no_node_holds_an_input_tensor():
+    """Every link is a producer node, a leaf that takes a gradient or None;
+    every backward closure holds arrays and shapes, never a Tensor."""
+    loss = every_primitive_loss()
+    nodes = T.ComputationTape(loss).nodes
+    kinds = {node.backward_fn.__qualname__.split(".")[0] for node in nodes}
+    assert {"conv3x3", "bilinear_up2", "gelu", "affine", "layer_norm", "attention_core",
+            "take_rows", "concat", "stack", "slice_", "transpose", "reshape", "masked_nll",
+            "take_flat", "max_reduce", "softmax", "log_softmax", "matmul"} <= kinds
+    for node in nodes:
+        for link in node.inputs:
+            assert (link is None or isinstance(link, T.Node)
+                    or (link.node is None and link.requires_grad)), link
+        for cell in node.backward_fn.__closure__ or ():
+            assert not isinstance(cell.cell_contents, Tensor), node.backward_fn.__qualname__
+
+
+def test_gelu_saves_one_slope_array_only_when_it_records():
+    x = Tensor(np.linspace(-3.0, 3.0, 7), requires_grad=True)
+    saved = [c.cell_contents for c in T.gelu(x).node.backward_fn.__closure__]
+    assert len(saved) == 1 and saved[0].shape == x.shape
+    with T.no_grad():
+        assert T.gelu(x).node is None

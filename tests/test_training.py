@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -468,6 +469,53 @@ def test_no_graph_outlives_its_backward(tiny_data):
     train_stage(data, model, cfg, log=log)
     assert {stage for stage, _ in live} == {"2vfm", "2"}
     assert all(n == 0 for _, n in live), live
+
+
+def vfm_saved_floats(cfg: ModelConfig, B: int) -> int:
+    """An upper count of the float64 values the backward formulas of a
+    full-variant VFM loss read, from the shapes alone: what its graph may
+    keep alive while the caller holds only the loss."""
+    sp = cfg.spatial
+    c, n, h, side = sp.encoder_dim, sp.n_cells, sp.encoder_heads, sp.image_size
+    pixels = B * side * side
+    # Patch-embedding input; per block the two layer norms' xhat, the qkv,
+    # wo and fc1 inputs, q, k, v and attention output, the probabilities,
+    # and the MLP's gelu slope and fc2 input at width 4c.
+    encoder = (B * n * 3 * sp.encoder_patch**2
+               + sp.encoder_blocks * (9 * B * n * c + B * h * n * n + 2 * B * n * 4 * c))
+    grid_maps = (sp.depth_decoder_stages + 1) * B * n * c  # 1x1 skip and seg fc1 inputs
+    depth = 0
+    for s in range(sp.depth_decoder_stages):
+        r = sp.grid_size * 2 ** (s + 1)
+        # Padded conv input, conv weight matrix, gelu slope.
+        depth += B * (r + 2) ** 2 * c + 9 * c * c + B * c * r * r
+    depth += pixels * c + pixels  # head input, softplus input
+    depth_loss = 8 * pixels  # gather indices and |.| inputs of the L1 and gradient terms
+    seg = 2 * pixels * c + 3 * pixels * sp.seg_classes + pixels  # gelu slope, fc2 input,
+    # log-softmax and softmax outputs, one-hot, gather index
+    return encoder + grid_maps + depth + depth_loss + seg
+
+
+def test_vfm_graph_keeps_only_what_its_backward_reads(tiny_data):
+    """The bytes still allocated after _vfm_batch_loss returns, while only
+    the loss is held, stay within what its backward formulas read (plus a
+    quarter for the graph's own objects): no input tensor, upsampled map or
+    conv output is pinned by the graph."""
+    model = tiny_model(tiny_data)
+    samples = tiny_data.samples[:4]
+    training._vfm_batch_loss(model, samples)  # warm one-time caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = training._vfm_batch_loss(model, samples)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    bound = 1.25 * 8 * vfm_saved_floats(model.cfg, len(samples))
+    assert held <= bound, (held, bound)
+    T.backward(loss)
 
 
 def test_stage2_step_forms_no_frozen_grads(tiny_data, monkeypatch):
