@@ -468,8 +468,11 @@ def matmul(a, b) -> Tensor:
     bd = b.data if _tracked(a) else None
 
     def bw(g):
-        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), a_shape) if bd is not None else None
-        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, b_shape) if ad is not None else None
+        ga = gb = None
+        if bd is not None:
+            ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), a_shape)
+        if ad is not None:
+            gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, b_shape)
         return ga, gb
 
     return _make(out, (a, b), bw)
@@ -796,9 +799,13 @@ def conv3x3(x, w, b, pixels=None) -> Tensor:
                 for di in range(3):
                     for dj in range(3):
                         np.add.at(gxp[i], (v + di, u + dj), gcols[:, di, dj])
-        gx = gxp[:, 1 : 1 + H, 1 : 1 + W].transpose(0, 3, 1, 2) if gxp is not None else None
-        gw = gw2.reshape(3, 3, C, O).transpose(3, 2, 0, 1) if gw2 is not None else None
-        gb = g.sum(axis=(0,) + tuple(range(2, g.ndim))) if tb else None
+        gx = gw = gb = None
+        if gxp is not None:
+            gx = gxp[:, 1 : 1 + H, 1 : 1 + W].transpose(0, 3, 1, 2)
+        if gw2 is not None:
+            gw = gw2.reshape(3, 3, C, O).transpose(3, 2, 0, 1)
+        if tb:
+            gb = g.sum(axis=(0,) + tuple(range(2, g.ndim)))
         return gx, gw, gb
 
     return _make(out, (x, w, b), bw)

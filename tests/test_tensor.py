@@ -641,8 +641,8 @@ def every_primitive_loss():
     rng = np.random.default_rng(43)
     x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 6)) * 0.3, requires_grad=True)
-    h = T.bilinear_up2(T.gelu(T.conv3x3(x, Tensor(rng.normal(size=(3, 3, 3, 3)) * 0.3,
-                                                  requires_grad=True), T.constant(np.zeros(3)))))
+    cw = Tensor(rng.normal(size=(3, 3, 3, 3)) * 0.3, requires_grad=True)
+    h = T.bilinear_up2(T.gelu(T.conv3x3(x, cw, T.constant(np.zeros(3)))))
     h = T.reshape(T.transpose(h[:, :, :4, :4], (0, 2, 1, 3)), (2, 12, 4))
     h = T.affine(h, w, T.constant(np.ones(6)))
     h = T.layer_norm(h, Tensor(np.ones(6), requires_grad=True), T.constant(np.zeros(6)))
