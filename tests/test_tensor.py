@@ -572,6 +572,9 @@ def up2_np(x):
     return (T._up2_matrix(x.shape[2]) @ x) @ T._up2_matrix(x.shape[3]).T
 
 
+_rng = np.random.default_rng(40)
+CONV_W, CONV_B = _rng.normal(size=(3, 2, 3, 3)), _rng.normal(size=3)
+ADD_B = _rng.normal(size=(1, 2, 1, 4))
 DROPPED_OUTPUT_CASES = {
     "bilinear_up2": (lambda x: T.bilinear_up2(x), up2_np),
     "conv3x3": (lambda x: T.conv3x3(x, T.constant(CONV_W), T.constant(CONV_B)),
@@ -579,9 +582,6 @@ DROPPED_OUTPUT_CASES = {
                                             np.zeros((2, 3, 3, 4)))[0]),
     "add": (lambda x: T.add(x, T.constant(ADD_B)), lambda x: x + ADD_B),
 }
-_rng = np.random.default_rng(40)
-CONV_W, CONV_B = _rng.normal(size=(3, 2, 3, 3)), _rng.normal(size=3)
-ADD_B = _rng.normal(size=(1, 2, 1, 4))
 
 
 @pytest.mark.parametrize("name", sorted(DROPPED_OUTPUT_CASES))
@@ -679,9 +679,17 @@ def test_no_node_holds_an_input_tensor():
             assert not isinstance(cell.cell_contents, Tensor), node.backward_fn.__qualname__
 
 
-def test_gelu_saves_one_slope_array_only_when_it_records():
+def test_gelu_saves_only_its_slope_and_forms_none_unrecorded(monkeypatch):
     x = Tensor(np.linspace(-3.0, 3.0, 7), requires_grad=True)
     saved = [c.cell_contents for c in T.gelu(x).node.backward_fn.__closure__]
     assert len(saved) == 1 and saved[0].shape == x.shape
+
+    def no_exp(*args, **kwargs):
+        raise AssertionError("the slope's pdf was formed")
+
+    monkeypatch.setattr(T.np, "exp", no_exp)
     with T.no_grad():
         assert T.gelu(x).node is None
+    assert T.gelu(T.constant(x.data)).node is None
+    with pytest.raises(AssertionError, match="pdf"):
+        T.gelu(x)

@@ -491,8 +491,9 @@ def vfm_saved_floats(cfg: ModelConfig, B: int) -> int:
         depth += B * (r + 2) ** 2 * c + 9 * c * c + B * c * r * r
     depth += pixels * c + pixels  # head input, softplus input
     depth_loss = 8 * pixels  # gather indices and |.| inputs of the L1 and gradient terms
-    seg = 2 * pixels * c + 3 * pixels * sp.seg_classes + pixels  # gelu slope, fc2 input,
-    # log-softmax and softmax outputs, one-hot, gather index
+    # Seg gelu slope and fc2 input; log-softmax and softmax outputs and the
+    # one-hot; the gather index.
+    seg = 2 * pixels * c + 3 * pixels * sp.seg_classes + pixels
     return encoder + grid_maps + depth + depth_loss + seg
 
 
