@@ -7,7 +7,11 @@ DIR is the root of a checkout. Each pair runs `perfbench/run.py` once in each
 checkout on one seed, with the same settings, and alternates which side runs
 first. For every end-to-end metric that BENCHMARK.json lists, the summary
 gives each side's median and quartiles, how many pairs the change won (ties
-count for neither side) and the relative change of the medians. With
+count for neither side), the relative change of the medians, and the
+gate's verdicts, printed one line per metric: `gain_resolved` (the change
+won at least 9/10 of the pairs and the medians differ in its favour by more
+than the parent's q3 - q1) and `beyond_bound` (the change's median is worse
+than the parent's by more than the metric's bound). With
 --trace-seeds, traced runs follow, also in alternating pairs, one pair per
 listed seed; each side's per-layer metrics are recorded run by run and as
 medians. The workload's entry is merged into --out, so one file can hold
@@ -112,25 +116,53 @@ def run_pairs(checkouts: dict[str, str], workload: str, seeds: list[int],
 
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per metric: each side's median and quartiles, the pairs the change
+    won, the relative change of the medians, and the gate's two verdicts.
+
+    `gain_resolved`: the change won at least 9/10 of the pairs and its
+    median is better than the parent's by more than the parent's q3 - q1.
+    `beyond_bound`: the change's median is worse than the parent's by more
+    than the metric's relative bound."""
     out = {}
     for metric in end_to_end:
         name, higher = metric["name"], metric["better"] == "higher"
         side = {s: np.array([p[s][name] for p in pairs]) for s in SIDES}
         diff = side["change"] - side["parent"]
         wins = int(((diff > 0) if higher else (diff < 0)).sum())
-        med = {s: float(np.median(v)) for s, v in side.items()}
+        stats = {s: {"median": float(np.median(v)),
+                     "q1": float(np.percentile(v, 25)),
+                     "q3": float(np.percentile(v, 75))} for s, v in side.items()}
+        med = {s: stats[s]["median"] for s in SIDES}
+        rel = (med["change"] - med["parent"]) / med["parent"] if med["parent"] else None
+        gain = med["change"] - med["parent"] if higher else med["parent"] - med["change"]
         out[name] = {
-            **{s: {"median": med[s],
-                   "q1": float(np.percentile(v, 25)),
-                   "q3": float(np.percentile(v, 75))} for s, v in side.items()},
+            **stats,
             "change_wins": wins,
             "pairs": len(pairs),
-            "median_change_rel": (med["change"] - med["parent"]) / med["parent"]
-            if med["parent"] else None,
+            "median_change_rel": rel,
             "better": metric["better"],
             "bound": metric["bound"],
+            "gain_resolved": bool(wins >= 0.9 * len(pairs)
+                                  and gain > stats["parent"]["q3"] - stats["parent"]["q1"]),
+            "beyond_bound": bool(rel is not None
+                                 and (-rel if higher else rel) > metric["bound"]),
         }
     return out
+
+
+def verdict_line(workload: str, name: str, m: dict) -> str:
+    """One line per metric: medians, wins, the parent's IQR and the verdict."""
+    rel = "n/a" if m["median_change_rel"] is None else f"{m['median_change_rel']:+.1%}"
+    if m["beyond_bound"]:
+        verdict = f"BEYOND BOUND ({m['bound']:g})"
+    elif m["gain_resolved"]:
+        verdict = "gain resolved"
+    else:
+        verdict = "within bound, no gain resolved"
+    return (f"{workload} {name}: parent {m['parent']['median']:.4g} -> change "
+            f"{m['change']['median']:.4g} ({rel}), change won "
+            f"{m['change_wins']}/{m['pairs']}, parent IQR "
+            f"{m['parent']['q3'] - m['parent']['q1']:.4g}: {verdict}")
 
 
 def incorrect_runs(pairs: list[dict]) -> dict[str, int]:
@@ -177,6 +209,8 @@ def main(argv=None) -> int:
             "incorrect_runs": incorrect_runs(traced),
             "pairs": traced,
         }
+    for name, m in entry["summary"].items():
+        print(verdict_line(args.workload, name, m), flush=True)
     out = Path(args.out)
     bench = json.loads(out.read_text()) if out.exists() else {}
     bench.setdefault("workloads", {})[args.workload] = entry

@@ -208,7 +208,9 @@ def depth_head_forward(grid: Tensor, params: ModelParams,
         g = T.conv3x3(T.bilinear_up2(g),
                       params[f"spatial.depth.stage{s}.conv.w"],
                       params[f"spatial.depth.stage{s}.conv.b"], pixels=at)
-        g = T.gelu(g + _at_pixels(skip, at))
+        g = g + _at_pixels(skip, at)
+        del skip  # no map but gelu's input lives while gelu runs
+        g = T.gelu(g)
     out = linear(_channels_last(g), params, "spatial.depth.head")  # [B, N, 1]
     return T.softplus(T.reshape(out, (g.shape[0],) + g.shape[2:]))
 
@@ -222,14 +224,17 @@ def seg_head_forward(grid: Tensor, params: ModelParams,
     is affine, so it commutes with bilinear_up2 and runs on the encoder
     grid; gelu and fc2 run at full resolution, or on the P rows of
     `pixels` only. The logits are those of the MLP over upsampled features,
-    up to rounding; at the pixels they are the full map's."""
+    up to rounding; at the pixels they are the full map's. gelu is
+    elementwise, so it runs before the channels-last copy: the upsampled
+    map is freed as gelu returns, and gelu's output once it is copied."""
     g = conv1x1(grid, params, "spatial.seg.pixel.fc1")
     for _ in range(cfg.depth_decoder_stages):
         g = T.bilinear_up2(g)
-    at = _at_pixels(g, pixels)
-    logits = linear(T.gelu(_channels_last(at)), params, "spatial.seg.pixel.fc2")
-    return T.reshape(T.transpose(logits, (0, 2, 1)),
-                     (at.shape[0], cfg.seg_classes) + at.shape[2:])
+    g = T.gelu(_at_pixels(g, pixels))
+    shape = (g.shape[0], cfg.seg_classes) + g.shape[2:]
+    g = _channels_last(g)
+    logits = linear(g, params, "spatial.seg.pixel.fc2")
+    return T.reshape(T.transpose(logits, (0, 2, 1)), shape)
 
 
 def logits_to_ids(logits_data: np.ndarray) -> np.ndarray:

@@ -17,6 +17,18 @@ captures the arrays and shapes its formula reads (an input's data only
 when the other operand's gradient needs it, shapes as tuples, tracking
 flags taken at forward time), never an input Tensor.
 
+Buffers are owned. The rule for every primitive, and for any new one:
+- a primitive may write in place only into arrays it allocated itself and
+  has not handed out (as an output's data or as a returned gradient);
+- a backward may overwrite what its own forward allocated and saved,
+  since it runs once (gelu returns its slope as the input gradient,
+  attention_core forms the score gradient in its own buffer, conv3x3
+  folds the input gradient into its padded input copy);
+- a backward never writes into an incoming adjoint, which other nodes
+  may share, or into an input's data.
+An in-place form must keep the operations, and so the bytes, of the
+out-of-place expression it replaces.
+
 A graph serves one backward and is freed as that backward runs: once a
 node has passed its adjoints on, it drops its closure and its inputs, so
 the activations it saved are released during the pass, and nothing of the
@@ -422,21 +434,32 @@ def tanh(a) -> Tensor:
 def gelu(a) -> Tensor:
     """Exact Gaussian-CDF gelu: x * Phi(x), not the tanh approximation.
 
-    Phi is scipy's ndtr, which is faster than 0.5 * (1 + erf(x / √2)) and
-    does not cancel in the left tail: its relative error against
-    0.5 * erfc(-x / √2) is about 1e-14 where the erf form reaches 1e-10."""
+    Phi is scipy's ndtr, kept for its left-tail accuracy: it does not
+    cancel there, and its relative error against 0.5 * erfc(-x / √2) is
+    about 1e-14 where 0.5 * (1 + erf(x / √2)) reaches 1e-10.
+
+    Recording saves the slope Phi(x) + x * pdf(x) alone. The output is
+    formed in the Phi buffer and the slope in one more, so gelu holds two
+    arrays besides its input, and the backward multiplies the adjoint into
+    the slope and returns it. The operations are those of the out-of-place
+    x * Phi and Phi + x * pdf, so the bytes are too."""
     a = as_tensor(a)
     x = a.data
-    phi_cdf = _ndtr(x)
-    out = x * phi_cdf
-    if not _records(a):
+    out = _ndtr(x, out=np.empty(x.shape))  # Phi(x) until x multiplies it
+    recording = _records(a)
+    if recording:
+        slope = np.multiply(-0.5, x, out=np.empty(x.shape))
+        slope *= x
+        np.exp(slope, out=slope)
+        slope *= _INV_SQRT_2PI
+        slope *= x
+        slope += out
+    out *= x
+    if not recording:
         return Tensor(out)
-    # Recording saves the slope alone, not x and Phi(x).
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    slope = phi_cdf + x * pdf
 
     def bw(g):
-        return (g * slope,)
+        return (np.multiply(slope, g, out=slope),)
 
     return _make(out, (a,), bw)
 
@@ -734,6 +757,25 @@ def _im2col(xp: np.ndarray, pixels: np.ndarray | None = None) -> np.ndarray:
     return win[v, u].transpose(0, 2, 3, 1).reshape(len(pixels), 9 * C)
 
 
+def _col2im_add(xp: np.ndarray, cols: np.ndarray, pixels: np.ndarray | None) -> None:
+    """The adjoint of _im2col, in place: adds [H*W, 9*C] columns, or the
+    [P, 9*C] rows of flat output pixels [P], onto the [H+2, W+2, C] padded
+    slot they index, with nine slice-adds over the full map or an
+    unbuffered add at the pixels."""
+    H, W, C = xp.shape[0] - 2, xp.shape[1] - 2, xp.shape[2]
+    if pixels is None:
+        cols = cols.reshape(H, W, 3, 3, C)
+        for di in range(3):
+            for dj in range(3):
+                xp[di : di + H, dj : dj + W] += cols[:, :, di, dj]
+        return
+    v, u = np.divmod(pixels, W)
+    cols = cols.reshape(len(pixels), 3, 3, C)
+    for di in range(3):
+        for dj in range(3):
+            np.add.at(xp, (v + di, u + dj), cols[:, di, dj])
+
+
 def conv3x3(x, w, b, pixels=None) -> Tensor:
     """Same-padded 3x3 convolution. x: [B,C,H,W], w: [O,C,3,3], b: [O];
     returns [B,O,H,W], or [B,O,P] at flat output pixels [P] (v * W + u).
@@ -749,8 +791,10 @@ def conv3x3(x, w, b, pixels=None) -> Tensor:
     K = 576 sum differently). The backward rebuilds each sample's columns rather than keeping a
     [B*H*W, 9C] matrix alive between forward and backward: the weight
     gradient is colsᵀ @ g, and the input gradient is g @ w2ᵀ folded back
-    onto the padded input, with nine slice-adds over the full map or an
-    unbuffered add at the pixels."""
+    onto the padded input (_col2im_add). The fold writes into the padded
+    copy the forward kept, each sample's slot once its weight-gradient
+    columns are taken, so the input gradient allocates no padded buffer of
+    its own while the weight is tracked."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 4 or w.ndim != 4 or w.shape[2:] != (3, 3):
         raise DimensionError(f"conv3x3 shapes: x {x.shape}, w {w.shape}")
@@ -778,27 +822,20 @@ def conv3x3(x, w, b, pixels=None) -> Tensor:
     w2_kept = w2 if _tracked(x) else None
 
     def bw(g):
-        gl = np.moveaxis(g, 1, -1).reshape(B, rows, O)
-        if pixels is not None:
-            v, u = np.divmod(pixels, W)
+        gl = np.moveaxis(g, 1, -1)  # a view; each sample's rows are copied apart
         gw2 = np.zeros((9 * C, O)) if xp_kept is not None else None
-        gxp = np.zeros(xp_shape) if w2_kept is not None else None
+        gxp = None
+        if w2_kept is not None:
+            # The input gradient accumulates in the padded copy the forward
+            # kept, each sample's slot zeroed once its columns are taken.
+            gxp = xp_kept if xp_kept is not None else np.empty(xp_shape)
         for i in range(B):
+            gi = gl[i].reshape(rows, O)
             if gw2 is not None:
-                gw2 += _im2col(xp_kept[i], pixels).T @ gl[i]
-            if gxp is None:
-                continue
-            gcols = gl[i] @ w2_kept.T
-            if pixels is None:
-                gcols = gcols.reshape(H, W, 3, 3, C)
-                for di in range(3):
-                    for dj in range(3):
-                        gxp[i, di : di + H, dj : dj + W] += gcols[:, :, di, dj]
-            else:
-                gcols = gcols.reshape(rows, 3, 3, C)
-                for di in range(3):
-                    for dj in range(3):
-                        np.add.at(gxp[i], (v + di, u + dj), gcols[:, di, dj])
+                gw2 += _im2col(xp_kept[i], pixels).T @ gi
+            if gxp is not None:
+                gxp[i] = 0.0
+                _col2im_add(gxp[i], gi @ w2_kept.T, pixels)
         gx = gw = gb = None
         if gxp is not None:
             gx = gxp[:, 1 : 1 + H, 1 : 1 + W].transpose(0, 3, 1, 2)
@@ -934,12 +971,15 @@ def attention_core(q, k, v, heads: int, mask=None) -> Tensor:
         raise DimensionError(f"attention_core: k {k.shape} does not match q {q.shape} "
                              f"with {heads} heads")
     scale = 1.0 / np.sqrt(dh)
-    scores = (qh @ kh.transpose(0, 1, 3, 2).copy()) * scale
+    # The scores, their softmax and, in the backward, its gradient share
+    # one [B, heads, n, m] buffer.
+    probs = qh @ kh.transpose(0, 1, 3, 2).copy()
+    probs *= scale
     if mask is not None:
-        scores = scores + mask
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=-1, keepdims=True)
+        probs += mask
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     attn = probs @ vh
     out = attn.transpose(0, 2, 1, 3).copy().reshape(B, n, d)
 
@@ -950,8 +990,10 @@ def attention_core(q, k, v, heads: int, mask=None) -> Tensor:
         ga = split_heads(g, heads)
         gv = np.swapaxes(probs, -1, -2) @ ga
         gp = ga @ np.swapaxes(vh, -1, -2)
-        rowdot = (ga * attn).sum(axis=-1, keepdims=True)
-        gs = probs * (gp - rowdot) * scale
+        gp -= (ga * attn).sum(axis=-1, keepdims=True)
+        gp *= probs
+        gp *= scale
+        gs = gp
         gq = gs @ kh
         gk = np.swapaxes(gs, -1, -2) @ qh
         if split_kv:

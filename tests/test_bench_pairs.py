@@ -73,6 +73,47 @@ def test_summarize_wins_ties_and_lower_is_better():
     assert (rss["better"], rss["bound"]) == ("lower", 0.1)
 
 
+
+PARENT_RSS = [100.0 + 2 * i for i in range(10)]  # median 109, q3 - q1 = 9
+
+
+def rss_pairs(drop: float, losses: int = 1):
+    """Ten pairs whose change is `drop` MB lower than the parent, except the
+    last `losses` pairs, where it is 1 MB higher."""
+    return [pair((4.0, p), (4.0, p - drop if i < 10 - losses else p + 1.0))
+            for i, p in enumerate(PARENT_RSS)]
+
+
+@pytest.mark.parametrize("drop,losses,resolved", [
+    (2.0, 1, False),   # 9/10 wins, but the medians differ by less than the IQR
+    (12.0, 1, True),   # the same wins, with the medians more than an IQR apart
+    (12.0, 2, False),  # medians far apart, but only 8/10 wins
+    (12.0, 0, True),
+])
+def test_summarize_gain_resolved_needs_nine_wins_beyond_parent_iqr(drop, losses, resolved):
+    rss = bench_pairs.summarize(rss_pairs(drop, losses), METRICS)["peak_rss_mb"]
+    assert rss["change_wins"] == 10 - losses
+    assert rss["gain_resolved"] is resolved
+    assert rss["beyond_bound"] is False
+    line = bench_pairs.verdict_line("w", "peak_rss_mb", rss)
+    assert line.startswith("w peak_rss_mb: parent 109 -> change ")
+    assert line.endswith("gain resolved" if resolved else "within bound, no gain resolved")
+
+
+@pytest.mark.parametrize("ops,rss,flags", [
+    (3.0, 200.0, (False, False)),   # -25% ops is at its bound, not beyond it
+    (2.9, 225.0, (True, True)),     # -27.5% ops, +12.5% rss
+    (5.0, 219.0, (False, False)),   # ops better, rss +9.5% inside its 0.1 bound
+])
+def test_summarize_flags_a_regression_beyond_the_bound(ops, rss, flags):
+    pairs = [pair((4.0, 200.0), (ops, rss))] * 10
+    out = bench_pairs.summarize(pairs, METRICS)
+    assert (out["ops_per_s"]["beyond_bound"], out["peak_rss_mb"]["beyond_bound"]) == flags
+    if flags[0]:
+        assert bench_pairs.verdict_line("w", "ops_per_s", out["ops_per_s"]).endswith(
+            "BEYOND BOUND (0.25)")
+
+
 def test_incorrect_runs_counted_per_side():
     pairs = [pair((4.0, 200.0), (5.0, 190.0)),
              pair((4.0, 200.0), (5.0, 190.0), correct=(True, False)),

@@ -39,7 +39,8 @@ def test_non_finite_loss_names_parameter():
         # log of a value that goes non-positive once 'spike' is nudged up.
         return T.log(1.0 - params["spike"])
 
-    with pytest.raises(NumericError, match="spike"):
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in log"), \
+            pytest.raises(NumericError, match="spike"):
         finite_diff_grad_check(f, params, h=1e-4)
 
 

@@ -693,3 +693,212 @@ def test_gelu_saves_only_its_slope_and_forms_none_unrecorded(monkeypatch):
     assert T.gelu(T.constant(x.data)).node is None
     with pytest.raises(AssertionError, match="pdf"):
         T.gelu(x)
+
+
+# ---------------------------------------------------------------------------
+# Ownership rule: a primitive writes in place only into arrays it allocated
+# ---------------------------------------------------------------------------
+
+
+def frozen(a) -> np.ndarray:
+    """A read-only float64 copy: any in-place write into it raises."""
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+def causal(n, past=0):
+    return np.where(np.arange(past + n) > past + np.arange(n)[:, None], -np.inf, 0.0)
+
+
+CONV_PIXELS = np.array([0, 4, 7, 7, 19])
+# Input shapes and the op on leaf tensors, in input order.
+OWNERSHIP_CASES = {
+    "add": ([(3, 4), (1, 4)], T.add),
+    "sub": ([(3, 4), (3, 1)], T.sub),
+    "mul": ([(3, 4), (4,)], T.mul),
+    "div": ([(3, 4), (3, 4)], T.div),
+    "neg": ([(3, 4)], T.neg),
+    "pow_const": ([(3, 4)], lambda a: T.pow_const(a, 1.5)),
+    "exp": ([(3, 4)], T.exp),
+    "log": ([(3, 4)], T.log),
+    "sqrt": ([(3, 4)], T.sqrt),
+    "abs_": ([(3, 4)], T.abs_),
+    "tanh": ([(3, 4)], T.tanh),
+    "gelu": ([(3, 4)], T.gelu),
+    "gelu, 0-d": ([()], T.gelu),
+    "softplus": ([(3, 4)], T.softplus),
+    "matmul": ([(2, 3, 4), (4, 5)], T.matmul),
+    "affine": ([(2, 3, 4), (4, 5), (5,)], T.affine),
+    "sum_": ([(3, 4)], lambda a: T.sum_(a, axis=1)),
+    "mean": ([(3, 4)], lambda a: T.mean(a, axis=0, keepdims=True)),
+    "max_reduce": ([(3, 4)], lambda a: T.max_reduce(a, axis=1)),
+    "softmax": ([(3, 4)], T.softmax),
+    "log_softmax": ([(3, 4)], T.log_softmax),
+    "masked_nll": ([(2, 3, 5)], lambda a: T.masked_nll(
+        a, np.array([[0, 1, 4], [2, 2, 3]]), np.array([[True, False, True]] * 2))),
+    "reshape": ([(3, 4)], lambda a: T.reshape(a, (4, 3))),
+    "transpose": ([(2, 3, 4)], lambda a: T.transpose(a, (2, 0, 1))),
+    "concat": ([(2, 3), (1, 3)], lambda a, b: T.concat([a, b], axis=0)),
+    "stack": ([(2, 3), (2, 3)], lambda a, b: T.stack([a, b], axis=1)),
+    "slice_": ([(3, 4)], lambda a: a[1:, ::2]),
+    "take_flat": ([(3, 4)], lambda a: T.take_flat(a, np.array([0, 5, 5, 11]))),
+    "take_rows": ([(2, 4, 3)], lambda a: T.take_rows(a, np.array([[0, 2], [3, 1]]))),
+    "conv3x3": ([(2, 3, 4, 5), (2, 3, 3, 3), (2,)], T.conv3x3),
+    "conv3x3 at pixels": ([(2, 3, 4, 5), (2, 3, 3, 3), (2,)],
+                          lambda x, w, b: T.conv3x3(x, w, b, pixels=CONV_PIXELS)),
+    "conv3x3, frozen weight": ([(2, 2, 4, 5)], lambda x: T.conv3x3(
+        x, T.constant(frozen(CONV_W)), T.constant(frozen(CONV_B)))),
+    "bilinear_up2": ([(2, 3, 4, 5)], T.bilinear_up2),
+    "layer_norm": ([(2, 3, 4), (4,), (4,)], T.layer_norm),
+    "attention_core": ([(2, 5, 4)] * 3, lambda q, k, v: T.attention_core(q, k, v, 2)),
+    "attention_core, masked": ([(2, 5, 4)] * 3, lambda q, k, v: T.attention_core(
+        q, k, v, 2, frozen(causal(5)))),
+    "attention_core, cached k/v": ([(2, 5, 4), (2, 2, 7, 2), (2, 2, 7, 2)],
+                                   lambda q, k, v: T.attention_core(
+                                       q, k, v, 2, frozen(causal(5, past=2)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OWNERSHIP_CASES))
+def test_primitive_writes_into_no_input_output_or_adjoint(name):
+    """With read-only input arrays, a read-only output and a read-only
+    incoming adjoint, every primitive runs its forward and backward: what a
+    primitive was handed or has handed out, it only reads."""
+    shapes, op = OWNERSHIP_CASES[name]
+    rng = np.random.default_rng(44)
+    leaves = [Tensor(frozen(rng.uniform(0.5, 1.5, size=s)), requires_grad=True)
+              for s in shapes]
+    y = op(*leaves)
+    y.data.flags.writeable = False
+    grads = y.node.backward_fn(frozen(rng.normal(size=y.shape)))
+    assert [np.shape(g) for g in grads[: len(leaves)]] == [t.shape for t in leaves]
+
+
+def gelu_oracle(x, g):
+    """The out-of-place gelu: its value, slope and input gradient."""
+    from scipy.special import ndtr
+
+    phi = ndtr(x)
+    pdf = np.exp(-0.5 * x * x) * T._INV_SQRT_2PI
+    slope = phi + x * pdf
+    return x * phi, slope, g * slope
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (4, 6, 5)])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+def test_gelu_bytes_match_out_of_place_oracle(shape, layout):
+    rng = np.random.default_rng(46)
+    x = rng.normal(size=shape) * 3.0
+    if x.ndim:
+        x.reshape(-1)[:9] = [-40.0, -8.0, -1e-300, -0.0, 0.0, 1e-300, 8.0, 40.0, 1.0][: x.size]
+    if layout == "transposed":
+        x = x.T
+    g = rng.normal(size=x.shape)
+    want_out, want_slope, want_grad = gelu_oracle(x, g)
+    with T.no_grad():
+        assert T.gelu(Tensor(x)).data.tobytes() == np.asarray(want_out).tobytes()
+    y = T.gelu(Tensor(x, requires_grad=True))
+    (slope,) = [c.cell_contents for c in y.node.backward_fn.__closure__]
+    assert y.data.tobytes() == np.asarray(want_out).tobytes()
+    assert slope.tobytes() == np.asarray(want_slope).tobytes()
+    (grad,) = y.node.backward_fn(g)
+    assert grad.tobytes() == np.asarray(want_grad).tobytes()
+
+
+def attention_oracle(q, k, v, heads, mask, g):
+    """The out-of-place attention_core: output and q, k, v gradients."""
+    B, n, d = q.shape
+    split_kv = k.ndim == 3
+    qh = T.split_heads(q, heads)
+    kh = T.split_heads(k, heads) if split_kv else k
+    vh = T.split_heads(v, heads) if split_kv else v
+    scale = 1.0 / np.sqrt(d // heads)
+    scores = (qh @ kh.transpose(0, 1, 3, 2).copy()) * scale
+    if mask is not None:
+        scores = scores + mask
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    attn = probs @ vh
+    out = attn.transpose(0, 2, 1, 3).copy().reshape(B, n, d)
+    ga = T.split_heads(g, heads)
+    gv = np.swapaxes(probs, -1, -2) @ ga
+    gp = ga @ np.swapaxes(vh, -1, -2)
+    rowdot = (ga * attn).sum(axis=-1, keepdims=True)
+    gs = probs * (gp - rowdot) * scale
+    gq, gk = gs @ kh, np.swapaxes(gs, -1, -2) @ qh
+
+    def merge(t):
+        return t.transpose(0, 2, 1, 3).reshape(B, t.shape[2], d)
+
+    if split_kv:
+        return out, merge(gq), merge(gk), merge(gv)
+    return out, merge(gq), gk, gv
+
+
+@pytest.mark.parametrize("case", ["unmasked", "masked", "cached k/v"])
+def test_attention_core_bytes_match_out_of_place_oracle(case):
+    rng = np.random.default_rng(47)
+    B, n, d, heads = 3, 6, 16, 4
+    q = rng.normal(size=(B, n, d))
+    if case == "cached k/v":
+        k, v = rng.normal(size=(2, B, heads, n + 5, d // heads))
+        mask = causal(n, past=5)
+    else:
+        k, v = rng.normal(size=(2, B, n, d))
+        mask = causal(n) if case == "masked" else None
+    g = rng.normal(size=(B, n, d))
+    want = attention_oracle(q, k, v, heads, mask, g)
+    y = T.attention_core(*(Tensor(a, requires_grad=True) for a in (q, k, v)), heads, mask)
+    got = (y.data,) + tuple(y.node.backward_fn(g))
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def conv3x3_backward_oracle(x, w, g, pixels):
+    """The out-of-place conv3x3 backward, with a zero padded buffer for the
+    input gradient: the x, w and b gradients."""
+    B, C, H, W = x.shape
+    O = w.shape[0]
+    rows = H * W if pixels is None else len(pixels)
+    xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (1, 1), (1, 1), (0, 0)))
+    w2 = w.transpose(2, 3, 1, 0).reshape(9 * C, O)
+    gl = np.moveaxis(g, 1, -1).reshape(B, rows, O)
+    gw2, gxp = np.zeros((9 * C, O)), np.zeros(xp.shape)
+    for i in range(B):
+        gw2 += T._im2col(xp[i], pixels).T @ gl[i]
+        gcols = gl[i] @ w2.T
+        if pixels is None:
+            gcols = gcols.reshape(H, W, 3, 3, C)
+            for di in range(3):
+                for dj in range(3):
+                    gxp[i, di : di + H, dj : dj + W] += gcols[:, :, di, dj]
+        else:
+            v, u = np.divmod(pixels, W)
+            gcols = gcols.reshape(rows, 3, 3, C)
+            for di in range(3):
+                for dj in range(3):
+                    np.add.at(gxp[i], (v + di, u + dj), gcols[:, di, dj])
+    return (gxp[:, 1 : 1 + H, 1 : 1 + W].transpose(0, 3, 1, 2),
+            gw2.reshape(3, 3, C, O).transpose(3, 2, 0, 1),
+            g.sum(axis=(0,) + tuple(range(2, g.ndim))))
+
+
+@pytest.mark.parametrize("at", ["whole map", "pixels"])
+@pytest.mark.parametrize("weight", ["tracked", "frozen"])
+@pytest.mark.parametrize("B,C,O,H,W", [(3, 4, 5, 6, 7), (2, 16, 16, 8, 8)])
+def test_conv3x3_grads_bytes_match_out_of_place_oracle(at, weight, B, C, O, H, W):
+    rng = np.random.default_rng(48)
+    x, w, b = rng.normal(size=(B, C, H, W)), rng.normal(size=(O, C, 3, 3)), rng.normal(size=O)
+    pixels = None if at == "whole map" else np.array([0, W - 1, W + 1, W + 1, H * W - 1])
+    y = T.conv3x3(Tensor(x, requires_grad=True), Tensor(w, requires_grad=weight == "tracked"),
+                  Tensor(b, requires_grad=weight == "tracked"), pixels=pixels)
+    g = rng.normal(size=y.shape)
+    got = y.node.backward_fn(g)
+    want = conv3x3_backward_oracle(x, w, g, pixels)
+    if weight == "frozen":
+        assert got[1:] == (None, None)
+        got, want = got[:1], want[:1]
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -519,6 +519,31 @@ def test_vfm_graph_keeps_only_what_its_backward_reads(tiny_data):
     T.backward(loss)
 
 
+
+def test_vfm_step_peak_stays_near_its_graph(tiny_data):
+    """The peak of one VFM batch's forward plus backward stays within the
+    graph's bound above plus one full-resolution feature map [B, C, H, W]:
+    gelu forms its output in its Phi buffer and its input gradient in its
+    slope, attention_core keeps one score buffer, conv3x3's backward folds
+    the input gradient into its padded input copy, and the heads drop each
+    map once its last reader has run."""
+    model = tiny_model(tiny_data)
+    samples = tiny_data.samples[:4]
+    T.backward(training._vfm_batch_loss(model, samples))  # warm one-time caches
+    model.params.zero_grads()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        T.backward(training._vfm_batch_loss(model, samples))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    sp = model.cfg.spatial
+    full_map = 8 * len(samples) * sp.encoder_dim * sp.image_size**2
+    bound = 1.25 * 8 * vfm_saved_floats(model.cfg, len(samples)) + full_map
+    assert peak <= bound, (peak, bound)
+
 def test_stage2_step_forms_no_frozen_grads(tiny_data, monkeypatch):
     """The frozen LM is not tracked, so a stage-2 step forms none of its
     gradients, and every trainable gradient has the bytes it has when
