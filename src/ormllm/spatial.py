@@ -209,7 +209,7 @@ def depth_head_forward(grid: Tensor, params: ModelParams,
                       params[f"spatial.depth.stage{s}.conv.w"],
                       params[f"spatial.depth.stage{s}.conv.b"], pixels=at)
         g = g + _at_pixels(skip, at)
-        del skip  # no map but gelu's input lives while gelu runs
+        del skip  # freed before gelu allocates its output and slope
         g = T.gelu(g)
     out = linear(_channels_last(g), params, "spatial.depth.head")  # [B, N, 1]
     return T.softplus(T.reshape(out, (g.shape[0],) + g.shape[2:]))

@@ -19,11 +19,12 @@ flags taken at forward time), never an input Tensor.
 
 Buffers are owned. The rule for every primitive, and for any new one:
 - a primitive may write in place only into arrays it allocated itself and
-  has not handed out (as an output's data or as a returned gradient);
+  has not handed out (as an output's data or as a returned gradient):
+  attention_core runs its softmax in its score buffer and, backward,
+  forms the score gradient in the buffer of dP;
 - a backward may overwrite what its own forward allocated and saved,
-  since it runs once (gelu returns its slope as the input gradient,
-  attention_core forms the score gradient in its own buffer, conv3x3
-  folds the input gradient into its padded input copy);
+  since it runs once: gelu returns its slope multiplied by the adjoint,
+  and conv3x3 folds the input gradient into its padded input copy;
 - a backward never writes into an incoming adjoint, which other nodes
   may share, or into an input's data.
 An in-place form must keep the operations, and so the bytes, of the
@@ -971,8 +972,7 @@ def attention_core(q, k, v, heads: int, mask=None) -> Tensor:
         raise DimensionError(f"attention_core: k {k.shape} does not match q {q.shape} "
                              f"with {heads} heads")
     scale = 1.0 / np.sqrt(dh)
-    # The scores, their softmax and, in the backward, its gradient share
-    # one [B, heads, n, m] buffer.
+    # The scores become their softmax in one [B, heads, n, m] buffer.
     probs = qh @ kh.transpose(0, 1, 3, 2).copy()
     probs *= scale
     if mask is not None:
@@ -989,11 +989,10 @@ def attention_core(q, k, v, heads: int, mask=None) -> Tensor:
     def bw(g):
         ga = split_heads(g, heads)
         gv = np.swapaxes(probs, -1, -2) @ ga
-        gp = ga @ np.swapaxes(vh, -1, -2)
-        gp -= (ga * attn).sum(axis=-1, keepdims=True)
-        gp *= probs
-        gp *= scale
-        gs = gp
+        gs = ga @ np.swapaxes(vh, -1, -2)  # dP, then the score gradient
+        gs -= (ga * attn).sum(axis=-1, keepdims=True)
+        gs *= probs
+        gs *= scale
         gq = gs @ kh
         gk = np.swapaxes(gs, -1, -2) @ qh
         if split_kv:

@@ -13,7 +13,7 @@ import pytest
 from ormllm import tensor as T
 from ormllm.errors import ContractError, DimensionError
 from ormllm.gradcheck import finite_diff_grad_check
-from ormllm.nn import ModelParams, init_linear, linear
+from ormllm.nn import ModelParams, _causal_mask, init_linear, linear
 from ormllm.tensor import Tensor
 
 
@@ -707,10 +707,6 @@ def frozen(a) -> np.ndarray:
     return a
 
 
-def causal(n, past=0):
-    return np.where(np.arange(past + n) > past + np.arange(n)[:, None], -np.inf, 0.0)
-
-
 CONV_PIXELS = np.array([0, 4, 7, 7, 19])
 # Input shapes and the op on leaf tensors, in input order.
 OWNERSHIP_CASES = {
@@ -753,10 +749,10 @@ OWNERSHIP_CASES = {
     "layer_norm": ([(2, 3, 4), (4,), (4,)], T.layer_norm),
     "attention_core": ([(2, 5, 4)] * 3, lambda q, k, v: T.attention_core(q, k, v, 2)),
     "attention_core, masked": ([(2, 5, 4)] * 3, lambda q, k, v: T.attention_core(
-        q, k, v, 2, frozen(causal(5)))),
+        q, k, v, 2, frozen(_causal_mask(5)))),
     "attention_core, cached k/v": ([(2, 5, 4), (2, 2, 7, 2), (2, 2, 7, 2)],
                                    lambda q, k, v: T.attention_core(
-                                       q, k, v, 2, frozen(causal(5, past=2)))),
+                                       q, k, v, 2, frozen(_causal_mask(5, past=2)))),
 }
 
 
@@ -844,10 +840,10 @@ def test_attention_core_bytes_match_out_of_place_oracle(case):
     q = rng.normal(size=(B, n, d))
     if case == "cached k/v":
         k, v = rng.normal(size=(2, B, heads, n + 5, d // heads))
-        mask = causal(n, past=5)
+        mask = _causal_mask(n, past=5)
     else:
         k, v = rng.normal(size=(2, B, n, d))
-        mask = causal(n) if case == "masked" else None
+        mask = _causal_mask(n) if case == "masked" else None
     g = rng.normal(size=(B, n, d))
     want = attention_oracle(q, k, v, heads, mask, g)
     y = T.attention_core(*(Tensor(a, requires_grad=True) for a in (q, k, v)), heads, mask)
