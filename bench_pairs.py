@@ -10,8 +10,10 @@ gives each side's median and quartiles, how many pairs the change won (ties
 count for neither side), the relative change of the medians, and the
 gate's verdicts, printed one line per metric: `gain_resolved` (the change
 won at least 9/10 of the pairs and the medians differ in its favour by more
-than the parent's q3 - q1) and `beyond_bound` (the change's median is worse
-than the parent's by more than the metric's bound). With
+than the parent's q3 - q1), `beyond_bound` (the change's median is worse
+than the parent's by more than the metric's bound) and `unresolved` (the
+parent's q3 - q1 exceeds the bound relative to its median, and some change
+run does not beat every parent run). With
 --trace-seeds, traced runs follow, also in alternating pairs, one pair per
 listed seed; each side's per-layer metrics are recorded run by run and as
 medians. The workload's entry is merged into --out, so one file can hold
@@ -117,12 +119,15 @@ def run_pairs(checkouts: dict[str, str], workload: str, seeds: list[int],
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per metric: each side's median and quartiles, the pairs the change
-    won, the relative change of the medians, and the gate's two verdicts.
+    won, the relative change of the medians, and the gate's three verdicts.
 
     `gain_resolved`: the change won at least 9/10 of the pairs and its
     median is better than the parent's by more than the parent's q3 - q1.
     `beyond_bound`: the change's median is worse than the parent's by more
-    than the metric's relative bound."""
+    than the metric's relative bound.
+    `unresolved`: the parent's runs spread wider than the bound (q3 - q1
+    above bound x |median|), so a difference within the bound cannot be
+    told from noise, unless every change run beats every parent run."""
     out = {}
     for metric in end_to_end:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -135,6 +140,9 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         med = {s: stats[s]["median"] for s in SIDES}
         rel = (med["change"] - med["parent"]) / med["parent"] if med["parent"] else None
         gain = med["change"] - med["parent"] if higher else med["parent"] - med["change"]
+        iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+        separated = (side["change"].min() > side["parent"].max() if higher
+                     else side["change"].max() < side["parent"].min())
         out[name] = {
             **stats,
             "change_wins": wins,
@@ -142,10 +150,11 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "median_change_rel": rel,
             "better": metric["better"],
             "bound": metric["bound"],
-            "gain_resolved": bool(wins >= 0.9 * len(pairs)
-                                  and gain > stats["parent"]["q3"] - stats["parent"]["q1"]),
+            "gain_resolved": bool(wins >= 0.9 * len(pairs) and gain > iqr),
             "beyond_bound": bool(rel is not None
                                  and (-rel if higher else rel) > metric["bound"]),
+            "unresolved": bool(iqr > metric["bound"] * abs(med["parent"])
+                               and not separated),
         }
     return out
 
@@ -155,6 +164,8 @@ def verdict_line(workload: str, name: str, m: dict) -> str:
     rel = "n/a" if m["median_change_rel"] is None else f"{m['median_change_rel']:+.1%}"
     if m["beyond_bound"]:
         verdict = f"BEYOND BOUND ({m['bound']:g})"
+    elif m["unresolved"]:
+        verdict = f"unresolved (parent IQR wider than the bound {m['bound']:g})"
     elif m["gain_resolved"]:
         verdict = "gain resolved"
     else:

@@ -149,9 +149,11 @@ def _write_loss_log(path: str, rows, echo: list[str]) -> None:
 
 def _train_one_stage(run: RunConfig, bundle, cfg: TrainConfig, variant: str,
                      ckpt_in: str | None, ckpt_out: str, loss_log: str | None,
-                     ckpt_best: str | None = None) -> None:
+                     ckpt_best: str | None = None,
+                     best_cfg: EvalConfig | None = None) -> None:
     """Trains one stage; `cfg` comes from run.train(stage), built (and so
-    validated) before the dataset was read. `ckpt_best` is stage 2 only."""
+    validated) before the dataset was read. `ckpt_best` is stage 2 only and
+    keeps the epoch whose validation EM under `best_cfg` is highest."""
     train_samples = bundle.part_samples("train")
     stage = cfg.stage
     mcfg = ModelConfig(
@@ -178,8 +180,7 @@ def _train_one_stage(run: RunConfig, bundle, cfg: TrainConfig, variant: str,
         val_samples = bundle.part_samples("val")[:32]
 
         def on_epoch(epoch):
-            report = evaluate(model, bundle.vocab, val_samples,
-                              EvalConfig(tasks=("qa",)))
+            report = evaluate(model, bundle.vocab, val_samples, best_cfg)
             em = report.em_at_1 or 0.0
             if em > best["em"]:
                 best["em"] = em
@@ -207,26 +208,17 @@ def cmd_train(args) -> int:
               "--stage 2", file=sys.stderr)
         return EXIT_CONTRACT
     cfg = run.train(args.stage)
+    best_cfg = run.eval(("qa",))
     bundle = read_dataset(args.data)
     _sync_with_dataset(run, bundle)
     _train_one_stage(run, bundle, cfg, args.variant, args.ckpt_in,
-                     args.ckpt_out, args.loss_log, args.ckpt_best)
+                     args.ckpt_out, args.loss_log, args.ckpt_best, best_cfg)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
-
-
-def _eval_config(run: RunConfig, tasks: tuple[str, ...]) -> EvalConfig:
-    """The run's eval settings, built (and so validated) before any data is
-    read or any model trained."""
-    return EvalConfig(
-        tasks=tasks,
-        max_new_qa=int(run["eval.max_new_qa"]),
-        max_new_sgg=int(run["eval.max_new_sgg"]),
-    )
 
 
 def _eval_model(run: RunConfig, bundle, ckpt: str, variant: str | None,
@@ -262,7 +254,7 @@ def _eval_model(run: RunConfig, bundle, ckpt: str, variant: str | None,
 def cmd_eval(args) -> int:
     run = RunConfig.resolve(args.config, {"seed": args.seed})
     tasks = tuple(t.strip() for t in args.tasks.split(",") if t.strip())
-    ecfg = _eval_config(run, tasks)
+    ecfg = run.eval(tasks)
     bundle = read_dataset(args.data)
     _sync_with_dataset(run, bundle)
     _eval_model(run, bundle, args.ckpt, args.variant, args.split, ecfg,
@@ -277,7 +269,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     run = RunConfig.resolve(args.config, {"seed": args.seed})
-    ecfg = _eval_config(run, TASKS)
+    ecfg = run.eval(TASKS)
     cfg = run.train(2)
     bundle = read_dataset(args.data)
     _sync_with_dataset(run, bundle)
@@ -306,7 +298,7 @@ def _gradcheck_suite(seed: int, corrupt: bool):
     rng = np.random.default_rng(np.random.SeedSequence([0x96AD, seed]))
     scfg = SpatialBlockConfig(
         image_size=8, encoder_blocks=1, encoder_dim=8, encoder_heads=2,
-        encoder_patch=2, depth_decoder_stages=1, seg_classes=3,
+        depth_decoder_stages=1, seg_classes=3,
         pc_hidden=6, pc_feature_dim=6,
     )
     fcfg = FusionConfig(d_token=16, lm_layers=2, lm_heads=2, vocab_size=24,

@@ -7,53 +7,37 @@ echoed verbatim into every output artifact so runs can be audited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .errors import ConfigurationError
+from .evaluate import EvalConfig
 from .fusion import FusionConfig
 from .spatial import SpatialBlockConfig
 from .training import TrainConfig
 
+SECTIONS = {"spatial": SpatialBlockConfig, "fusion": FusionConfig,
+            "train": TrainConfig, "eval": EvalConfig}
+
+# Section fields that are not config keys: a builder fills the first six
+# from its arguments or other keys; the last four keep their one value.
+NOT_KEYS = frozenset({
+    "spatial.image_size", "fusion.vocab_size", "train.stage", "train.epochs",
+    "train.seed", "eval.tasks",
+    "fusion.mlp_ratio", "eval.mode", "eval.beam_k", "eval.threads",
+})
+
+# Every other section field is the key `<section>.<field>`, and its default
+# is the field's default.
 DEFAULTS: dict[str, object] = {
     "seed": 0,
     "data.scenes": 300,
     "data.views": 3,
     "data.image_size": 32,
-    "spatial.encoder_blocks": 2,
-    "spatial.encoder_dim": 64,
-    "spatial.encoder_heads": 4,
-    "spatial.encoder_patch": 4,
-    "spatial.depth_decoder_stages": 2,
-    "spatial.seg_classes": 8,
-    "spatial.lambda_l1": 1.0,
-    "spatial.lambda_grad": 0.5,
-    "spatial.lambda_dice": 1.0,
-    "spatial.pc_hidden": 64,
-    "spatial.pc_feature_dim": 64,
-    "fusion.d_token": 64,
-    "fusion.lm_layers": 2,
-    "fusion.lm_heads": 4,
-    "fusion.max_seq_len": 384,
-    "fusion.image_patch": 8,
-    "fusion.pc_tokens": 1,
-    "train.lr_lm": 3e-3,
-    "train.lr_vision": 3e-3,
-    "train.lr_pretrained_vision": 5e-4,
-    "train.batch_size": 8,
     "train.epochs.stage1": 6,
     "train.epochs.stage2": 2,
-    "train.warmup_steps": 10,
-    "train.adam_beta1": 0.9,
-    "train.adam_beta2": 0.999,
-    "train.weight_decay": 0.01,
-    "train.lambda_clip": 0.1,
-    "train.tau": 0.07,
-    "train.vfm_epochs": 3,
-    "train.qa_per_sample": 2,
-    "train.sgg_max_triples": 24,
-    "eval.max_new_qa": 8,
-    "eval.max_new_sgg": 150,
+    **{f"{name}.{f.name}": f.default for name, cls in SECTIONS.items()
+       for f in fields(cls) if f"{name}.{f.name}" not in NOT_KEYS},
 }
 
 
@@ -130,52 +114,22 @@ class RunConfig:
         lines += [f"{k} = {self.values[k]}" for k in sorted(self.values)]
         return lines
 
+    def _section(self, name: str, **given):
+        """The section's config, each key cast to its field's type, plus the
+        fields the caller gives."""
+        keys = {f.name: type(f.default)(self.values[f"{name}.{f.name}"])
+                for f in fields(SECTIONS[name]) if f"{name}.{f.name}" in DEFAULTS}
+        return SECTIONS[name](**keys, **given)
+
     def spatial(self) -> SpatialBlockConfig:
-        v = self.values
-        return SpatialBlockConfig(
-            image_size=int(v["data.image_size"]),
-            encoder_blocks=int(v["spatial.encoder_blocks"]),
-            encoder_dim=int(v["spatial.encoder_dim"]),
-            encoder_heads=int(v["spatial.encoder_heads"]),
-            encoder_patch=int(v["spatial.encoder_patch"]),
-            depth_decoder_stages=int(v["spatial.depth_decoder_stages"]),
-            seg_classes=int(v["spatial.seg_classes"]),
-            lambda_l1=float(v["spatial.lambda_l1"]),
-            lambda_grad=float(v["spatial.lambda_grad"]),
-            lambda_dice=float(v["spatial.lambda_dice"]),
-            pc_hidden=int(v["spatial.pc_hidden"]),
-            pc_feature_dim=int(v["spatial.pc_feature_dim"]),
-        )
+        return self._section("spatial", image_size=int(self.values["data.image_size"]))
 
     def fusion(self, vocab_size: int) -> FusionConfig:
-        v = self.values
-        return FusionConfig(
-            d_token=int(v["fusion.d_token"]),
-            lm_layers=int(v["fusion.lm_layers"]),
-            lm_heads=int(v["fusion.lm_heads"]),
-            vocab_size=vocab_size,
-            max_seq_len=int(v["fusion.max_seq_len"]),
-            image_patch=int(v["fusion.image_patch"]),
-            pc_tokens=int(v["fusion.pc_tokens"]),
-        )
+        return self._section("fusion", vocab_size=vocab_size)
 
     def train(self, stage: int) -> TrainConfig:
-        v = self.values
-        return TrainConfig(
-            stage=stage,
-            lr_lm=float(v["train.lr_lm"]),
-            lr_vision=float(v["train.lr_vision"]),
-            lr_pretrained_vision=float(v["train.lr_pretrained_vision"]),
-            batch_size=int(v["train.batch_size"]),
-            epochs=int(v[f"train.epochs.stage{stage}"]),
-            warmup_steps=int(v["train.warmup_steps"]),
-            adam_beta1=float(v["train.adam_beta1"]),
-            adam_beta2=float(v["train.adam_beta2"]),
-            weight_decay=float(v["train.weight_decay"]),
-            lambda_clip=float(v["train.lambda_clip"]),
-            tau=float(v["train.tau"]),
-            seed=int(v["seed"]),
-            vfm_epochs=int(v["train.vfm_epochs"]),
-            qa_per_sample=int(v["train.qa_per_sample"]),
-            sgg_max_triples=int(v["train.sgg_max_triples"]),
-        )
+        return self._section("train", stage=stage, seed=int(self.values["seed"]),
+                             epochs=int(self.values[f"train.epochs.stage{stage}"]))
+
+    def eval(self, tasks: tuple[str, ...]) -> EvalConfig:
+        return self._section("eval", tasks=tasks)

@@ -99,7 +99,7 @@ def evaluate_sample(model: Model, vocab: Vocabulary, sample: Sample,
               for question, _ in sample.qa] if "qa" in cfg.tasks else []
         sgg = [model.assemble(bundle, [V.SGG_TASK])] if "sgg" in cfg.tasks else []
         prefixes = qa + sgg
-        past = prefix_cache(prefixes[0], prefixes[0].segment_start("prompt"),
+        past = prefix_cache(prefixes[0], prefixes[0].prompt_start,
                             model.params, model.cfg.fusion) if prefixes else None
 
         def decode(prefixes, max_new: int) -> list[list[int]]:

@@ -64,23 +64,18 @@ class FusionConfig:
 
 @dataclass
 class TokenSequence:
-    tokens: Tensor          # [S, d_token]
-    tags: list[str]         # parallel, values in {image, seg, pc, prompt, answer}
+    tokens: Tensor          # [S, d_token]: modality rows, prompt, any answer
     positions: np.ndarray                # positional slot per token
+    prompt_start: int                    # the first prompt row
     prompt_ids: tuple[int, ...] = ()     # the ids embedded in the prompt segment
 
     def __post_init__(self):
-        if self.tokens.shape[0] != len(self.tags):
-            raise ContractError("token/tag lengths differ")
         self.positions = np.asarray(self.positions, dtype=np.int64)
-        if len(self.positions) != len(self.tags):
-            raise ContractError("position/tag lengths differ")
+        if len(self.positions) != self.tokens.shape[0]:
+            raise ContractError("position/token lengths differ")
 
     def __len__(self) -> int:
-        return len(self.tags)
-
-    def segment_start(self, tag: str) -> int:
-        return self.tags.index(tag)
+        return self.tokens.shape[0]
 
     def next_position(self) -> int:
         return int(self.positions.max()) + 1 if len(self.positions) else 0
@@ -208,17 +203,14 @@ def build_input_sequence(img_toks, seg_toks, pc_toks, prompt_ids,
     """
     spec = variant_spec(variant)
     parts: list[Tensor] = []
-    tags: list[str] = []
     positions: list[int] = []
     if img_toks is not None:
         parts.append(img_toks)
-        tags += ["image"] * img_toks.shape[0]
         positions += list(range(layout.img_base, layout.img_base + img_toks.shape[0]))
         if spec.seg is not None:
             if seg_toks is None:
                 raise ContractError(f"variant {variant!r} requires seg tokens")
             parts.append(seg_toks)
-            tags += ["seg"] * seg_toks.shape[0]
             if seg_class_ids is not None:
                 if len(seg_class_ids) != seg_toks.shape[0]:
                     raise ContractError("seg_class_ids length mismatch")
@@ -230,21 +222,19 @@ def build_input_sequence(img_toks, seg_toks, pc_toks, prompt_ids,
             if pc_toks is None:
                 raise ContractError(f"variant {variant!r} requires pc-slot tokens")
             parts.append(pc_toks)
-            tags += ["pc"] * pc_toks.shape[0]
             positions += list(range(layout.pc_base, layout.pc_base + pc_toks.shape[0]))
     prompt_ids = list(prompt_ids)
     if not prompt_ids:
         raise ContractError("prompt must be non-empty")
+    prompt_start = len(positions)
     parts.append(_embed_ids(prompt_ids, params, cfg))
-    tags += ["prompt"] * len(prompt_ids)
     positions += list(range(layout.prompt_base, layout.prompt_base + len(prompt_ids)))
     if answer_ids is not None:
         answer_ids = list(answer_ids)
         parts.append(_embed_ids(answer_ids, params, cfg))
-        tags += ["answer"] * len(answer_ids)
         base = positions[-1] + 1
         positions += list(range(base, base + len(answer_ids)))
-    total = len(tags)
+    total = len(positions)
     if total > cfg.max_seq_len:
         raise SequenceLengthError(
             f"sequence length {total} exceeds max_seq_len {cfg.max_seq_len}"
@@ -253,8 +243,9 @@ def build_input_sequence(img_toks, seg_toks, pc_toks, prompt_ids,
         raise SequenceLengthError(
             f"positional slot {max(positions)} exceeds max_seq_len {cfg.max_seq_len}"
         )
-    return TokenSequence(tokens=T.concat(parts, axis=0), tags=tags,
+    return TokenSequence(tokens=T.concat(parts, axis=0),
                          positions=np.array(positions, dtype=np.int64),
+                         prompt_start=prompt_start,
                          prompt_ids=tuple(int(i) for i in prompt_ids))
 
 

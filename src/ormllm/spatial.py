@@ -54,7 +54,6 @@ class SpatialBlockConfig:
     encoder_blocks: int = 2
     encoder_dim: int = 64           # C
     encoder_heads: int = 4
-    encoder_patch: int = 4
     depth_decoder_stages: int = 2
     seg_classes: int = 8            # K
     lambda_l1: float = 1.0
@@ -67,20 +66,20 @@ class SpatialBlockConfig:
         if self.seg_classes < 2:
             raise ConfigurationError("need at least 2 segmentation classes")
         for name in ("image_size", "encoder_blocks", "encoder_dim", "encoder_heads",
-                     "encoder_patch", "depth_decoder_stages", "pc_hidden",
-                     "pc_feature_dim"):
+                     "depth_decoder_stages", "pc_hidden", "pc_feature_dim"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         for name in ("lambda_l1", "lambda_grad", "lambda_dice"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
-        if self.encoder_patch != 2 ** self.depth_decoder_stages:
-            raise ConfigurationError(
-                "encoder_patch must equal 2**depth_decoder_stages so the decoder "
-                "returns to input resolution"
-            )
         if self.image_size % self.encoder_patch != 0:
             raise ConfigurationError("image_size must be divisible by encoder_patch")
+
+    @property
+    def encoder_patch(self) -> int:
+        """The decoder doubles the grid once a stage, so it returns to input
+        resolution from patches of this side."""
+        return 2 ** self.depth_decoder_stages
 
     @property
     def grid_size(self) -> int:
@@ -193,11 +192,12 @@ def depth_head_forward(grid: Tensor, params: ModelParams,
     rounding, at 1/4**(s+1) of the 1x1 cost. At `pixels`, the last stage's
     3x3 conv gathers only their im2col rows, and gelu, the 1x1 head and
     softplus run on those P rows; the earlier stages and the upsampling stay
-    whole. The values at the pixels are the full map's up to rounding, and
-    byte for byte at the run configs' cell centres and cloud raster (see
-    T.conv3x3; the 1x1 head is a matrix-vector product that OpenBLAS runs
-    4 rows at a time, so with P not a multiple of 4 the last rows can
-    differ in the last bit)."""
+    whole. That form is inference-only: under grad, T.conv3x3 raises
+    ContractError. The values at the pixels are the full map's up to
+    rounding, and byte for byte at the run configs' cell centres and cloud
+    raster (see T.conv3x3; the 1x1 head is a matrix-vector product that
+    OpenBLAS runs 4 rows at a time, so with P not a multiple of 4 the last
+    rows can differ in the last bit)."""
     g = grid
     last = cfg.depth_decoder_stages - 1
     for s in range(cfg.depth_decoder_stages):

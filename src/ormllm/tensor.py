@@ -147,20 +147,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return pow_const(self, p)
-
-    def __getitem__(self, key):
-        return slice_(self, key)
 
 
 def as_tensor(x) -> Tensor:
@@ -368,18 +356,6 @@ def div(a, b) -> Tensor:
     return _make(out, (a, b), bw)
 
 
-def pow_const(a, p: float) -> Tensor:
-    a = as_tensor(a)
-    p = float(p)
-    x = a.data
-    out = x**p
-
-    def bw(g):
-        return (g * p * x ** (p - 1.0),)
-
-    return _make(out, (a,), bw)
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.data)
@@ -420,16 +396,6 @@ def abs_(a) -> Tensor:
         return (g * np.sign(x),)
 
     return _make(np.abs(x), (a,), bw)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-
-    def bw(g):
-        return (g * (1.0 - out * out),)
-
-    return _make(out, (a,), bw)
 
 
 def gelu(a) -> Tensor:
@@ -758,23 +724,15 @@ def _im2col(xp: np.ndarray, pixels: np.ndarray | None = None) -> np.ndarray:
     return win[v, u].transpose(0, 2, 3, 1).reshape(len(pixels), 9 * C)
 
 
-def _col2im_add(xp: np.ndarray, cols: np.ndarray, pixels: np.ndarray | None) -> None:
-    """The adjoint of _im2col, in place: adds [H*W, 9*C] columns, or the
-    [P, 9*C] rows of flat output pixels [P], onto the [H+2, W+2, C] padded
-    slot they index, with nine slice-adds over the full map or an
-    unbuffered add at the pixels."""
+def _col2im_add(xp: np.ndarray, cols: np.ndarray) -> None:
+    """The adjoint of _im2col over the full map, in place: adds [H*W, 9*C]
+    columns onto the [H+2, W+2, C] padded slot they index, with nine
+    slice-adds."""
     H, W, C = xp.shape[0] - 2, xp.shape[1] - 2, xp.shape[2]
-    if pixels is None:
-        cols = cols.reshape(H, W, 3, 3, C)
-        for di in range(3):
-            for dj in range(3):
-                xp[di : di + H, dj : dj + W] += cols[:, :, di, dj]
-        return
-    v, u = np.divmod(pixels, W)
-    cols = cols.reshape(len(pixels), 3, 3, C)
+    cols = cols.reshape(H, W, 3, 3, C)
     for di in range(3):
         for dj in range(3):
-            np.add.at(xp, (v + di, u + dj), cols[:, di, dj])
+            xp[di : di + H, dj : dj + W] += cols[:, :, di, dj]
 
 
 def conv3x3(x, w, b, pixels=None) -> Tensor:
@@ -789,13 +747,15 @@ def conv3x3(x, w, b, pixels=None) -> Tensor:
     rounding, and byte for byte while BLAS keeps one kernel for both row
     counts: with numpy's OpenBLAS at C = O = 64, 28 or more pixels a sample
     matched and 16 or fewer did not (its small-matrix kernel groups the
-    K = 576 sum differently). The backward rebuilds each sample's columns rather than keeping a
-    [B*H*W, 9C] matrix alive between forward and backward: the weight
-    gradient is colsᵀ @ g, and the input gradient is g @ w2ᵀ folded back
-    onto the padded input (_col2im_add). The fold writes into the padded
-    copy the forward kept, each sample's slot once its weight-gradient
-    columns are taken, so the input gradient allocates no padded buffer of
-    its own while the weight is tracked."""
+    K = 576 sum differently). At `pixels` the conv is inference-only: when
+    it would record, it raises ContractError. The backward, over whole
+    maps, rebuilds each sample's columns rather than keeping a [B*H*W, 9C]
+    matrix alive between forward and backward: the weight gradient is
+    colsᵀ @ g, and the input gradient is g @ w2ᵀ folded back onto the
+    padded input (_col2im_add). The fold writes into the padded copy the
+    forward kept, each sample's slot once its weight-gradient columns are
+    taken, so the input gradient allocates no padded buffer of its own
+    while the weight is tracked."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 4 or w.ndim != 4 or w.shape[2:] != (3, 3):
         raise DimensionError(f"conv3x3 shapes: x {x.shape}, w {w.shape}")
@@ -806,6 +766,8 @@ def conv3x3(x, w, b, pixels=None) -> Tensor:
     B, C, H, W = x.shape
     O = w.shape[0]
     if pixels is not None:
+        if _records(x, w, b):
+            raise ContractError("conv3x3 at pixels is inference-only; run under no_grad")
         pixels = np.asarray(pixels, dtype=np.int64)
     rows = H * W if pixels is None else len(pixels)
     xp = np.pad(x.data.transpose(0, 2, 3, 1), ((0, 0), (1, 1), (1, 1), (0, 0)))
@@ -831,19 +793,19 @@ def conv3x3(x, w, b, pixels=None) -> Tensor:
             # kept, each sample's slot zeroed once its columns are taken.
             gxp = xp_kept if xp_kept is not None else np.empty(xp_shape)
         for i in range(B):
-            gi = gl[i].reshape(rows, O)
+            gi = gl[i].reshape(H * W, O)
             if gw2 is not None:
-                gw2 += _im2col(xp_kept[i], pixels).T @ gi
+                gw2 += _im2col(xp_kept[i]).T @ gi
             if gxp is not None:
                 gxp[i] = 0.0
-                _col2im_add(gxp[i], gi @ w2_kept.T, pixels)
+                _col2im_add(gxp[i], gi @ w2_kept.T)
         gx = gw = gb = None
         if gxp is not None:
             gx = gxp[:, 1 : 1 + H, 1 : 1 + W].transpose(0, 3, 1, 2)
         if gw2 is not None:
             gw = gw2.reshape(3, 3, C, O).transpose(3, 2, 0, 1)
         if tb:
-            gb = g.sum(axis=(0,) + tuple(range(2, g.ndim)))
+            gb = g.sum(axis=(0, 2, 3))
         return gx, gw, gb
 
     return _make(out, (x, w, b), bw)

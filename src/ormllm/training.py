@@ -449,7 +449,7 @@ def _batch_stage2(model: Model, data: TrainData, records: list[TrainRecord],
         bundle = bundles[rec.sample_index]
         answer_seg = [V.BOS] + rec.answer_ids + [V.EOS]
         seq = model.assemble(bundle, rec.prompt_ids, answer_seg)
-        n_modality = seq.segment_start("prompt")
+        n_modality = seq.prompt_start
         seqs.append(seq.tokens)
         poss.append(seq.positions)
         metas.append(_answer_targets(len(rec.prompt_ids), rec.answer_ids,

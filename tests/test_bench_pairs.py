@@ -114,6 +114,29 @@ def test_summarize_flags_a_regression_beyond_the_bound(ops, rss, flags):
             "BEYOND BOUND (0.25)")
 
 
+# fusion_train setup_s in BENCH_24.json: the parent's IQR is 58% of its median.
+WIDE_PARENT = [0.0612, 0.0426, 0.0419, 0.042, 0.0418, 0.0703, 0.0697, 0.044, 0.0764, 0.0431]
+WIDE_CHANGE = [0.0599, 0.0696, 0.0454, 0.0637, 0.0412, 0.0458, 0.0429, 0.0441, 0.0648, 0.0772]
+
+
+@pytest.mark.parametrize("parent,change,unresolved,verdict", [
+    (WIDE_PARENT, WIDE_CHANGE, True, "unresolved (parent IQR wider than the bound 0.25)"),
+    # The same parent spread, but every change run beats every parent run.
+    (WIDE_PARENT, [0.04] * 10, False, "gain resolved"),
+    # A narrow spread: IQR 2% of the median.
+    ([0.050, 0.051, 0.049, 0.050, 0.052, 0.048, 0.050, 0.051, 0.049, 0.050],
+     [0.051, 0.050, 0.050, 0.052, 0.049, 0.051, 0.050, 0.049, 0.051, 0.050],
+     False, "within bound, no gain resolved"),
+])
+def test_summarize_spread_wider_than_the_bound_is_unresolved(parent, change, unresolved,
+                                                              verdict):
+    setup = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.25}]  # setup_s's bound
+    pairs = [pair((4.0, p), (4.0, c)) for p, c in zip(parent, change)]
+    m = bench_pairs.summarize(pairs, setup)["peak_rss_mb"]
+    assert m["unresolved"] is unresolved and m["beyond_bound"] is False
+    assert bench_pairs.verdict_line("w", "peak_rss_mb", m).endswith(verdict)
+
+
 def test_incorrect_runs_counted_per_side():
     pairs = [pair((4.0, 200.0), (5.0, 190.0)),
              pair((4.0, 200.0), (5.0, 190.0), correct=(True, False)),

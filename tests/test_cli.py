@@ -237,6 +237,12 @@ def test_eval_bad_settings_usage_error(workspace, trained, tmp_path, capsys, lin
     bad.write_text(open(cfg).read() + line + "\n")
     assert main(["eval", "--ckpt", s2, "--data", data, "--config", str(bad)]) == 2
     assert line.split(" =")[0] in capsys.readouterr().err
+    # train rejects them before it trains anything.
+    ckpt = tmp_path / "s1.ckpt"
+    assert main(["train", "--stage", "1", "--data", data, "--config", str(bad),
+                 "--ckpt-out", str(ckpt)]) == 2
+    assert line.split(" =")[0] in capsys.readouterr().err
+    assert not ckpt.exists()
     # ablate rejects them before it trains anything.
     abl = tmp_path / "abl"
     assert main(["ablate", "--variant", "full", "--data", data, "--config", str(bad),
@@ -412,3 +418,24 @@ def test_stage1_ckpt_best_contract_error(tmp_path, capsys):
                  "--ckpt-out", str(out), "--ckpt-best", str(best)]) == 3
     assert "--ckpt-best" in capsys.readouterr().err
     assert not best.exists() and not out.exists()
+
+
+def test_ckpt_best_validates_with_the_run_eval_settings(workspace, trained, tmp_path,
+                                                         monkeypatch):
+    root, cfg, data = workspace
+    out, s1, _, _ = trained
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text(open(cfg).read() + "eval.max_new_qa = 1\n")
+    seen, real = [], cli.evaluate
+
+    def spy(model, vocab, samples, ecfg, **kwargs):
+        seen.append(ecfg)
+        return real(model, vocab, samples, ecfg, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate", spy)
+    best = tmp_path / "best.ckpt"
+    assert main(["train", "--stage", "2", "--data", data, "--config", str(run_cfg),
+                 "--ckpt-in", s1, "--ckpt-out", str(tmp_path / "s2.ckpt"),
+                 "--ckpt-best", str(best)]) == 0
+    assert seen and all(e.tasks == ("qa",) and e.max_new_qa == 1 for e in seen)
+    assert best.exists()

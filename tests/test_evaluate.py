@@ -26,7 +26,7 @@ def setup():
         variant="full",
         spatial=SpatialBlockConfig(
             image_size=16, encoder_blocks=1, encoder_dim=16, encoder_heads=2,
-            encoder_patch=4, depth_decoder_stages=2, seg_classes=8,
+            depth_decoder_stages=2, seg_classes=8,
             pc_hidden=8, pc_feature_dim=8,
         ),
         fusion=FusionConfig(d_token=16, lm_layers=1, lm_heads=2,

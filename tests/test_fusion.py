@@ -39,7 +39,7 @@ from ormllm.vocab import Vocabulary
 
 SCFG = SpatialBlockConfig(
     image_size=32, encoder_blocks=1, encoder_dim=16, encoder_heads=2,
-    encoder_patch=4, depth_decoder_stages=2, seg_classes=3,
+    depth_decoder_stages=2, seg_classes=3,
     pc_hidden=8, pc_feature_dim=8,
 )
 FCFG = FusionConfig(d_token=16, lm_layers=2, lm_heads=2, vocab_size=20,
@@ -71,7 +71,7 @@ def test_text_only_sequence_takes_the_prompt_slots_and_checks_ids():
     wte = params["lm.wte"].data
     seq = build_input_sequence(None, None, None, [4, 5, 6], params, FCFG,
                                answer_ids=[V.BOS, 7, V.EOS], layout=SLOTS)
-    assert seq.tags == ["prompt"] * 3 + ["answer"] * 3
+    assert seq.prompt_start == 0 and len(seq) == 6
     assert seq.positions.tolist() == list(range(SLOTS.prompt_base, SLOTS.prompt_base + 6))
     assert np.array_equal(seq.tokens.data, wte[[4, 5, 6, V.BOS, 7, V.EOS]])
     assert seq.prompt_ids == (4, 5, 6)
@@ -180,12 +180,14 @@ def seq_parts(params, seed=7, n_regions=3):
     return img, seg, pc
 
 
-def test_build_sequence_lengths_and_tag_order():
+def test_build_sequence_lengths_and_segment_order():
     params = make_params()
     img, seg, pc = seq_parts(params)
     seq = build_input_sequence(img, seg, pc, list(range(8)), params, FCFG, layout=SLOTS)
-    assert len(seq) == 16 + 3 + 1 + 8
-    assert seq.tags == ["image"] * 16 + ["seg"] * 3 + ["pc"] * 1 + ["prompt"] * 8
+    assert len(seq) == 16 + 3 + 1 + 8 and seq.prompt_start == 16 + 3 + 1
+    assert seq.positions.tolist() == (
+        list(range(16)) + list(range(SLOTS.seg_base, SLOTS.seg_base + 3))
+        + [SLOTS.pc_base] + list(range(SLOTS.prompt_base, SLOTS.prompt_base + 8)))
 
 
 def test_build_sequence_no_seg_variant():
@@ -193,8 +195,8 @@ def test_build_sequence_no_seg_variant():
     img, seg, pc = seq_parts(params)
     seq = build_input_sequence(img, seg, pc, list(range(8)), params, FCFG,
                                variant="no-seg", layout=SLOTS)
-    assert len(seq) == 16 + 1 + 8
-    assert "seg" not in seq.tags
+    assert len(seq) == 16 + 1 + 8 and seq.prompt_start == 16 + 1
+    assert not ((seq.positions >= SLOTS.seg_base) & (seq.positions < SLOTS.pc_base)).any()
 
 
 def test_build_sequence_rejects_bad_prompt_id():
@@ -242,7 +244,7 @@ def test_lm_cached_chunks_match_full_forward():
     full = lm_forward(seq.tokens, params, FCFG, positions=seq.positions).data
     cache = fusion.KVCache()
     with T.no_grad():
-        parts = [lm_forward(seq.tokens[a:b], params, FCFG,
+        parts = [lm_forward(T.slice_(seq.tokens, np.s_[a:b]), params, FCFG,
                             positions=seq.positions[a:b], cache=cache).data
                  for a, b in ((0, 20), (20, 21), (21, 25))]
     assert cache.length == len(seq)
@@ -264,7 +266,7 @@ def test_lm_at_tail_rows_with_a_cache_equals_the_full_lm(kind, chunks):
     with T.no_grad():
         for n in chunks:
             tail = np.arange(max(n - 3, 0), n)
-            got = lm_forward(seq.tokens[start:start + n], params, FCFG,
+            got = lm_forward(T.slice_(seq.tokens, np.s_[start:start + n]), params, FCFG,
                              positions=seq.positions[start:start + n], cache=cache,
                              rows=tail).data
             assert got.shape == (len(tail), FCFG.vocab_size)
@@ -278,11 +280,11 @@ def test_prefix_cache_keys_and_values_are_the_full_prefix_forwards(kind):
     """prefix_cache runs the last block at no row, yet holds the bytes
     of every block's keys and values that the full prefix forward forms."""
     params, seq = decode_fixture(kind, 33, prompt_len=4)
-    rows = seq.segment_start("prompt")
+    rows = seq.prompt_start
     full = fusion.KVCache()
     with T.no_grad():
-        lm_forward(seq.tokens[:rows], params, FCFG, positions=seq.positions[:rows],
-                   cache=full)
+        lm_forward(T.slice_(seq.tokens, np.s_[:rows]), params, FCFG,
+                   positions=seq.positions[:rows], cache=full)
     got = prefix_cache(seq, rows, params, FCFG)
     assert got.length == full.length == rows
     assert got.kv.keys() == full.kv.keys() and len(got.kv) == FCFG.lm_layers
@@ -601,7 +603,7 @@ def check_cached_decode(monkeypatch, kind, seed, prompt_len, eos_bias, max_new,
     want_calls, calls = [], []
     want = recompute_decode(seq, params, FCFG, max_new,
                             forward=recording(want_calls, lm_forward))
-    past = prefix_cache(seq, seq.segment_start("prompt"), params, FCFG) \
+    past = prefix_cache(seq, seq.prompt_start, params, FCFG) \
         if shared_past else None
     stream, empty_stream_calls = None, 0
     if earlier:
@@ -651,7 +653,7 @@ def test_batched_decode_matches_recompute_oracle_and_single_decodes(
     params, seqs = batch_fixture(kind, seed, prompt_len, eos_bias)
     assert len({len(seq) for seq in seqs}) > 1
     want = [recompute_decode(seq, params, FCFG, max_new) for seq in seqs]
-    past = prefix_cache(seqs[0], seqs[0].segment_start("prompt"), params, FCFG) \
+    past = prefix_cache(seqs[0], seqs[0].prompt_start, params, FCFG) \
         if shared_past else None
     alone, histories = [], []
     for seq in seqs:
@@ -689,7 +691,7 @@ def test_batched_decode_can_end_every_prompt_in_the_first_call(
     seqs = [seq] + [build_input_sequence(*parts, prompt, params, FCFG, layout=SLOTS,
                                          seg_class_ids=[1, 2, 3])
                     for prompt in ([8, 9, 8], [5, 6, 7, 8, 9])]
-    past = prefix_cache(seq, seq.segment_start("prompt"), params, FCFG) \
+    past = prefix_cache(seq, seq.prompt_start, params, FCFG) \
         if shared_past else None
     assert all(recompute_decode(s, params, FCFG, max_new) == expected for s in seqs)
     stream = DecodeStream()
@@ -807,7 +809,7 @@ def test_greedy_draft_and_verify_on_cycling_output(monkeypatch, kind, prompt, ne
     want = recompute_decode(seq, params, FCFG, max_new=max_new,
                             forward=recording(want_calls, lm_forward))
     assert want == expected
-    past = prefix_cache(seq, seq.segment_start("prompt"), params, FCFG) \
+    past = prefix_cache(seq, seq.prompt_start, params, FCFG) \
         if shared_past else None
     monkeypatch.setattr(fusion, "lm_forward", recording(calls, lm_forward))
     assert decode_answer([seq], params, FCFG, max_new=max_new, past=past) == [want]
@@ -826,7 +828,7 @@ def test_exact_logit_tie_decodes_to_smaller_id():
 
 def test_cache_truncate_leaves_source_and_shared_past_unchanged():
     params, seq = decode_fixture("slots", 31, prompt_len=5)
-    past = prefix_cache(seq, seq.segment_start("prompt"), params, FCFG)
+    past = prefix_cache(seq, seq.prompt_start, params, FCFG)
     held = {name: (k.copy(), v.copy()) for name, (k, v) in past.kv.items()}
     cache = past.copy()
     rest = seq.tokens.data[past.length:]
@@ -845,7 +847,7 @@ def test_cache_truncate_leaves_source_and_shared_past_unchanged():
         assert np.array_equal(arrays[name][1], grown[name][1])
         assert np.array_equal(past.kv[name][0], held[name][0])
         assert np.array_equal(past.kv[name][1], held[name][1])
-    assert past.length == seq.segment_start("prompt")
+    assert past.length == seq.prompt_start
     # Rows run after the truncation see exactly the rows kept.
     with T.no_grad():
         after = lm_forward(Tensor(rest[2:]), params, FCFG,
@@ -860,7 +862,7 @@ def test_cache_truncate_leaves_source_and_shared_past_unchanged():
 
 def test_decode_leaves_shared_past_unchanged():
     params, seq = decode_fixture("slots", 28)
-    past = prefix_cache(seq, seq.segment_start("prompt"), params, FCFG)
+    past = prefix_cache(seq, seq.prompt_start, params, FCFG)
     held = dict(past.kv)
     length = past.length
     first = decode_answer([seq], params, FCFG, max_new=6, past=past)

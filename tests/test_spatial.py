@@ -4,6 +4,7 @@ import pytest
 from ormllm import tensor as T
 from ormllm.errors import (
     ConfigurationError,
+    ContractError,
     DimensionError,
     DomainError,
     EmptyDomainError,
@@ -32,7 +33,7 @@ from ormllm.tensor import Tensor
 
 TINY = SpatialBlockConfig(
     image_size=8, encoder_blocks=1, encoder_dim=8, encoder_heads=2,
-    encoder_patch=2, depth_decoder_stages=1, seg_classes=3,
+    depth_decoder_stages=1, seg_classes=3,
     pc_hidden=6, pc_feature_dim=5,
 )
 
@@ -146,7 +147,7 @@ def test_depth_loss_zero_on_identical():
 def test_depth_loss_constant_offset_is_pure_l1():
     cfg = SpatialBlockConfig(
         image_size=8, encoder_blocks=1, encoder_dim=8, encoder_heads=2,
-        encoder_patch=2, depth_decoder_stages=1, seg_classes=3,
+        depth_decoder_stages=1, seg_classes=3,
         lambda_l1=1.0, lambda_grad=1.0,
     )
     gt = np.random.default_rng(1).uniform(0.5, 3.0, (4, 4))
@@ -189,7 +190,7 @@ def test_depth_loss_gradcheck_through_network():
 
 TWO_STAGE = SpatialBlockConfig(
     image_size=16, encoder_blocks=1, encoder_dim=8, encoder_heads=2,
-    encoder_patch=4, depth_decoder_stages=2, seg_classes=5,
+    depth_decoder_stages=2, seg_classes=5,
     pc_hidden=6, pc_feature_dim=5,
 )
 
@@ -313,23 +314,30 @@ def test_heads_at_pixels_are_the_full_heads_there(B):
             assert lg.data.tobytes() == logits[:, :, pixels].tobytes()
 
 
-def test_heads_at_pixels_gradients_match_full_heads():
-    """Under grad, a loss over the heads at pixels gives the gradients of
-    the same loss over the full maps with zero weight elsewhere."""
+def test_depth_head_recording_at_pixels_raises():
+    """The depth head at pixels is inference-only: its 3x3 conv there has
+    no backward."""
     params, grid = two_stage_grid(22)
-    grid.requires_grad = True
     pixels = np.array([0, 5, 17, 17, 40, 255, 128, 15, 240])
-    rng = np.random.default_rng(5)
-    for head, lead in ((depth_head_forward, ()), (seg_head_forward, (5,))):
-        w = rng.normal(size=(2,) + lead + (len(pixels),))
-        full_w = np.zeros((2,) + lead + (256,))
-        np.add.at(full_w, (slice(None),) * (1 + len(lead)) + (pixels,), w)
-        full_w = full_w.reshape((2,) + lead + (16, 16))
-        got = run_head(lambda: head(grid, params, TWO_STAGE, pixels), params, grid, w)
-        want = run_head(lambda: head(grid, params, TWO_STAGE), params, grid, full_w)
-        assert len(got[1]) == len(want[1])
-        for a, b in zip(got[1], want[1]):
-            assert_rel_close(a, b)
+    with pytest.raises(ContractError, match="inference-only"):
+        depth_head_forward(grid, params, TWO_STAGE, pixels)
+
+
+def test_seg_head_at_pixels_gradients_match_full_head():
+    """Under grad, a loss over the seg head at pixels gives the gradients
+    of the same loss over the full map with zero weight elsewhere."""
+    params, grid = two_stage_grid(22)
+    pixels = np.array([0, 5, 17, 17, 40, 255, 128, 15, 240])
+    w = np.random.default_rng(5).normal(size=(2, 5, len(pixels)))
+    full_w = np.zeros((2, 5, 256))
+    np.add.at(full_w, (slice(None), slice(None), pixels), w)
+    got = run_head(lambda: seg_head_forward(grid, params, TWO_STAGE, pixels),
+                   params, grid, w)
+    want = run_head(lambda: seg_head_forward(grid, params, TWO_STAGE), params, grid,
+                    full_w.reshape(2, 5, 16, 16))
+    assert len(got[1]) == len(want[1])
+    for a, b in zip(got[1], want[1]):
+        assert_rel_close(a, b)
 
 
 # --- segmentation ------------------------------------------------------------
@@ -402,7 +410,7 @@ def test_seg_loss_saturating_logits_approach_zero():
 def test_seg_loss_uniform_logits_balanced_binary_ce_is_ln2():
     cfg = SpatialBlockConfig(
         image_size=8, encoder_blocks=1, encoder_dim=8, encoder_heads=2,
-        encoder_patch=2, depth_decoder_stages=1, seg_classes=2, lambda_dice=0.0,
+        depth_decoder_stages=1, seg_classes=2, lambda_dice=0.0,
     )
     gt = np.array([[[1, 2], [2, 1]]])
     loss = seg_loss(T.constant(np.zeros((1, 2, 2, 2))), gt, cfg)
@@ -574,8 +582,10 @@ def test_point_encoder_feature_width():
 
 
 def test_config_patch_stage_consistency():
-    with pytest.raises(ConfigurationError):
-        SpatialBlockConfig(image_size=32, encoder_patch=4, depth_decoder_stages=3)
+    # The decoder returns to input resolution: the patch side is 2**stages.
+    assert SpatialBlockConfig(image_size=32, depth_decoder_stages=3).encoder_patch == 8
+    with pytest.raises(ConfigurationError, match="divisible"):
+        SpatialBlockConfig(image_size=36, depth_decoder_stages=3)
 
 
 def test_config_rejects_bad_values():

@@ -65,7 +65,6 @@ def test_add_sub_mul_div_broadcast_grads():
     "op,ref",
     [
         (T.exp, np.exp),
-        (T.tanh, np.tanh),
         (T.softplus, lambda x: np.logaddexp(0.0, x)),
         (T.abs_, np.abs),
         (T.gelu, None),
@@ -80,10 +79,9 @@ def test_unary_grads(op, ref):
     check_unary(op, ref)
 
 
-def test_log_sqrt_pow_grads():
+def test_log_sqrt_grads():
     check_unary(T.log, np.log, scale=0.5, shift=3.0)
     check_unary(T.sqrt, np.sqrt, scale=0.5, shift=3.0)
-    check_unary(lambda t: t**3, lambda x: x**3)
 
 
 def test_gelu_exact_gaussian_cdf_value():
@@ -168,7 +166,7 @@ def test_reductions_and_reshape_grads():
     x = rng.normal(size=(3, 5))
     t = Tensor(x.copy(), requires_grad=True)
     loss = T.sum_(T.mean(t, axis=1) * T.constant(np.arange(3.0)))
-    loss = loss + T.sum_(T.reshape(t, (5, 3))[1:3, :])
+    loss = loss + T.sum_(T.slice_(T.reshape(t, (5, 3)), np.s_[1:3, :]))
     T.backward(loss)
 
     def ref(a):
@@ -356,26 +354,19 @@ def test_conv3x3_matches_tensordot_oracle(B, C, O, H, W):
 def test_conv3x3_at_pixels_is_the_full_conv_there(B, C, O, H, W):
     """At flat pixels (borders, corners and a repeat) conv3x3 returns the
     full output's values there, up to rounding (a GEMM's bytes may change
-    with its row count at shapes this small), and its gradients are those of
-    the full conv under an adjoint that is zero elsewhere (repeats
-    accumulate)."""
+    with its row count at shapes this small). It records no gradient there:
+    under grad it raises."""
     rng = np.random.default_rng(B * 10 + C)
     x, w, b = rng.normal(size=(B, C, H, W)), rng.normal(size=(O, C, 3, 3)), rng.normal(size=O)
     pixels = np.array([0, W - 1, H * W - W, H * W - 1, W + 1, W + 1, 2 * W])
-    g = rng.normal(size=(B, O, len(pixels)))
-    g_full = np.zeros((B, O, H * W))
-    np.add.at(g_full, (slice(None), slice(None), pixels), g)
-    runs = []
-    for at, adjoint in ((pixels, g), (None, g_full.reshape(B, O, H, W))):
-        tx, tw, tb = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
-        out = T.conv3x3(tx, tw, tb, pixels=at)
-        T.backward(T.sum_(out * T.constant(adjoint)))
-        runs.append((out.data, tx.grad, tw.grad, tb.grad))
-    (out, *grads), (full, *full_grads) = runs
-    assert out.shape == (B, O, len(pixels))
-    for got, want in zip([out] + grads,
-                         [full.reshape(B, O, -1)[:, :, pixels]] + full_grads):
-        assert_rel_close(got, want, 1e-12)
+    tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    with T.no_grad():
+        out = T.conv3x3(tx, tw, tb, pixels=pixels)
+    full = T.conv3x3(x, w, b).data
+    assert out.shape == (B, O, len(pixels)) and out.node is None
+    assert_rel_close(out.data, full.reshape(B, O, -1)[:, :, pixels], 1e-12)
+    with pytest.raises(ContractError, match="inference-only"):
+        T.conv3x3(tx, w, b, pixels=pixels)
 
 
 def test_conv3x3_finite_diff_grad_check():
@@ -388,7 +379,7 @@ def test_conv3x3_finite_diff_grad_check():
 
     def loss():
         out = T.conv3x3(params["x"], params["w"], params["b"])
-        return T.sum_(T.tanh(out) * mix)
+        return T.sum_(T.gelu(out) * mix)
 
     reports = finite_diff_grad_check(loss, params)
     assert [r.name for r in reports] == ["x", "w", "b"]
@@ -541,13 +532,13 @@ def test_diamond_graph_accumulates_once_per_node():
 
 def test_backward_frees_the_graph_while_the_loss_lives():
     x = Tensor(np.ones((3, 4)), requires_grad=True)
-    h = T.tanh(x * 2.0)
+    h = T.exp(x * 2.0)
     probe = weakref.ref(h.data)
     loss = T.sum_(h * h)
     del h
     T.backward(loss)
     assert probe() is None
-    assert loss.item() == pytest.approx(12.0 * np.tanh(2.0) ** 2)  # the value stays
+    assert loss.item() == pytest.approx(12.0 * np.exp(4.0))  # the value stays
 
 
 def test_backward_through_a_released_graph_raises():
@@ -643,14 +634,14 @@ def every_primitive_loss():
     w = Tensor(rng.normal(size=(4, 6)) * 0.3, requires_grad=True)
     cw = Tensor(rng.normal(size=(3, 3, 3, 3)) * 0.3, requires_grad=True)
     h = T.bilinear_up2(T.gelu(T.conv3x3(x, cw, T.constant(np.zeros(3)))))
-    h = T.reshape(T.transpose(h[:, :, :4, :4], (0, 2, 1, 3)), (2, 12, 4))
+    h = T.reshape(T.transpose(T.slice_(h, np.s_[:, :, :4, :4]), (0, 2, 1, 3)), (2, 12, 4))
     h = T.affine(h, w, T.constant(np.ones(6)))
     h = T.layer_norm(h, Tensor(np.ones(6), requires_grad=True), T.constant(np.zeros(6)))
     h = T.attention_core(h, h, h, heads=2)
     h = T.concat([h, T.take_rows(h, np.array([[0, 1], [2, 3]]))], axis=1)
     h = T.stack([h, -h], axis=0) / (T.exp(h) + 2.0)
-    pos = T.softplus(T.tanh(h)) + T.abs_(h) + 0.5
-    s = (T.sum_(T.log(pos)) + T.mean(T.sqrt(pos) ** 2.0 - pos)
+    pos = T.softplus(h) + T.abs_(h) + 0.5
+    s = (T.sum_(T.log(pos)) + T.mean(T.sqrt(pos) - pos)
          + T.sum_(T.max_reduce(T.softmax(h, axis=-1), axis=0))
          + T.sum_(T.log_softmax(h) * T.constant(rng.normal(size=h.shape)))
          + T.sum_(T.take_flat(h, np.array([0, 5, 5])))
@@ -707,7 +698,6 @@ def frozen(a) -> np.ndarray:
     return a
 
 
-CONV_PIXELS = np.array([0, 4, 7, 7, 19])
 # Input shapes and the op on leaf tensors, in input order.
 OWNERSHIP_CASES = {
     "add": ([(3, 4), (1, 4)], T.add),
@@ -715,12 +705,10 @@ OWNERSHIP_CASES = {
     "mul": ([(3, 4), (4,)], T.mul),
     "div": ([(3, 4), (3, 4)], T.div),
     "neg": ([(3, 4)], T.neg),
-    "pow_const": ([(3, 4)], lambda a: T.pow_const(a, 1.5)),
     "exp": ([(3, 4)], T.exp),
     "log": ([(3, 4)], T.log),
     "sqrt": ([(3, 4)], T.sqrt),
     "abs_": ([(3, 4)], T.abs_),
-    "tanh": ([(3, 4)], T.tanh),
     "gelu": ([(3, 4)], T.gelu),
     "gelu, 0-d": ([()], T.gelu),
     "softplus": ([(3, 4)], T.softplus),
@@ -737,12 +725,10 @@ OWNERSHIP_CASES = {
     "transpose": ([(2, 3, 4)], lambda a: T.transpose(a, (2, 0, 1))),
     "concat": ([(2, 3), (1, 3)], lambda a, b: T.concat([a, b], axis=0)),
     "stack": ([(2, 3), (2, 3)], lambda a, b: T.stack([a, b], axis=1)),
-    "slice_": ([(3, 4)], lambda a: a[1:, ::2]),
+    "slice_": ([(3, 4)], lambda a: T.slice_(a, np.s_[1:, ::2])),
     "take_flat": ([(3, 4)], lambda a: T.take_flat(a, np.array([0, 5, 5, 11]))),
     "take_rows": ([(2, 4, 3)], lambda a: T.take_rows(a, np.array([[0, 2], [3, 1]]))),
     "conv3x3": ([(2, 3, 4, 5), (2, 3, 3, 3), (2,)], T.conv3x3),
-    "conv3x3 at pixels": ([(2, 3, 4, 5), (2, 3, 3, 3), (2,)],
-                          lambda x, w, b: T.conv3x3(x, w, b, pixels=CONV_PIXELS)),
     "conv3x3, frozen weight": ([(2, 2, 4, 5)], lambda x: T.conv3x3(
         x, T.constant(frozen(CONV_W)), T.constant(frozen(CONV_B)))),
     "bilinear_up2": ([(2, 3, 4, 5)], T.bilinear_up2),
@@ -852,47 +838,36 @@ def test_attention_core_bytes_match_out_of_place_oracle(case):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def conv3x3_backward_oracle(x, w, g, pixels):
+def conv3x3_backward_oracle(x, w, g):
     """The out-of-place conv3x3 backward, with a zero padded buffer for the
     input gradient: the x, w and b gradients."""
     B, C, H, W = x.shape
     O = w.shape[0]
-    rows = H * W if pixels is None else len(pixels)
     xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (1, 1), (1, 1), (0, 0)))
     w2 = w.transpose(2, 3, 1, 0).reshape(9 * C, O)
-    gl = np.moveaxis(g, 1, -1).reshape(B, rows, O)
+    gl = np.moveaxis(g, 1, -1).reshape(B, H * W, O)
     gw2, gxp = np.zeros((9 * C, O)), np.zeros(xp.shape)
     for i in range(B):
-        gw2 += T._im2col(xp[i], pixels).T @ gl[i]
-        gcols = gl[i] @ w2.T
-        if pixels is None:
-            gcols = gcols.reshape(H, W, 3, 3, C)
-            for di in range(3):
-                for dj in range(3):
-                    gxp[i, di : di + H, dj : dj + W] += gcols[:, :, di, dj]
-        else:
-            v, u = np.divmod(pixels, W)
-            gcols = gcols.reshape(rows, 3, 3, C)
-            for di in range(3):
-                for dj in range(3):
-                    np.add.at(gxp[i], (v + di, u + dj), gcols[:, di, dj])
+        gw2 += T._im2col(xp[i]).T @ gl[i]
+        gcols = (gl[i] @ w2.T).reshape(H, W, 3, 3, C)
+        for di in range(3):
+            for dj in range(3):
+                gxp[i, di : di + H, dj : dj + W] += gcols[:, :, di, dj]
     return (gxp[:, 1 : 1 + H, 1 : 1 + W].transpose(0, 3, 1, 2),
             gw2.reshape(3, 3, C, O).transpose(3, 2, 0, 1),
-            g.sum(axis=(0,) + tuple(range(2, g.ndim))))
+            g.sum(axis=(0, 2, 3)))
 
 
-@pytest.mark.parametrize("at", ["whole map", "pixels"])
 @pytest.mark.parametrize("weight", ["tracked", "frozen"])
 @pytest.mark.parametrize("B,C,O,H,W", [(3, 4, 5, 6, 7), (2, 16, 16, 8, 8)])
-def test_conv3x3_grads_bytes_match_out_of_place_oracle(at, weight, B, C, O, H, W):
+def test_conv3x3_grads_bytes_match_out_of_place_oracle(weight, B, C, O, H, W):
     rng = np.random.default_rng(48)
     x, w, b = rng.normal(size=(B, C, H, W)), rng.normal(size=(O, C, 3, 3)), rng.normal(size=O)
-    pixels = None if at == "whole map" else np.array([0, W - 1, W + 1, W + 1, H * W - 1])
     y = T.conv3x3(Tensor(x, requires_grad=True), Tensor(w, requires_grad=weight == "tracked"),
-                  Tensor(b, requires_grad=weight == "tracked"), pixels=pixels)
+                  Tensor(b, requires_grad=weight == "tracked"))
     g = rng.normal(size=y.shape)
     got = y.node.backward_fn(g)
-    want = conv3x3_backward_oracle(x, w, g, pixels)
+    want = conv3x3_backward_oracle(x, w, g)
     if weight == "frozen":
         assert got[1:] == (None, None)
         got, want = got[:1], want[:1]

@@ -283,7 +283,7 @@ def small_model(variant="full", seed=0):
         variant=variant,
         spatial=SpatialBlockConfig(
             image_size=16, encoder_blocks=1, encoder_dim=16, encoder_heads=2,
-            encoder_patch=4, depth_decoder_stages=2, seg_classes=8,
+            depth_decoder_stages=2, seg_classes=8,
             pc_hidden=8, pc_feature_dim=8,
         ),
         fusion=FusionConfig(d_token=16, lm_layers=1, lm_heads=2, vocab_size=0,
@@ -671,7 +671,7 @@ def padded_batch_stage2(model, data, records, cfg):
     for rec in records:
         bundle = bundles[rec.sample_index]
         seq = model.assemble(bundle, rec.prompt_ids, [V.BOS] + rec.answer_ids + [V.EOS])
-        start = seq.segment_start("prompt")
+        start = seq.prompt_start
         seqs.append(seq.tokens)
         poss.append(seq.positions)
         metas.append(_answer_targets(len(rec.prompt_ids), rec.answer_ids, start))
