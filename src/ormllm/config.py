@@ -19,8 +19,9 @@ from .training import TrainConfig
 SECTIONS = {"spatial": SpatialBlockConfig, "fusion": FusionConfig,
             "train": TrainConfig, "eval": EvalConfig}
 
-# Section fields that are not config keys: a builder fills the first six
-# from its arguments or other keys; the last four keep their one value.
+# Section fields that are not config keys: RunConfig fills the first six
+# from its methods' arguments or other keys; the last four keep their one
+# value.
 NOT_KEYS = frozenset({
     "spatial.image_size", "fusion.vocab_size", "train.stage", "train.epochs",
     "train.seed", "eval.tasks",

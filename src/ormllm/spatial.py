@@ -73,7 +73,9 @@ class SpatialBlockConfig:
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
         if self.image_size % self.encoder_patch != 0:
-            raise ConfigurationError("image_size must be divisible by encoder_patch")
+            raise ConfigurationError(
+                f"image_size {self.image_size} must be divisible by the encoder patch "
+                f"2**depth_decoder_stages = {self.encoder_patch}")
 
     @property
     def encoder_patch(self) -> int:

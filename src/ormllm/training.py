@@ -108,7 +108,7 @@ def qa_prompt_ids(vocab: Vocabulary, question: str) -> list[int]:
 
 
 def make_stage1_records(samples: list[Sample], vocab: Vocabulary,
-                        sgg_max_triples: int = 24) -> TrainData:
+                        sgg_max_triples: int = TrainConfig.sgg_max_triples) -> TrainData:
     """Text-only instruction records: QA pairs plus one scene-graph
     serialization record per scene. The frozen stage-2 LM can only emit
     triple grammar it has already seen here; one record per scene
@@ -136,7 +136,7 @@ def make_stage1_records(samples: list[Sample], vocab: Vocabulary,
 
 def make_stage2_records(samples: list[Sample], vocab: Vocabulary,
                         qa_per_sample: int, seed: int,
-                        sgg_max_triples: int = 24) -> TrainData:
+                        sgg_max_triples: int = TrainConfig.sgg_max_triples) -> TrainData:
     rng = np.random.default_rng(np.random.SeedSequence([0x2EC02D, seed]))
     records = []
     for idx, s in enumerate(samples):
