@@ -2,6 +2,8 @@
 artifact formats."""
 
 import filecmp
+import hashlib
+import json
 import os
 
 import numpy as np
@@ -125,6 +127,52 @@ def trained(workspace, tmp_path_factory):
                  "--seed", "3", "--ckpt-in", s1, "--ckpt-out", s2,
                  "--loss-log", str(out / "stage2.losslog")]) == 0
     return out, s1, s2, log1
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden.json")
+
+
+def test_cli_artifacts_match_golden_digests(workspace, trained, tmp_path, capsys):
+    """Every artifact of the tiny CLI pipeline has the sha256 that
+    tests/golden.json pins: the dataset files, stage 1, stage 2 of `full`
+    (the `trained` fixture), its eval report, stage 2 plus eval of the
+    RGB-only, no-fusion and stacked variants (`ablate`), and the stdout of
+    `gradcheck --seed 0`. A change that moves any byte of them names the
+    artifacts here. When the change is meant to, rewrite the manifest with
+
+        ORMLLM_WRITE_GOLDEN=1 python -m pytest tests/test_cli.py -k golden
+
+    and say in CHANGES.md which artifacts changed and why."""
+    root, cfg, data = workspace
+    out, s1, s2, log1 = trained
+    paths = {f"data/{name}": os.path.join(data, name) for name in os.listdir(data)}
+    for path in (s1, s1 + ".run", log1, s2, s2 + ".run", str(out / "stage2.losslog")):
+        paths[f"train/{os.path.basename(path)}"] = path
+    report = str(tmp_path / "full.report")
+    assert main(["eval", "--ckpt", s2, "--data", data, "--config", cfg,
+                 "--seed", "3", "--report", report]) == 0
+    paths["eval/full.report"] = report
+    for variant in ("no-depth-seg", "no-fusion", "stacked"):
+        abl = tmp_path / variant
+        assert main(["ablate", "--variant", variant, "--data", data, "--config", cfg,
+                     "--seed", "3", "--stage1-ckpt", s1, "--out-dir", str(abl)]) == 0
+        for name in os.listdir(abl):
+            paths[f"ablate/{name}"] = str(abl / name)
+    capsys.readouterr()
+    assert main(["gradcheck", "--seed", "0"]) == 0
+    digests = {"gradcheck.stdout":
+               hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    for name, path in paths.items():
+        with open(path, "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    if os.environ.get("ORMLLM_WRITE_GOLDEN"):
+        with open(GOLDEN, "w", encoding="utf-8") as fh:
+            json.dump(dict(sorted(digests.items())), fh, indent=2)
+            fh.write("\n")
+    with open(GOLDEN, encoding="utf-8") as fh:
+        want = json.load(fh)
+    differ = sorted(k for k in want.keys() | digests.keys() if want.get(k) != digests.get(k))
+    assert not differ, f"artifacts whose sha256 differs from tests/golden.json: {differ}"
 
 
 def test_checkpoint_road_trip_byte_identical(trained):
