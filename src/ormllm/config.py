@@ -129,8 +129,11 @@ class RunConfig:
         return self._section("fusion", vocab_size=vocab_size)
 
     def train(self, stage: int) -> TrainConfig:
+        # Only stages 1 and 2 have an epochs key; TrainConfig rejects any
+        # other stage with ConfigurationError.
+        epochs = self.values.get(f"train.epochs.stage{stage}", 0)
         return self._section("train", stage=stage, seed=int(self.values["seed"]),
-                             epochs=int(self.values[f"train.epochs.stage{stage}"]))
+                             epochs=int(epochs))
 
     def eval(self, tasks: tuple[str, ...]) -> EvalConfig:
         return self._section("eval", tasks=tasks)

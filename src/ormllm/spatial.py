@@ -191,10 +191,12 @@ def depth_head_forward(grid: Tensor, params: ModelParams,
     The map runs at grid resolution, before the upsampling, because a
     per-pixel affine map commutes with bilinear_up2 (its interpolation
     weights sum to 1): the result is that of upsampling first, up to
-    rounding, at 1/4**(s+1) of the 1x1 cost. At `pixels`, the last stage's
-    3x3 conv gathers only their im2col rows, and gelu, the 1x1 head and
-    softplus run on those P rows; the earlier stages and the upsampling stay
-    whole. That form is inference-only: under grad, T.conv3x3 raises
+    rounding, at 1/4**(s+1) of the 1x1 cost. The skip map is formed after
+    the stage's conv, so the upsampled skip, a full map at the last stage,
+    is not alive while the conv holds its padded input, its column blocks
+    and its output. At `pixels`, the last stage's 3x3 conv gathers only
+    their im2col rows, and gelu, the 1x1 head and softplus run on those P
+    rows; the earlier stages and the upsampling stay whole. That form is inference-only: under grad, T.conv3x3 raises
     ContractError. The values at the pixels are the full map's up to
     rounding, and byte for byte at the run configs' cell centres and cloud
     raster (see T.conv3x3; the 1x1 head is a matrix-vector product that
@@ -204,12 +206,12 @@ def depth_head_forward(grid: Tensor, params: ModelParams,
     last = cfg.depth_decoder_stages - 1
     for s in range(cfg.depth_decoder_stages):
         at = pixels if s == last else None
-        skip = conv1x1(grid, params, f"spatial.depth.stage{s}.skip")
-        for _ in range(s + 1):
-            skip = T.bilinear_up2(skip)
         g = T.conv3x3(T.bilinear_up2(g),
                       params[f"spatial.depth.stage{s}.conv.w"],
                       params[f"spatial.depth.stage{s}.conv.b"], pixels=at)
+        skip = conv1x1(grid, params, f"spatial.depth.stage{s}.skip")
+        for _ in range(s + 1):
+            skip = T.bilinear_up2(skip)
         g = g + _at_pixels(skip, at)
         del skip  # freed before gelu allocates its output and slope
         g = T.gelu(g)

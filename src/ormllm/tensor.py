@@ -269,9 +269,10 @@ class ComputationTape:
                     adjoint[id(link)] = g
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, grad: np.ndarray | None = None) -> None:
     """Populate .grad of every reachable requires_grad tensor with the exact
-    reverse-mode adjoint of a scalar loss.
+    reverse-mode adjoint of a scalar loss; given `grad`, the adjoint of an
+    output of any shape, that of sum(loss * grad).
 
     Tensors not reachable from the loss keep grad None, meaning zero.
 
@@ -283,11 +284,15 @@ def backward(loss: Tensor) -> None:
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor loss")
-    if loss.size != 1:
-        raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
+    if grad is None:
+        if loss.size != 1:
+            raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
+        grad = np.ones_like(loss.data)
+    elif np.shape(grad) != loss.shape:
+        raise ContractError(
+            f"backward adjoint shape {np.shape(grad)} differs from output {loss.shape}")
     tape = ComputationTape(loss)
-    seed = np.ones_like(loss.data)
-    tape.replay_adjoints(loss, seed)
+    tape.replay_adjoints(loss, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +729,21 @@ def _im2col(xp: np.ndarray, pixels: np.ndarray | None = None) -> np.ndarray:
     return win[v, u].transpose(0, 2, 3, 1).reshape(len(pixels), 9 * C)
 
 
+# The fewest output pixels in one block of conv3x3's forward columns. A
+# block is a run of whole image rows; a map of fewer pixels is one block.
+# 256 keeps a block's columns at a quarter of a 32x32 map's, and far above
+# the row counts at which OpenBLAS changes kernel (see conv3x3).
+_CONV_BLOCK_PIXELS = 256
+
+
+def _row_blocks(H: int, W: int) -> list[tuple[int, int]]:
+    """conv3x3's forward blocks of an H x W map: n runs [h0, h1) of image
+    rows, as even as whole rows allow, n the most that leaves each run
+    _CONV_BLOCK_PIXELS pixels or more."""
+    n = max(1, H // -(-_CONV_BLOCK_PIXELS // W))  # runs of ceil(256 / W) rows
+    return [(k * H // n, (k + 1) * H // n) for k in range(n)]
+
+
 def _col2im_add(xp: np.ndarray, cols: np.ndarray) -> None:
     """The adjoint of _im2col over the full map, in place: adds [H*W, 9*C]
     columns onto the [H+2, W+2, C] padded slot they index, with nine
@@ -739,23 +759,37 @@ def conv3x3(x, w, b, pixels=None) -> Tensor:
     """Same-padded 3x3 convolution. x: [B,C,H,W], w: [O,C,3,3], b: [O];
     returns [B,O,H,W], or [B,O,P] at flat output pixels [P] (v * W + u).
 
-    Lowered to one GEMM with K = 9C per sample (im2col; Chellapilla et al.,
-    High Performance Convolutional Neural Networks for Document Processing,
+    Lowered to GEMMs with K = 9C (im2col; Chellapilla et al., High
+    Performance Convolutional Neural Networks for Document Processing,
     2006): the columns come from a sliding window over a channel-last padded
-    copy of x, and at `pixels` only their rows are gathered. A GEMM computes
-    each output row on its own, so a pixel's value is the full map's up to
-    rounding, and byte for byte while BLAS keeps one kernel for both row
-    counts: with numpy's OpenBLAS at C = O = 64, 28 or more pixels a sample
-    matched and 16 or fewer did not (its small-matrix kernel groups the
-    K = 576 sum differently). At `pixels` the conv is inference-only: when
-    it would record, it raises ContractError. The backward, over whole
-    maps, rebuilds each sample's columns rather than keeping a [B*H*W, 9C]
-    matrix alive between forward and backward: the weight gradient is
-    colsᵀ @ g, and the input gradient is g @ w2ᵀ folded back onto the
-    padded input (_col2im_add). The fold writes into the padded copy the
-    forward kept, each sample's slot once its weight-gradient columns are
-    taken, so the input gradient allocates no padded buffer of its own
-    while the weight is tracked."""
+    copy of x. The forward never holds a sample's whole [H*W, 9C] columns
+    (Anderson et al., Low-memory GEMM-based convolution algorithms for deep
+    neural networks, 2017): it forms them a block of image rows at a time
+    (_row_blocks, at least _CONV_BLOCK_PIXELS pixels a block) and writes
+    each block's cols @ w2, transposed, straight into the channel-first
+    [B, O, H*W] output, to which the bias is then added in place. Its
+    transients are one block's columns and product; the padded copy and the
+    output are its only whole-map arrays. (np.matmul(w2ᵀ, colsᵀ, out=...)
+    would skip the product, but its bytes differ from cols @ w2 at some
+    shapes.) At `pixels`, only their rows are gathered, as one block.
+    A GEMM computes each output row on its own, so a block's or a pixel's
+    value is the whole-sample GEMM's up to rounding, and byte for byte
+    while BLAS keeps one kernel for both row counts: with numpy's OpenBLAS
+    at C = O = 64, 28 or more rows matched and 16 or fewer did not (its
+    small-matrix kernel groups the K = 576 sum differently), hence the
+    block floor. At `pixels` the conv is inference-only: when it would
+    record, it raises ContractError.
+
+    The backward, over whole maps, rebuilds each sample's columns rather
+    than keeping a [B*H*W, 9C] matrix alive between forward and backward:
+    the weight gradient is colsᵀ @ g, and the input gradient is g @ w2ᵀ
+    folded back onto the padded input (_col2im_add). Blocking those would
+    regroup the weight gradient's sum over pixels and the fold's overlapping
+    adds, so the two whole-sample [H*W, 9C] arrays stay, and they are the
+    conv's peak. The fold writes into the padded copy the forward kept,
+    each sample's slot once its weight-gradient columns are taken, so the
+    input gradient allocates no padded buffer of its own while the weight
+    is tracked."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 4 or w.ndim != 4 or w.shape[2:] != (3, 3):
         raise DimensionError(f"conv3x3 shapes: x {x.shape}, w {w.shape}")
@@ -772,12 +806,16 @@ def conv3x3(x, w, b, pixels=None) -> Tensor:
     rows = H * W if pixels is None else len(pixels)
     xp = np.pad(x.data.transpose(0, 2, 3, 1), ((0, 0), (1, 1), (1, 1), (0, 0)))
     w2 = w.data.transpose(2, 3, 1, 0).reshape(9 * C, O)
-    acc = np.empty((B, rows, O))
+    out = np.empty((B, O, rows))
     for i in range(B):
-        acc[i] = _im2col(xp[i], pixels) @ w2
-    spatial = (H, W) if pixels is None else (rows,)
-    out = (np.moveaxis(acc.reshape((B,) + spatial + (O,)), -1, 1)
-           + b.data.reshape((O,) + (1,) * len(spatial)))
+        if pixels is not None:
+            out[i] = (_im2col(xp[i], pixels) @ w2).T
+            continue
+        for h0, h1 in _row_blocks(H, W):
+            # Output rows h0..h1-1 read padded rows h0..h1+1.
+            out[i, :, h0 * W : h1 * W] = (_im2col(xp[i, h0 : h1 + 2]) @ w2).T
+    out += b.data[:, None]
+    out = out.reshape((B, O) + ((H, W) if pixels is None else (rows,)))
     # The padded input is kept for the weight gradient, the weight matrix
     # for the input gradient.
     xp_shape, tb = xp.shape, _tracked(b)

@@ -463,23 +463,36 @@ def _batch_stage2(model: Model, data: TrainData, records: list[TrainRecord],
     return T.mean(losses), contrast
 
 
-def _vfm_batch_loss(model: Model, samples: list[Sample]) -> Tensor:
+def _vfm_step(model: Model, samples: list[Sample], backward) -> float:
+    """The forward and backward of one VFM batch; returns its loss, the
+    depth loss plus the seg loss. `backward` runs each head loss's backward.
+
+    One head's graph is alive at a time. The encoder grid enters the heads
+    as a leaf that holds only its data. Each head's forward forms its loss,
+    whose backward frees that head's graph and adds the head's grid adjoint
+    into the leaf; only then does the next head run. Last, the encoder's
+    backward runs once, seeded with the adjoint the heads summed. Depth goes
+    first: it is the order in which one backward through the whole graph
+    sums the grid's adjoint, so every gradient keeps the bytes of that
+    backward of depth_loss + seg_loss (seg first changes encoder
+    gradients). The step's peak is then the depth head's: its last stage's
+    graph plus the full-resolution maps of its 1x1 output head, forward and
+    backward."""
     spec = variant_spec(model.cfg.variant)
-    rgb = np.stack([s.rgb for s in samples])
-    _, grid = model.spatial_grid(rgb)
-    parts = []
+    cfg = model.cfg.spatial
+    _, grid = model.spatial_grid(np.stack([s.rgb for s in samples]))
+    leaf = Tensor(grid.data, requires_grad=True)
+    losses = []
     if spec.needs_depth:
         gt_depth = np.stack([s.depth for s in samples])
-        parts.append(depth_loss(model.predict_depth(grid), gt_depth,
-                                model.cfg.spatial))
+        losses.append(depth_loss(model.predict_depth(leaf), gt_depth, cfg))
+        backward(losses[-1])
     if spec.needs_seg:
         gt_seg = np.stack([s.seg for s in samples])
-        logits, _ = model.predict_seg(grid)
-        parts.append(seg_loss(logits, gt_seg, model.cfg.spatial))
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total
+        losses.append(seg_loss(model.predict_seg(leaf)[0], gt_seg, cfg))
+        backward(losses[-1])
+    T.backward(grid, leaf.grad)
+    return sum(loss.item() for loss in losses)
 
 
 def train_stage(data: TrainData, model: Model, cfg: TrainConfig,
@@ -517,7 +530,14 @@ def train_stage(data: TrainData, model: Model, cfg: TrainConfig,
     def batches_per_epoch(n):
         return (n + cfg.batch_size - 1) // cfg.batch_size
 
-    def run_batches(items, loss_fn, epochs, stage_label, rate_fn, state):
+    def backward(loss: Tensor) -> None:
+        if not np.isfinite(loss.data).all():
+            raise NumericError(f"non-finite loss at step {step + 1}")
+        T.backward(loss)
+
+    def run_batches(items, step_fn, epochs, stage_label, rate_fn, state):
+        """Runs step_fn(batch), a batch's forward and backward returning its
+        lm, contrast and total loss values, then the optimizer step."""
         nonlocal step
         n = len(items)
         total_steps = epochs * batches_per_epoch(n)
@@ -533,30 +553,28 @@ def train_stage(data: TrainData, model: Model, cfg: TrainConfig,
             for lo in range(0, n, cfg.batch_size):
                 batch = [items[i] for i in order[lo : lo + cfg.batch_size]]
                 model.params.zero_grads()
-                lm_val, contrast_val, total = loss_fn(batch)
-                if not np.isfinite(total.data).all():
-                    raise NumericError(f"non-finite loss at step {step + 1}")
-                T.backward(total)
+                lm_val, contrast_val, total = step_fn(batch)
                 scale = lr_at_step(local_step, total_steps, phase_cfg, 1.0)
                 optimizer_step(model.params, state, cfg,
                                lambda name: scale * rate_fn(name))
                 step += 1
                 local_step += 1
-                emit(stage_label, lm_val, contrast_val, total.item(),
+                emit(stage_label, lm_val, contrast_val, total,
                      scale * rate_fn("lm." if cfg.stage == 1 else "proj."))
-                epoch_losses.append(total.item())
+                epoch_losses.append(total)
             epoch_means.append(float(np.mean(epoch_losses)))
             if stage_label != "2vfm" and on_epoch is not None:
                 on_epoch(epoch)
         return epoch_means
 
     if cfg.stage == 1:
-        def loss1(batch):
+        def step1(batch):
             lm = _batch_stage1(model, batch)
-            return lm.item(), 0.0, lm
+            backward(lm)
+            return lm.item(), 0.0, lm.item()
 
         result.epoch_means = run_batches(
-            data.records, loss1, cfg.epochs, "1", lambda name: cfg.lr_lm, state
+            data.records, step1, cfg.epochs, "1", lambda name: cfg.lr_lm, state
         )
         return result
 
@@ -569,12 +587,11 @@ def train_stage(data: TrainData, model: Model, cfg: TrainConfig,
         sample_idx = sorted({rec.sample_index for rec in data.records})
         vfm_items = [data.samples[i] for i in sample_idx]
 
-        def loss_vfm(batch):
-            total = _vfm_batch_loss(model, batch)
-            return 0.0, 0.0, total
+        def step_vfm(batch):
+            return 0.0, 0.0, _vfm_step(model, batch, backward)
 
         result.vfm_epoch_means = run_batches(
-            vfm_items, loss_vfm, cfg.vfm_epochs, "2vfm",
+            vfm_items, step_vfm, cfg.vfm_epochs, "2vfm",
             lambda name: cfg.lr_vision, state
         )
         state = AdamWState()  # fresh moments for the fusion phase
@@ -586,12 +603,13 @@ def train_stage(data: TrainData, model: Model, cfg: TrainConfig,
 
     percepts: dict[int, Percept] = {}  # filled as batches first hold a sample
 
-    def loss2(batch):
+    def step2(batch):
         lm, contrast = _batch_stage2(model, data, batch, cfg, percepts)
         total = stage2_loss(lm, contrast, cfg.lambda_clip)
-        return lm.item(), contrast.item(), total
+        backward(total)
+        return lm.item(), contrast.item(), total.item()
 
     result.epoch_means = run_batches(
-        data.records, loss2, cfg.epochs, "2", fusion_rate, state
+        data.records, step2, cfg.epochs, "2", fusion_rate, state
     )
     return result

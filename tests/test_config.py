@@ -85,3 +85,10 @@ def test_each_section_builds_from_its_keys(tmp_path):
     assert run.train(1).epochs == DEFAULTS["train.epochs.stage1"]
     ecfg = run.eval(("qa",))
     assert (ecfg.tasks, ecfg.max_new_qa, ecfg.max_new_sgg) == (("qa",), 1, 150)
+
+
+@pytest.mark.parametrize("stage", [0, 3])
+def test_train_of_an_unknown_stage_is_configuration_error(stage):
+    # Only the CLI's --stage choices hide this from the command line.
+    with pytest.raises(ConfigurationError, match=f"stage must be 1 or 2, got {stage}"):
+        RunConfig.resolve().train(stage)

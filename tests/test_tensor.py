@@ -369,6 +369,61 @@ def test_conv3x3_at_pixels_is_the_full_conv_there(B, C, O, H, W):
         T.conv3x3(tx, w, b, pixels=pixels)
 
 
+def conv3x3_whole_sample_gemm(x, w, b, pixels=None):
+    """conv3x3's forward before its row blocks: one GEMM per sample over
+    all of its columns (or its pixels' rows) into a [B, rows, O]
+    accumulator, moved to channel-first, plus the bias."""
+    B, C, H, W = x.shape
+    O = w.shape[0]
+    xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (1, 1), (1, 1), (0, 0)))
+    w2 = w.transpose(2, 3, 1, 0).reshape(9 * C, O)
+    rows = H * W if pixels is None else len(pixels)
+    acc = np.empty((B, rows, O))
+    for i in range(B):
+        acc[i] = T._im2col(xp[i], pixels) @ w2
+    spatial = (H, W) if pixels is None else (rows,)
+    return (np.moveaxis(acc.reshape((B,) + spatial + (O,)), -1, 1)
+            + b.reshape((O,) + (1,) * len(spatial)))
+
+
+@pytest.mark.parametrize("B,C,O,H,W", [
+    (8, 64, 64, 32, 32),   # the run config's last depth stage: 4 blocks
+    (8, 64, 64, 16, 16),   # its first stage: one block
+    (1, 64, 64, 37, 23),   # 851 pixels: runs of 12, 12 and 13 rows
+    (2, 16, 8, 27, 29),    # 783 pixels: three runs of 9 rows
+    (2, 3, 5, 23, 40),     # 920 pixels: runs of 7, 8 and 8 rows
+    (1, 16, 16, 17, 31),   # 527 pixels, but two runs would leave one short
+    (1, 4, 4, 3, 300),     # rows wider than a block
+    (3, 4, 2, 5, 7),       # smaller than a block
+])
+def test_conv3x3_row_blocks_keep_the_whole_sample_gemm_bytes(B, C, O, H, W):
+    """Forming the columns a block of rows at a time, straight into the
+    channel-first output, keeps every byte of one GEMM over the whole
+    sample, including maps whose pixel count is no multiple of the block;
+    every block holds at least _CONV_BLOCK_PIXELS pixels, or the whole map."""
+    rng = np.random.default_rng(H * W)
+    x, w, b = rng.normal(size=(B, C, H, W)), rng.normal(size=(O, C, 3, 3)), rng.normal(size=O)
+    got = T.conv3x3(x, w, b).data
+    want = conv3x3_whole_sample_gemm(x, w, b)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    blocks = T._row_blocks(H, W)
+    assert blocks[0][0] == 0 and blocks[-1][1] == H
+    assert all(h1 == h0 for (_, h1), (h0, _) in zip(blocks, blocks[1:]))
+    assert len(blocks) == 1 or min((h1 - h0) * W for h0, h1 in blocks) >= T._CONV_BLOCK_PIXELS
+
+
+@pytest.mark.parametrize("B,C,O,H,W", [(8, 64, 64, 32, 32), (3, 4, 2, 5, 7)])
+def test_conv3x3_at_pixels_keeps_the_whole_sample_gemm_bytes(B, C, O, H, W):
+    """At pixels, one GEMM over their rows, as before the row blocks."""
+    rng = np.random.default_rng(B + H)
+    x, w, b = rng.normal(size=(B, C, H, W)), rng.normal(size=(O, C, 3, 3)), rng.normal(size=O)
+    pixels = np.array([0, W - 1, H * W - W, H * W - 1, W + 1, W + 1, 2 * W] * 5)
+    with T.no_grad():
+        got = T.conv3x3(x, w, b, pixels=pixels).data
+    want = conv3x3_whole_sample_gemm(x, w, b, pixels)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_conv3x3_finite_diff_grad_check():
     rng = np.random.default_rng(12)
     params = ModelParams()
@@ -478,6 +533,25 @@ def test_backward_rejects_non_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ContractError):
         T.backward(x + x)
+
+
+def test_backward_with_an_adjoint_is_that_of_its_weighted_sum():
+    """Given an output's adjoint, backward forms the gradients of
+    sum(out * adjoint), byte for byte; an adjoint of another shape raises."""
+    rng = np.random.default_rng(11)
+    x, w, adj = rng.normal(size=(3, 4)), rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
+    grads = []
+    for seeded in (True, False):
+        tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = T.gelu(T.matmul(tx, tw))
+        if seeded:
+            T.backward(out, adj)
+        else:
+            T.backward(T.sum_(out * T.constant(adj)))
+        grads.append((tx.grad.tobytes(), tw.grad.tobytes()))
+    assert grads[0] == grads[1]
+    with pytest.raises(ContractError, match="adjoint shape"):
+        T.backward(T.matmul(Tensor(x, requires_grad=True), w), adj.T)
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])

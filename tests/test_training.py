@@ -19,7 +19,7 @@ from ormllm.gradcheck import finite_diff_grad_check
 from ormllm.model import Model, ModelConfig
 from ormllm.nn import ModelParams
 from ormllm.scenegen import build_dataset
-from ormllm.spatial import SpatialBlockConfig
+from ormllm.spatial import SpatialBlockConfig, depth_loss, seg_loss
 from ormllm.tensor import Tensor
 from ormllm.training import (
     AdamWState,
@@ -38,6 +38,7 @@ from ormllm.training import (
     stage_mask,
     train_stage,
 )
+from ormllm.variants import variant_spec
 
 # ---------------------------------------------------------------------------
 # contrastive loss
@@ -471,11 +472,13 @@ def test_no_graph_outlives_its_backward(tiny_data):
     assert all(n == 0 for _, n in live), live
 
 
-def vfm_saved_floats(cfg: ModelConfig, B: int) -> int:
-    """An upper count of the float64 values the backward formulas of a
-    full-variant VFM loss read, from the shapes alone: what its graph may
-    keep alive while the caller holds only the loss."""
-    sp = cfg.spatial
+def vfm_saved_floats(model: Model, B: int) -> dict[str, int]:
+    """Upper counts of the float64 values held while one head's backward of
+    a full-variant VFM step runs, from the shapes alone, by part: what the
+    encoder's graph and each head's graph (its loss's included) read, the
+    grid and its adjoint that the step holds, and the perception
+    gradients."""
+    sp = model.cfg.spatial
     c, n, h, side = sp.encoder_dim, sp.n_cells, sp.encoder_heads, sp.image_size
     pixels = B * side * side
     # Patch-embedding input; per block the two layer norms' xhat, the qkv,
@@ -483,66 +486,130 @@ def vfm_saved_floats(cfg: ModelConfig, B: int) -> int:
     # and the MLP's gelu slope and fc2 input at width 4c.
     encoder = (B * n * 3 * sp.encoder_patch**2
                + sp.encoder_blocks * (9 * B * n * c + B * h * n * n + 2 * B * n * 4 * c))
-    grid_maps = (sp.depth_decoder_stages + 1) * B * n * c  # 1x1 skip and seg fc1 inputs
-    depth = 0
+    depth = sp.depth_decoder_stages * B * n * c  # the 1x1 skip inputs
     for s in range(sp.depth_decoder_stages):
         r = sp.grid_size * 2 ** (s + 1)
         # Padded conv input, conv weight matrix, gelu slope.
         depth += B * (r + 2) ** 2 * c + 9 * c * c + B * c * r * r
     depth += pixels * c + pixels  # head input, softplus input
-    depth_loss = 8 * pixels  # gather indices and |.| inputs of the L1 and gradient terms
-    # Seg gelu slope and fc2 input; log-softmax and softmax outputs and the
-    # one-hot; the gather index.
-    seg = 2 * pixels * c + 3 * pixels * sp.seg_classes + pixels
-    return encoder + grid_maps + depth + depth_loss + seg
+    depth += 8 * pixels  # gather indices and |.| inputs of the L1 and gradient terms
+    # The fc1 input; the gelu slope and fc2 input; log-softmax and softmax
+    # outputs and the one-hot; the gather index.
+    seg = B * n * c + 2 * pixels * c + 3 * pixels * sp.seg_classes + pixels
+    grads = sum(t.size for name, t in model.params.items()
+                if name.startswith(PERCEPTION))
+    return {"encoder": encoder, "depth": depth, "seg": seg, "grid": 2 * B * n * c,
+            "grads": grads}
 
 
-def test_vfm_graph_keeps_only_what_its_backward_reads(tiny_data):
-    """The bytes still allocated after _vfm_batch_loss returns, while only
-    the loss is held, stay within what its backward formulas read (plus a
-    quarter for the graph's own objects): no input tensor, upsampled map or
-    conv output is pinned by the graph."""
-    model = tiny_model(tiny_data)
-    samples = tiny_data.samples[:4]
-    training._vfm_batch_loss(model, samples)  # warm one-time caches
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        loss = training._vfm_batch_loss(model, samples)
+def held_at_each_backward(model, samples):
+    """Runs one VFM step under tracemalloc; returns the bytes allocated
+    since it began, at each head loss's backward (before it runs) and after
+    the step, and the step's peak."""
+    held = []
+
+    def backward(loss):
         gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    bound = 1.25 * 8 * vfm_saved_floats(model.cfg, len(samples))
-    assert held <= bound, (held, bound)
-    T.backward(loss)
+        held.append(tracemalloc.get_traced_memory()[0] - base)
+        T.backward(loss)
 
-
-
-def test_vfm_step_peak_stays_near_its_graph(tiny_data):
-    """The peak of one VFM batch's forward plus backward stays within the
-    graph's bound above plus one full-resolution feature map [B, C, H, W]:
-    gelu forms its output in its Phi buffer and its input gradient in its
-    slope, attention_core keeps one score buffer, conv3x3's backward folds
-    the input gradient into its padded input copy, and the heads drop each
-    map once its last reader has run."""
-    model = tiny_model(tiny_data)
-    samples = tiny_data.samples[:4]
-    T.backward(training._vfm_batch_loss(model, samples))  # warm one-time caches
-    model.params.zero_grads()
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        T.backward(training._vfm_batch_loss(model, samples))
-        peak = tracemalloc.get_traced_memory()[1] - base
+        training._vfm_step(model, samples, backward)
+        gc.collect()
+        after, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
+    return held, after, peak
+
+
+def test_vfm_graphs_keep_only_what_their_backward_reads(tiny_data):
+    """At each head loss's backward, the bytes the VFM step holds stay
+    within what the encoder's graph and that head's graph read, plus the
+    grid, its adjoint and the gradients so far (plus a quarter for the
+    graphs' own objects): the depth graph is gone before seg's runs, and no
+    input tensor, upsampled map or conv output is pinned. After the step,
+    only the gradients are."""
+    model = tiny_model(tiny_data)
+    samples = tiny_data.samples[:4]
+    training._vfm_step(model, samples, T.backward)  # warm one-time caches
+    model.params.zero_grads()
+    held, after, _ = held_at_each_backward(model, samples)
+    part = vfm_saved_floats(model, len(samples))
+    assert len(held) == 2
+    for head, got in zip(("depth", "seg"), held):
+        bound = 1.25 * 8 * (part["encoder"] + part[head] + part["grid"] + part["grads"])
+        assert got <= bound, (head, got, bound)
+    assert after <= 1.25 * 8 * part["grads"], (after, part["grads"])
+
+
+def test_vfm_step_peak_stays_near_its_largest_graph(tiny_data):
+    """The peak of one VFM step stays within the encoder's graph plus the
+    larger head's graph (with the grid, its adjoint and the gradients, as
+    above) plus one full-resolution feature map [B, C, H, W]: the heads'
+    graphs are alive one at a time, gelu forms its output in its Phi buffer
+    and its input gradient in its slope, attention_core keeps one score
+    buffer, conv3x3 forms its columns a block of rows at a time and its
+    backward folds the input gradient into its padded input copy, and the
+    heads drop each map once its last reader has run."""
+    model = tiny_model(tiny_data)
+    samples = tiny_data.samples[:4]
+    training._vfm_step(model, samples, T.backward)  # warm one-time caches
+    model.params.zero_grads()
+    _, _, peak = held_at_each_backward(model, samples)
+    part = vfm_saved_floats(model, len(samples))
     sp = model.cfg.spatial
     full_map = 8 * len(samples) * sp.encoder_dim * sp.image_size**2
-    bound = 1.25 * 8 * vfm_saved_floats(model.cfg, len(samples)) + full_map
+    graphs = part["encoder"] + max(part["depth"], part["seg"]) + part["grid"] + part["grads"]
+    bound = 1.25 * 8 * graphs + full_map
     assert peak <= bound, (peak, bound)
+
+
+def single_graph_vfm_step(model, samples):
+    """The VFM step as one graph: one backward of depth_loss + seg_loss (of
+    the variant's heads) from the encoder through both heads; returns the
+    loss value."""
+    spec = variant_spec(model.cfg.variant)
+    cfg = model.cfg.spatial
+    _, grid = model.spatial_grid(np.stack([s.rgb for s in samples]))
+    parts = []
+    if spec.needs_depth:
+        parts.append(depth_loss(model.predict_depth(grid),
+                                np.stack([s.depth for s in samples]), cfg))
+    if spec.needs_seg:
+        parts.append(seg_loss(model.predict_seg(grid)[0],
+                              np.stack([s.seg for s in samples]), cfg))
+    total = parts[0]
+    for p in parts[1:]:
+        total = total + p
+    T.backward(total)
+    return total.item()
+
+
+@pytest.mark.parametrize("variant", ["full", "no-pc", "no-fusion", "stacked",
+                                     "no-seg", "no-depth"])
+def test_vfm_step_grads_equal_the_single_graph_backward(tiny_data, variant):
+    """Head by head, the step forms every gradient and the loss with the
+    bytes of one backward through the whole graph: for the two-head
+    variants, and for the one-head ones, whose step is one head's backward
+    and the encoder's."""
+    samples = tiny_data.samples[:4]
+    got_model, want_model = tiny_model(tiny_data, variant), tiny_model(tiny_data, variant)
+    got = training._vfm_step(got_model, samples, T.backward)
+    want = single_graph_vfm_step(want_model, samples)
+    assert got == want
+    trained = 0
+    for name, t in want_model.params.items():
+        g = got_model.params[name].grad
+        if t.grad is None:
+            assert g is None, name
+            continue
+        trained += 1
+        assert g.tobytes() == t.grad.tobytes(), name
+    assert trained > 0
+
 
 def test_stage2_step_forms_no_frozen_grads(tiny_data, monkeypatch):
     """The frozen LM is not tracked, so a stage-2 step forms none of its
