@@ -740,7 +740,7 @@ def _row_blocks(H: int, W: int) -> list[tuple[int, int]]:
     """conv3x3's forward blocks of an H x W map: n runs [h0, h1) of image
     rows, as even as whole rows allow, n the most that leaves each run
     _CONV_BLOCK_PIXELS pixels or more."""
-    n = max(1, H // -(-_CONV_BLOCK_PIXELS // W))  # runs of ceil(256 / W) rows
+    n = max(1, H // -(-_CONV_BLOCK_PIXELS // W))  # runs of >= ceil(block / W) rows
     return [(k * H // n, (k + 1) * H // n) for k in range(n)]
 
 

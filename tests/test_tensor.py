@@ -396,32 +396,25 @@ def conv3x3_whole_sample_gemm(x, w, b, pixels=None):
     (1, 4, 4, 3, 300),     # rows wider than a block
     (3, 4, 2, 5, 7),       # smaller than a block
 ])
-def test_conv3x3_row_blocks_keep_the_whole_sample_gemm_bytes(B, C, O, H, W):
+def test_conv3x3_keeps_the_whole_sample_gemm_bytes(B, C, O, H, W):
     """Forming the columns a block of rows at a time, straight into the
     channel-first output, keeps every byte of one GEMM over the whole
     sample, including maps whose pixel count is no multiple of the block;
-    every block holds at least _CONV_BLOCK_PIXELS pixels, or the whole map."""
+    every block holds at least _CONV_BLOCK_PIXELS pixels, or the whole map.
+    At pixels (borders, corners and a repeat), one GEMM over their rows
+    keeps its bytes too."""
     rng = np.random.default_rng(H * W)
     x, w, b = rng.normal(size=(B, C, H, W)), rng.normal(size=(O, C, 3, 3)), rng.normal(size=O)
-    got = T.conv3x3(x, w, b).data
-    want = conv3x3_whole_sample_gemm(x, w, b)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    pixels = np.array([0, W - 1, H * W - W, H * W - 1, W + 1, W + 1, 2 * W])
+    with T.no_grad():
+        at = T.conv3x3(x, w, b, pixels=pixels).data
+    for got, want in ((T.conv3x3(x, w, b).data, conv3x3_whole_sample_gemm(x, w, b)),
+                      (at, conv3x3_whole_sample_gemm(x, w, b, pixels))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
     blocks = T._row_blocks(H, W)
     assert blocks[0][0] == 0 and blocks[-1][1] == H
     assert all(h1 == h0 for (_, h1), (h0, _) in zip(blocks, blocks[1:]))
     assert len(blocks) == 1 or min((h1 - h0) * W for h0, h1 in blocks) >= T._CONV_BLOCK_PIXELS
-
-
-@pytest.mark.parametrize("B,C,O,H,W", [(8, 64, 64, 32, 32), (3, 4, 2, 5, 7)])
-def test_conv3x3_at_pixels_keeps_the_whole_sample_gemm_bytes(B, C, O, H, W):
-    """At pixels, one GEMM over their rows, as before the row blocks."""
-    rng = np.random.default_rng(B + H)
-    x, w, b = rng.normal(size=(B, C, H, W)), rng.normal(size=(O, C, 3, 3)), rng.normal(size=O)
-    pixels = np.array([0, W - 1, H * W - W, H * W - 1, W + 1, W + 1, 2 * W] * 5)
-    with T.no_grad():
-        got = T.conv3x3(x, w, b, pixels=pixels).data
-    want = conv3x3_whole_sample_gemm(x, w, b, pixels)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_conv3x3_finite_diff_grad_check():

@@ -525,7 +525,7 @@ def held_at_each_backward(model, samples):
     return held, after, peak
 
 
-def test_vfm_graphs_keep_only_what_their_backward_reads(tiny_data):
+def test_vfm_graph_keeps_only_what_its_backward_reads(tiny_data):
     """At each head loss's backward, the bytes the VFM step holds stay
     within what the encoder's graph and that head's graph read, plus the
     grid, its adjoint and the gradients so far (plus a quarter for the
@@ -545,7 +545,7 @@ def test_vfm_graphs_keep_only_what_their_backward_reads(tiny_data):
     assert after <= 1.25 * 8 * part["grads"], (after, part["grads"])
 
 
-def test_vfm_step_peak_stays_near_its_largest_graph(tiny_data):
+def test_vfm_step_peak_stays_near_its_graph(tiny_data):
     """The peak of one VFM step stays within the encoder's graph plus the
     larger head's graph (with the grid, its adjoint and the gradients, as
     above) plus one full-resolution feature map [B, C, H, W]: the heads'
