@@ -30,6 +30,14 @@ Buffers are owned. The rule for every primitive, and for any new one:
 An in-place form must keep the operations, and so the bytes, of the
 out-of-place expression it replaces.
 
+Recompute instead of store. A backward may rebuild an intermediate from
+arrays its closure already saves, using the forward's own operations in
+the forward's order, instead of saving the intermediate: the rebuilt array
+has the forward's bytes, so every gradient keeps its bytes too, and the
+graph holds the smaller arrays only. attention_core rebuilds its
+[B, heads, n, m] probabilities from the split queries and keys, the mask
+and the saved row max and row sum.
+
 A graph serves one backward and is freed as that backward runs: once a
 node has passed its adjoints on, it drops its closure and its inputs, so
 the activations it saved are released during the pass, and nothing of the
@@ -247,8 +255,11 @@ class ComputationTape:
         nodes no adjoint reaches are released too. Adjoints wait keyed by
         id(node): the tape holds every node it has not yet processed, so no
         key can be reused while its adjoint waits. A leaf link takes each
-        contribution into .grad as it arrives."""
-        _deposit(root, seed)
+        contribution into .grad as it arrives; a root that is a leaf takes
+        the seed, and a root that is not keeps grad None."""
+        if root.node is None:
+            _deposit(root, seed)
+            return
         adjoint: dict[int, np.ndarray] = {id(root.node): seed}
         while self.nodes:
             node = self.nodes.pop()
@@ -274,7 +285,9 @@ def backward(loss: Tensor, grad: np.ndarray | None = None) -> None:
     reverse-mode adjoint of a scalar loss; given `grad`, the adjoint of an
     output of any shape, that of sum(loss * grad).
 
-    Tensors not reachable from the loss keep grad None, meaning zero.
+    Only leaves receive .grad: the loss itself, unless it is a leaf, and
+    every intermediate keep grad None. Tensors not reachable from the loss
+    keep grad None, meaning zero.
 
     The graph serves this one backward and is freed as it runs: every node
     reachable from the loss is released, its saved arrays dropped, even
@@ -941,6 +954,16 @@ def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(B, n, heads, d // heads).transpose(0, 2, 1, 3).copy()
 
 
+def _attention_scores(qh, kh, scale, mask) -> np.ndarray:
+    """qh khᵀ · scale + mask in a new [B, heads, n, m] buffer, with a
+    contiguous kᵀ."""
+    scores = qh @ kh.transpose(0, 1, 3, 2).copy()
+    scores *= scale
+    if mask is not None:
+        scores += mask
+    return scores
+
+
 def attention_core(q, k, v, heads: int, mask=None) -> Tensor:
     """Multi-head softmax(q kᵀ / √dh + mask) · v as one node.
 
@@ -954,7 +977,12 @@ def attention_core(q, k, v, heads: int, mask=None) -> Tensor:
     P·V, head merge) in their order, so its bytes match theirs. The
     backward is the standard hand-written one (Dao et al., FlashAttention,
     arXiv 2205.14135): with O = P·V, the softmax correction term
-    rowsum(dP ∘ P) equals rowsum(dO ∘ O).
+    rowsum(dP ∘ P) equals rowsum(dO ∘ O). Like FlashAttention it does not
+    store the [B, heads, n, m] probabilities P: it rebuilds them from the
+    split q and k it keeps, the mask and the softmax's [B, heads, n, 1]
+    row max and row sum, with the forward's operations in its order, so P
+    and every gradient keep their bytes. The graph then holds the split
+    q, k and v, the attention output and the two row statistics.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 3 or k.ndim not in (3, 4) or v.shape != k.shape:
@@ -972,14 +1000,13 @@ def attention_core(q, k, v, heads: int, mask=None) -> Tensor:
         raise DimensionError(f"attention_core: k {k.shape} does not match q {q.shape} "
                              f"with {heads} heads")
     scale = 1.0 / np.sqrt(dh)
-    # The scores become their softmax in one [B, heads, n, m] buffer.
-    probs = qh @ kh.transpose(0, 1, 3, 2).copy()
-    probs *= scale
-    if mask is not None:
-        probs += mask
-    probs -= probs.max(axis=-1, keepdims=True)
+    # The scores become their softmax in one buffer.
+    probs = _attention_scores(qh, kh, scale, mask)
+    row_max = probs.max(axis=-1, keepdims=True)
+    probs -= row_max
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    row_sum = probs.sum(axis=-1, keepdims=True)
+    probs /= row_sum
     attn = probs @ vh
     out = attn.transpose(0, 2, 1, 3).copy().reshape(B, n, d)
 
@@ -987,6 +1014,10 @@ def attention_core(q, k, v, heads: int, mask=None) -> Tensor:
         return t.transpose(0, 2, 1, 3).reshape(B, t.shape[2], d)
 
     def bw(g):
+        probs = _attention_scores(qh, kh, scale, mask)
+        probs -= row_max
+        np.exp(probs, out=probs)
+        probs /= row_sum
         ga = split_heads(g, heads)
         gv = np.swapaxes(probs, -1, -2) @ ga
         gs = ga @ np.swapaxes(vh, -1, -2)  # dP, then the score gradient

@@ -467,21 +467,25 @@ def _vfm_step(model: Model, samples: list[Sample], backward) -> float:
     """The forward and backward of one VFM batch; returns its loss, the
     depth loss plus the seg loss. `backward` runs each head loss's backward.
 
-    One head's graph is alive at a time. The encoder grid enters the heads
-    as a leaf that holds only its data. Each head's forward forms its loss,
-    whose backward frees that head's graph and adds the head's grid adjoint
-    into the leaf; only then does the next head run. Last, the encoder's
-    backward runs once, seeded with the adjoint the heads summed. Depth goes
-    first: it is the order in which one backward through the whole graph
-    sums the grid's adjoint, so every gradient keeps the bytes of that
-    backward of depth_loss + seg_loss (seg first changes encoder
-    gradients). The step's peak is then the depth head's: its last stage's
-    graph plus the full-resolution maps of its 1x1 output head, forward and
-    backward."""
+    One graph is alive at a time. The encoder first runs untracked, and its
+    grid enters the heads as a leaf that holds only its data. Each head's
+    forward forms its loss, whose backward frees that head's graph and adds
+    the head's grid adjoint into the leaf; only then does the next head
+    run. Last, the encoder runs again on the same images, this time
+    recording, and its backward runs once, seeded with the adjoint the
+    heads summed (gradient checkpointing at the grid: Chen et al., arXiv
+    1604.06174). The encoder's forward is deterministic, so both runs form
+    the same grid. Depth goes first: it is the order in which one backward
+    through the whole graph sums the grid's adjoint, so every gradient
+    keeps the bytes of that backward of depth_loss + seg_loss (seg first
+    changes encoder gradients). The step's peak is then the depth head's:
+    its last stage's graph plus the full-resolution maps of its 1x1 output
+    head, forward and backward, with no encoder graph beside it."""
     spec = variant_spec(model.cfg.variant)
     cfg = model.cfg.spatial
-    _, grid = model.spatial_grid(np.stack([s.rgb for s in samples]))
-    leaf = Tensor(grid.data, requires_grad=True)
+    rgb = np.stack([s.rgb for s in samples])
+    with T.no_grad():
+        leaf = Tensor(model.spatial_grid(rgb)[1].data, requires_grad=True)
     losses = []
     if spec.needs_depth:
         gt_depth = np.stack([s.depth for s in samples])
@@ -491,7 +495,10 @@ def _vfm_step(model: Model, samples: list[Sample], backward) -> float:
         gt_seg = np.stack([s.seg for s in samples])
         losses.append(seg_loss(model.predict_seg(leaf)[0], gt_seg, cfg))
         backward(losses[-1])
-    T.backward(grid, leaf.grad)
+    grid_adjoint = leaf.grad
+    del leaf
+    _, grid = model.spatial_grid(rgb)
+    T.backward(grid, grid_adjoint)
     return sum(loss.item() for loss in losses)
 
 

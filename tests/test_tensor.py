@@ -547,6 +547,28 @@ def test_backward_with_an_adjoint_is_that_of_its_weighted_sum():
         T.backward(T.matmul(Tensor(x, requires_grad=True), w), adj.T)
 
 
+def test_backward_gives_grad_to_leaves_only():
+    """A backward deposits into leaves alone: a non-leaf output it starts
+    from keeps grad None, whether seeded with an adjoint or a scalar loss,
+    and the leaf gradients keep the bytes of the weighted-sum backward. A
+    leaf output takes the seed as its gradient, in an array of its own."""
+    rng = np.random.default_rng(12)
+    x, adj = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    tx = Tensor(x, requires_grad=True)
+    out = T.gelu(tx * tx)
+    T.backward(out, adj)
+    assert out.grad is None
+    want = Tensor(x, requires_grad=True)
+    T.backward(T.sum_(T.gelu(want * want) * T.constant(adj)))
+    assert tx.grad.tobytes() == want.grad.tobytes()
+    loss = T.sum_(T.gelu(Tensor(x, requires_grad=True)))
+    T.backward(loss)
+    assert loss.grad is None
+    leaf = Tensor(x, requires_grad=True)
+    T.backward(leaf, adj)
+    assert leaf.grad.tobytes() == adj.tobytes() and leaf.grad is not adj
+
+
 @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
 def test_item_reads_any_size_one_shape(shape):
     v = Tensor(np.full(shape, 2.5)).item()
@@ -856,7 +878,8 @@ def test_gelu_bytes_match_out_of_place_oracle(shape, layout):
 
 
 def attention_oracle(q, k, v, heads, mask, g):
-    """The out-of-place attention_core: output and q, k, v gradients."""
+    """The out-of-place attention_core that stores its probabilities: output
+    and q, k, v gradients, the backward reading the forward's P."""
     B, n, d = q.shape
     split_kv = k.ndim == 3
     qh = T.split_heads(q, heads)
@@ -886,20 +909,43 @@ def attention_oracle(q, k, v, heads, mask, g):
     return out, merge(gq), gk, gv
 
 
-@pytest.mark.parametrize("case", ["unmasked", "masked", "cached k/v"])
-def test_attention_core_bytes_match_out_of_place_oracle(case):
-    rng = np.random.default_rng(47)
-    B, n, d, heads = 3, 6, 16, 4
-    q = rng.normal(size=(B, n, d))
-    if case == "cached k/v":
-        k, v = rng.normal(size=(2, B, heads, n + 5, d // heads))
-        mask = _causal_mask(n, past=5)
+ATTENTION_CASES = ["unmasked", "masked", "rows window", "pre-split k/v",
+                   "cached k/v", "cached k/v, rows window"]
+
+
+def attention_case(case, rng, B=3, n=6, d=16, heads=4):
+    """q, k, v and the mask of one attention_core call as the blocks make
+    it: self-attention over n rows; the queries of a rows window only (the
+    last block at the rows a loss reads); keys and values split into heads
+    with 5 earlier rows before the n (a KV cache)."""
+    split = "k/v" in case
+    past = 5 if split else 0
+    rows = np.array([[0, 2, 5], [1, 3, 4], [3, 4, 5]])[:B] if "rows" in case else None
+    if split:
+        k, v = rng.normal(size=(2, B, heads, past + n, d // heads))
     else:
         k, v = rng.normal(size=(2, B, n, d))
-        mask = _causal_mask(n) if case == "masked" else None
-    g = rng.normal(size=(B, n, d))
+    q = rng.normal(size=(B, n if rows is None else rows.shape[1], d))
+    mask = None
+    if case not in ("unmasked", "pre-split k/v"):
+        mask = _causal_mask(n, past, rows)[..., None, :, :]
+    return q, k, v, heads, mask
+
+
+@pytest.mark.parametrize("case", ATTENTION_CASES)
+def test_attention_core_bytes_match_out_of_place_oracle(case):
+    """The backward rebuilds the probabilities rather than storing them,
+    and every output and gradient keeps the bytes of the oracle that
+    stores them; the closure holds no [B, heads, n, m] array."""
+    rng = np.random.default_rng(47)
+    q, k, v, heads, mask = attention_case(case, rng)
+    B, n = q.shape[:2]
+    m = k.shape[1] if k.ndim == 3 else k.shape[2]
+    g = rng.normal(size=q.shape)
     want = attention_oracle(q, k, v, heads, mask, g)
     y = T.attention_core(*(Tensor(a, requires_grad=True) for a in (q, k, v)), heads, mask)
+    saved = [c.cell_contents for c in y.node.backward_fn.__closure__]
+    assert not [a for a in saved if np.shape(a) == (B, heads, n, m)]
     got = (y.data,) + tuple(y.node.backward_fn(g))
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()

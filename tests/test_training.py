@@ -473,8 +473,8 @@ def test_no_graph_outlives_its_backward(tiny_data):
 
 
 def vfm_saved_floats(model: Model, B: int) -> dict[str, int]:
-    """Upper counts of the float64 values held while one head's backward of
-    a full-variant VFM step runs, from the shapes alone, by part: what the
+    """Upper counts of the float64 values held while one backward of a
+    full-variant VFM step runs, from the shapes alone, by part: what the
     encoder's graph and each head's graph (its loss's included) read, the
     grid and its adjoint that the step holds, and the perception
     gradients."""
@@ -482,10 +482,10 @@ def vfm_saved_floats(model: Model, B: int) -> dict[str, int]:
     c, n, h, side = sp.encoder_dim, sp.n_cells, sp.encoder_heads, sp.image_size
     pixels = B * side * side
     # Patch-embedding input; per block the two layer norms' xhat, the qkv,
-    # wo and fc1 inputs, q, k, v and attention output, the probabilities,
-    # and the MLP's gelu slope and fc2 input at width 4c.
+    # wo and fc1 inputs, q, k, v and attention output, the softmax's row
+    # max and row sum, and the MLP's gelu slope and fc2 input at width 4c.
     encoder = (B * n * 3 * sp.encoder_patch**2
-               + sp.encoder_blocks * (9 * B * n * c + B * h * n * n + 2 * B * n * 4 * c))
+               + sp.encoder_blocks * (9 * B * n * c + 2 * B * h * n + 2 * B * n * 4 * c))
     depth = sp.depth_decoder_stages * B * n * c  # the 1x1 skip inputs
     for s in range(sp.depth_decoder_stages):
         r = sp.grid_size * 2 ** (s + 1)
@@ -498,14 +498,15 @@ def vfm_saved_floats(model: Model, B: int) -> dict[str, int]:
     seg = B * n * c + 2 * pixels * c + 3 * pixels * sp.seg_classes + pixels
     grads = sum(t.size for name, t in model.params.items()
                 if name.startswith(PERCEPTION))
-    return {"encoder": encoder, "depth": depth, "seg": seg, "grid": 2 * B * n * c,
+    return {"encoder": encoder, "depth": depth, "seg": seg, "grid": B * n * c,
             "grads": grads}
 
 
-def held_at_each_backward(model, samples):
-    """Runs one VFM step under tracemalloc; returns the bytes allocated
-    since it began, at each head loss's backward (before it runs) and after
-    the step, and the step's peak."""
+def held_at_each_backward(step):
+    """Runs step(backward) under tracemalloc, where backward(loss) reads the
+    bytes allocated since the step began and then runs T.backward(loss).
+    Returns those readings, one per backward, the bytes still allocated
+    after the step, and the step's peak."""
     held = []
 
     def backward(loss):
@@ -517,7 +518,7 @@ def held_at_each_backward(model, samples):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        training._vfm_step(model, samples, backward)
+        step(backward)
         gc.collect()
         after, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
@@ -525,45 +526,55 @@ def held_at_each_backward(model, samples):
     return held, after, peak
 
 
-def test_vfm_graph_keeps_only_what_its_backward_reads(tiny_data):
-    """At each head loss's backward, the bytes the VFM step holds stay
-    within what the encoder's graph and that head's graph read, plus the
-    grid, its adjoint and the gradients so far (plus a quarter for the
-    graphs' own objects): the depth graph is gone before seg's runs, and no
-    input tensor, upsampled map or conv output is pinned. After the step,
-    only the gradients are."""
+def measured_vfm_step(tiny_data):
+    """A full-variant model, four samples and, from a second VFM step on
+    them (the first warms one-time caches), the readings of
+    held_at_each_backward."""
     model = tiny_model(tiny_data)
     samples = tiny_data.samples[:4]
-    training._vfm_step(model, samples, T.backward)  # warm one-time caches
+    training._vfm_step(model, samples, T.backward)
     model.params.zero_grads()
-    held, after, _ = held_at_each_backward(model, samples)
+    readings = held_at_each_backward(
+        lambda backward: training._vfm_step(model, samples, backward))
+    return model, samples, readings
+
+
+def test_vfm_graph_keeps_only_what_its_backward_reads(tiny_data):
+    """At each head loss's backward, the bytes the VFM step holds stay
+    within what that head's graph reads, plus the grid, its adjoint and the
+    gradients so far (plus a quarter for the graphs' own objects): the
+    encoder ran untracked, the depth graph is gone before seg's runs, and
+    no input tensor, upsampled map or conv output is pinned. After the
+    step, only the gradients are."""
+    model, samples, (held, after, _) = measured_vfm_step(tiny_data)
     part = vfm_saved_floats(model, len(samples))
     assert len(held) == 2
     for head, got in zip(("depth", "seg"), held):
-        bound = 1.25 * 8 * (part["encoder"] + part[head] + part["grid"] + part["grads"])
+        bound = 1.25 * 8 * (part[head] + 2 * part["grid"] + part["grads"])
         assert got <= bound, (head, got, bound)
     assert after <= 1.25 * 8 * part["grads"], (after, part["grads"])
 
 
 def test_vfm_step_peak_stays_near_its_graph(tiny_data):
-    """The peak of one VFM step stays within the encoder's graph plus the
-    larger head's graph (with the grid, its adjoint and the gradients, as
-    above) plus one full-resolution feature map [B, C, H, W]: the heads'
-    graphs are alive one at a time, gelu forms its output in its Phi buffer
-    and its input gradient in its slope, attention_core keeps one score
-    buffer, conv3x3 forms its columns a block of rows at a time and its
-    backward folds the input gradient into its padded input copy, and the
-    heads drop each map once its last reader has run."""
-    model = tiny_model(tiny_data)
-    samples = tiny_data.samples[:4]
-    training._vfm_step(model, samples, T.backward)  # warm one-time caches
-    model.params.zero_grads()
-    _, _, peak = held_at_each_backward(model, samples)
+    """The peak of one VFM step stays within the larger of two phases (with
+    a quarter more for the graphs' own objects). While a head runs: the
+    larger head's graph, the grid and its adjoint, the gradients and one
+    full-resolution feature map [B, C, H, W]. While the encoder runs again
+    for its backward: the encoder's graph, the grid adjoint and the
+    gradients. So no graph is alive beside another: gelu forms its output
+    in its Phi buffer and its input gradient in its slope, attention_core
+    rebuilds its probabilities in its backward, conv3x3 forms its columns a
+    block of rows at a time and its backward folds the input gradient into
+    its padded input copy, and the heads drop each map once its last reader
+    has run."""
+    model, samples, (_, _, peak) = measured_vfm_step(tiny_data)
     part = vfm_saved_floats(model, len(samples))
     sp = model.cfg.spatial
     full_map = 8 * len(samples) * sp.encoder_dim * sp.image_size**2
-    graphs = part["encoder"] + max(part["depth"], part["seg"]) + part["grid"] + part["grads"]
-    bound = 1.25 * 8 * graphs + full_map
+    heads = 1.25 * 8 * (max(part["depth"], part["seg"]) + 2 * part["grid"]
+                        + part["grads"]) + full_map
+    encoder = 1.25 * 8 * (part["encoder"] + part["grid"] + part["grads"])
+    bound = max(heads, encoder)
     assert peak <= bound, (peak, bound)
 
 
@@ -609,6 +620,132 @@ def test_vfm_step_grads_equal_the_single_graph_backward(tiny_data, variant):
         trained += 1
         assert g.tobytes() == t.grad.tobytes(), name
     assert trained > 0
+
+
+def lm_step(tiny_data, stage):
+    """A tiny full-variant model under the stage's mask; one step of a
+    batch of two QA and two SGG records (one LM call per task), a function
+    that takes `backward` and runs it on the batch's loss; and the percepts
+    of the batch's samples by index. The stage-2 step finds them formed,
+    as the fusion phase's cache holds them after a sample's first batch.
+    The LM has two blocks of four heads, so one block runs every row."""
+    cfg = small_model()
+    cfg.fusion.vocab_size, cfg.fusion.lm_layers, cfg.fusion.lm_heads = len(tiny_data.vocab), 2, 4
+    model = Model.build(cfg, seed=1)
+    apply_stage_mask(model.params, stage)
+    if stage == 1:
+        data = make_stage1_records(tiny_data.samples, tiny_data.vocab)
+    else:
+        data = make_stage2_records(tiny_data.samples, tiny_data.vocab,
+                                   qa_per_sample=1, seed=3)
+    records = ([r for r in data.records if r.task == "qa"][:2]
+               + [r for r in data.records if r.task == "sgg"][:2])
+    if stage == 1:
+        return model, lambda backward: backward(_batch_stage1(model, records)), {}
+    cfg = TrainConfig(stage=2, epochs=1, batch_size=4, warmup_steps=0,
+                      vfm_epochs=0, seed=4)
+    percepts = {}
+    _batch_stage2(model, data, records, cfg, percepts)
+
+    def step(backward):
+        lm, contrast = _batch_stage2(model, data, records, cfg, percepts)
+        backward(stage2_loss(lm, contrast, cfg.lambda_clip))
+
+    return model, step, percepts
+
+
+def recording_lm_calls(monkeypatch) -> list[tuple[int, int, int]]:
+    """Records (G, S, k) of each lm_forward call training makes: the batch,
+    the sequence length and the rows per record its last block runs."""
+    calls = []
+
+    def recording(tokens, *args, rows, **kwargs):
+        calls.append(tokens.shape[:2] + rows.shape[1:])
+        return lm_forward(tokens, *args, rows=rows, **kwargs)
+
+    monkeypatch.setattr(training, "lm_forward", recording)
+    return calls
+
+
+def lm_saved_floats(model: Model, calls, stage: int) -> int:
+    """Upper count of the float64 values (int64 indices alike) the LM part
+    of a training step's graph holds at its backward, from the shapes of
+    its lm_forward calls alone: no attention probabilities among them. The
+    LM trains in stage 1 only; frozen, its affines keep no input."""
+    f = model.cfg.fusion
+    d, h, V, trains = f.d_token, f.lm_heads, f.vocab_size, stage == 1
+    total = 0
+    for G, S, k in calls:
+        def block(r):
+            # ln1's xhat and inverse std, the split k and v; at the r query
+            # rows: q, the attention output, the softmax's row max and row
+            # sum, the mask, ln2's xhat and inverse std, the gelu slope.
+            kept = S * (d + 1) + 2 * S * d + r * (2 * d + 2 * h + S + d + 1 + 4 * d)
+            if trains:  # the inputs of wk/wv, wq, wo, fc1 and fc2
+                kept += S * d + r * (3 * d + 4 * d)
+            return G * kept
+
+        total += (f.lm_layers - 1) * block(S) + block(k)
+        # Token and position gather indices, lm.ln_f's xhat and inverse std,
+        # lm.out's input, the loss's log-probabilities, a text row's gather.
+        total += G * (2 * S * d + k * (d + 1) + trains * k * d + k * V + d)
+    return total
+
+
+def modality_saved_floats(model: Model, n_samples: int, n_points: int) -> int:
+    """Upper count of the float64 values (int64 indices alike) the modality
+    graph of a full-variant fusion batch holds at its backward, from the
+    shapes alone: the image tower, region pooling and the point path."""
+    sp, f = model.cfg.spatial, model.cfg.fusion
+
+    def mlp(prefix, rows):  # fc1's input, the gelu slope, fc2's input
+        d_in, d_hidden = model.params[f"{prefix}.fc1.w"].shape
+        return rows * (d_in + 2 * d_hidden)
+
+    patches = n_samples * (sp.image_size // f.image_patch) ** 2
+    regions = n_samples * sp.seg_classes
+    return (patches * 3 * f.image_patch**2 + mlp("proj.img_head", patches)
+            + n_samples * sp.n_cells * sp.encoder_dim  # region gather indices
+            + mlp("spatial.region.phi", regions) + mlp("proj.seg_head", regions)
+            + mlp("spatial.pc", n_points) + mlp("proj.pc_head", n_samples))
+
+
+def test_stage1_graph_holds_no_attention_probabilities(tiny_data, monkeypatch):
+    """No closure of a stage-1 step's graph holds a [B, heads, n, m] array:
+    attention_core's backward rebuilds its probabilities."""
+    _, step, _ = lm_step(tiny_data, 1)
+    shapes = set()
+    core = T.attention_core
+
+    def recording(q, k, v, heads, mask=None):
+        shapes.add((q.shape[0], heads, q.shape[1], k.shape[-2]))
+        return core(q, k, v, heads, mask)
+
+    monkeypatch.setattr(T, "attention_core", recording)
+    losses = []
+    step(losses.append)
+    # Two LM calls of two blocks, the last at the read rows only.
+    assert len(shapes) == 4 and sum(n < m for _, _, n, m in shapes) == 2
+    held = [c.cell_contents for node in T.ComputationTape(losses[0]).nodes
+            for c in node.backward_fn.__closure__ or ()]
+    assert not [a for a in held if isinstance(a, np.ndarray) and a.shape in shapes]
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_lm_step_keeps_only_what_its_backward_reads(tiny_data, monkeypatch, stage):
+    """At the backward of a stage-1 step and of a stage-2 fusion step, the
+    bytes held stay within what the LM's graph reads without attention
+    probabilities, plus in stage 2 the modality graph (plus a quarter for
+    the graphs' own objects)."""
+    model, step, percepts = lm_step(tiny_data, stage)
+    calls = recording_lm_calls(monkeypatch)
+    (held,), _, _ = held_at_each_backward(step)
+    assert len(calls) == 2
+    floats = lm_saved_floats(model, calls, stage)
+    if stage == 2:
+        floats += modality_saved_floats(
+            model, len(percepts), sum(len(p.points) for p in percepts.values()))
+    assert held <= 1.25 * 8 * floats, (held, 1.25 * 8 * floats)
 
 
 def test_stage2_step_forms_no_frozen_grads(tiny_data, monkeypatch):
