@@ -475,9 +475,9 @@ def test_no_graph_outlives_its_backward(tiny_data):
 def vfm_saved_floats(model: Model, B: int) -> dict[str, int]:
     """Upper counts of the float64 values held while one backward of a
     full-variant VFM step runs, from the shapes alone, by part: what the
-    encoder's graph and each head's graph (its loss's included) read, the
-    grid and its adjoint that the step holds, and the perception
-    gradients."""
+    encoder's graph and each head's graph (its loss's included) read, one
+    grid (the step holds the grid and its adjoint while a head runs, the
+    adjoint alone while the encoder does), and the perception gradients."""
     sp = model.cfg.spatial
     c, n, h, side = sp.encoder_dim, sp.n_cells, sp.encoder_heads, sp.image_size
     pixels = B * side * side
@@ -642,14 +642,14 @@ def lm_step(tiny_data, stage):
                + [r for r in data.records if r.task == "sgg"][:2])
     if stage == 1:
         return model, lambda backward: backward(_batch_stage1(model, records)), {}
-    cfg = TrainConfig(stage=2, epochs=1, batch_size=4, warmup_steps=0,
-                      vfm_epochs=0, seed=4)
+    train_cfg = TrainConfig(stage=2, epochs=1, batch_size=4, warmup_steps=0,
+                            vfm_epochs=0, seed=4)
     percepts = {}
-    _batch_stage2(model, data, records, cfg, percepts)
+    _batch_stage2(model, data, records, train_cfg, percepts)
 
     def step(backward):
-        lm, contrast = _batch_stage2(model, data, records, cfg, percepts)
-        backward(stage2_loss(lm, contrast, cfg.lambda_clip))
+        lm, contrast = _batch_stage2(model, data, records, train_cfg, percepts)
+        backward(stage2_loss(lm, contrast, train_cfg.lambda_clip))
 
     return model, step, percepts
 
