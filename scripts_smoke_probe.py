@@ -10,7 +10,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent / "src"))
 
 from ormllm.config import RunConfig
-from ormllm.evaluate import EvalConfig, evaluate
+from ormllm.evaluate import TASKS, evaluate
 from ormllm.model import Model, ModelConfig
 from ormllm.scenegen import build_dataset
 from ormllm.training import make_stage1_records, make_stage2_records, train_stage
@@ -46,9 +46,10 @@ for variant in ("full", "no-depth-seg", "no-fusion"):
     model = Model.build(mcfg, seed)
     for n, v in lm_values.items():
         model.params[n].data = v.copy()
+    cfg2 = run.train(2)
     data2 = make_stage2_records(train_samples, bundle.vocab,
-                                qa_per_sample=2, seed=seed, sgg_max_triples=16)
-    r2 = train_stage(data2, model, run.train(2))
+                                qa_per_sample=cfg2.qa_per_sample, seed=seed)
+    r2 = train_stage(data2, model, cfg2)
     t_train = time.time() - t0
     if variant != "no-depth-seg":
         probe = test_samples[:12]
@@ -60,7 +61,7 @@ for variant in ("full", "no-depth-seg", "no-fusion"):
     else:
         seg_acc = float("nan")
     t0 = time.time()
-    rep = evaluate(model, bundle.vocab, test_samples, EvalConfig(max_new_sgg=110))
+    rep = evaluate(model, bundle.vocab, test_samples, run.eval(TASKS))
     t_eval = time.time() - t0
     results[variant] = rep
     vfm_end = r2.vfm_epoch_means[-1] if r2.vfm_epoch_means else None

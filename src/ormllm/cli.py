@@ -166,13 +166,11 @@ def _train_one_stage(run: RunConfig, bundle, cfg: TrainConfig, variant: str,
         _load_into(model, ckpt_in)
         model.check_vocab(len(bundle.vocab))
     if stage == 1:
-        data = make_stage1_records(train_samples, bundle.vocab,
-                                   sgg_max_triples=cfg.sgg_max_triples)
+        data = make_stage1_records(train_samples, bundle.vocab)
     else:
         data = make_stage2_records(train_samples, bundle.vocab,
                                    qa_per_sample=cfg.qa_per_sample,
-                                   seed=cfg.seed,
-                                   sgg_max_triples=cfg.sgg_max_triples)
+                                   seed=cfg.seed)
 
     best = {"em": -1.0}
     on_epoch = None

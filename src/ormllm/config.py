@@ -20,12 +20,13 @@ SECTIONS = {"spatial": SpatialBlockConfig, "fusion": FusionConfig,
             "train": TrainConfig, "eval": EvalConfig}
 
 # Section fields that are not config keys: RunConfig fills the first six
-# from its methods' arguments or other keys; the last four keep their one
+# from its methods' arguments or other keys; the last five keep their one
 # value.
 NOT_KEYS = frozenset({
     "spatial.image_size", "fusion.vocab_size", "train.stage", "train.epochs",
     "train.seed", "eval.tasks",
-    "fusion.mlp_ratio", "eval.mode", "eval.beam_k", "eval.threads",
+    "fusion.mlp_ratio", "train.sgg_max_triples", "eval.mode", "eval.beam_k",
+    "eval.threads",
 })
 
 # Every other section field is the key `<section>.<field>`, and its default

@@ -59,7 +59,8 @@ class EvalConfig:
 
     tasks: tuple[str, ...] = TASKS
     max_new_qa: int = 8
-    max_new_sgg: int = 150
+    max_new_sgg: int = 110    # the longest graph of build_dataset(0, 300, 3, 32)
+                              # is 104 tokens plus EOS
     mode: str = "greedy"
     beam_k: int = 1
     threads: int = 1

@@ -342,54 +342,97 @@ def answer_loss(logits: Tensor, target_ids, answer_mask) -> Tensor:
 
 
 # Most ids a greedy decode guesses ahead per LM call (see decode_answer).
-# Scene-graph LM calls and rows, drafting from the evaluation's stream and
-# the decode's own history, on the benchmark's reference eval model (seed
-# 104, 36 samples, 5,202 tokens) and on the smoke probe's `full` model
-# (seed 0, 180 samples, 17,280 tokens):
-#   DRAFT            4       8      12      16      24      32
-#   104 calls    1,224     780     632     558     442     408
-#   104 rows     6,060   6,597   7,469   8,125   8,651   9,679
-#   smoke calls  3,811   2,591   2,230   1,784   1,868   1,421
-#   smoke rows  18,857  20,917  22,826  20,570  27,755  21,766
+# LM calls of a whole evaluation, drafting from its stream and the
+# decode's own history, on the smoke probe's `full` model (seed 0, 180
+# samples, 11,410 scene-graph tokens) and on the benchmark's reference
+# eval model (seed 104, 36 samples, 189 scene-graph tokens):
+#   DRAFT            8      12      16      24      32
+#   smoke        1,917   1,549   1,334   1,115   1,013
+#   104            143     143     143     143     143
 # A call costs about 450 us and each row about 50 us more. Timed in turn
-# in one process, 16 beat 8 on seeds 104-106 (all 9 rounds, by about 15%
-# in the median) and tied on the smoke model.
+# in one process over the smoke model's evaluation, 32 beat 16 in 7 of
+# 11 rounds, by 0.8% in the median, so 16 stays; on the older, longer
+# scene-graph form 16 beat 8 in all 9 rounds on seeds 104-106.
 DRAFT = 16
 
-# Longest suffix of the history that a draft lookup matches. Scene-graph
-# LM calls at DRAFT = 16 (QA calls did not change past 8):
-#   CONTEXT        4      8     16     32
-#   104        1,016    642    558    534
-#   smoke      2,294  2,052  1,784  1,441
-# A match must cover a QA prompt and the last triple or two of a graph
+# Longest suffix of the history that a draft lookup matches. LM calls at
+# DRAFT = 16, as above:
+#   CONTEXT        8     16     32
+#   smoke      1,511  1,334  1,284
+#   104          143    143    143
+# A match must cover a QA prompt and the last pair or two of a graph
 # to tell apart where repeated answers diverge.
 CONTEXT = 16
+
+
+class _Growing:
+    """A growable int64 array. The views it hands out never change: later
+    extends write past their end or into a new buffer."""
+
+    def __init__(self, capacity: int):
+        self._data = np.empty(capacity, dtype=np.int64)
+        self._len = 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def view(self) -> np.ndarray:
+        return self._data[:self._len]
+
+    def extend(self, values) -> None:
+        end = self._len + len(values)
+        if end > len(self._data):
+            grown = np.empty(max(end, 2 * len(self._data)), dtype=np.int64)
+            grown[:self._len] = self._data[:self._len]
+            self._data = grown
+        self._data[self._len:end] = values
+        self._len = end
+
+
+# Fills the CONTEXT slots before a stream's first id, so that the narrowing
+# of a suffix match reads no id in front of the stream (see _narrow).
+_NO_ID = -1
 
 
 class DecodeStream:
     """Append-only id stream of finished greedy decodes, for drafting (see
     decode_answer). A decode call appends, for each of its prompts in
     order and in one append each, the prompt ids, BOS and the ids it
-    generated, EOS included. Memory is one growable int64 array."""
+    generated, EOS included. The stream also keeps, per id, the ascending
+    positions at which it occurs, so a draft lookup (match) starts from
+    the occurrences of the key's last id instead of scanning the stream.
+    Its buffer holds CONTEXT _NO_ID ids before the first id."""
 
     def __init__(self):
-        self._ids = np.empty(1024, dtype=np.int64)
-        self._len = 0
+        self._pad = CONTEXT
+        self._ids = _Growing(1024)
+        self._ids.extend(np.full(self._pad, _NO_ID))
+        self._at: dict[int, _Growing] = {}
 
     def ids(self) -> np.ndarray:
         """The ids appended so far. Later appends do not change the array
-        returned: they write past its end or into a new buffer."""
-        return self._ids[:self._len]
+        returned."""
+        return self._ids.view()[self._pad:]
 
     def append(self, ids) -> None:
         ids = np.asarray(ids, dtype=np.int64)
-        end = self._len + len(ids)
-        if end > len(self._ids):
-            grown = np.empty(max(end, 2 * len(self._ids)), dtype=np.int64)
-            grown[:self._len] = self._ids[:self._len]
-            self._ids = grown
-        self._ids[self._len:end] = ids
-        self._len = end
+        where: dict[int, list[int]] = {}
+        for i, tok in enumerate(ids.tolist(), start=len(self._ids) - self._pad):
+            where.setdefault(tok, []).append(i)
+        self._ids.extend(ids)
+        for tok, positions in where.items():
+            self._at.setdefault(tok, _Growing(16)).extend(positions)
+
+    def match(self, key: np.ndarray) -> tuple[int, int]:
+        """_suffix_match(self.ids(), key), narrowed from the indexed
+        occurrences of key's last id."""
+        at = self._at.get(int(key[-1]))
+        if at is None:
+            return 0, 0
+        ends = at.view()
+        if ends[-1] == len(self._ids) - self._pad - 1:  # the last id has no successor
+            ends = ends[:-1]
+        return _narrow(self._ids.view(), self._pad, key, ends)
 
 
 def _suffix_match(text: np.ndarray, key: np.ndarray) -> tuple[int, int]:
@@ -398,14 +441,22 @@ def _suffix_match(text: np.ndarray, key: np.ndarray) -> tuple[int, int]:
     of the id after its latest occurrence), or (0, 0) if there is none.
     With text = key this finds earlier occurrences only, as the last one
     has no successor."""
-    ends = np.flatnonzero(text[:-1] == key[-1])
+    padded = np.concatenate([np.full(CONTEXT, _NO_ID), text])
+    return _narrow(padded, CONTEXT, key, np.flatnonzero(text[:-1] == key[-1]))
+
+
+def _narrow(padded: np.ndarray, pad: int, key: np.ndarray,
+            ends: np.ndarray) -> tuple[int, int]:
+    """_suffix_match over the text that follows `pad` >= CONTEXT - 1
+    _NO_ID ids in `padded`, given `ends`, the ascending indices in the
+    text, its last id excluded, at which key's last id occurs. The padding
+    ends a candidate's match at the text's start without a bounds test."""
     length, after = 0, 0
     while ends.size:
         length, after = length + 1, int(ends[-1]) + 1
         if length == min(CONTEXT, len(key)):
             break
-        ends = ends[ends >= length]
-        ends = ends[text[ends - length] == key[-1 - length]]
+        ends = ends[padded[ends + (pad - length)] == key[-1 - length]]
     return length, after
 
 
@@ -465,11 +516,10 @@ def decode_answer(prefixes: list[TokenSequence], params: ModelParams,
     draft); the cache then drops the rows of the rejected ids. Every
     accepted id is the argmax after exactly its greedy predecessors, so
     each output is the one-token-per-call greedy output whatever the
-    stream holds, in fewer calls when drafts hit. The stream is read
-    once, when the call starts, so the prompts of one call do not draft
-    from each other; a call that returns appends every prompt's history,
-    EOS included, in prompt order, and one that raises leaves it
-    unchanged.
+    stream holds, in fewer calls when drafts hit. The call appends to the
+    stream only when it returns, so the prompts of one call do not draft
+    from each other; it appends every prompt's history, EOS included, in
+    prompt order, and a call that raises leaves the stream unchanged.
     """
     start = 0 if past is None else past.length
     for seq in prefixes:
@@ -479,7 +529,7 @@ def decode_answer(prefixes: list[TokenSequence], params: ModelParams,
         return [[] for _ in prefixes]
     with T.no_grad():
         wte = params["lm.wte"].data
-        earlier = np.empty(0, dtype=np.int64) if stream is None else stream.ids()
+        earlier = DecodeStream() if stream is None else stream
         decodes = [_Greedy(history=list(seq.prompt_ids) + [V.BOS], ids=[],
                            bos_pos=seq.next_position(),
                            new=np.concatenate([seq.tokens.data[start:],
@@ -497,7 +547,7 @@ def decode_answer(prefixes: list[TokenSequence], params: ModelParams,
     return [d.ids[:-1] if d.ids[-1] == V.EOS else d.ids for d in decodes]
 
 
-def _verify(decodes: list[_Greedy], cache: KVCache, earlier: np.ndarray,
+def _verify(decodes: list[_Greedy], cache: KVCache, earlier: DecodeStream,
             params: ModelParams, cfg: FusionConfig,
             max_new: int) -> list[KVCache | None]:
     """One draft-and-verify LM call for `decodes`, batch entry b for
@@ -549,16 +599,16 @@ def _verify(decodes: list[_Greedy], cache: KVCache, earlier: np.ndarray,
     return out
 
 
-def _draft(history: np.ndarray, earlier: np.ndarray, limit: int) -> list[int]:
+def _draft(history: np.ndarray, earlier: DecodeStream, limit: int) -> list[int]:
     """Up to `limit` ids that followed the latest occurrence of the longest
     suffix of `history` found in `earlier` or before in `history` itself,
     `history` winning ties, cut after the first EOS (see decode_answer)."""
     if limit <= 0:
         return []
     own, own_after = _suffix_match(history, history)
-    found, after = _suffix_match(earlier, history)
+    found, after = earlier.match(history)
     if found > own:
-        draft = earlier[after:after + limit].tolist()
+        draft = earlier.ids()[after:after + limit].tolist()
     else:
         draft = history[own_after:own_after + limit].tolist() if own else []
     return draft[:draft.index(V.EOS) + 1] if V.EOS in draft else draft

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ContractError
-from .scenegen import CLASS_NAMES, PREDICATES, Triple
+from .scenegen import CLASS_NAMES, INVERSE, PREDICATES, Triple
 
 ROUGE_BETA = 1.2
 CIDER_MAX_N = 4
@@ -226,23 +226,38 @@ def em_at_1(corpus) -> float:
 
 
 def parse_triples(answer_text: str) -> list[Triple]:
-    """Parses 'subject | predicate | object' segments separated by ';'.
-    Malformed or out-of-vocabulary segments are kept as invalid predictions
-    so they still count against precision; blank segments are dropped."""
+    """Parses a decoded scene graph whose segments end at ';'.
+
+    The compact form of scenegen.triples_to_text has segments 'subject
+    object predicate ...': each predicate gives its triple and, if it has
+    one, the INVERSE triple, so a gold graph's text gives back exactly the
+    gold set. A text that holds a '|' is in the older form, one 'subject |
+    predicate | object' triple a segment, and parses as it always has,
+    without inverses, so checkpoints trained on it score as before. In
+    both forms a malformed or out-of-vocabulary segment is one invalid
+    prediction, so it still counts against precision; blank segments are
+    dropped."""
+    pipe_form = "|" in answer_text
     out: list[Triple] = []
     for segment in answer_text.split(";"):
         if not segment.strip():
             continue
-        fields = [f.strip() for f in segment.split("|")]
-        if (
-            len(fields) == 3
-            and fields[0] in CLASS_NAMES
-            and fields[1] in PREDICATES
-            and fields[2] in CLASS_NAMES
-        ):
-            out.append(Triple(*fields))
-        else:
+        if pipe_form:
+            fields = [f.strip() for f in segment.split("|")]
+            valid = (len(fields) == 3 and fields[0] in CLASS_NAMES
+                     and fields[1] in PREDICATES and fields[2] in CLASS_NAMES)
+            out.append(Triple(*fields) if valid else INVALID_TRIPLE)
+            continue
+        words = segment.split()
+        if not (len(words) >= 3 and words[0] in CLASS_NAMES and words[1] in CLASS_NAMES
+                and all(p in PREDICATES for p in words[2:])):
             out.append(INVALID_TRIPLE)
+            continue
+        subject, obj = words[:2]
+        for predicate in words[2:]:
+            out.append(Triple(subject, predicate, obj))
+            if predicate in INVERSE:
+                out.append(Triple(obj, INVERSE[predicate], subject))
     return out
 
 

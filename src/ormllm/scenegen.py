@@ -15,6 +15,7 @@ byte.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -79,6 +80,12 @@ PRED_PHRASE = {
     "on_top_of": "on top of",
     "holding": "holding",
 }
+# derive_triples makes right_of and behind the exact inverses of left_of and
+# in_front_of, and next_to symmetric: a gold graph holds each of these
+# triples together with its inverse.
+INVERSE = {"left_of": "right_of", "right_of": "left_of",
+           "in_front_of": "behind", "behind": "in_front_of",
+           "next_to": "next_to"}
 
 REL_MARGIN = 0.1
 NEXT_TO_GAP = 0.3
@@ -452,10 +459,23 @@ def sort_triples(triples) -> list[Triple]:
 
 
 def triples_to_text(triples) -> str:
-    """Serialized scene graph: 'subject | predicate | object' segments
-    joined by ';'. An empty relation set serializes to the empty string."""
-    return " ; ".join(f"{t.subject} | {t.predicate} | {t.object}"
-                      for t in sort_triples(triples))
+    """Compact serialized scene graph: one segment 'subject object
+    predicate ... ;' per (subject, object) pair, the pairs in class-id
+    order and each pair's predicates in PREDICATES order. A triple whose
+    predicate has an INVERSE is written only when its subject's class id
+    is below its object's; metrics.parse_triples adds the inverse back.
+    So the text of a graph closed under INVERSE, as every gold graph is,
+    parses back to exactly that graph. Class names and predicates are
+    distinct words, so a segment needs no other separator. An empty
+    relation set serializes to the empty string."""
+    kept = sorted((t for t in triples if t.predicate not in INVERSE
+                   or CLASS_ID[t.subject] < CLASS_ID[t.object]),
+                  key=lambda t: (CLASS_ID[t.subject], CLASS_ID[t.object],
+                                 PRED_ID[t.predicate]))
+    return " ".join(
+        " ".join([subject, obj, *(t.predicate for t in group), ";"])
+        for (subject, obj), group in itertools.groupby(
+            kept, key=lambda t: (t.subject, t.object)))
 
 
 def template_text(scene: Scene, triples, qa_seed: int) -> tuple[str, list[QaPair]]:

@@ -63,7 +63,10 @@ class TrainConfig:
     vfm_epochs: int = 3       # stage-2 depth/seg supervision phase; with 0,
                               # stage 2 never trains encoder, depth or seg
     qa_per_sample: int = 2    # stage-2 QA records drawn per sample (0 = all)
-    sgg_max_triples: int = 24  # training-target truncation; gold stays full
+    # Scene-graph targets hold the whole graph. The field, whose only legal
+    # value is 0, and make_stage2_records' keyword of the same name are kept
+    # only because the benchmark passes cfg.sgg_max_triples to the builder.
+    sgg_max_triples: int = 0
 
     def __post_init__(self):
         if self.stage not in (1, 2):
@@ -79,11 +82,11 @@ class TrainConfig:
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ConfigurationError(f"train.{name} must be in [0, 1), got {value}")
-        for name in ("warmup_steps", "weight_decay", "vfm_epochs", "qa_per_sample",
-                     "sgg_max_triples"):
+        for name in ("warmup_steps", "weight_decay", "vfm_epochs", "qa_per_sample"):
             value = getattr(self, name)
             if value < 0:
                 raise ConfigurationError(f"train.{name} must be >= 0, got {value}")
+        _check_whole_graph(self.sgg_max_triples)
 
 
 @dataclass
@@ -107,13 +110,19 @@ def qa_prompt_ids(vocab: Vocabulary, question: str) -> list[int]:
     return vocab.encode(" ".join(normalize(question)))
 
 
-def make_stage1_records(samples: list[Sample], vocab: Vocabulary,
-                        sgg_max_triples: int = TrainConfig.sgg_max_triples) -> TrainData:
+def _check_whole_graph(sgg_max_triples: int) -> None:
+    if sgg_max_triples != 0:
+        raise ConfigurationError(
+            f"sgg_max_triples must be 0 (targets hold the whole graph), got {sgg_max_triples}")
+
+
+def make_stage1_records(samples: list[Sample], vocab: Vocabulary) -> TrainData:
     """Text-only instruction records: QA pairs plus one scene-graph
-    serialization record per scene. The frozen stage-2 LM can only emit
-    triple grammar it has already seen here; one record per scene
-    (views share triples) teaches the grammar without flooding the corpus
-    with sequences whose content is unpredictable from text alone."""
+    serialization record per scene, its whole graph in the compact form of
+    triples_to_text. The frozen stage-2 LM can only emit triple grammar it
+    has already seen here; one record per scene (views share triples)
+    teaches the grammar without flooding the corpus with sequences whose
+    content is unpredictable from text alone."""
     records = []
     seen_scenes: set[int] = set()
     for s in samples:
@@ -125,18 +134,22 @@ def make_stage1_records(samples: list[Sample], vocab: Vocabulary,
             ))
         if s.scene_id not in seen_scenes:
             seen_scenes.add(s.scene_id)
-            target = s.triples[:sgg_max_triples] if sgg_max_triples else s.triples
             records.append(TrainRecord(
                 stage=1, task="sgg", sample_index=None,
                 prompt_ids=[V.SGG_TASK],
-                answer_ids=vocab.encode(triples_to_text(target)),
+                answer_ids=vocab.encode(triples_to_text(s.triples)),
             ))
     return TrainData(stage=1, records=records, samples=[], vocab_size=len(vocab))
 
 
 def make_stage2_records(samples: list[Sample], vocab: Vocabulary,
                         qa_per_sample: int, seed: int,
-                        sgg_max_triples: int = TrainConfig.sgg_max_triples) -> TrainData:
+                        sgg_max_triples: int = 0) -> TrainData:
+    """Multimodal records: per sample, `qa_per_sample` of its QA pairs
+    (0 = all), drawn by `seed`, plus one scene-graph record whose target
+    is the sample's whole graph in the compact form of triples_to_text.
+    `sgg_max_triples` must be 0 (see TrainConfig)."""
+    _check_whole_graph(sgg_max_triples)
     rng = np.random.default_rng(np.random.SeedSequence([0x2EC02D, seed]))
     records = []
     for idx, s in enumerate(samples):
@@ -150,13 +163,10 @@ def make_stage2_records(samples: list[Sample], vocab: Vocabulary,
                 prompt_ids=qa_prompt_ids(vocab, question),
                 answer_ids=vocab.encode(answers[0]),
             ))
-        # Dense scenes produce long serializations; the training target keeps
-        # the first triples in canonical order, evaluation gold stays full.
-        target = s.triples[:sgg_max_triples] if sgg_max_triples else s.triples
         records.append(TrainRecord(
             stage=2, task="sgg", sample_index=idx,
             prompt_ids=[V.SGG_TASK],
-            answer_ids=vocab.encode(triples_to_text(target)),
+            answer_ids=vocab.encode(triples_to_text(s.triples)),
         ))
     return TrainData(stage=2, records=records, samples=list(samples),
                      vocab_size=len(vocab))

@@ -415,7 +415,7 @@ def test_train_negative_seed_usage_error(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "train.warmup_steps = -5", "train.adam_beta1 = 1.0", "train.adam_beta2 = 1.5",
     "train.weight_decay = -0.01", "train.vfm_epochs = -1",
-    "train.qa_per_sample = -1", "train.sgg_max_triples = -1",
+    "train.qa_per_sample = -1",
 ])
 def test_train_bad_settings_usage_error(workspace, trained, tmp_path, capsys, line):
     root, cfg, data = workspace
@@ -434,6 +434,18 @@ def test_train_bad_settings_usage_error(workspace, trained, tmp_path, capsys, li
                  "--stage1-ckpt", s1, "--out-dir", str(abl)]) == 2
     assert key in capsys.readouterr().err
     assert not abl.exists()
+
+
+def test_removed_sgg_max_triples_key_is_a_usage_error(workspace, tmp_path, capsys):
+    # Scene-graph targets hold the whole graph; the truncation key is gone.
+    root, cfg, data = workspace
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(open(cfg).read() + "train.sgg_max_triples = 24\n")
+    ckpt = tmp_path / "s1.ckpt"
+    assert main(["train", "--stage", "1", "--data", data, "--config", str(bad),
+                 "--ckpt-out", str(ckpt)]) == 2
+    assert "unknown config keys: train.sgg_max_triples" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 @pytest.mark.parametrize("stage", [1, 2])

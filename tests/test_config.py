@@ -67,9 +67,11 @@ def test_config_keys_are_the_pinned_set():
         "train.lr_lm", "train.lr_vision", "train.lr_pretrained_vision",
         "train.batch_size", "train.warmup_steps", "train.adam_beta1",
         "train.adam_beta2", "train.weight_decay", "train.lambda_clip", "train.tau",
-        "train.vfm_epochs", "train.qa_per_sample", "train.sgg_max_triples",
+        "train.vfm_epochs", "train.qa_per_sample",
         "eval.max_new_qa", "eval.max_new_sgg",
     }
+    # Scene-graph targets hold the whole graph: the truncation key is gone.
+    assert "train.sgg_max_triples" in NOT_KEYS
     sections = {f"{name}.{f.name}" for name, cls in SECTIONS.items() for f in fields(cls)}
     assert NOT_KEYS <= sections and not NOT_KEYS & set(DEFAULTS)
 
@@ -84,7 +86,7 @@ def test_each_section_builds_from_its_keys(tmp_path):
     assert (run.train(2).stage, run.train(2).epochs, run.train(2).seed) == (2, 5, 7)
     assert run.train(1).epochs == DEFAULTS["train.epochs.stage1"]
     ecfg = run.eval(("qa",))
-    assert (ecfg.tasks, ecfg.max_new_qa, ecfg.max_new_sgg) == (("qa",), 1, 150)
+    assert (ecfg.tasks, ecfg.max_new_qa, ecfg.max_new_sgg) == (("qa",), 1, 110)
 
 
 @pytest.mark.parametrize("stage", [0, 3])

@@ -145,3 +145,34 @@ def test_decode_stream_grows_and_keeps_chunks_and_snapshots_whole():
     assert len(ids) == 1 + REPEATS * sum(map(len, chunks)) > 1024
     assert ids.tolist() == chunks[0] + [t for chunk in chunks for t in chunk] * REPEATS
     assert kept.tolist() == chunks[0]
+
+
+def test_indexed_drafts_equal_the_scanning_search(setup, monkeypatch):
+    # The stream's per-id index changes how a draft is found, not which:
+    # with the scanning search over the whole stream in its place, every
+    # draft, every LM call and the report are the same.
+    model, vocab, samples = setup
+    draft, lm_forward = fusion._draft, fusion.lm_forward
+
+    def run():
+        drafts, calls = [], []
+
+        def recorded_draft(history, earlier, limit):
+            drafts.append(draft(history, earlier, limit))
+            return drafts[-1]
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].data.shape)
+            return lm_forward(*args, **kwargs)
+
+        monkeypatch.setattr(fusion, "_draft", recorded_draft)
+        monkeypatch.setattr(fusion, "lm_forward", counted)
+        report = evaluate(model, vocab, samples * 3, CFG).to_text()
+        return drafts, calls, report
+
+    indexed = run()
+    monkeypatch.setattr(DecodeStream, "match",
+                        lambda self, key: fusion._suffix_match(self.ids(), key))
+    scanned = run()
+    assert indexed == scanned
+    assert sum(map(len, indexed[0])) > 0  # drafts were made

@@ -522,15 +522,44 @@ def test_draft_is_the_brute_force_longest_suffix_match():
         if rng.random() < 0.3:  # a long suffix of the history recurs
             stream += history[-int(rng.integers(1, len(history) + 1)):] + [7, 8]
         limit = int(rng.integers(0, 10))
-        got = fusion._draft(np.array(history), np.array(stream, dtype=np.int64), limit)
+        got = fusion._draft(np.array(history), stream_of(stream, rng), limit)
         assert got == reference_draft(history, stream, limit), (history, stream, limit)
     # Matches longer than CONTEXT count as CONTEXT ids: the history's
     # earlier p (CONTEXT ids) ties the stream's 8 + p and its p, and wins.
     p = rng.integers(3, 6, fusion.CONTEXT).tolist()
     history = [9] + p + [8] + p
     for stream in ([4, 8] + p + [7], [4] + p + [7]):
-        got = fusion._draft(np.array(history), np.array(stream), 2)
+        got = fusion._draft(np.array(history), stream_of(stream, rng), 2)
         assert got == reference_draft(history, stream, 2) == [8, p[0]]
+
+
+def stream_of(ids, rng) -> DecodeStream:
+    """A DecodeStream holding `ids`, appended in random chunks."""
+    stream = DecodeStream()
+    cuts = np.sort(rng.integers(0, len(ids) + 1, 3))
+    for chunk in np.split(np.array(ids, dtype=np.int64), cuts):
+        stream.append(chunk)
+    return stream
+
+
+def test_indexed_match_equals_the_scanning_search():
+    # The scanning search over the whole stream is the oracle of the
+    # lookup that starts from the stream's per-id positions, for streams
+    # grown by many appends (past the initial buffers) and for keys that
+    # end in an id the stream lacks or holds only at its end.
+    rng = np.random.default_rng(1)
+    for case in range(300):
+        ids = (0, 3) if case % 2 else (3, 7)
+        stream = DecodeStream()
+        for _ in range(int(rng.integers(0, 12))):
+            stream.append(rng.integers(*ids, int(rng.integers(0, 300))))
+        text = stream.ids()
+        key = rng.integers(*ids, int(rng.integers(1, 30)))
+        if text.size and rng.random() < 0.5:  # a suffix of the stream recurs
+            key = np.concatenate([key, text[-int(rng.integers(1, min(40, text.size) + 1)):]])
+        if rng.random() < 0.1:
+            key = np.append(key, 9)
+        assert stream.match(key) == fusion._suffix_match(text, key), (case, key)
 
 
 DECODE_CASES = [

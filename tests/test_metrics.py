@@ -15,6 +15,7 @@ import pytest
 
 from ormllm.errors import ContractError
 from ormllm.metrics import (
+    INVALID_TRIPLE,
     EvalCorpus,
     MetricReport,
     cider,
@@ -406,6 +407,38 @@ def test_parse_triples_garbage_counts_as_incorrect():
 
 def test_parse_triples_trailing_separator():
     assert parse_triples("patient|on_top_of|operating_table;") == [T1]
+
+
+def test_parse_triples_compact_form_adds_inverses():
+    parsed = parse_triples("patient operating_table on_top_of ; "
+                           "nurse instrument_tray next_to left_of behind ;")
+    assert parsed == [
+        T1,
+        T2, Triple("instrument_tray", "next_to", "nurse"),
+        Triple("nurse", "left_of", "instrument_tray"),
+        Triple("instrument_tray", "right_of", "nurse"),
+        Triple("nurse", "behind", "instrument_tray"),
+        Triple("instrument_tray", "in_front_of", "nurse"),
+    ]
+    # The last segment needs no ';'; each malformed segment is one invalid
+    # prediction, and a blank one is dropped.
+    assert parse_triples("patient operating_table on_top_of") == [T1]
+    bad = parse_triples("patient on_top_of ; patient nurse zebra ; ; nurse ;")
+    assert len(bad) == 3 and T1 not in bad
+    p, r, _ = sgg_pair_prf(parse_triples("patient operating_table on_top_of ; zebra"), {T1})
+    assert p == 50.0 and r == 100.0
+
+
+def test_parse_triples_reads_the_pipe_form_as_before():
+    # The pipe form of a whole graph, as older checkpoints were trained to
+    # write it: one triple a segment, in order, no inverse added.
+    graph = sorted({T1, T2, Triple("nurse", "left_of", "patient"),
+                    Triple("patient", "right_of", "nurse")})
+    text = " ; ".join(f"{t.subject} | {t.predicate} | {t.object}" for t in graph)
+    assert parse_triples(text) == graph
+    # One '|' anywhere makes the whole text the pipe form.
+    assert parse_triples("patient operating_table on_top_of ; nurse | next_to | "
+                         "instrument_tray") == [INVALID_TRIPLE, T2]
 
 
 # ---------------------------------------------------------------------------

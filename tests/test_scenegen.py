@@ -228,13 +228,33 @@ def test_template_deterministic():
 
 
 def test_sgg_serialization_round_trip_tokens():
+    # Every scene of the smoke corpus: its text parses back to its gold set,
+    # with no duplicate, and fits the default decode budget with EOS.
+    from ormllm.evaluate import EvalConfig
     from ormllm.metrics import parse_triples
 
-    scene = generate_scene(13)
-    text = triples_to_text(scene.relations)
-    parsed = parse_triples(text)
-    assert set(parsed) == scene.relations
-    assert len(parsed) == len(scene.relations)
+    budget = EvalConfig().max_new_sgg
+    for s in build_dataset(0, 300, 3, 32).samples:
+        text = triples_to_text(s.triples)
+        parsed = parse_triples(text)
+        assert len(parsed) == len(set(parsed))
+        assert set(parsed) == set(s.triples)
+        assert len(text.split()) <= budget - 1
+
+
+def test_compact_graph_writes_each_pair_once():
+    # Class ids: operating_table 2, patient 3, surgeon 4, instrument_tray 6.
+    graph = {
+        Triple("patient", "on_top_of", "operating_table"),
+        Triple("patient", "right_of", "surgeon"), Triple("surgeon", "left_of", "patient"),
+        Triple("surgeon", "holding", "instrument_tray"),
+        Triple("surgeon", "next_to", "instrument_tray"),
+        Triple("instrument_tray", "next_to", "surgeon"),
+    }
+    assert triples_to_text(graph) == (
+        "patient operating_table on_top_of ; patient surgeon right_of ; "
+        "surgeon instrument_tray next_to holding ;")
+    assert triples_to_text(set()) == ""
 
 
 # --- dataset io ----------------------------------------------------------------

@@ -16,9 +16,10 @@ from ormllm.errors import (
 )
 from ormllm.fusion import FusionConfig, answer_loss, build_input_sequence, lm_forward
 from ormllm.gradcheck import finite_diff_grad_check
+from ormllm.metrics import parse_triples
 from ormllm.model import Model, ModelConfig
 from ormllm.nn import ModelParams
-from ormllm.scenegen import build_dataset
+from ormllm.scenegen import build_dataset, triples_to_text
 from ormllm.spatial import SpatialBlockConfig, depth_loss, seg_loss
 from ormllm.tensor import Tensor
 from ormllm.training import (
@@ -808,6 +809,20 @@ def test_stage2_records_contain_sgg(tiny_data):
     assert per_sample == 3  # 2 qa + 1 sgg
 
 
+def test_sgg_records_hold_the_whole_graph(tiny_data):
+    samples, vocab = tiny_data.samples, tiny_data.vocab
+    stage1 = [r for r in make_stage1_records(samples, vocab).records if r.task == "sgg"]
+    stage2 = [r for r in make_stage2_records(samples, vocab, qa_per_sample=2,
+                                             seed=0).records if r.task == "sgg"]
+    scenes = {s.scene_id: s for s in samples}  # the views of a scene share its graph
+    firsts = [scenes[i] for i in dict.fromkeys(s.scene_id for s in samples)]
+    for records, sources in ((stage1, firsts), (stage2, samples)):
+        assert len(records) == len(sources)
+        for r, s in zip(records, sources):
+            assert r.answer_ids == vocab.encode(triples_to_text(s.triples))
+            assert set(parse_triples(vocab.decode(r.answer_ids))) == set(s.triples)
+
+
 # ---------------------------------------------------------------------------
 # per-task LM calls against the one padded call over the whole batch
 # ---------------------------------------------------------------------------
@@ -1132,8 +1147,19 @@ def test_batched_answer_loss_rejects_mismatched_shapes():
 @pytest.mark.parametrize("field,value", [
     ("adam_beta1", 1.0), ("adam_beta2", -0.1),
     ("warmup_steps", -5), ("weight_decay", -0.01), ("vfm_epochs", -1),
-    ("qa_per_sample", -1), ("sgg_max_triples", -2),
+    ("qa_per_sample", -1),
 ])
 def test_train_config_rejects_out_of_range(field, value):
     with pytest.raises(ConfigurationError, match=field):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [-2, 16, 24])
+def test_sgg_max_triples_takes_only_0(value, tiny_data):
+    # Targets hold the whole graph; the field and the keyword stay only for
+    # callers that pass the field on to the builder.
+    with pytest.raises(ConfigurationError, match="sgg_max_triples"):
+        TrainConfig(sgg_max_triples=value)
+    with pytest.raises(ConfigurationError, match="sgg_max_triples"):
+        make_stage2_records(tiny_data.samples, tiny_data.vocab, qa_per_sample=2,
+                            seed=0, sgg_max_triples=value)
