@@ -19,9 +19,12 @@ listed seed; each side's per-layer metrics are recorded run by run and as
 medians. The workload's entry is merged into --out, so one file can hold
 every workload of a change.
 
-The entry records each checkout's `git rev-parse HEAD` and whether its tree
-was dirty, and counts each side's runs that reported `correct: false`; the
-script exits 1 when there are any, since their metrics entered the medians.
+Each pair keeps both runs' set-up times (`parent_setup_s_each`,
+`change_setup_s_each`), so a `setup_s` median can be traced to one slow
+set-up or to all of them. The entry records each checkout's
+`git rev-parse HEAD` and whether its tree was dirty, and counts each side's
+runs that reported `correct: false`; the script exits 1 when there are any,
+since their metrics entered the medians.
 """
 
 from __future__ import annotations
@@ -98,10 +101,19 @@ def values(result: dict) -> dict[str, float]:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def setup_times(result: dict) -> list[float] | None:
+    """The run's set-up times, one per repetition, from its `setup_s_each`
+    info line; None when no info line has one (traced runs set up once)."""
+    return next((line["setup_s_each"] for line in result["info"]
+                 if "setup_s_each" in line), None)
+
+
 def run_pairs(checkouts: dict[str, str], workload: str, seeds: list[int],
               seconds: float, trace: bool) -> tuple[list[dict], dict]:
-    """One pair per seed, alternating which side runs first. Returns the
-    pairs and the description of the last run (sizes, versions, threads)."""
+    """One pair per seed, alternating which side runs first. Each pair holds
+    both sides' metrics, outcomes and set-up times (`<side>_setup_s_each`).
+    Returns the pairs and the description of the last run (sizes, versions,
+    threads)."""
     pairs, info = [], {}
     for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -111,6 +123,7 @@ def run_pairs(checkouts: dict[str, str], workload: str, seeds: list[int],
             info = result["info"][0]
             pair[side] = values(result)
             pair[f"{side}_outcome"] = {k: result[k] for k in ("correct", "attempted", "failed")}
+            pair[f"{side}_setup_s_each"] = setup_times(result)
             print(f"{workload} seed {seed} {side} trace {int(trace)}: "
                   f"{json.dumps(pair[side])}", flush=True)
         pairs.append(pair)

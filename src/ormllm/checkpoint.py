@@ -12,6 +12,8 @@ Load followed by save reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import CompatibilityError
@@ -21,6 +23,10 @@ MAGIC = b"ORMLLM-CKPT v1\n"
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
+    """Writes the whole file or nothing: the bytes go to a temporary file in
+    the target's directory, which then replaces the target (os.replace), so
+    a write that fails part-way leaves the earlier file at `path` as it was
+    and removes the temporary one."""
     manifest = []
     payload = []
     offset = 0
@@ -33,13 +39,21 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
         manifest.append(f"{name} {dims} {offset} {flag}\n")
         payload.append(arr.tobytes())
         offset += arr.nbytes
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        for line in manifest:
-            fh.write(line.encode("ascii"))
-        fh.write(b"\n")
-        for chunk in payload:
-            fh.write(chunk)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            for line in manifest:
+                fh.write(line.encode("ascii"))
+            fh.write(b"\n")
+            for chunk in payload:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> ModelParams:

@@ -291,8 +291,6 @@ def _gradcheck_suite(seed: int, corrupt: bool):
     """Five verification targets on tiny pinned configurations. Inputs are
     drawn away from softmax saturation and absolute-value ties so central
     differences are meaningful at 1e-4."""
-    from .model import build_model_params
-
     rng = np.random.default_rng(np.random.SeedSequence([0x96AD, seed]))
     scfg = SpatialBlockConfig(
         image_size=8, encoder_blocks=1, encoder_dim=8, encoder_heads=2,

@@ -378,25 +378,35 @@ def look_at(eye: np.ndarray, target: np.ndarray) -> CameraPose:
 
 
 def _raycast(scene: Scene, K: CameraIntrinsics, pose: CameraPose, H: int, W: int):
+    """Slab-test every box against every pixel's ray at once ([E, H, W, 3]).
+    A pixel shows the box with the smallest t_near among those it hits
+    (t_near <= t_far, t_near > 1e-9), the first in entity order on a tie;
+    a 0/0 slab gives NaN, which hits nothing."""
     uu, vv = np.meshgrid(np.arange(W, dtype=np.float64),
                          np.arange(H, dtype=np.float64))
     dirs_cam = np.stack([(uu - K.cx) / K.fx, (vv - K.cy) / K.fy,
                          np.ones_like(uu)], axis=-1)
     dirs = dirs_cam @ pose.rotation.T  # ray parameter equals camera-frame z
     o = pose.translation
-    depth = np.full((H, W), np.inf)
-    seg = np.ones((H, W), dtype=np.int64)
+    lo = np.array([e.box.lo for e in scene.entities]).reshape(-1, 1, 1, 3)
+    hi = np.array([e.box.hi for e in scene.entities]).reshape(-1, 1, 1, 3)
+    colors = np.array([e.color_id for e in scene.entities], dtype=np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for e in scene.entities:
-            t1 = (e.box.lo - o) / dirs
-            t2 = (e.box.hi - o) / dirs
-            t_near = np.minimum(t1, t2).max(axis=-1)
-            t_far = np.maximum(t1, t2).min(axis=-1)
-            hit = (t_near <= t_far) & (t_near > 1e-9) & (t_near < depth)
-            depth = np.where(hit, t_near, depth)
-            seg = np.where(hit, e.color_id, seg)
+        t1 = (lo - o) / dirs
+        t2 = (hi - o) / dirs
+        near = np.minimum(t1, t2)
+        far = np.maximum(t1, t2)
+        t_near = np.maximum(np.maximum(near[..., 0], near[..., 1]), near[..., 2])
+        t_far = np.minimum(np.minimum(far[..., 0], far[..., 1]), far[..., 2])
+        t_hit = np.where((t_near <= t_far) & (t_near > 1e-9), t_near, np.inf)
+    if not len(colors):
+        t_hit = np.full((1, H, W), np.inf)
+        colors = np.ones(1, dtype=np.int64)
+    first = t_hit.argmin(axis=0)  # argmin keeps the first of equal minima
+    depth = np.take_along_axis(t_hit, first[None], axis=0)[0]
     miss = ~np.isfinite(depth)
     depth[miss] = 0.0
+    seg = np.where(miss, 1, colors[first])
     rgb = CLASS_COLORS[seg - 1].copy()
     rgb[miss] = BACKGROUND_COLOR
     return rgb, depth, seg

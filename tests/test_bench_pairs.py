@@ -167,6 +167,33 @@ def test_main_records_checkouts_and_fails_on_incorrect_runs(tmp_path, monkeypatc
     assert entry["checkouts"]["parent"] == {"head": None, "dirty": None}
 
 
+def test_main_keeps_each_runs_setup_times(tmp_path, monkeypatch):
+    names = [m["name"] for m in bench_pairs.json.loads(
+        (bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def fake_run_once(checkout, workload, seed, seconds, trace):
+        side = 1.0 if checkout.endswith("change") else 0.0
+        info = [{"sizes": {}, "nproc": 2, "blas_threads": 1,
+                 "python": "3", "numpy": "2", "scipy": "1", "blas": "x"}]
+        if not trace:  # a traced run sets up once and prints no setup_s_each
+            info.append({"units": 4, "setup_s_each": [seed + side + k / 10 for k in range(5)]})
+        return {"correct": True, "attempted": 3, "failed": 0,
+                "metrics": {name: {"value": 1.0} for name in names}, "info": info}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--workload", "w",
+                             "--out", str(out), "--seeds", "3-4", "--trace-seeds", "7"]) == 0
+    entry = bench_pairs.json.loads(out.read_text())["workloads"]["w"]
+    for pair in entry["pairs"]:
+        seed = pair["seed"]
+        assert pair["parent_setup_s_each"] == [seed + k / 10 for k in range(5)]
+        assert pair["change_setup_s_each"] == [seed + 1.0 + k / 10 for k in range(5)]
+    (traced,) = entry["traced"]["pairs"]
+    assert traced["parent_setup_s_each"] is None and traced["change_setup_s_each"] is None
+
+
 @pytest.mark.parametrize("stdout", ["", "# {}\nTraceback (most recent call last)\n",
                                     "[1, 2]\n"])
 def test_run_once_without_json_result_names_checkout_exit_and_stderr(monkeypatch, stdout):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ormllm import checkpoint
 from ormllm.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from ormllm.errors import CompatibilityError
 from ormllm.nn import ModelParams
@@ -32,6 +33,48 @@ def test_load_then_save_is_byte_identical(tmp_path):
     save_checkpoint(params, str(p1))
     save_checkpoint(load_checkpoint(str(p1)), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+class DiskFull(OSError):
+    pass
+
+
+@pytest.mark.parametrize("writes_before_failure", [0, 3])
+def test_failed_overwrite_keeps_the_old_file(tmp_path, monkeypatch, writes_before_failure):
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(sample_params(), str(path))
+    old = path.read_bytes()
+    params = sample_params()
+    params["lm.wte"].data[:] = 0.5
+
+    class FailingFile:
+        """A real file whose write raises after `writes_before_failure` writes."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if self.writes == writes_before_failure:
+                raise DiskFull("no space left on device")
+            self.writes += 1
+            return self.fh.write(data)
+
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda *args: FailingFile(open(*args)), raising=False)
+    with pytest.raises(DiskFull):
+        save_checkpoint(params, str(path))
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt"]
+    monkeypatch.undo()
+    save_checkpoint(params, str(path))
+    assert load_checkpoint(str(path))["lm.wte"].data[0, 0] == 0.5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt"]
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from ormllm.errors import DataParseError
-from ormllm.geometry import reconstruct_point_cloud
+from ormllm.geometry import CameraPose, reconstruct_point_cloud
 from ormllm.scenegen import (
+    BACKGROUND_COLOR,
+    CLASS_COLORS,
     CLASS_ID,
     REL_MARGIN,
     NEXT_TO_GAP,
@@ -15,6 +17,7 @@ from ormllm.scenegen import (
     Scene,
     Triple,
     build_dataset,
+    default_intrinsics,
     derive_triples,
     generate_scene,
     look_at,
@@ -24,6 +27,7 @@ from ormllm.scenegen import (
     template_text,
     triples_to_text,
     write_dataset,
+    _raycast,
     _validate_scene,
 )
 
@@ -190,6 +194,89 @@ def test_views_share_scene_but_not_pose():
     poses = {tuple(np.round(s.pose.translation, 9)) for s in samples}
     assert len(poses) == 3
     assert len({s.description for s in samples}) == 1
+
+
+def raycast_loop(scene, K, pose, H, W):
+    """The per-entity render loop _raycast replaced: each box in entity order
+    takes the pixels it hits strictly nearer than the depth so far."""
+    uu, vv = np.meshgrid(np.arange(W, dtype=np.float64), np.arange(H, dtype=np.float64))
+    dirs_cam = np.stack([(uu - K.cx) / K.fx, (vv - K.cy) / K.fy, np.ones_like(uu)], axis=-1)
+    dirs = dirs_cam @ pose.rotation.T
+    o = pose.translation
+    depth = np.full((H, W), np.inf)
+    seg = np.ones((H, W), dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for e in scene.entities:
+            t1 = (e.box.lo - o) / dirs
+            t2 = (e.box.hi - o) / dirs
+            t_near = np.minimum(t1, t2).max(axis=-1)
+            t_far = np.maximum(t1, t2).min(axis=-1)
+            hit = (t_near <= t_far) & (t_near > 1e-9) & (t_near < depth)
+            depth = np.where(hit, t_near, depth)
+            seg = np.where(hit, e.color_id, seg)
+    miss = ~np.isfinite(depth)
+    depth[miss] = 0.0
+    rgb = CLASS_COLORS[seg - 1].copy()
+    rgb[miss] = BACKGROUND_COLOR
+    return rgb, depth, seg
+
+
+def assert_same_render(scene, K, pose, H, W):
+    got, want = _raycast(scene, K, pose, H, W), raycast_loop(scene, K, pose, H, W)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+    return got
+
+
+def test_raycast_bytes_equal_the_per_entity_loop_on_generated_scenes():
+    for seed in range(30):
+        sc = generate_scene(seed)
+        for s in render_views(sc, 2, 32):
+            assert_same_render(sc, s.K, s.pose, 32, 32)
+
+
+AXES = CameraPose(rotation=np.eye(3), translation=np.zeros(3))  # looks along +z
+
+
+def entity(cls, lo, hi):
+    return Entity(cls, Box(np.array(lo, dtype=float), np.array(hi, dtype=float)),
+                  CLASS_ID[cls])
+
+
+def test_raycast_equal_t_near_shows_the_first_box():
+    # Same lo corner, so every ray that hits both enters both at one t_near.
+    a = entity("monitor", [-1.0, -1.0, 2.0], [1.0, 1.0, 3.0])
+    b = entity("nurse", [-1.0, -1.0, 2.0], [0.5, 0.5, 4.0])
+    K = default_intrinsics(9)
+    for first, second in ((a, b), (b, a)):
+        scene = Scene(entities=[first, second], relations=set(), seed=0)
+        _, depth, seg = assert_same_render(scene, K, AXES, 9, 9)
+        assert seg[4, 4] == first.color_id and depth[4, 4] == 2.0
+
+
+def test_raycast_ray_parallel_to_a_face_matches_the_loop():
+    # The centre column's rays have x direction exactly 0; the camera sits
+    # on the box's x = lo plane, so that slab is 0/0 (NaN) and hits nothing,
+    # while the x = hi plane of the second box gives +-inf and a clean slab.
+    K = default_intrinsics(5)
+    on_face = entity("monitor", [0.0, -1.0, 2.0], [1.0, 1.0, 3.0])
+    inside_slab = entity("nurse", [-1.0, -1.0, 4.0], [1.0, 1.0, 5.0])
+    for entities in ([on_face], [on_face, inside_slab], [inside_slab, on_face]):
+        scene = Scene(entities=entities, relations=set(), seed=0)
+        _, depth, seg = assert_same_render(scene, K, AXES, 5, 5)
+        assert seg[2, 2] != on_face.color_id
+    assert depth[2, 2] == 4.0 and seg[2, 2] == inside_slab.color_id
+
+
+def test_raycast_ray_missing_every_box_is_background():
+    behind = entity("monitor", [-1.0, -1.0, -3.0], [1.0, 1.0, -2.0])
+    K = default_intrinsics(6)
+    for entities in ([behind], []):
+        scene = Scene(entities=entities, relations=set(), seed=0)
+        rgb, depth, seg = assert_same_render(scene, K, AXES, 6, 6)
+        assert (depth == 0.0).all() and (seg == 1).all()
+        assert (rgb == BACKGROUND_COLOR).all()
 
 
 # --- templating ----------------------------------------------------------------

@@ -5,7 +5,11 @@ differences computed directly on the numpy buffers, independent of the
 graph machinery.
 """
 
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -986,3 +990,65 @@ def test_conv3x3_grads_bytes_match_out_of_place_oracle(weight, B, C, O, H, W):
         got, want = got[:1], want[:1]
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# gelu's ndtr, loaded without importing scipy.special
+# ---------------------------------------------------------------------------
+
+_SRC = str(Path(T.__file__).resolve().parents[1])
+
+
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """`code` in a new interpreter that imports ormllm from this checkout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [_SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+def test_loaded_ndtr_is_scipy_special_ndtr_byte_for_byte():
+    from scipy.special import ndtr
+
+    assert T._ndtr is ndtr
+    specials = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e-300, -1e-300])
+    for x in (np.linspace(-40.0, 40.0, 200001), specials):
+        want = ndtr(x)
+        assert T._ndtr(x).tobytes() == want.tobytes()
+        out = np.empty(x.shape)
+        assert T._ndtr(x, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+
+def test_import_ormllm_cli_does_not_import_scipy_special():
+    proc = _run_fresh("import ormllm.cli, sys\n"
+                      "assert 'scipy.special' not in sys.modules, 'scipy.special'\n"
+                      "assert 'scipy.special._special_ufuncs' not in sys.modules\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_special_imported_after_ormllm_binds_its_submodule():
+    proc = _run_fresh("import ormllm.tensor as T\n"
+                      "import scipy.special\n"
+                      "assert scipy.special._special_ufuncs.ndtr is T._ndtr\n"
+                      "assert scipy.special.ndtr is T._ndtr\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_load_ndtr_leaves_a_loaded_scipy_special_in_place():
+    import scipy.special
+
+    module = sys.modules[T._NDTR_MODULE]
+    scipy_dir = os.path.dirname(os.path.dirname(scipy.special.__file__))
+    assert T._load_ndtr(scipy_dir) is scipy.special.ndtr
+    assert sys.modules[T._NDTR_MODULE] is module
+    assert scipy.special._special_ufuncs is module
+
+
+def test_load_ndtr_without_the_file_names_it(tmp_path):
+    (tmp_path / "special").mkdir()
+    with pytest.raises(ImportError) as exc:
+        T._load_ndtr(str(tmp_path))
+    missing = str(tmp_path / "special" / "_special_ufuncs")
+    assert missing in str(exc.value) and "installed scipy" in str(exc.value)
+    assert exc.value.path.startswith(missing)
