@@ -1001,10 +1001,8 @@ _SRC = str(Path(T.__file__).resolve().parents[1])
 
 def _run_fresh(code: str) -> subprocess.CompletedProcess:
     """`code` in a new interpreter that imports ormllm from this checkout."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [_SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": _SRC})
 
 
 def test_loaded_ndtr_is_scipy_special_ndtr_byte_for_byte():
