@@ -34,9 +34,9 @@ from .errors import (
     SequenceLengthError,
 )
 from .evaluate import TASKS, EvalConfig, evaluate
-from .fusion import FusionConfig, answer_loss, build_input_sequence, lm_forward
+from .fusion import FusionConfig
 from .gradcheck import finite_diff_grad_check
-from .model import Model, ModelConfig, build_model_params
+from .model import Model, ModelConfig, build_model_params, match_variant
 from .nn import ModelParams
 from .scenegen import build_dataset, read_dataset, write_dataset
 from .spatial import (
@@ -50,13 +50,16 @@ from .spatial import (
 )
 from .training import (
     TrainConfig,
+    TrainData,
+    TrainRecord,
+    batch_loss,
     contrastive_loss,
     make_stage1_records,
     make_stage2_records,
     stage2_loss,
     train_stage,
 )
-from .variants import VARIANTS, infer_variant
+from .variants import VARIANTS
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -221,19 +224,11 @@ def cmd_train(args) -> int:
 
 def _eval_model(run: RunConfig, bundle, ckpt: str, variant: str | None,
                 split: str, ecfg: EvalConfig, report_path: str | None) -> None:
-    loaded = load_checkpoint(ckpt)
-    resolved_variant = variant or infer_variant(set(loaded.names()))
-    mcfg = ModelConfig(variant=resolved_variant, spatial=run.spatial(),
-                       fusion=run.fusion(len(bundle.vocab)))
+    spatial, fusion = run.spatial(), run.fusion(len(bundle.vocab))
+    resolved_variant = match_variant(load_checkpoint(ckpt).names(), spatial, fusion,
+                                     [variant] if variant else VARIANTS)
+    mcfg = ModelConfig(variant=resolved_variant, spatial=spatial, fusion=fusion)
     model = Model(mcfg, build_model_params(mcfg, int(run["seed"])))
-    expected = set(model.params.names())
-    got = set(loaded.names())
-    if expected != got:
-        diff = sorted(expected ^ got)
-        raise CompatibilityError(
-            f"{ckpt}: parameter set does not match variant "
-            f"{resolved_variant!r} (differs on {diff[:4]}...)"
-        )
     _load_into(model, ckpt)
     model.check_vocab(len(bundle.vocab))
     samples = bundle.part_samples(split)
@@ -288,9 +283,24 @@ def cmd_ablate(args) -> int:
 
 
 def _gradcheck_suite(seed: int, corrupt: bool):
-    """Five verification targets on tiny pinned configurations. Inputs are
-    drawn away from softmax saturation and absolute-value ties so central
-    differences are meaningful at 1e-4."""
+    """Five verification targets on tiny pinned configurations, each with
+    the params it reads and the names of the tensors it checks:
+
+    - depth_loss, seg_loss: the encoder and each head against its
+      supervision loss, over the encoder and that head's tensors;
+    - answer_loss: training.batch_loss, the function every training step
+      runs, on a text-only batch of one QA and one scene-graph record: one
+      padded LM call per task, the last block at the read rows only, and
+      T.masked_nll; over fusion.pos_embed and the lm.* tensors;
+    - contrastive_loss: InfoNCE over free image and text features;
+    - stage2_loss: that batch's LM loss plus lambda_clip times that
+      InfoNCE, over the answer_loss tensors.
+
+    Inputs are drawn away from softmax saturation and absolute-value ties
+    so central differences are meaningful at 1e-4. With `corrupt`, each
+    target's loss gains a term on the first tensor it checks that only
+    the recorded pass sees (the numeric probe runs untracked), i.e. a
+    deliberately wrong adjoint, so every target must fail."""
     rng = np.random.default_rng(np.random.SeedSequence([0x96AD, seed]))
     scfg = SpatialBlockConfig(
         image_size=8, encoder_blocks=1, encoder_dim=8, encoder_heads=2,
@@ -307,13 +317,6 @@ def _gradcheck_suite(seed: int, corrupt: bool):
     gt_depth = rng.uniform(0.5, 3.0, size=(8, 8))
     gt_seg = rng.integers(1, 4, size=(8, 8))
 
-    def maybe_corrupt(loss):
-        if corrupt and loss.node is not None:
-            # Test hook: inject a term the numeric probe cannot see, i.e. a
-            # deliberately wrong adjoint.
-            return loss + T.sum_(params["spatial.encoder.embed.w"]) * 1e-2
-        return loss
-
     spatial_names = [n for n in params.names()
                      if n.startswith("spatial.encoder.") or n.startswith("spatial.depth.")]
     seg_names = [n for n in params.names()
@@ -324,52 +327,51 @@ def _gradcheck_suite(seed: int, corrupt: bool):
     def f_depth():
         grid = tokens_to_grid(encoder_forward(image[None], params, scfg), scfg)
         depth = depth_head_forward(grid, params, scfg)
-        return maybe_corrupt(depth_loss(depth, gt_depth[None], scfg))
+        return depth_loss(depth, gt_depth[None], scfg)
 
     def f_seg():
         grid = tokens_to_grid(encoder_forward(image[None], params, scfg), scfg)
         logits = seg_head_forward(grid, params, scfg)
-        return maybe_corrupt(seg_loss(logits, gt_seg[None], scfg))
+        return seg_loss(logits, gt_seg[None], scfg)
 
-    prompt = [V.BOS, 5, 6, 7]
-    answer = [9, 10]
-    targets = np.zeros(len(prompt) + len(answer) + 2, dtype=np.int64)
-    mask = np.zeros_like(targets, dtype=bool)
-    for i, tok in enumerate(answer + [V.EOS]):
-        targets[len(prompt) + i] = tok
-        mask[len(prompt) + i] = True
-
-    def text_answer_loss():
-        seq = build_input_sequence(None, None, None, prompt, params, fcfg,
-                                   answer_ids=[V.BOS] + answer + [V.EOS],
-                                   layout=model.layout)
-        logits = lm_forward(seq.tokens, params, fcfg, seq.positions)
-        return answer_loss(logits, targets, mask)
+    text = TrainData(stage=1, samples=[], records=[
+        TrainRecord("qa", None, prompt_ids=[5, 6, 7], answer_ids=[9, 10]),
+        TrainRecord("sgg", None, prompt_ids=[V.SGG_TASK],
+                    answer_ids=[11, 12, 13, 14, 15, 16, 17]),
+    ])
 
     def f_answer():
-        return maybe_corrupt(text_answer_loss())
+        return batch_loss(model, text, text.records, tau=0.07, percepts={})[0]
 
     cparams = ModelParams()
     cparams.add("v_feat", rng.normal(size=(3, 16)))
     cparams.add("t_feat", rng.normal(size=(3, 16)))
 
     def f_contrast():
-        return maybe_corrupt(
-            contrastive_loss(cparams["v_feat"], cparams["t_feat"], 0.07)
-        )
+        return contrastive_loss(cparams["v_feat"], cparams["t_feat"], 0.07)
 
     def f_stage2():
-        lm = text_answer_loss()
-        contrast = contrastive_loss(cparams["v_feat"], cparams["t_feat"], 0.07)
-        return maybe_corrupt(stage2_loss(lm, contrast, 0.1))
+        return stage2_loss(f_answer(), f_contrast(), 0.1)
 
-    return [
+    suite = [
         ("depth_loss", f_depth, params, spatial_names),
         ("seg_loss", f_seg, params, seg_names),
         ("answer_loss", f_answer, params, lm_names),
         ("contrastive_loss", f_contrast, cparams, None),
         ("stage2_loss", f_stage2, params, lm_names),
     ]
+    if corrupt:
+        suite = [(name, _corrupted(f, p[(names or p.names())[0]]), p, names)
+                 for name, f, p, names in suite]
+    return suite
+
+
+def _corrupted(f, tensor):
+    """f plus a term in `tensor` on recorded passes only."""
+    def g():
+        loss = f()
+        return loss if loss.node is None else loss + T.sum_(tensor) * 1e-2
+    return g
 
 
 def cmd_gradcheck(args) -> int:

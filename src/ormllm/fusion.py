@@ -49,7 +49,6 @@ class FusionConfig:
     max_seq_len: int = 384
     image_patch: int = 8
     pc_tokens: int = 1
-    mlp_ratio: int = 4
 
     def __post_init__(self):
         if self.d_token % self.lm_heads != 0:
@@ -134,7 +133,7 @@ def build_fusion_params(params: ModelParams, cfg: FusionConfig,
         raise ConfigurationError("vocab_size must cover at least the reserved ids")
     params.add("lm.wte", rng.normal(0.0, 0.02, (cfg.vocab_size, d)))
     for i in range(cfg.lm_layers):
-        init_attention_block(params, f"lm.blocks.{i}", d, cfg.mlp_ratio, rng)
+        init_attention_block(params, f"lm.blocks.{i}", d, rng)
     init_layer_norm(params, "lm.ln_f", d)
     init_linear(params, "lm.out", d, cfg.vocab_size, rng)
 

@@ -231,22 +231,12 @@ def parse_triples(answer_text: str) -> list[Triple]:
     The compact form of scenegen.triples_to_text has segments 'subject
     object predicate ...': each predicate gives its triple and, if it has
     one, the INVERSE triple, so a gold graph's text gives back exactly the
-    gold set. A text that holds a '|' is in the older form, one 'subject |
-    predicate | object' triple a segment, and parses as it always has,
-    without inverses, so checkpoints trained on it score as before. In
-    both forms a malformed or out-of-vocabulary segment is one invalid
+    gold set. A malformed or out-of-vocabulary segment is one invalid
     prediction, so it still counts against precision; blank segments are
     dropped."""
-    pipe_form = "|" in answer_text
     out: list[Triple] = []
     for segment in answer_text.split(";"):
         if not segment.strip():
-            continue
-        if pipe_form:
-            fields = [f.strip() for f in segment.split("|")]
-            valid = (len(fields) == 3 and fields[0] in CLASS_NAMES
-                     and fields[1] in PREDICATES and fields[2] in CLASS_NAMES)
-            out.append(Triple(*fields) if valid else INVALID_TRIPLE)
             continue
         words = segment.split()
         if not (len(words) >= 3 and words[0] in CLASS_NAMES and words[1] in CLASS_NAMES

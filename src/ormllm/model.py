@@ -57,7 +57,7 @@ from .spatial import (
     tokens_to_grid,
 )
 from .tensor import Tensor
-from .variants import variant_spec
+from .variants import VARIANTS, variant_spec
 
 DEPTH_SCALE = 10.0  # meters mapped to roughly [0, 1] for image-style inputs
 MAX_ENCODED_POINTS = 256  # point encoder input cap (deterministic stride)
@@ -93,6 +93,22 @@ def build_model_params(cfg: ModelConfig, seed: int) -> ModelParams:
                              pc=spec.pc == "points")
     build_fusion_params(params, cfg.fusion, cfg.spatial, rng, cfg.variant)
     return params
+
+
+def match_variant(names, spatial: SpatialBlockConfig, fusion: FusionConfig,
+                  candidates=VARIANTS) -> str:
+    """The first of `candidates` whose build_model_params tensor names are
+    exactly `names` (no two variants build the same names); otherwise
+    CompatibilityError, naming what the nearest candidate differs on."""
+    names, differs = set(names), {}
+    for variant in candidates:
+        built = set(build_model_params(ModelConfig(variant, spatial, fusion), 0).names())
+        if built == names:
+            return variant
+        differs[variant] = sorted(built ^ names)
+    nearest = min(differs, key=lambda v: len(differs[v]))
+    raise CompatibilityError(f"checkpoint tensors match no variant of {list(differs)}; "
+                             f"{nearest!r} differs on {differs[nearest][:4]}")
 
 
 @dataclass
@@ -263,8 +279,14 @@ class Model:
 
     # -- sequence assembly ---------------------------------------------------
 
-    def assemble(self, bundle: ModalityBundle, prompt_ids,
+    def assemble(self, bundle: ModalityBundle | None, prompt_ids,
                  answer_ids=None) -> TokenSequence:
+        """A sample's token sequence: its modality segments, then the
+        prompt and any answer ids. With bundle None it is text only, as
+        stage-1 records are. Training (training.batch_loss), evaluation and
+        `ormllm gradcheck` all assemble their sequences here."""
+        if bundle is None:
+            bundle = ModalityBundle(img_toks=None, seg_toks=None, pc_toks=None)
         return build_input_sequence(
             bundle.img_toks, bundle.seg_toks, bundle.pc_toks, prompt_ids,
             self.params, self.cfg.fusion, self.cfg.variant, answer_ids,

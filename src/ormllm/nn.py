@@ -102,7 +102,11 @@ def layer_norm(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
     return T.layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
-def init_attention_block(params: ModelParams, prefix: str, d: int, mlp_ratio: int,
+# Hidden width of a block's MLP, in multiples of the model width.
+MLP_RATIO = 4
+
+
+def init_attention_block(params: ModelParams, prefix: str, d: int,
                          rng: np.random.Generator) -> None:
     init_layer_norm(params, f"{prefix}.ln1", d)
     # q/k/v projections carry no bias: a key bias shifts every score in a
@@ -112,7 +116,7 @@ def init_attention_block(params: ModelParams, prefix: str, d: int, mlp_ratio: in
         init_linear(params, f"{prefix}.attn.{name}", d, d, rng, bias=False)
     init_linear(params, f"{prefix}.attn.wo", d, d, rng)
     init_layer_norm(params, f"{prefix}.ln2", d)
-    init_mlp(params, f"{prefix}.mlp", d, mlp_ratio * d, d, rng)
+    init_mlp(params, f"{prefix}.mlp", d, MLP_RATIO * d, d, rng)
 
 
 class KVCache:

@@ -103,7 +103,7 @@ def build_spatial_params(params: ModelParams, cfg: SpatialBlockConfig,
     init_linear(params, "spatial.encoder.embed", patch_dim, c, rng)
     params.add("spatial.encoder.pos", rng.normal(0.0, 0.02, (cfg.n_cells, c)))
     for i in range(cfg.encoder_blocks):
-        init_attention_block(params, f"spatial.encoder.blocks.{i}", c, 4, rng)
+        init_attention_block(params, f"spatial.encoder.blocks.{i}", c, rng)
     if depth:
         for s in range(cfg.depth_decoder_stages):
             params.add(f"spatial.depth.stage{s}.conv.w",

@@ -1,28 +1,32 @@
 """Two-stage training: language adaptation, then vision and projection
 tuning against the composite language-modeling plus contrastive objective.
 
-Stage 1 trains exactly the lm.* tensors on text-only QA records. Stage 2
-freezes them and trains everything else on full multimodal records. It
-opens with a supervision (VFM) phase that fits the encoder and the depth
-and segmentation decoders to rendered ground truth (the stand-in for
-fine-tuning pretrained perception backbones before fusion training). The
-fusion phase then optimizes lm_loss + lambda_clip * InfoNCE. There the
-perception nets are fixed: each sample's percept (`Model.perceive`) is
-computed once, when a batch first holds the sample, and reused for the
-rest of the phase, and no fusion loss reaches the encoder or the heads.
-So they end stage 2 as the VFM phase left them, and with vfm_epochs = 0
-stage 2 never trains them. The optimizer skips a tensor with no gradient,
-as torch.optim.AdamW does, so weight decay moves nothing a step does not
-reach. All shuffling derives from the config seed, so loss logs are
-bit-reproducible.
+Stage 1 trains exactly the lm.* tensors on text-only QA and scene-graph
+records. Stage 2 freezes them and trains everything else on full
+multimodal records. It opens with a supervision (VFM) phase that fits the
+encoder and the depth and segmentation decoders to rendered ground truth
+(the stand-in for fine-tuning pretrained perception backbones before
+fusion training). The fusion phase then optimizes lm_loss + lambda_clip *
+InfoNCE. There the perception nets are fixed: each sample's percept
+(`Model.perceive`) is computed once, when a batch first holds the sample,
+and reused for the rest of the phase, and no fusion loss reaches the
+encoder or the heads. So they end stage 2 as the VFM phase left them, and
+with vfm_epochs = 0 stage 2 never trains them. The optimizer skips a
+tensor with no gradient, as torch.optim.AdamW does, so weight decay moves
+nothing a step does not reach. All shuffling derives from the config
+seed, so loss logs are bit-reproducible.
 
-In both stages the LM runs once per task group of a batch (QA, SGG), each
-group padded only to its own longest record. Every block but the last runs
-at all of the group's rows; the last block, lm.ln_f and lm.out run only at
-each record's read window, the rows its losses read: the answer-mask rows
-and, in stage 2, the InfoNCE text row (see _lm_by_task). Each group's
-answer loss is one answer_loss node that gives its records' losses; they
-are put back in batch order before they are averaged.
+Both stages' main phase runs one batch function, batch_loss, which
+`ormllm gradcheck` certifies too. It assembles every record through
+Model.assemble, text only when the record has no sample. The LM runs once
+per task group of a batch (QA, SGG), each group padded only to its own
+longest record. Every block but the last runs at all of the group's rows;
+the last block, lm.ln_f and lm.out run only at each record's read window,
+the rows its losses read: the answer-mask rows and, in a multimodal batch,
+the InfoNCE text row (see _lm_by_task). Each group's answer loss is one
+answer_loss node that gives its records' losses; they are put back in
+batch order before they are averaged. Only a multimodal batch has an
+InfoNCE term.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from . import tensor as T
 from . import vocab as V
 from .errors import ConfigurationError, ContractError, NumericError
-from .fusion import answer_loss, build_input_sequence, lm_forward
+from .fusion import TokenSequence, answer_loss, lm_forward
 from .metrics import normalize
 from .model import Model, Percept
 from .nn import ModelParams
@@ -91,9 +95,8 @@ class TrainConfig:
 
 @dataclass
 class TrainRecord:
-    stage: int
     task: str                  # "qa" | "sgg"
-    sample_index: int | None   # into TrainData.samples; None for stage 1
+    sample_index: int | None   # into TrainData.samples; None: text only
     prompt_ids: list[int]
     answer_ids: list[int]      # raw answer tokens, BOS/EOS added at assembly
 
@@ -103,7 +106,6 @@ class TrainData:
     stage: int
     records: list[TrainRecord]
     samples: list[Sample]
-    vocab_size: int
 
 
 def qa_prompt_ids(vocab: Vocabulary, question: str) -> list[int]:
@@ -128,18 +130,18 @@ def make_stage1_records(samples: list[Sample], vocab: Vocabulary) -> TrainData:
     for s in samples:
         for question, answers in s.qa:
             records.append(TrainRecord(
-                stage=1, task="qa", sample_index=None,
+                task="qa", sample_index=None,
                 prompt_ids=qa_prompt_ids(vocab, question),
                 answer_ids=vocab.encode(answers[0]),
             ))
         if s.scene_id not in seen_scenes:
             seen_scenes.add(s.scene_id)
             records.append(TrainRecord(
-                stage=1, task="sgg", sample_index=None,
+                task="sgg", sample_index=None,
                 prompt_ids=[V.SGG_TASK],
                 answer_ids=vocab.encode(triples_to_text(s.triples)),
             ))
-    return TrainData(stage=1, records=records, samples=[], vocab_size=len(vocab))
+    return TrainData(stage=1, records=records, samples=[])
 
 
 def make_stage2_records(samples: list[Sample], vocab: Vocabulary,
@@ -159,17 +161,16 @@ def make_stage2_records(samples: list[Sample], vocab: Vocabulary,
             qa = [qa[i] for i in picks]
         for question, answers in qa:
             records.append(TrainRecord(
-                stage=2, task="qa", sample_index=idx,
+                task="qa", sample_index=idx,
                 prompt_ids=qa_prompt_ids(vocab, question),
                 answer_ids=vocab.encode(answers[0]),
             ))
         records.append(TrainRecord(
-            stage=2, task="sgg", sample_index=idx,
+            task="sgg", sample_index=idx,
             prompt_ids=[V.SGG_TASK],
             answer_ids=vocab.encode(triples_to_text(s.triples)),
         ))
-    return TrainData(stage=2, records=records, samples=list(samples),
-                     vocab_size=len(vocab))
+    return TrainData(stage=2, records=records, samples=list(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +326,16 @@ class TrainResult:
     vfm_epoch_means: list[float]
 
 
-def _pad_stack(seqs: list[Tensor],
-               positions: list[np.ndarray]) -> tuple[Tensor, np.ndarray]:
+def _pad_stack(seqs: list[TokenSequence]) -> tuple[Tensor, np.ndarray]:
     """Stack variable-length [S_i, d] sequences into [B, S_max, d] with zero
     rows at the tail; causal attention keeps real positions unaffected.
     Positional slots are padded with 0 (the pad rows never enter a loss).
     Training stacks one task group at a time (see _lm_by_task), so S_max is
     the longest record of that group, not of the whole batch."""
-    s_max = max(s.shape[0] for s in seqs)
+    s_max = max(len(s) for s in seqs)
     padded, pos_rows = [], []
-    for s, pos in zip(seqs, positions):
+    for seq in seqs:
+        s, pos = seq.tokens, seq.positions
         pad = s_max - s.shape[0]
         if pad:
             s = T.concat([s, T.constant(np.zeros((pad, s.shape[1])))], axis=0)
@@ -356,10 +357,20 @@ def _in_batch_order(parts: list[Tensor], order: list[int]) -> Tensor:
     return T.gather_rows(joined, where)
 
 
-def _lm_by_task(model: Model, records: list[TrainRecord], seqs: list[Tensor],
-                positions: list[np.ndarray],
-                metas: list[tuple[np.ndarray, np.ndarray]],
-                text_rows: list[int] | None = None):
+def _answer_targets(seq: TokenSequence,
+                    answer_ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Targets and mask for seq = [modality, prompt, BOS, answer..., EOS]:
+    rows BOS..last-answer-token predict the answer tokens, then EOS."""
+    bos = seq.prompt_start + len(seq.prompt_ids)
+    targets = np.zeros(len(seq), dtype=np.int64)
+    mask = np.zeros(len(seq), dtype=bool)
+    targets[bos : bos + len(answer_ids) + 1] = list(answer_ids) + [V.EOS]
+    mask[bos : bos + len(answer_ids) + 1] = True
+    return targets, mask
+
+
+def _lm_by_task(model: Model, records: list[TrainRecord],
+                seqs: list[TokenSequence], text_rows: bool):
     """Runs the LM once per task present in the batch, each call padded to
     the longest record of its own task: QA records are short and SGG records
     long, so one call over the whole batch would pad every QA record to the
@@ -368,42 +379,40 @@ def _lm_by_task(model: Model, records: list[TrainRecord], seqs: list[Tensor],
 
     Only the rows a loss reads run the last block, lm.ln_f and lm.out (see
     lm_hidden). Each record reads one contiguous window: its answer-mask
-    rows (from `metas`) and, with `text_rows` (one row index per record),
-    its text row. A group's windows share the longest one's length n_q,
-    each starting at its record's first read row, moved back where it
-    would pass the padded length S. Each group's answer loss is one
-    answer_loss call on its [G, n_q] logits, with each record's targets and
-    mask read from its window. Returns the [B] per-record losses in batch
-    order and, with `text_rows`, the [B, d] hidden rows at those indices,
-    also in batch order; otherwise None."""
+    rows and, with `text_rows`, its text row, the first prompt row. A
+    group's windows share the longest one's length n_q, each starting at
+    its record's first read row, moved back where it would pass the padded
+    length S. Each group's answer loss is one answer_loss call on its
+    [G, n_q] logits, with each record's targets and mask read from its
+    window. Returns the [B] per-record losses in batch order and, with
+    `text_rows`, the [B, d] hidden rows at the text rows, also in batch
+    order; otherwise None."""
     order, losses, feats = [], [], []
     for task in dict.fromkeys(rec.task for rec in records):
         group = [i for i, rec in enumerate(records) if rec.task == task]
-        tokens, pos = _pad_stack([seqs[i] for i in group],
-                                 [positions[i] for i in group])
+        tokens, pos = _pad_stack([seqs[i] for i in group])
         G, S = tokens.shape[:2]
         targets = np.zeros((G, S), dtype=np.int64)
         mask = np.zeros((G, S), dtype=bool)
         firsts, lasts = [], []
         for j, i in enumerate(group):
-            rec_targets, rec_mask = metas[i]
+            rec_targets, rec_mask = _answer_targets(seqs[i], records[i].answer_ids)
             targets[j, : len(rec_targets)] = rec_targets
             mask[j, : len(rec_mask)] = rec_mask
             read = np.flatnonzero(rec_mask)
-            firsts.append(read[0] if text_rows is None else min(read[0], text_rows[i]))
+            firsts.append(min(read[0], seqs[i].prompt_start) if text_rows else read[0])
             lasts.append(read[-1])
         n_q = max(last - first for first, last in zip(firsts, lasts)) + 1
         starts = np.minimum(firsts, S - n_q)
         rows = starts[:, None] + np.arange(n_q)
         out = lm_forward(tokens, model.params, model.cfg.fusion,
-                         return_hidden=text_rows is not None, positions=pos,
-                         rows=rows)
-        logits, hidden = out if text_rows is not None else (out, None)
+                         return_hidden=text_rows, positions=pos, rows=rows)
+        logits, hidden = out if text_rows else (out, None)
         at = np.arange(G)[:, None], rows
         losses.append(answer_loss(logits, targets[at], mask[at]))
-        if text_rows is not None:
+        if text_rows:
             d = hidden.shape[2]
-            flat = np.array([j * n_q + text_rows[i] - starts[j]
+            flat = np.array([j * n_q + seqs[i].prompt_start - starts[j]
                              for j, i in enumerate(group)])
             feats.append(T.take_flat(hidden, flat[:, None] * d + np.arange(d)))
         order += group
@@ -411,64 +420,36 @@ def _lm_by_task(model: Model, records: list[TrainRecord], seqs: list[Tensor],
             _in_batch_order(feats, order) if feats else None)
 
 
-def _answer_targets(prompt_len: int, answer_ids: list[int],
-                    n_modality: int) -> tuple[np.ndarray, np.ndarray]:
-    """Targets and mask for a sequence [modality, prompt, BOS, answer..., EOS].
-    Positions BOS..last-answer-token predict answer tokens then EOS."""
-    k = len(answer_ids)
-    total = n_modality + prompt_len + k + 2
-    targets = np.zeros(total, dtype=np.int64)
-    mask = np.zeros(total, dtype=bool)
-    bos_pos = n_modality + prompt_len
-    for i, tok in enumerate(answer_ids):
-        targets[bos_pos + i] = tok
-        mask[bos_pos + i] = True
-    targets[bos_pos + k] = V.EOS
-    mask[bos_pos + k] = True
-    return targets, mask
-
-
-def _batch_stage1(model: Model, records: list[TrainRecord]) -> Tensor:
-    seqs, poss, metas = [], [], []
-    for rec in records:
-        answer_seg = [V.BOS] + rec.answer_ids + [V.EOS]
-        seq = build_input_sequence(None, None, None, rec.prompt_ids, model.params,
-                                   model.cfg.fusion, answer_ids=answer_seg,
-                                   layout=model.layout)
-        seqs.append(seq.tokens)
-        poss.append(seq.positions)
-        metas.append(_answer_targets(len(rec.prompt_ids), rec.answer_ids, 0))
-    losses, _ = _lm_by_task(model, records, seqs, poss, metas)
-    return T.mean(losses)
-
-
-def _batch_stage2(model: Model, data: TrainData, records: list[TrainRecord],
-                  cfg: TrainConfig,
-                  percepts: dict[int, Percept]) -> tuple[Tensor, Tensor]:
-    """LM loss and InfoNCE of one fusion batch. Modality tokens are built
-    once per sample of the batch, from `percepts` (sample index -> percept),
-    which this fills for the samples it lacks."""
+def batch_loss(model: Model, data: TrainData, records: list[TrainRecord],
+               tau: float, percepts: dict[int, Percept]
+               ) -> tuple[Tensor, Tensor | None]:
+    """The mean LM loss of one batch and, for a multimodal batch, its
+    InfoNCE (None for a text-only one). Every record is assembled by
+    Model.assemble: text only when its sample_index is None, else after
+    its sample's modality tokens. Those are built once per sample of the
+    batch, from `percepts` (sample index -> percept), which this fills for
+    the samples it lacks. A batch is all text-only or all multimodal."""
     indices = list(dict.fromkeys(rec.sample_index for rec in records))
-    new = [i for i in indices if i not in percepts]
-    if new:
-        percepts.update(zip(new, model.perceive([data.samples[i] for i in new])))
-    bundles = dict(zip(indices, model.modality_tokens_batch(
-        [data.samples[i] for i in indices], [percepts[i] for i in indices])))
-    seqs, poss, metas, v_feats, prompt_starts = [], [], [], [], []
+    bundles = {None: None}
+    if indices != [None]:
+        if None in indices:
+            raise ContractError("a batch mixes text-only and multimodal records")
+        new = [i for i in indices if i not in percepts]
+        if new:
+            percepts.update(zip(new, model.perceive([data.samples[i] for i in new])))
+        bundles = dict(zip(indices, model.modality_tokens_batch(
+            [data.samples[i] for i in indices], [percepts[i] for i in indices])))
+    seqs, v_feats = [], []
     for rec in records:
         bundle = bundles[rec.sample_index]
-        answer_seg = [V.BOS] + rec.answer_ids + [V.EOS]
-        seq = model.assemble(bundle, rec.prompt_ids, answer_seg)
-        n_modality = seq.prompt_start
-        seqs.append(seq.tokens)
-        poss.append(seq.positions)
-        metas.append(_answer_targets(len(rec.prompt_ids), rec.answer_ids,
-                                     n_modality))
-        v_feats.append(model.contrastive_features(bundle))
-        prompt_starts.append(n_modality)
-    losses, t_feats = _lm_by_task(model, records, seqs, poss, metas,
-                                  text_rows=prompt_starts)
-    contrast = contrastive_loss(T.stack(v_feats, axis=0), t_feats, cfg.tau,
+        seqs.append(model.assemble(bundle, rec.prompt_ids,
+                                   [V.BOS] + rec.answer_ids + [V.EOS]))
+        if bundle is not None:
+            v_feats.append(model.contrastive_features(bundle))
+    losses, t_feats = _lm_by_task(model, records, seqs, text_rows=bool(v_feats))
+    if not v_feats:
+        return T.mean(losses), None
+    contrast = contrastive_loss(T.stack(v_feats, axis=0), t_feats, tau,
                                 sample_ids=[rec.sample_index for rec in records])
     return T.mean(losses), contrast
 
@@ -523,11 +504,8 @@ def train_stage(data: TrainData, model: Model, cfg: TrainConfig,
         raise ContractError(
             f"dataset built for stage {data.stage}, config wants {cfg.stage}"
         )
-    for rec in data.records:
-        if rec.stage != cfg.stage:
-            raise ContractError("record stage does not match config stage")
-        if cfg.stage == 2 and rec.sample_index is None:
-            raise ContractError("stage-2 records need multimodal samples")
+    if cfg.stage == 2 and any(rec.sample_index is None for rec in data.records):
+        raise ContractError("stage-2 records need multimodal samples")
     result = TrainResult(rows=[], epoch_means=[], vfm_epoch_means=[])
     if cfg.epochs == 0 or not data.records:
         return result
@@ -584,23 +562,12 @@ def train_stage(data: TrainData, model: Model, cfg: TrainConfig,
                 on_epoch(epoch)
         return epoch_means
 
-    if cfg.stage == 1:
-        def step1(batch):
-            lm = _batch_stage1(model, batch)
-            backward(lm)
-            return lm.item(), 0.0, lm.item()
-
-        result.epoch_means = run_batches(
-            data.records, step1, cfg.epochs, "1", lambda name: cfg.lr_lm, state
-        )
-        return result
-
-    # Stage 2: a supervision phase fits the perception nets at the full
-    # vision rate. The fusion phase reads them only through cached
-    # percepts, so it tunes the projections at the full rate and the spatial
-    # nets it does reach, spatial.region and spatial.pc, at the slower
-    # pretrained-vision rate.
-    if cfg.vfm_epochs > 0 and variant_spec(model.cfg.variant).spatial:
+    # Stage 1 trains the LM at its own rate. In stage 2 a supervision phase
+    # first fits the perception nets at the full vision rate. The fusion
+    # phase reads them only through cached percepts, so it tunes the
+    # projections at the full rate and the spatial nets it does reach,
+    # spatial.region and spatial.pc, at the slower pretrained-vision rate.
+    if cfg.stage == 2 and cfg.vfm_epochs > 0 and variant_spec(model.cfg.variant).spatial:
         sample_idx = sorted({rec.sample_index for rec in data.records})
         vfm_items = [data.samples[i] for i in sample_idx]
 
@@ -611,22 +578,24 @@ def train_stage(data: TrainData, model: Model, cfg: TrainConfig,
             vfm_items, step_vfm, cfg.vfm_epochs, "2vfm",
             lambda name: cfg.lr_vision, state
         )
-        state = AdamWState()  # fresh moments for the fusion phase
+        state = AdamWState()  # fresh moments for the main phase
 
-    def fusion_rate(name: str) -> float:
+    def main_rate(name: str) -> float:
+        if cfg.stage == 1:
+            return cfg.lr_lm
         if name.startswith("spatial."):
             return cfg.lr_pretrained_vision
         return cfg.lr_vision
 
     percepts: dict[int, Percept] = {}  # filled as batches first hold a sample
 
-    def step2(batch):
-        lm, contrast = _batch_stage2(model, data, batch, cfg, percepts)
-        total = stage2_loss(lm, contrast, cfg.lambda_clip)
+    def main_step(batch):
+        lm, contrast = batch_loss(model, data, batch, cfg.tau, percepts)
+        total = lm if contrast is None else stage2_loss(lm, contrast, cfg.lambda_clip)
         backward(total)
-        return lm.item(), contrast.item(), total.item()
+        return lm.item(), 0.0 if contrast is None else contrast.item(), total.item()
 
     result.epoch_means = run_batches(
-        data.records, step2, cfg.epochs, "2", fusion_rate, state
+        data.records, main_step, cfg.epochs, str(cfg.stage), main_rate, state
     )
     return result

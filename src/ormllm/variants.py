@@ -2,13 +2,13 @@
 slots of the token sequence.
 
 Every other per-variant decision derives from the row: which spatial nets
-and projection heads get built (`spatial`, `needs_depth`, `needs_seg`,
-`param_groups`), at which pixels the modality path runs the depth and seg
-heads (`depth_on_raster`, `seg_at_cells`), which slots
-`build_input_sequence` fills, which supervision losses the stage-2
-depth/seg phase runs, and how a checkpoint's variant is recognised
-(`infer_variant`). The rows hold data
-only; the model code reads them and calls the module-level networks itself.
+and projection heads get built (`spatial`, `needs_depth`, `needs_seg`), at
+which pixels the modality path runs the depth and seg heads
+(`depth_on_raster`, `seg_at_cells`), which slots `build_input_sequence`
+fills and which supervision losses the stage-2 depth/seg phase runs. A
+checkpoint's variant is the one whose built tensor names are the
+checkpoint's (`model.match_variant`). The rows hold data only; the model
+code reads them and calls the module-level networks itself.
 
     variant       image slot        seg slot            pc slot
     full          RGB patches       region tokens       point-cloud token
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CompatibilityError, ConfigurationError
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -78,26 +78,6 @@ class VariantSpec:
         """The variant runs the spatial block's encoder at all."""
         return self.needs_depth or self.needs_seg
 
-    @property
-    def param_groups(self) -> frozenset[str]:
-        """The parameter groups (first two dotted parts of a name) that only
-        some variants build; every variant also builds proj.img_head,
-        proj.pool, fusion.pos_embed and the lm.* tensors."""
-        groups = {"proj.early_embed" if self.image == "early" else "proj.img_embed"}
-        if self.spatial:
-            groups.add("spatial.encoder")
-        if self.needs_depth:
-            groups.add("spatial.depth")
-        if self.needs_seg:
-            groups.add("spatial.seg")
-        if self.seg == "regions":
-            groups |= {"spatial.region", "proj.seg_head", "proj.seg_null"}
-        if self.pc == "points":
-            groups |= {"spatial.pc", "proj.pc_head", "proj.pc_null"}
-        if self.pc == "depth_patches":
-            groups.add("proj.depth_embed")
-        return frozenset(groups)
-
 
 VARIANTS: dict[str, VariantSpec] = {spec.name: spec for spec in (
     VariantSpec("full", image="rgb", seg="regions", pc="points"),
@@ -115,16 +95,3 @@ def variant_spec(name: str) -> VariantSpec:
         return VARIANTS[name]
     except KeyError:
         raise ConfigurationError(f"unknown variant {name!r}") from None
-
-
-def infer_variant(names) -> str:
-    """The one variant whose parameter groups equal those of the given
-    parameter names; CompatibilityError if none does."""
-    optional = frozenset().union(*(s.param_groups for s in VARIANTS.values()))
-    groups = {".".join(n.split(".")[:2]) for n in names} & optional
-    for spec in VARIANTS.values():
-        if spec.param_groups == groups:
-            return spec.name
-    raise CompatibilityError(
-        f"parameter groups {sorted(groups)} match no variant"
-    )

@@ -344,9 +344,19 @@ def test_ablate_unknown_variant_usage(workspace, trained, tmp_path):
     assert exc.value.code == 2
 
 
-def test_gradcheck_passes_and_corrupt_fails():
-    assert main(["gradcheck", "--seed", "0"]) == 0
-    assert main(["gradcheck", "--seed", "0", "--corrupt"]) == 1
+TARGETS = ["depth_loss", "seg_loss", "answer_loss", "contrastive_loss", "stage2_loss"]
+
+
+def gradcheck_rows(capsys, *flags) -> tuple[int, dict[str, str]]:
+    """The exit code and each target's status column."""
+    code = main(["gradcheck", "--seed", "0", *flags])
+    lines = capsys.readouterr().out.splitlines()[1:]
+    return code, {line.split("\t")[0]: line.split("\t")[-1] for line in lines}
+
+
+def test_gradcheck_passes_and_corrupt_fails(capsys):
+    assert gradcheck_rows(capsys) == (0, dict.fromkeys(TARGETS, "pass"))
+    assert gradcheck_rows(capsys, "--corrupt") == (1, dict.fromkeys(TARGETS, "FAIL"))
 
 
 def test_gradcheck_config_flag_usage_error(tmp_path, capsys):

@@ -383,15 +383,18 @@ def test_sgg_matches_oracle_random():
     assert sgg_corpus_prf(items) == pytest.approx(oracle_sgg_prf(*pooled), abs=1e-9)
 
 
+T2_INVERSE = Triple("instrument_tray", "next_to", "nurse")
+
+
 def test_parse_triples_grammar():
     parsed = parse_triples(
-        "patient|on_top_of|operating_table; nurse|next_to|instrument_tray"
+        "patient operating_table on_top_of; nurse instrument_tray next_to"
     )
-    assert parsed == [T1, T2]
+    assert parsed == [T1, T2, T2_INVERSE]
     spaced = parse_triples(
-        "patient | on_top_of | operating_table ; nurse | next_to | instrument_tray"
+        "  patient   operating_table on_top_of ;nurse instrument_tray  next_to "
     )
-    assert spaced == [T1, T2]
+    assert spaced == [T1, T2, T2_INVERSE]
 
 
 def test_parse_triples_garbage_counts_as_incorrect():
@@ -399,14 +402,14 @@ def test_parse_triples_garbage_counts_as_incorrect():
     assert len(parsed) == 1
     assert sgg_pair_prf(parsed, {T1}) == (0.0, 0.0, 0.0)
     assert parse_triples("") == []
-    mixed = parse_triples("patient|on_top_of|operating_table; zebra|flies|moon")
+    mixed = parse_triples("patient operating_table on_top_of; zebra moon flies")
     assert len(mixed) == 2
     p, r, _ = sgg_pair_prf(mixed, {T1})
     assert p == 50.0 and r == 100.0
 
 
 def test_parse_triples_trailing_separator():
-    assert parse_triples("patient|on_top_of|operating_table;") == [T1]
+    assert parse_triples("patient operating_table on_top_of;") == [T1]
 
 
 def test_parse_triples_compact_form_adds_inverses():
@@ -429,16 +432,15 @@ def test_parse_triples_compact_form_adds_inverses():
     assert p == 50.0 and r == 100.0
 
 
-def test_parse_triples_reads_the_pipe_form_as_before():
-    # The pipe form of a whole graph, as older checkpoints were trained to
-    # write it: one triple a segment, in order, no inverse added.
-    graph = sorted({T1, T2, Triple("nurse", "left_of", "patient"),
-                    Triple("patient", "right_of", "nurse")})
-    text = " ; ".join(f"{t.subject} | {t.predicate} | {t.object}" for t in graph)
-    assert parse_triples(text) == graph
-    # One '|' anywhere makes the whole text the pipe form.
+def test_parse_triples_a_stray_pipe_is_one_invalid_segment():
+    # '|' is a vocabulary word but no grammar: it spoils its own segment only.
+    assert parse_triples("operating_table patient left_of ; |") == [
+        Triple("operating_table", "left_of", "patient"),
+        Triple("patient", "right_of", "operating_table"),
+        INVALID_TRIPLE,
+    ]
     assert parse_triples("patient operating_table on_top_of ; nurse | next_to | "
-                         "instrument_tray") == [INVALID_TRIPLE, T2]
+                         "instrument_tray") == [T1, INVALID_TRIPLE]
 
 
 # ---------------------------------------------------------------------------

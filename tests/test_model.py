@@ -13,6 +13,7 @@ from ormllm.model import (
     ModelConfig,
     build_model_params,
     cloud_raster,
+    match_variant,
 )
 from ormllm.nn import mlp_forward
 from ormllm.scenegen import CLASS_COLORS, build_dataset
@@ -24,7 +25,7 @@ from ormllm.spatial import (
     region_pool,
     seg_head_forward,
 )
-from ormllm.variants import VARIANTS, infer_variant, variant_spec
+from ormllm.variants import VARIANTS, variant_spec
 
 
 @pytest.fixture(scope="module")
@@ -83,18 +84,26 @@ def test_variant_assembles_expected_segments(bundle, variant):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_infer_variant_round_trip(bundle, variant):
-    params = build_model_params(model_cfg(variant, len(bundle.vocab)), seed=0)
-    assert infer_variant(set(params.names())) == variant
+def test_match_variant_round_trip(bundle, variant):
+    cfg = model_cfg(variant, len(bundle.vocab))
+    names = build_model_params(cfg, seed=0).names()
+    # The first match among all variants is this one, so no two build the
+    # same names; an explicit variant is the same check over one candidate.
+    assert match_variant(names, cfg.spatial, cfg.fusion) == variant
+    assert match_variant(names, cfg.spatial, cfg.fusion, [variant]) == variant
+    other = "no-pc" if variant == "full" else "full"
+    with pytest.raises(CompatibilityError, match=repr(other)):
+        match_variant(names, cfg.spatial, cfg.fusion, [other])
 
 
 @pytest.mark.parametrize("names", [
     set(), {"lm.wte"}, {"proj.img_embed.w", "proj.early_embed.w"},
     {"proj.img_embed.w", "spatial.pc.fc1.w", "proj.pc_head.fc1.w"},
 ])
-def test_infer_variant_no_match_is_compatibility_error(names):
+def test_match_variant_no_match_is_compatibility_error(bundle, names):
+    cfg = model_cfg("full", len(bundle.vocab))
     with pytest.raises(CompatibilityError):
-        infer_variant(names)
+        match_variant(names, cfg.spatial, cfg.fusion)
 
 
 def test_surviving_segment_order_is_stable(bundle):

@@ -55,7 +55,7 @@ def test_mlp_dimension_error_names_operand():
 
 def make_block(d=8, heads=2, seed=0):
     params = ModelParams()
-    init_attention_block(params, "blk", d, 4, np.random.default_rng(seed))
+    init_attention_block(params, "blk", d, np.random.default_rng(seed))
     return params
 
 

@@ -26,10 +26,9 @@ from ormllm.training import (
     AdamWState,
     TrainConfig,
     _answer_targets,
-    _batch_stage1,
-    _batch_stage2,
     _pad_stack,
     apply_stage_mask,
+    batch_loss,
     contrastive_loss,
     lr_at_step,
     make_stage1_records,
@@ -350,6 +349,15 @@ def test_stage_mismatch_contract_error(tiny_data):
         train_stage(data, model, TrainConfig(stage=2, epochs=1))
 
 
+def test_batch_mixing_text_only_and_multimodal_records_is_a_contract_error(tiny_data):
+    model = tiny_model(tiny_data)
+    text = make_stage1_records(tiny_data.samples, tiny_data.vocab).records[0]
+    data = make_stage2_records(tiny_data.samples, tiny_data.vocab,
+                               qa_per_sample=1, seed=3)
+    with pytest.raises(ContractError, match="mixes"):
+        batch_loss(model, data, [data.records[0], text], 0.07, {})
+
+
 def test_stage1_deterministic_and_loss_drops(tiny_data):
     def run():
         model = tiny_model(tiny_data)
@@ -642,14 +650,15 @@ def lm_step(tiny_data, stage):
     records = ([r for r in data.records if r.task == "qa"][:2]
                + [r for r in data.records if r.task == "sgg"][:2])
     if stage == 1:
-        return model, lambda backward: backward(_batch_stage1(model, records)), {}
+        return model, lambda backward: backward(
+            batch_loss(model, data, records, 0.07, {})[0]), {}
     train_cfg = TrainConfig(stage=2, epochs=1, batch_size=4, warmup_steps=0,
                             vfm_epochs=0, seed=4)
     percepts = {}
-    _batch_stage2(model, data, records, train_cfg, percepts)
+    batch_loss(model, data, records, train_cfg.tau, percepts)
 
     def step(backward):
-        lm, contrast = _batch_stage2(model, data, records, train_cfg, percepts)
+        lm, contrast = batch_loss(model, data, records, train_cfg.tau, percepts)
         backward(stage2_loss(lm, contrast, train_cfg.lambda_clip))
 
     return model, step, percepts
@@ -866,13 +875,9 @@ def padded_batch_stage1(model, records):
     """Oracle: the whole batch in one lm_forward, padded to its longest
     record, as stage-1 batches ran before the LM ran once per task; the
     last block runs at the read windows of the whole batch."""
-    seqs, poss, metas = [], [], []
-    for rec in records:
-        seq = text_sequence(model, rec)
-        seqs.append(seq.tokens)
-        poss.append(seq.positions)
-        metas.append(_answer_targets(len(rec.prompt_ids), rec.answer_ids, 0))
-    tokens, positions = _pad_stack(seqs, poss)
+    seqs = [text_sequence(model, rec) for rec in records]
+    metas = [_answer_targets(seq, rec.answer_ids) for seq, rec in zip(seqs, records)]
+    tokens, positions = _pad_stack(seqs)
     rows = read_windows(metas, tokens.shape[1])
     logits = lm_forward(tokens, model.params, model.cfg.fusion, positions=positions,
                         rows=rows)
@@ -886,17 +891,15 @@ def padded_batch_stage2(model, data, records, cfg):
     indices = list(dict.fromkeys(rec.sample_index for rec in records))
     bundles = dict(zip(indices, model.modality_tokens_batch(
         [data.samples[i] for i in indices])))
-    seqs, poss, metas, v_feats, starts = [], [], [], [], []
+    seqs, metas, v_feats, starts = [], [], [], []
     for rec in records:
         bundle = bundles[rec.sample_index]
         seq = model.assemble(bundle, rec.prompt_ids, [V.BOS] + rec.answer_ids + [V.EOS])
-        start = seq.prompt_start
-        seqs.append(seq.tokens)
-        poss.append(seq.positions)
-        metas.append(_answer_targets(len(rec.prompt_ids), rec.answer_ids, start))
+        seqs.append(seq)
+        metas.append(_answer_targets(seq, rec.answer_ids))
         v_feats.append(model.contrastive_features(bundle))
-        starts.append(start)
-    tokens, positions = _pad_stack(seqs, poss)
+        starts.append(seq.prompt_start)
+    tokens, positions = _pad_stack(seqs)
     rows = read_windows(metas, tokens.shape[1], text_rows=starts)
     logits, hidden = lm_forward(tokens, model.params, model.cfg.fusion,
                                 return_hidden=True, positions=positions, rows=rows)
@@ -969,10 +972,7 @@ def test_lm_at_read_rows_equals_the_full_lm_there(tiny_data, monkeypatch, stage,
 
     monkeypatch.setattr(training, "lm_forward", recording)
     with T.no_grad():
-        if stage == 1:
-            _batch_stage1(model, batch)
-        else:
-            _batch_stage2(model, data, batch, TrainConfig(stage=2), {})
+        batch_loss(model, data, batch, 0.07, {})
     assert len(calls) == len(set(pattern))
     for tokens, kwargs, out in calls:
         rows = kwargs.pop("rows")
@@ -992,7 +992,7 @@ def test_stage1_batch_matches_one_padded_call(tiny_data, pattern, exact):
     model = tiny_model(tiny_data)
     data = make_stage1_records(tiny_data.samples, tiny_data.vocab)
     batch = interleaved(data.records, pattern)
-    got = loss_and_grads(model, lambda: [_batch_stage1(model, batch)])
+    got = loss_and_grads(model, lambda: [batch_loss(model, data, batch, 0.07, {})[0]])
     want = loss_and_grads(model, lambda: [padded_batch_stage1(model, batch)])
     assert_matches(got, want, exact)
 
@@ -1004,9 +1004,41 @@ def test_stage2_batch_matches_one_padded_call(tiny_data, pattern, exact):
                                qa_per_sample=2, seed=3)
     batch = interleaved(data.records, pattern)
     cfg = TrainConfig(stage=2)
-    got = loss_and_grads(model, lambda: list(_batch_stage2(model, data, batch, cfg, {})))
+    got = loss_and_grads(model, lambda: list(batch_loss(model, data, batch, cfg.tau, {})))
     want = loss_and_grads(model, lambda: list(padded_batch_stage2(model, data, batch, cfg)))
     assert_matches(got, want, exact)
+
+
+MODALITY_PATH = ("proj.", "spatial.region.", "spatial.pc.", "fusion.pos_embed")
+
+
+def test_stage2_batch_gradcheck(tiny_data):
+    """Central differences of one fusion step's loss, over a batch of both
+    tasks from two samples, agree with batch_loss's backward on a few
+    coordinates of every tensor of the modality path. The percepts are
+    formed first and then held, as the fusion phase holds them."""
+    model = tiny_model(tiny_data)
+    apply_stage_mask(model.params, 2)
+    data = make_stage2_records(tiny_data.samples, tiny_data.vocab,
+                               qa_per_sample=1, seed=3)
+    batch = [r for r in data.records if r.sample_index in (0, 1)]
+    assert {r.task for r in batch} == {"qa", "sgg"}
+    cfg = TrainConfig(stage=2)
+    percepts = {}
+    batch_loss(model, data, batch, cfg.tau, percepts)
+
+    def f():
+        lm, contrast = batch_loss(model, data, batch, cfg.tau, percepts)
+        return stage2_loss(lm, contrast, cfg.lambda_clip)
+
+    names = [n for n in model.params.names() if n.startswith(MODALITY_PATH)]
+    assert {g for g in MODALITY_PATH if any(n.startswith(g) for n in names)} == \
+        set(MODALITY_PATH)
+    # h = 3e-5 keeps rounding noise below 1e-5 relative on the smallest
+    # gradients drawn (~3e-7, in proj.pool.w); 3e-6 leaves 3e-4 there.
+    reports = finite_diff_grad_check(f, model.params, h=3e-5, tol=1e-4,
+                                     coords_per_tensor=4, names=names)
+    assert [(r.name, r.max_rel_error) for r in reports if not r.passed] == []
 
 
 def test_pad_stack_tail_padding_leaves_real_rows_unchanged(tiny_data):
@@ -1015,8 +1047,7 @@ def test_pad_stack_tail_padding_leaves_real_rows_unchanged(tiny_data):
     short, long_ = interleaved(data.records, ("qa", "sgg"))
     seqs = [text_sequence(model, r) for r in (short, long_)]
     assert seqs[0].tokens.shape[0] < seqs[1].tokens.shape[0]
-    tokens, positions = _pad_stack([s.tokens for s in seqs],
-                                   [s.positions for s in seqs])
+    tokens, positions = _pad_stack(seqs)
     padded = lm_forward(tokens, model.params, model.cfg.fusion, positions=positions).data
     for b, seq in enumerate(seqs):
         alone = lm_forward(seq.tokens, model.params, model.cfg.fusion,
@@ -1058,7 +1089,7 @@ def test_stage1_one_lm_call_per_task_and_rows(tiny_data, lm_calls, loss_calls,
     data = make_stage1_records(tiny_data.samples, tiny_data.vocab)
     batch = interleaved(data.records, pattern)
     with T.no_grad():
-        _batch_stage1(model, batch)
+        batch_loss(model, data, batch, 0.07, {})
     lengths = {}
     for rec in batch:
         length = len(rec.prompt_ids) + len(rec.answer_ids) + 2  # + BOS, EOS
@@ -1082,7 +1113,7 @@ def test_stage2_one_lm_call_per_task(tiny_data, lm_calls, loss_calls, pattern):
                                qa_per_sample=2, seed=3)
     batch = interleaved(data.records, pattern)
     with T.no_grad():
-        _batch_stage2(model, data, batch, TrainConfig(stage=2), {})
+        batch_loss(model, data, batch, 0.07, {})
     assert sorted(b for b, _ in lm_calls) == sorted(
         pattern.count(task) for task in set(pattern))
     # Each group's answer loss reads [G, n_q] windows: the prompt (its first
