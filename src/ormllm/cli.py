@@ -56,7 +56,6 @@ from .training import (
     contrastive_loss,
     make_stage1_records,
     make_stage2_records,
-    stage2_loss,
     train_stage,
 )
 from .variants import VARIANTS
@@ -68,7 +67,8 @@ EXIT_CONTRACT = 3
 EXIT_NUMERIC = 4
 EXIT_COMPAT = 5
 
-_USAGE_ERRORS = (ConfigurationError, GenerationError, DataParseError)
+# OSError: a path given on the command line that cannot be opened.
+_USAGE_ERRORS = (ConfigurationError, GenerationError, DataParseError, OSError)
 _CONTRACT_ERRORS = (ContractError, DimensionError, DomainError, EmptyDomainError,
                     EmptyInputError, SequenceLengthError)
 
@@ -122,8 +122,8 @@ def cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_into(model: Model, ckpt_path: str) -> None:
-    loaded = load_checkpoint(ckpt_path)
+def _load_into(model: Model, loaded: ModelParams, ckpt_path: str) -> None:
+    """Copies the tensors of `loaded`, read from `ckpt_path`, into model."""
     loaded_names = set(loaded.names())
     missing = [n for n in model.params.names()
                if n.startswith("lm.") and n not in loaded_names]
@@ -166,7 +166,7 @@ def _train_one_stage(run: RunConfig, bundle, cfg: TrainConfig, variant: str,
     )
     model = Model.build(mcfg, int(run["seed"]))
     if ckpt_in:
-        _load_into(model, ckpt_in)
+        _load_into(model, load_checkpoint(ckpt_in), ckpt_in)
         model.check_vocab(len(bundle.vocab))
     if stage == 1:
         data = make_stage1_records(train_samples, bundle.vocab)
@@ -225,11 +225,12 @@ def cmd_train(args) -> int:
 def _eval_model(run: RunConfig, bundle, ckpt: str, variant: str | None,
                 split: str, ecfg: EvalConfig, report_path: str | None) -> None:
     spatial, fusion = run.spatial(), run.fusion(len(bundle.vocab))
-    resolved_variant = match_variant(load_checkpoint(ckpt).names(), spatial, fusion,
+    loaded = load_checkpoint(ckpt)
+    resolved_variant = match_variant(loaded.names(), spatial, fusion,
                                      [variant] if variant else VARIANTS)
     mcfg = ModelConfig(variant=resolved_variant, spatial=spatial, fusion=fusion)
     model = Model(mcfg, build_model_params(mcfg, int(run["seed"])))
-    _load_into(model, ckpt)
+    _load_into(model, loaded, ckpt)
     model.check_vocab(len(bundle.vocab))
     samples = bundle.part_samples(split)
     echo = _echo_comment_lines(run, [
@@ -283,7 +284,7 @@ def cmd_ablate(args) -> int:
 
 
 def _gradcheck_suite(seed: int, corrupt: bool):
-    """Five verification targets on tiny pinned configurations, each with
+    """Four verification targets on tiny pinned configurations, each with
     the params it reads and the names of the tensors it checks:
 
     - depth_loss, seg_loss: the encoder and each head against its
@@ -292,9 +293,7 @@ def _gradcheck_suite(seed: int, corrupt: bool):
       runs, on a text-only batch of one QA and one scene-graph record: one
       padded LM call per task, the last block at the read rows only, and
       T.masked_nll; over fusion.pos_embed and the lm.* tensors;
-    - contrastive_loss: InfoNCE over free image and text features;
-    - stage2_loss: that batch's LM loss plus lambda_clip times that
-      InfoNCE, over the answer_loss tensors.
+    - contrastive_loss: InfoNCE over free image and text features.
 
     Inputs are drawn away from softmax saturation and absolute-value ties
     so central differences are meaningful at 1e-4. With `corrupt`, each
@@ -350,15 +349,11 @@ def _gradcheck_suite(seed: int, corrupt: bool):
     def f_contrast():
         return contrastive_loss(cparams["v_feat"], cparams["t_feat"], 0.07)
 
-    def f_stage2():
-        return stage2_loss(f_answer(), f_contrast(), 0.1)
-
     suite = [
         ("depth_loss", f_depth, params, spatial_names),
         ("seg_loss", f_seg, params, seg_names),
         ("answer_loss", f_answer, params, lm_names),
         ("contrastive_loss", f_contrast, cparams, None),
-        ("stage2_loss", f_stage2, params, lm_names),
     ]
     if corrupt:
         suite = [(name, _corrupted(f, p[(names or p.names())[0]]), p, names)

@@ -1,26 +1,13 @@
 """Held-out evaluation: decode answers per task prompt and score them.
 
-Each sample's modality tokens are computed once and shared by all of its
-prompts, and so are the LM keys and values of that modality prefix: the
-slot layout gives every prompt of a sample the same prefix rows at the same
-positions, so each decode runs the LM only on its prompt, BOS and the
-tokens it generates. A sample makes two decode calls
-(fusion.decode_answer): one for all of its QA prompts and one for its
-scene-graph prompt. The first LM call of a decode call runs all of its
-prompts as one padded batch over the shared prefix; a prompt that has not
-ended then continues alone. Decoding is greedy, so identical inputs yield
-identical reports. Each step drafts and verifies: it guesses a prompt's
-next few ids, checks the guess and the next choice in one cached LM call,
-keeps the longest correct part and rolls the K/V cache back over the
-rest. The guess copies what followed the longest match of the prompt's
-recent ids in two sources: the ids of every decode call this evaluate()
-call has finished (one DecodeStream per call, to which each decode call
-appends its prompts' ids in prompt order), and the prompt's own ids and
-output so far. Templated questions recur across samples, and a model
-tends to write much the same scene graph for every scene, so most
-guesses go through and most prompts take a few LM calls. The answers are
-exactly those of one LM call per token, whatever the stream holds, so the
-report does not depend on the order of the samples.
+Each sample's modality tokens, and the LM keys and values of that modality
+prefix, are computed once and shared by all of its prompts. A sample makes
+two greedy decode calls: one for all of its QA prompts and one for its
+scene-graph prompt. Every decode call of one evaluate() call drafts from,
+and appends to, one DecodeStream. The answers are exactly those of one LM
+call per token whatever the stream holds, so the report does not depend
+on the order of the samples. fusion.decode_answer describes the batching,
+the drafts and their verification.
 """
 
 from __future__ import annotations

@@ -364,32 +364,10 @@ DRAFT = 16
 CONTEXT = 16
 
 
-class _Growing:
-    """A growable int64 array. The views it hands out never change: later
-    extends write past their end or into a new buffer."""
-
-    def __init__(self, capacity: int):
-        self._data = np.empty(capacity, dtype=np.int64)
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def view(self) -> np.ndarray:
-        return self._data[:self._len]
-
-    def extend(self, values) -> None:
-        end = self._len + len(values)
-        if end > len(self._data):
-            grown = np.empty(max(end, 2 * len(self._data)), dtype=np.int64)
-            grown[:self._len] = self._data[:self._len]
-            self._data = grown
-        self._data[self._len:end] = values
-        self._len = end
-
-
-# Fills the CONTEXT slots before a stream's first id, so that the narrowing
-# of a suffix match reads no id in front of the stream (see _narrow).
+# The id of no token. It fills the CONTEXT slots before a stream's first
+# id, so that a suffix match never reads in front of the text it searches,
+# and the one slot between the stream and the history in that text (see
+# _draft), which no match spans.
 _NO_ID = -1
 
 
@@ -397,66 +375,20 @@ class DecodeStream:
     """Append-only id stream of finished greedy decodes, for drafting (see
     decode_answer). A decode call appends, for each of its prompts in
     order and in one append each, the prompt ids, BOS and the ids it
-    generated, EOS included. The stream also keeps, per id, the ascending
-    positions at which it occurs, so a draft lookup (match) starts from
-    the occurrences of the key's last id instead of scanning the stream.
-    Its buffer holds CONTEXT _NO_ID ids before the first id."""
+    generated, EOS included. It is one array that holds CONTEXT _NO_ID ids
+    before the first id; a draft lookup searches it followed by _NO_ID and
+    the decode's history as one text (see _draft)."""
 
     def __init__(self):
-        self._pad = CONTEXT
-        self._ids = _Growing(1024)
-        self._ids.extend(np.full(self._pad, _NO_ID))
-        self._at: dict[int, _Growing] = {}
+        self._padded = np.full(CONTEXT, _NO_ID, dtype=np.int64)
 
     def ids(self) -> np.ndarray:
         """The ids appended so far. Later appends do not change the array
         returned."""
-        return self._ids.view()[self._pad:]
+        return self._padded[CONTEXT:]
 
     def append(self, ids) -> None:
-        ids = np.asarray(ids, dtype=np.int64)
-        where: dict[int, list[int]] = {}
-        for i, tok in enumerate(ids.tolist(), start=len(self._ids) - self._pad):
-            where.setdefault(tok, []).append(i)
-        self._ids.extend(ids)
-        for tok, positions in where.items():
-            self._at.setdefault(tok, _Growing(16)).extend(positions)
-
-    def match(self, key: np.ndarray) -> tuple[int, int]:
-        """_suffix_match(self.ids(), key), narrowed from the indexed
-        occurrences of key's last id."""
-        at = self._at.get(int(key[-1]))
-        if at is None:
-            return 0, 0
-        ends = at.view()
-        if ends[-1] == len(self._ids) - self._pad - 1:  # the last id has no successor
-            ends = ends[:-1]
-        return _narrow(self._ids.view(), self._pad, key, ends)
-
-
-def _suffix_match(text: np.ndarray, key: np.ndarray) -> tuple[int, int]:
-    """The longest suffix of `key`, at most CONTEXT ids, that occurs in
-    `text` with at least one id after it: (its length, the index in `text`
-    of the id after its latest occurrence), or (0, 0) if there is none.
-    With text = key this finds earlier occurrences only, as the last one
-    has no successor."""
-    padded = np.concatenate([np.full(CONTEXT, _NO_ID), text])
-    return _narrow(padded, CONTEXT, key, np.flatnonzero(text[:-1] == key[-1]))
-
-
-def _narrow(padded: np.ndarray, pad: int, key: np.ndarray,
-            ends: np.ndarray) -> tuple[int, int]:
-    """_suffix_match over the text that follows `pad` >= CONTEXT - 1
-    _NO_ID ids in `padded`, given `ends`, the ascending indices in the
-    text, its last id excluded, at which key's last id occurs. The padding
-    ends a candidate's match at the text's start without a bounds test."""
-    length, after = 0, 0
-    while ends.size:
-        length, after = length + 1, int(ends[-1]) + 1
-        if length == min(CONTEXT, len(key)):
-            break
-        ends = ends[padded[ends + (pad - length)] == key[-1 - length]]
-    return length, after
+        self._padded = np.concatenate([self._padded, np.asarray(ids, dtype=np.int64)])
 
 
 @dataclass
@@ -502,17 +434,19 @@ def decode_answer(prefixes: list[TokenSequence], params: ModelParams,
     window of lm_forward, padded to the longest); the others run the last
     block's keys and values only.
 
-    Each call drafts and verifies. The draft takes the longest suffix of
-    the history, at most CONTEXT ids, that occurs with a successor in
-    `stream` (the ids of earlier decodes, e.g. of the same evaluation) or
-    earlier in the history, and copies up to DRAFT ids that followed its
-    latest occurrence; on equal match lengths the history wins. It never
-    runs past an EOS (no id after an accepted EOS is used), max_new or
-    the last slot. The call runs the last generated token (BOS at first)
-    plus the draft, so its rows give the greedy choice after each of
-    them. The longest draft prefix that equals those choices is accepted,
-    followed by the choice at the first mismatch (or after the whole
-    draft); the cache then drops the rows of the rejected ids. Every
+    Each call drafts and verifies. The draft searches one text: `stream`
+    (the ids of earlier decodes, e.g. of the same evaluation), a
+    separator, then the history. It takes the longest suffix of the
+    history, at most CONTEXT ids, that occurs in that text followed by an
+    id other than the separator, and copies up to DRAFT ids that followed
+    its latest occurrence, up to the separator; as the history comes
+    last, it wins on equal match lengths. The draft never runs past an
+    EOS (no id after an accepted EOS is used), max_new or the last slot.
+    The call runs the last generated token (BOS at first) plus the
+    draft, so its rows give the greedy choice after each of them. The
+    longest draft prefix that equals those choices is accepted, followed
+    by the choice at the first mismatch (or after the whole draft); the
+    cache then drops the rows of the rejected ids. Every
     accepted id is the argmax after exactly its greedy predecessors, so
     each output is the one-token-per-call greedy output whatever the
     stream holds, in fewer calls when drafts hit. The call appends to the
@@ -600,14 +534,26 @@ def _verify(decodes: list[_Greedy], cache: KVCache, earlier: DecodeStream,
 
 def _draft(history: np.ndarray, earlier: DecodeStream, limit: int) -> list[int]:
     """Up to `limit` ids that followed the latest occurrence of the longest
-    suffix of `history` found in `earlier` or before in `history` itself,
-    `history` winning ties, cut after the first EOS (see decode_answer)."""
+    suffix of `history`, at most CONTEXT ids, in the one text: the ids of
+    `earlier`, _NO_ID, then `history` itself. An occurrence counts only if
+    an id other than _NO_ID follows it, so neither the history's own end
+    nor an occurrence that ends the stream counts. The history comes
+    last, so it wins ties. The draft stops before the first _NO_ID and after the first EOS
+    (see decode_answer)."""
     if limit <= 0:
         return []
-    own, own_after = _suffix_match(history, history)
-    found, after = earlier.match(history)
-    if found > own:
-        draft = earlier.ids()[after:after + limit].tolist()
-    else:
-        draft = history[own_after:own_after + limit].tolist() if own else []
+    text = np.concatenate([earlier._padded, [_NO_ID], history])
+    # Where the history's last id occurs with a successor; the CONTEXT
+    # _NO_ID ids in front end every narrowing at the text's start without
+    # a bounds test. Each round keeps those that match one id further back.
+    ends = np.flatnonzero((text[:-1] == history[-1]) & (text[1:] != _NO_ID))
+    length, after = 0, len(text)
+    while ends.size:
+        length, after = length + 1, int(ends[-1]) + 1
+        if length == min(CONTEXT, len(history)):
+            break
+        ends = ends[text[ends - length] == history[-1 - length]]
+    draft = text[after:after + limit].tolist()
+    if _NO_ID in draft:
+        draft = draft[:draft.index(_NO_ID)]
     return draft[:draft.index(V.EOS) + 1] if V.EOS in draft else draft

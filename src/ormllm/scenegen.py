@@ -560,10 +560,6 @@ class DatasetSplit:
     val: list[str]
     test: list[str]
 
-    def scene_ids(self, part: str) -> list[int]:
-        ids = {int(s[1:5]) for s in getattr(self, part)}
-        return sorted(ids)
-
 
 @dataclass
 class DatasetBundle:
@@ -732,11 +728,14 @@ def read_dataset(path: str) -> DatasetBundle:
 
     scenes = []
     for rec in _parse_jsonl(os.path.join(path, "scenes.jsonl")):
-        entities = [Entity(e["cls"], Box(np.array(e["lo"]), np.array(e["hi"])),
-                           int(e["color_id"])) for e in rec["entities"]]
-        relations = {Triple(*t) for t in rec["relations"]}
-        scenes.append(Scene(entities=entities, relations=relations,
-                            seed=int(rec["seed"])))
+        try:
+            entities = [Entity(e["cls"], Box(np.array(e["lo"]), np.array(e["hi"])),
+                               int(e["color_id"])) for e in rec["entities"]]
+            relations = {Triple(*t) for t in rec["relations"]}
+            scenes.append(Scene(entities=entities, relations=relations,
+                                seed=int(rec["seed"])))
+        except (KeyError, ValueError) as exc:
+            raise DataParseError(f"{path}/scenes.jsonl: bad record: {exc}") from None
 
     samples = []
     for rec in _parse_jsonl(os.path.join(path, "samples.jsonl")):

@@ -5,6 +5,7 @@ import filecmp
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -276,6 +277,35 @@ def test_eval_vocab_mismatch_exit5(workspace, trained, tmp_path):
     assert main(["eval", "--ckpt", s2, "--data", other, "--config", cfg]) == 5
 
 
+@pytest.mark.parametrize("case", ["split", "samples.jsonl", "vocab.txt", "no-entities",
+                                  "config", "ckpt"])
+def test_missing_input_usage_error(workspace, tmp_path, capsys, case):
+    # A missing input file or a scenes record without entities is a usage
+    # error: one error line that names the file, and no traceback.
+    root, cfg, data = workspace
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    argv = ["train", "--stage", "1", "--data", str(copy), "--config", cfg,
+            "--ckpt-out", str(tmp_path / "s1.ckpt")]
+    if case == "no-entities":
+        named = copy / "scenes.jsonl"
+        records = [json.loads(line) for line in named.read_text().splitlines()]
+        del records[1]["entities"]
+        named.write_text("".join(json.dumps(r) + "\n" for r in records))
+    elif case == "config":
+        named = tmp_path / "missing.cfg"
+        argv[argv.index(cfg)] = str(named)
+    elif case == "ckpt":
+        named = tmp_path / "missing.ckpt"
+        argv = ["eval", "--ckpt", str(named), "--data", data, "--config", cfg]
+    else:
+        named = copy / case
+        named.unlink()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(named) in err[0], err
+
+
 @pytest.mark.parametrize("line", ["eval.mode = greedy", "eval.beam_k = 1",
                                   "threads = 1", "eval.max_new_qa = -3"])
 def test_eval_bad_settings_usage_error(workspace, trained, tmp_path, capsys, line):
@@ -344,7 +374,7 @@ def test_ablate_unknown_variant_usage(workspace, trained, tmp_path):
     assert exc.value.code == 2
 
 
-TARGETS = ["depth_loss", "seg_loss", "answer_loss", "contrastive_loss", "stage2_loss"]
+TARGETS = ["depth_loss", "seg_loss", "answer_loss", "contrastive_loss"]
 
 
 def gradcheck_rows(capsys, *flags) -> tuple[int, dict[str, str]]:

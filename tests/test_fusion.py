@@ -542,26 +542,6 @@ def stream_of(ids, rng) -> DecodeStream:
     return stream
 
 
-def test_indexed_match_equals_the_scanning_search():
-    # The scanning search over the whole stream is the oracle of the
-    # lookup that starts from the stream's per-id positions, for streams
-    # grown by many appends (past the initial buffers) and for keys that
-    # end in an id the stream lacks or holds only at its end.
-    rng = np.random.default_rng(1)
-    for case in range(300):
-        ids = (0, 3) if case % 2 else (3, 7)
-        stream = DecodeStream()
-        for _ in range(int(rng.integers(0, 12))):
-            stream.append(rng.integers(*ids, int(rng.integers(0, 300))))
-        text = stream.ids()
-        key = rng.integers(*ids, int(rng.integers(1, 30)))
-        if text.size and rng.random() < 0.5:  # a suffix of the stream recurs
-            key = np.concatenate([key, text[-int(rng.integers(1, min(40, text.size) + 1)):]])
-        if rng.random() < 0.1:
-            key = np.append(key, 9)
-        assert stream.match(key) == fusion._suffix_match(text, key), (case, key)
-
-
 DECODE_CASES = [
     # (positions, seed, prompt length, EOS logit bias, max_new); the -50
     # bias keeps EOS away so that the max_seq_len cut-off ends the decode,

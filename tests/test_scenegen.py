@@ -397,16 +397,15 @@ def test_truncated_samples_file_parse_error(tmp_path):
 def test_split_ratios_by_scene():
     bundle = build_dataset(31, 10, 3, 16)
     split = bundle.split
-    assert len(split.scene_ids("train")) == 6
-    assert len(split.scene_ids("val")) == 2
-    assert len(split.scene_ids("test")) == 2
+    scenes = {part: {s.scene_id for s in bundle.part_samples(part)}
+              for part in ("train", "val", "test")}
+    assert [len(scenes[part]) for part in ("train", "val", "test")] == [6, 2, 2]
     all_ids = split.train + split.val + split.test
     assert len(all_ids) == len(set(all_ids)) == 30
     # Views of one scene never straddle parts.
-    for part in ("train", "val", "test"):
-        for sid in split.scene_ids(part):
-            views = [s for s in all_ids if s.startswith(f"s{sid:04d}")]
-            assert all(v in getattr(split, part) for v in views)
+    for part, ids in scenes.items():
+        views = [s.sample_id for s in bundle.samples if s.scene_id in ids]
+        assert sorted(views) == sorted(getattr(split, part))
 
 
 def test_every_answer_word_in_vocabulary():
