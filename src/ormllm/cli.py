@@ -123,7 +123,7 @@ def cmd_gen_data(args) -> int:
 
 
 def _load_into(model: Model, loaded: ModelParams, ckpt_path: str) -> None:
-    """Copies the tensors of `loaded`, read from `ckpt_path`, into model."""
+    """Copies the tensors of `loaded`, read from `ckpt_path`, into `model`."""
     loaded_names = set(loaded.names())
     missing = [n for n in model.params.names()
                if n.startswith("lm.") and n not in loaded_names]
